@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <deque>
 #include <iterator>
 #include <memory>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/common/logging.h"
 
@@ -57,28 +60,73 @@ void InferenceScheduler::Submit(PredRequest request) {
   MaybeLaunch();
 }
 
+// Walks the queue in pick order for one batch. kFifo takes arrival order;
+// kFairShare takes the oldest request among LIPs with the fewest picks so
+// far this batch; decode priority takes decode-sized requests first, then
+// tops up with one prefill chunk. Incremental: only picks the caller
+// Accept()s count toward the batch caps and the one-prefill top-up, so a
+// pick LaunchBatch drops (failed validation or KV restore) leaves room for
+// the next. Both MaybeLaunch's prospective profile and LaunchBatch drive
+// it. Requests pushed onto the queue while it walks are never picked.
+class InferenceScheduler::BatchPicker {
+ public:
+  explicit BatchPicker(const InferenceScheduler& scheduler);
+  // Queue index of the next pick, or kNoPick once the batch is complete.
+  size_t Next();
+  // Counts the last pick, `take` new tokens, into the batch.
+  void Accept(uint64_t take);
+  // Removes every pick from `queue`, keeping the rest in order.
+  void RemovePicks(std::deque<PredRequest>& queue) const;
+
+ private:
+  size_t Scan(bool decode_only);
+  bool Picked(size_t i) const { return i < picked_.size() && picked_[i] != 0; }
+
+  const InferenceScheduler& scheduler_;
+  const size_t limit_;        // Queue size when the walk began.
+  std::vector<char> picked_;  // Pick mask over [0, deepest pick].
+  size_t picks_ = 0;
+  size_t front_ = 0;          // Every index below it is picked.
+  size_t decode_front_ = 0;   // Below it, picked or not a decode.
+  std::unordered_map<LipId, uint32_t> taken_;  // kFairShare picks per LIP.
+  uint32_t floor_ = 0;        // No candidate left has fewer picks.
+  size_t accepted_ = 0;
+  uint64_t tokens_ = 0;
+  bool decode_phase_;
+  bool done_ = false;
+};
+
 void InferenceScheduler::MaybeLaunch() {
-  if (recheck_event_ != 0) {
-    sim_->Cancel(recheck_event_);
-    recheck_event_ = 0;
+  bool ready = !device_->busy() && !queue_.empty();
+  if (ready && sim_->now() < next_launch_time_ &&
+      recheck_at_ == next_launch_time_) {
+    return;  // The formation window's recheck is already armed.
   }
-  if (device_->busy() || queue_.empty()) {
+  ++recheck_generation_;  // Supersedes any pending recheck.
+  recheck_at_ = kNoRecheck;
+  if (!ready) {
     return;
   }
   if (sim_->now() < next_launch_time_) {
     // Batch-formation window after a completion: wait for just-woken threads
     // to resubmit before launching.
-    recheck_event_ = sim_->ScheduleAt(next_launch_time_, [this] {
-      recheck_event_ = 0;
-      MaybeLaunch();
-    });
+    ArmRecheck(next_launch_time_);
     return;
   }
 
-  // Build the prospective batch profile for the policy in the same order
-  // LaunchBatch would pick (discipline, decode priority, chunk caps), so
-  // est_batch_time describes the batch that actually launches.
-  std::vector<WorkItem> items = ProspectiveItems();
+  // Profile the batch LaunchBatch would form, picked the same way, so
+  // est_batch_time describes the batch that actually launches. Nothing is
+  // validated here, so every pick counts.
+  std::vector<WorkItem> items;
+  items.reserve(std::min(queue_.size(), options_.max_batch_requests));
+  BatchPicker picker(*this);
+  for (size_t pick = picker.Next(); pick != kNoPick; pick = picker.Next()) {
+    const PredRequest& request = queue_[pick];
+    uint64_t take = ChunkTake(request);
+    StatusOr<uint64_t> length = kvfs_->Length(request.kv);
+    items.push_back(WorkItem{take, length.ok() ? *length : 0});
+    picker.Accept(take);
+  }
 
   BatchPolicyInput input;
   input.queue_size = queue_.size();
@@ -93,40 +141,108 @@ void InferenceScheduler::MaybeLaunch() {
     return;
   }
   SimDuration delay = std::max<SimDuration>(decision.recheck_after, Micros(10));
-  recheck_event_ = sim_->ScheduleAfter(delay, [this] {
-    recheck_event_ = 0;
-    MaybeLaunch();
+  ArmRecheck(sim_->now() + delay);
+}
+
+void InferenceScheduler::ArmRecheck(SimTime when) {
+  recheck_at_ = when;
+  sim_->ScheduleAt(when, [this, generation = recheck_generation_] {
+    if (generation == recheck_generation_) {
+      recheck_at_ = kNoRecheck;
+      MaybeLaunch();
+    }
   });
 }
 
-// Picks the next un-picked request index under the active discipline: FIFO
-// takes arrival order; fair share takes the oldest request among LIPs with
-// the fewest picks so far this batch. A continuation of a chunked prefill
-// carries its original LIP, so a split prefill still costs its LIP exactly
-// one fair-share turn per batch.
-size_t InferenceScheduler::PickNext(
-    const std::unordered_map<LipId, uint32_t>& taken,
-    const std::vector<char>& picked, bool decode_only) const {
+InferenceScheduler::BatchPicker::BatchPicker(const InferenceScheduler& scheduler)
+    : scheduler_(scheduler),
+      limit_(scheduler.queue_.size()),
+      decode_phase_(scheduler.options_.decode_priority) {}
+
+size_t InferenceScheduler::BatchPicker::Next() {
+  const InferenceSchedulerOptions& options = scheduler_.options_;
+  if (done_ || accepted_ >= options.max_batch_requests ||
+      tokens_ >= options.max_batch_tokens) {
+    return kNoPick;
+  }
+  size_t pick = Scan(decode_phase_);
+  if (pick == kNoPick && decode_phase_) {
+    decode_phase_ = false;  // Decodes exhausted; top up with one prefill.
+    floor_ = 0;
+    pick = Scan(false);
+  }
+  if (pick == kNoPick) {
+    done_ = true;
+    return kNoPick;
+  }
+  if (pick >= picked_.size()) {
+    picked_.resize(pick + 1, 0);
+  }
+  picked_[pick] = 1;
+  ++picks_;
+  if (options.discipline == QueueDiscipline::kFairShare) {
+    ++taken_[scheduler_.queue_[pick].lip];
+  }
+  return pick;
+}
+
+void InferenceScheduler::BatchPicker::Accept(uint64_t take) {
+  ++accepted_;
+  tokens_ += take;
+  if (!decode_phase_ && scheduler_.options_.decode_priority) {
+    done_ = true;  // Decode-priority batches carry at most one prefill chunk.
+  }
+}
+
+// Takes the oldest candidate among LIPs with the fewest picks so far this
+// batch. Only fair share counts picks, so FIFO takes the oldest candidate
+// outright. A continuation of a chunked prefill carries its original LIP, so
+// a split prefill still costs its LIP exactly one fair-share turn per batch.
+// Each phase resumes from a cursor past its non-candidates, and since pick
+// counts only grow, the fewest a scan found bounds the next one from below:
+// it stops at the first candidate with that many.
+size_t InferenceScheduler::BatchPicker::Scan(bool decode_only) {
+  const std::deque<PredRequest>& queue = scheduler_.queue_;
+  auto candidate = [&](size_t i) {
+    return !Picked(i) && (!decode_only || scheduler_.IsDecode(queue[i]));
+  };
+  size_t& start = decode_only ? decode_front_ : front_;
+  while (start < limit_ && !candidate(start)) {
+    ++start;
+  }
   size_t best = kNoPick;
   uint32_t best_count = UINT32_MAX;
-  for (size_t i = 0; i < picked.size(); ++i) {
-    if (picked[i] != 0 || (decode_only && !IsDecode(queue_[i]))) {
+  for (size_t i = start; i < limit_; ++i) {
+    if (!candidate(i)) {
       continue;
     }
-    if (options_.discipline == QueueDiscipline::kFifo) {
-      return i;
-    }
-    auto it = taken.find(queue_[i].lip);
-    uint32_t count = it == taken.end() ? 0 : it->second;
+    auto it = taken_.find(queue[i].lip);
+    uint32_t count = it == taken_.end() ? 0 : it->second;
     if (count < best_count) {
       best = i;
       best_count = count;
-      if (count == 0) {
-        break;  // Arrival order among zero-count LIPs.
+      if (count == floor_) {
+        break;  // Arrival order among the fewest-pick LIPs.
       }
     }
   }
+  floor_ = best_count;
   return best;
+}
+
+void InferenceScheduler::BatchPicker::RemovePicks(
+    std::deque<PredRequest>& queue) const {
+  // Shift the survivors of [0, deepest pick] to the back of that range, in
+  // order, then pop the picked slots off the front.
+  size_t write = picked_.size();
+  for (size_t i = picked_.size(); i-- > 0;) {
+    if (picked_[i] == 0) {
+      queue[--write] = std::move(queue[i]);
+    }
+  }
+  for (size_t i = 0; i < picks_; ++i) {
+    queue.pop_front();
+  }
 }
 
 bool InferenceScheduler::IsDecode(const PredRequest& request) const {
@@ -151,39 +267,6 @@ void InferenceScheduler::RecordQueueWait(const PredRequest& request) {
   }
 }
 
-std::vector<WorkItem> InferenceScheduler::ProspectiveItems() const {
-  std::vector<WorkItem> items;
-  items.reserve(std::min(queue_.size(), options_.max_batch_requests));
-  uint64_t total_tokens = 0;
-  std::unordered_map<LipId, uint32_t> taken;
-  std::vector<char> picked(queue_.size(), 0);
-  size_t left = queue_.size();
-  bool decode_phase = options_.decode_priority;
-  while (left > 0 && items.size() < options_.max_batch_requests &&
-         total_tokens < options_.max_batch_tokens) {
-    size_t pick = PickNext(taken, picked, decode_phase);
-    if (pick == kNoPick) {
-      if (decode_phase) {
-        decode_phase = false;  // Decodes exhausted; top up with one prefill.
-        continue;
-      }
-      break;
-    }
-    picked[pick] = 1;
-    --left;
-    const PredRequest& request = queue_[pick];
-    ++taken[request.lip];
-    uint64_t take = ChunkTake(request);
-    StatusOr<uint64_t> length = kvfs_->Length(request.kv);
-    items.push_back(WorkItem{take, length.ok() ? *length : 0});
-    total_tokens += take;
-    if (!decode_phase && options_.decode_priority) {
-      break;  // Decode-priority batches carry at most one prefill chunk.
-    }
-  }
-  return items;
-}
-
 void InferenceScheduler::LaunchBatch() {
   struct BatchEntry {
     PredRequest request;
@@ -191,30 +274,12 @@ void InferenceScheduler::LaunchBatch() {
   };
   auto batch = std::make_shared<std::vector<BatchEntry>>();
   std::vector<WorkItem> items;
-  uint64_t total_tokens = 0;
-  std::unordered_map<LipId, uint32_t> taken;
-  // Picked slots are masked and compacted after the loop (completion
-  // callbacks never reenter the scheduler synchronously, but a mid-loop
-  // push_back past the mask would be kept untouched).
-  std::vector<char> picked(queue_.size(), 0);
-  size_t left = queue_.size();
-  bool decode_phase = options_.decode_priority;
-
-  while (left > 0 && batch->size() < options_.max_batch_requests &&
-         total_tokens < options_.max_batch_tokens) {
-    size_t pick = PickNext(taken, picked, decode_phase);
-    if (pick == kNoPick) {
-      if (decode_phase) {
-        decode_phase = false;  // Decodes exhausted; top up with one prefill.
-        continue;
-      }
-      break;
-    }
-    picked[pick] = 1;
-    --left;
+  // Picks are moved out as they are made and their slots removed after the
+  // loop (completion callbacks never reenter the scheduler synchronously).
+  BatchPicker picker(*this);
+  for (size_t pick = picker.Next(); pick != kNoPick; pick = picker.Next()) {
     bool decode = IsDecode(queue_[pick]);
     PredRequest request = std::move(queue_[pick]);
-    ++taken[request.lip];
     StatusOr<uint64_t> context = Validate(request);
     if (!context.ok()) {
       ++stats_.failed;
@@ -250,23 +315,10 @@ void InferenceScheduler::LaunchBatch() {
       stats_.prefill_tokens_batched += take;
     }
     items.push_back(WorkItem{take, *context});
-    total_tokens += take;
     batch->push_back(BatchEntry{std::move(request), take});
-    if (!decode_phase && options_.decode_priority) {
-      break;  // Decode-priority batches carry at most one prefill chunk.
-    }
+    picker.Accept(take);
   }
-
-  // Compact the queue: drop picked slots, keep everything else (including
-  // entries appended past the mask while completing failures above).
-  std::deque<PredRequest> kept;
-  for (size_t i = 0; i < queue_.size(); ++i) {
-    if (i < picked.size() && picked[i] != 0) {
-      continue;
-    }
-    kept.push_back(std::move(queue_[i]));
-  }
-  queue_ = std::move(kept);
+  picker.RemovePicks(queue_);
 
   if (batch->empty()) {
     // Everything in this round failed validation; look again.

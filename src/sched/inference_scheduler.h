@@ -6,12 +6,23 @@
 // work; at batch completion it re-validates, materializes new TokenRecords
 // into the KV files, and delivers next-token distributions to the blocked
 // threads. Batch timing is delegated to a pluggable BatchPolicy.
+//
+// Planning cost. Forming a batch costs O(scan horizon), not O(queue): the
+// horizon is the deepest queue position the pick order reaches. Under kFifo
+// that is the batch size plus any picks dropped by validation or KV restore;
+// decode priority scans as deep as its last decode-sized pick, and fair share
+// scans to the end of the queue each time the fewest picks any queued LIP has
+// rises, once per round over the LIPs. Picks are then removed by shifting
+// the survivors of [0, deepest pick] back and popping the front. This relies
+// on one invariant: queue order is submit order (a memory-retry requeue
+// counts as a submit), except for continuations of a split prefill, which go
+// to the front. So arrival order needs no sort, the scanned prefix is the
+// oldest work, and queue_.front() is the request oldest_wait measures.
 #ifndef SRC_SCHED_INFERENCE_SCHEDULER_H_
 #define SRC_SCHED_INFERENCE_SCHEDULER_H_
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -129,18 +140,15 @@ class InferenceScheduler : public PredService {
 
  private:
   static constexpr size_t kNoPick = static_cast<size_t>(-1);
+  static constexpr SimTime kNoRecheck = -1;
+
+  // Walks the queue in pick order for one batch (see the .cc).
+  class BatchPicker;
 
   void MaybeLaunch();
   void LaunchBatch();
-  // Picks the next un-picked request index under the active discipline
-  // (kFifo: first; kFairShare: oldest among LIPs with fewest picks this
-  // batch), optionally restricted to decode-sized requests. kNoPick if none.
-  size_t PickNext(const std::unordered_map<LipId, uint32_t>& taken,
-                  const std::vector<char>& picked, bool decode_only) const;
-  // Simulates LaunchBatch's pick loop without side effects so the policy's
-  // est_batch_time describes the batch that would actually launch (pick
-  // order, decode-priority packing, and chunk caps included).
-  std::vector<WorkItem> ProspectiveItems() const;
+  // Schedules MaybeLaunch at `when`; superseded if the generation moves on.
+  void ArmRecheck(SimTime when);
   bool IsDecode(const PredRequest& request) const;
   // New tokens this request would contribute to the next batch (its chunk).
   uint64_t ChunkTake(const PredRequest& request) const;
@@ -168,7 +176,11 @@ class InferenceScheduler : public PredService {
   // LIPs cancelled by CancelLip whose in-flight memory-retry events must
   // complete with an error instead of requeueing.
   std::unordered_set<LipId> cancelled_lips_;
-  Simulator::EventId recheck_event_ = 0;
+  // The live MaybeLaunch recheck: its due time (kNoRecheck when none) and
+  // generation. Superseding a recheck bumps the generation; the stale event
+  // still fires at its time but does nothing.
+  SimTime recheck_at_ = kNoRecheck;
+  uint64_t recheck_generation_ = 0;
   SimTime next_launch_time_ = 0;
   SimTime last_submit_ = 0;
   double rate_per_sec_ = 0.0;

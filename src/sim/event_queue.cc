@@ -5,46 +5,26 @@
 
 namespace symphony {
 
-Simulator::EventId Simulator::ScheduleAt(SimTime when, EventFn fn) {
+void Simulator::ScheduleAt(SimTime when, EventFn fn) {
   assert(fn && "scheduling a null event");
   if (when < now_) {
     when = now_;
   }
-  EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  ++pending_count_;
-  return id;
+  queue_.push(Event{when, next_seq_++, std::move(fn)});
 }
 
-bool Simulator::Cancel(EventId id) {
-  if (id == 0 || id >= next_id_) {
-    return false;
-  }
-  // Double-cancel and cancel-after-dispatch both return false via the insert
-  // result only when the id is still live; we cannot distinguish a dispatched
-  // event cheaply, so callers should treat the return as advisory.
-  return cancelled_.insert(id).second;
-}
-
-bool Simulator::Dispatch(Event& event) {
+void Simulator::DispatchNext() {
+  Event event = std::move(const_cast<Event&>(queue_.top()));
+  queue_.pop();
   now_ = event.when;
-  if (!cancelled_.empty() && cancelled_.erase(event.id) > 0) {
-    return false;
-  }
-  EventFn fn = std::move(event.fn);
-  fn();
-  return true;
+  event.fn();
 }
 
 uint64_t Simulator::Run() {
   uint64_t dispatched = 0;
   while (!queue_.empty()) {
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    --pending_count_;
-    if (Dispatch(event)) {
-      ++dispatched;
-    }
+    DispatchNext();
+    ++dispatched;
   }
   return dispatched;
 }
@@ -52,12 +32,8 @@ uint64_t Simulator::Run() {
 uint64_t Simulator::RunUntil(SimTime deadline) {
   uint64_t dispatched = 0;
   while (!queue_.empty() && queue_.top().when <= deadline) {
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    --pending_count_;
-    if (Dispatch(event)) {
-      ++dispatched;
-    }
+    DispatchNext();
+    ++dispatched;
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -66,15 +42,11 @@ uint64_t Simulator::RunUntil(SimTime deadline) {
 }
 
 bool Simulator::Step() {
-  while (!queue_.empty()) {
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    --pending_count_;
-    if (Dispatch(event)) {
-      return true;
-    }
+  if (queue_.empty()) {
+    return false;
   }
-  return false;
+  DispatchNext();
+  return true;
 }
 
 }  // namespace symphony

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -20,7 +19,6 @@ namespace symphony {
 class Simulator {
  public:
   using EventFn = std::function<void()>;
-  using EventId = uint64_t;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -29,16 +27,13 @@ class Simulator {
   SimTime now() const { return now_; }
 
   // Schedules `fn` at absolute virtual time `when`. Times in the past run at
-  // the current time (never rewinds the clock). Returns an id usable with
-  // Cancel().
-  EventId ScheduleAt(SimTime when, EventFn fn);
-  EventId ScheduleAfter(SimDuration delay, EventFn fn) {
-    return ScheduleAt(now_ + delay, std::move(fn));
+  // the current time (never rewinds the clock). There is no cancellation: a
+  // component that may change its mind checks its own state when the event
+  // fires.
+  void ScheduleAt(SimTime when, EventFn fn);
+  void ScheduleAfter(SimDuration delay, EventFn fn) {
+    ScheduleAt(now_ + delay, std::move(fn));
   }
-
-  // Best-effort cancellation: the event is skipped when dequeued. Returns
-  // true if the event was still pending.
-  bool Cancel(EventId id);
 
   // Dispatches events until the queue is empty. Returns number dispatched.
   uint64_t Run();
@@ -50,14 +45,13 @@ class Simulator {
   // Dispatches a single event if available. Returns false if queue empty.
   bool Step();
 
-  bool empty() const { return pending_count_ == 0; }
-  size_t pending_count() const { return pending_count_; }
+  bool empty() const { return queue_.empty(); }
+  size_t pending_count() const { return queue_.size(); }
 
  private:
   struct Event {
     SimTime when;
     uint64_t seq;  // Tie-break: FIFO among same-time events.
-    EventId id;
     EventFn fn;
   };
   struct Later {
@@ -69,14 +63,12 @@ class Simulator {
     }
   };
 
-  bool Dispatch(Event& event);
+  // Pops the earliest event, advances the clock to it, and runs it.
+  void DispatchNext();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  size_t pending_count_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> cancelled_;
 };
 
 }  // namespace symphony

@@ -4,8 +4,11 @@
 // policies, and KV residency/transfer accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -775,6 +778,290 @@ TEST(ChunkLatencyTest, DecodeTailLatencyNonIncreasingAsChunkShrinks) {
   // decode can get stuck behind to a fraction of a full 2000-token prefill.
   EXPECT_LT(p99.back(), p99.front() / 2.0);
 }
+
+// ---------------------------------------------------------------------------
+// Tests below submit straight to the scheduler, without a LIP runtime.
+// ---------------------------------------------------------------------------
+
+PredRequest MakePred(uint64_t id, LipId lip, KvHandle kv,
+                     std::vector<TokenId> tokens, int32_t first_position,
+                     SimTime now, std::function<void(PredResult)> complete) {
+  PredRequest request;
+  request.lip = lip;
+  request.thread = id;
+  request.kv = kv;
+  request.positions.resize(tokens.size());
+  std::iota(request.positions.begin(), request.positions.end(), first_position);
+  request.tokens = std::move(tokens);
+  request.submit_time = now;
+  request.complete = std::move(complete);
+  return request;
+}
+
+TEST(RecheckTest, SubmitDuringSizeTimeoutWaitSupersedesPendingRecheck) {
+  // A waits alone, so the policy arms a recheck at its 1ms timeout. B lands
+  // 1ns before that: its MaybeLaunch re-asks the policy, which waits its
+  // 50us minimum, superseding A's recheck. The superseded event still fires
+  // at 1ms but must not launch; the batch goes at 1ms + 50us - 1ns.
+  Simulator sim;
+  Model model(ModelConfig::Tiny());
+  Kvfs kvfs(KvfsOptions{});
+  Device device(&sim, CostModel(ModelConfig::Tiny()));
+  InferenceScheduler scheduler(
+      &sim, &kvfs, &model, &device,
+      std::make_unique<SizeTimeoutPolicy>(/*target_size=*/4, Millis(1)));
+  std::vector<SimTime> done;
+  auto submit = [&](uint64_t id) {
+    KvHandle kv = *kvfs.CreateAnonymous(1);
+    scheduler.Submit(MakePred(id, 1, kv, {260}, 0, sim.now(),
+                              [&](PredResult r) {
+                                EXPECT_TRUE(r.status.ok()) << r.status;
+                                done.push_back(sim.now());
+                              }));
+  };
+  sim.ScheduleAt(0, [&] { submit(1); });
+  sim.ScheduleAt(Millis(1) - 1, [&] { submit(2); });
+  sim.Run();
+
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(scheduler.stats().batches, 1u);
+  const std::vector<double>& waits = scheduler.queue_waits_ms().samples();
+  ASSERT_EQ(waits.size(), 2u);
+  EXPECT_DOUBLE_EQ(waits[0], ToMillis(Millis(1) + Micros(50) - 1));
+  EXPECT_DOUBLE_EQ(waits[1], ToMillis(Micros(50)));
+}
+
+// ---------------------------------------------------------------------------
+// Pick order: which requests form each batch. ChunkInvariance checks what
+// batches compute and FairSharePicksAcrossLips a latency bound; this sweep
+// pins the batches themselves, so a change to batch planning cannot reorder
+// them silently. Each configuration runs a seeded mix at queue depths in the
+// thousands: several threads per LIP, position-mismatch failures in the
+// middle of batches, twin preds racing on one file, a window in which an
+// open file leaves too few GPU pages (forcing memory requeues at append and
+// at restore), and a CancelLip on a LIP with queued work.
+// ---------------------------------------------------------------------------
+
+struct PickOrderCase {
+  const char* name;
+  QueueDiscipline discipline;
+  bool decode_priority;
+  uint64_t chunk;
+  // Digest of kPickOrderSeed, recorded from the planner that rebuilt the
+  // whole queue per batch. Any planner must reproduce it exactly.
+  uint64_t digest;
+};
+
+constexpr uint64_t kPickOrderSeed = 2026;
+
+struct PickOrderRun {
+  uint64_t digest = 0;
+  size_t max_depth = 0;
+  InferenceSchedulerStats stats;
+};
+
+// Folds (batch ordinal, request id, status, dists, device new-token count)
+// of every completion into a digest. The batch ordinal is the number of
+// batches launched when the request completes, and the device's running
+// new-token count pins every batch's chunk takes.
+PickOrderRun RunPickOrder(uint64_t seed, const PickOrderCase& c) {
+  Simulator sim;
+  Model model(ModelConfig::Tiny());
+  KvfsOptions kv_options;
+  kv_options.gpu_page_budget = 256;
+  kv_options.host_page_budget = 4096;
+  kv_options.clock = [&sim] { return sim.now(); };
+  Kvfs kvfs(kv_options);
+  Device device(&sim, CostModel(ModelConfig::Tiny()));
+  // Memory pressure: an open file holds all but 12 GPU pages until 60ms.
+  KvHandle pressure = *kvfs.CreateAnonymous(kAdminLip);
+  std::vector<TokenRecord> filler(244 * kPageTokens);
+  for (size_t i = 0; i < filler.size(); ++i) {
+    filler[i] = TokenRecord{0, static_cast<int32_t>(i), 0};
+  }
+  (void)kvfs.Append(pressure, filler);
+  sim.ScheduleAt(Millis(60), [&] { (void)kvfs.Close(pressure); });
+  InferenceSchedulerOptions options;
+  options.discipline = c.discipline;
+  options.decode_priority = c.decode_priority;
+  options.prefill_chunk_tokens = c.chunk;
+  options.max_batch_tokens = 256;
+  options.memory_retry_backoff = Micros(200);
+  options.memory_retry_backoff_cap = Millis(2);
+  InferenceScheduler scheduler(&sim, &kvfs, &model, &device,
+                               std::make_unique<EagerPolicy>(), options);
+
+  constexpr LipId kLips = 8;
+  constexpr LipId kCancelledLip = 3;
+  Rng rng(seed);
+  PickOrderRun run;
+  run.digest = Mix64(seed);
+  uint64_t next_id = 0;
+  auto tokens = [&rng](size_t n) {
+    std::vector<TokenId> out(n);
+    for (TokenId& t : out) {
+      t = static_cast<TokenId>(1 + rng.NextBounded(299));
+    }
+    return out;
+  };
+  // Submits `toks` on `kv` at `position`; `then` sees the result after it
+  // is folded into the digest.
+  auto submit = [&](LipId lip, KvHandle kv, std::vector<TokenId> toks,
+                    int32_t position, std::function<void(PredResult&)> then) {
+    uint64_t id = ++next_id;
+    scheduler.Submit(MakePred(
+        id, lip, kv, std::move(toks), position, sim.now(),
+        [&, id, then = std::move(then)](PredResult r) {
+          for (uint64_t v : {scheduler.stats().batches, id,
+                             static_cast<uint64_t>(r.status.code()),
+                             static_cast<uint64_t>(r.dists.size()),
+                             device.stats().new_tokens}) {
+            run.digest = HashCombine(run.digest, v);
+          }
+          then(r);
+        }));
+    run.max_depth = std::max(run.max_depth, scheduler.queue_depth());
+  };
+
+  // One-shot preds, each from its own thread: a deep backlog at t=0, then
+  // more arrivals over the first 8ms.
+  auto one_shot = [&](uint64_t n) {
+    LipId lip = 1 + static_cast<LipId>(rng.NextBounded(kLips));
+    bool prefill = rng.NextBounded(10) < 3;
+    std::vector<TokenId> toks =
+        tokens(prefill ? 9 + rng.NextBounded(32) : 1 + rng.NextBounded(8));
+    if (n % 53 == 0) {
+      // Twins: two preds continuing one file from the same position. The
+      // second fails validation, at launch or at completion.
+      KvHandle a = *kvfs.Open("/twin/" + std::to_string(n),
+                              OpenOptions{.requester = lip, .write = true,
+                                          .create = true});
+      KvHandle b = *kvfs.Open("/twin/" + std::to_string(n),
+                              OpenOptions{.requester = lip, .write = true});
+      for (KvHandle kv : {a, b}) {
+        submit(lip, kv, toks, 0,
+               [&, kv](PredResult&) { (void)kvfs.Close(kv); });
+      }
+      return;
+    }
+    KvHandle kv = *kvfs.CreateAnonymous(lip);
+    // Every 61st pred does not continue its (empty) file.
+    int32_t position = n % 61 == 0 ? 1 : 0;
+    submit(lip, kv, std::move(toks), position,
+           [&, kv](PredResult&) { (void)kvfs.Close(kv); });
+  };
+  // Three long-lived threads per LIP, first in the queue: a prefill, then
+  // decode steps, each resubmitted 2us after the last completes (the
+  // runtime's resume cost). Every second decode offloads the file
+  // afterwards, so the next launch must restore it.
+  struct Thread {
+    LipId lip;
+    KvHandle kv;
+    uint64_t decodes_left;
+    uint64_t done = 0;
+  };
+  std::function<void(std::shared_ptr<Thread>, std::vector<TokenId>)> step =
+      [&](std::shared_ptr<Thread> t, std::vector<TokenId> toks) {
+        int32_t length = static_cast<int32_t>(*kvfs.Length(t->kv));
+        submit(t->lip, t->kv, std::move(toks), length, [&, t](PredResult& r) {
+          if (!r.status.ok() || t->decodes_left == 0) {
+            (void)kvfs.Close(t->kv);
+            return;
+          }
+          --t->decodes_left;
+          if (++t->done % 2 == 1 && t->done > 1) {
+            (void)kvfs.OffloadToHost(t->kv);
+          }
+          TokenId next = r.dists.back().Argmax();
+          sim.ScheduleAfter(Micros(2), [&, t, next] { step(t, {next}); });
+        });
+      };
+  for (LipId lip = 1; lip <= kLips; ++lip) {
+    for (int i = 0; i < 3; ++i) {
+      auto t = std::make_shared<Thread>(
+          Thread{lip, *kvfs.CreateAnonymous(lip), 4 + rng.NextBounded(9)});
+      step(t, tokens(16 + rng.NextBounded(85)));
+    }
+  }
+
+  for (uint64_t n = 1; n <= 1200; ++n) {
+    sim.ScheduleAt(0, [&, n] { one_shot(n); });
+  }
+  for (uint64_t n = 1201; n <= 2400; ++n) {
+    sim.ScheduleAt(static_cast<SimTime>(rng.NextBounded(Millis(8))),
+                   [&, n] { one_shot(n); });
+  }
+
+  sim.ScheduleAt(Millis(3), [&] { scheduler.CancelLip(kCancelledLip); });
+  sim.Run();
+  run.stats = scheduler.stats();
+  for (uint64_t v : {run.stats.batches, run.stats.completed, run.stats.failed,
+                     run.stats.cancelled, run.stats.memory_requeues,
+                     static_cast<uint64_t>(sim.now())}) {
+    run.digest = HashCombine(run.digest, v);
+  }
+  return run;
+}
+
+class PickOrderTest : public ::testing::TestWithParam<PickOrderCase> {};
+
+TEST_P(PickOrderTest, BatchesMatchRecordedDigest) {
+  const PickOrderCase& c = GetParam();
+  PickOrderRun run = RunPickOrder(kPickOrderSeed, c);
+  // The mix reaches every path it is meant to.
+  EXPECT_GT(run.max_depth, 1000u);
+  EXPECT_GT(run.stats.failed, 0u);
+  EXPECT_GT(run.stats.cancelled, 0u);
+  EXPECT_GT(run.stats.memory_requeues, 0u);
+  if (c.chunk > 0) {
+    EXPECT_GT(run.stats.prefills_chunked, 0u);
+  }
+  EXPECT_EQ(run.digest, c.digest)
+      << c.name << ": got 0x" << std::hex << run.digest;
+}
+
+TEST_P(PickOrderTest, ExtraSeedsAreDeterministic) {
+  // Only SYMPHONY_STRESS adds seeds here, at most 8 per configuration since
+  // a run takes seconds under sanitizers. Each must give one digest twice.
+  std::vector<uint64_t> seeds = ChunkSeeds({}, 0x9C);
+  seeds.resize(std::min<size_t>(seeds.size(), 8));
+  for (uint64_t seed : seeds) {
+    EXPECT_EQ(RunPickOrder(seed, GetParam()).digest,
+              RunPickOrder(seed, GetParam()).digest)
+        << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, PickOrderTest,
+    ::testing::Values(
+        PickOrderCase{"fifo_chunk0", QueueDiscipline::kFifo, false, 0,
+                      0x2bc1023d5729968a},
+        PickOrderCase{"fifo_chunk7", QueueDiscipline::kFifo, false, 7,
+                      0x066c532455f13c74},
+        PickOrderCase{"fifo_chunk64", QueueDiscipline::kFifo, false, 64,
+                      0xcc730ef04ca5f069},
+        PickOrderCase{"fifo_dp_chunk0", QueueDiscipline::kFifo, true, 0,
+                      0x2c0bd4af0bf5186d},
+        PickOrderCase{"fifo_dp_chunk7", QueueDiscipline::kFifo, true, 7,
+                      0x615d2ad6d59daa7d},
+        PickOrderCase{"fifo_dp_chunk64", QueueDiscipline::kFifo, true, 64,
+                      0x60e445eb24e8e852},
+        PickOrderCase{"fair_chunk0", QueueDiscipline::kFairShare, false, 0,
+                      0x68ddd856a87e2c27},
+        PickOrderCase{"fair_chunk7", QueueDiscipline::kFairShare, false, 7,
+                      0x97fa6c30013962a4},
+        PickOrderCase{"fair_chunk64", QueueDiscipline::kFairShare, false, 64,
+                      0xb9ca7c24512c63e4},
+        PickOrderCase{"fair_dp_chunk0", QueueDiscipline::kFairShare, true, 0,
+                      0x278441b2de9dc8e1},
+        PickOrderCase{"fair_dp_chunk7", QueueDiscipline::kFairShare, true, 7,
+                      0xf131c64b7fea7eea},
+        PickOrderCase{"fair_dp_chunk64", QueueDiscipline::kFairShare, true, 64,
+                      0x3caf27c7b22b5e3b}),
+    [](const ::testing::TestParamInfo<PickOrderCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace symphony

@@ -67,15 +67,6 @@ TEST(SimulatorTest, PastEventsClampToNow) {
   sim.Run();
 }
 
-TEST(SimulatorTest, CancelSkipsEvent) {
-  Simulator sim;
-  bool ran = false;
-  Simulator::EventId id = sim.ScheduleAt(Millis(5), [&] { ran = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  sim.Run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;
