@@ -263,7 +263,11 @@ void InferenceScheduler::RecordQueueWait(const PredRequest& request) {
   // Continuations of an already-launched chunked prefill keep the original
   // submit_time; only the original request samples the wait.
   if (request.chunk_done == 0) {
-    queue_waits_ms_.Add(ToMillis(sim_->now() - request.submit_time));
+    double wait_ms = ToMillis(sim_->now() - request.submit_time);
+    queue_waits_ms_.Add(wait_ms);
+    if (queue_wait_hook_ != nullptr) {
+      queue_wait_hook_(wait_ms);
+    }
   }
 }
 

@@ -138,6 +138,13 @@ class InferenceScheduler : public PredService {
     prefill_complete_hook_ = std::move(hook);
   }
 
+  // Fired with each queue-wait sample (ms) as it joins queue_waits_ms(). The
+  // cluster feeds one series from every incarnation of every slot with it,
+  // so its percentiles never re-gather the per-replica samples.
+  void set_queue_wait_hook(std::function<void(double)> hook) {
+    queue_wait_hook_ = std::move(hook);
+  }
+
  private:
   static constexpr size_t kNoPick = static_cast<size_t>(-1);
   static constexpr SimTime kNoRecheck = -1;
@@ -187,6 +194,7 @@ class InferenceScheduler : public PredService {
   InferenceSchedulerStats stats_;
   SampleSeries queue_waits_ms_;
   std::function<void(LipId, uint64_t)> prefill_complete_hook_;
+  std::function<void(double)> queue_wait_hook_;
 };
 
 }  // namespace symphony

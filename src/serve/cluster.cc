@@ -86,7 +86,7 @@ SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
 }
 
 std::unique_ptr<SymphonyServer> SymphonyCluster::BuildReplica(
-    size_t index) const {
+    size_t index) {
   ServerOptions server_options = options_.server;
   // Decorrelate per-replica randomness (tool latencies etc.). A readmitted
   // slot rebuilds with the same seeds: determinism is per slot, and the
@@ -94,6 +94,8 @@ std::unique_ptr<SymphonyServer> SymphonyCluster::BuildReplica(
   server_options.runtime.seed = options_.server.runtime.seed + index * 7919;
   server_options.tool_seed = options_.server.tool_seed + index * 104729;
   auto server = std::make_unique<SymphonyServer>(sim_, server_options);
+  server->scheduler().set_queue_wait_hook(
+      [this](double wait_ms) { queue_waits_ms_.Add(wait_ms); });
   // Same setup for every incarnation of the slot: a replica rebuilt by
   // readmission (or added by scale-out) must serve the same tools as the
   // original fleet, or replayed/new LIPs would observe a different server.
@@ -1368,35 +1370,36 @@ bool SymphonyCluster::Done(const ClusterLip& id) const {
 SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   ClusterSnapshot snap;
   snap.lips_per_replica = launched_per_replica_;
-  SampleSeries queue_waits;  // Merged across replicas for cluster percentiles.
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    SymphonyServer* replica = replicas_[i].get();
-    snap.total_throughput_busy += replica->device().Utilization();
-    snap.batches += replica->device().stats().batches;
-    snap.lips_completed += replica->runtime().stats().lips_completed;
-    snap.lips_replayed += replica->runtime().stats().lips_replayed;
-    snap.replay_divergences += replica->runtime().stats().replay_divergences;
-    snap.ipc_recvs_replayed += replica->runtime().stats().ipc_recvs_replayed;
-    snap.ipc_sends_suppressed +=
-        replica->runtime().stats().ipc_sends_suppressed;
-    snap.ipc_credit_waits_replayed +=
-        replica->runtime().stats().ipc_credit_waits_replayed;
-    const InferenceSchedulerStats& sched = replica->scheduler().stats();
+  // Work counters span every incarnation: a slot rebuilt by readmission
+  // parks its old server in retired_servers_, whose work still counts, so
+  // the totals never go backwards.
+  auto add_work = [&snap](SymphonyServer* server) {
+    snap.batches += server->device().stats().batches;
+    const RuntimeStats& runtime = server->runtime().stats();
+    snap.lips_completed += runtime.lips_completed;
+    snap.lips_replayed += runtime.lips_replayed;
+    snap.replay_divergences += runtime.replay_divergences;
+    snap.ipc_recvs_replayed += runtime.ipc_recvs_replayed;
+    snap.ipc_sends_suppressed += runtime.ipc_sends_suppressed;
+    snap.ipc_credit_waits_replayed += runtime.ipc_credit_waits_replayed;
+    const InferenceSchedulerStats& sched = server->scheduler().stats();
     snap.decode_tokens_batched += sched.decode_tokens_batched;
     snap.prefill_tokens_batched += sched.prefill_tokens_batched;
     snap.prefill_chunks += sched.prefill_chunks;
     snap.prefills_chunked += sched.prefills_chunked;
-    for (double wait : replica->scheduler().queue_waits_ms().samples()) {
-      queue_waits.Add(wait);
-    }
+  };
+  for (size_t i = 0; i < replicas_.size(); ++i) {
+    snap.total_throughput_busy += replicas_[i]->device().Utilization();
     if (dead_[i]) {
       ++snap.replicas_dead;
     }
+    add_work(replicas_[i].get());
   }
-  if (queue_waits.count() > 0) {
-    snap.queue_wait_p50_ms = queue_waits.Percentile(0.5);
-    snap.queue_wait_p99_ms = queue_waits.Percentile(0.99);
+  for (const auto& server : retired_servers_) {
+    add_work(server.get());
   }
+  snap.queue_wait_p50_ms = queue_waits_ms_.Percentile(0.5);
+  snap.queue_wait_p99_ms = queue_waits_ms_.Percentile(0.99);
   snap.disagg_prefill_routes = disagg_prefill_routes_;
   snap.disagg_handoffs = disagg_handoffs_;
   snap.disagg_handoff_skips = disagg_handoff_skips_;
@@ -1445,22 +1448,23 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   if (ctrl_ != nullptr) {
     snap.ctrl = ctrl_->stats();
     snap.ctrl_seat = ctrl_->seat();
+    snap.liveness.resize(replicas_.size());
     for (size_t i = 0; i < replicas_.size(); ++i) {
-      ClusterSnapshot::ReplicaLiveness row;
+      ClusterSnapshot::ReplicaLiveness& row = snap.liveness[i];
       row.state = ctrl_->Health(i);
       row.epoch = ctrl_->Epoch(i);
       row.heartbeat_age = ctrl_->HeartbeatAge(i);
       row.fenced = fenced_[i];
-      if (options_.enable_recovery) {
-        for (const auto& entry : records_) {
-          if (entry.second.replica == i && !entry.second.done) {
-            ++row.lips_hosted;
-          }
-        }
-      } else {
+      if (!options_.enable_recovery) {
         row.lips_hosted = replicas_[i]->runtime().live_lips();
       }
-      snap.liveness.push_back(row);
+    }
+    if (options_.enable_recovery) {
+      for (const auto& entry : records_) {
+        if (!entry.second.done) {
+          ++snap.liveness[entry.second.replica].lips_hosted;
+        }
+      }
     }
   }
   return snap;

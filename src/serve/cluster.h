@@ -414,8 +414,9 @@ class SymphonyCluster : private ClusterControl {
   LoadSignal ControlLoadSignal() const override;
 
   // Builds the SymphonyServer for slot `index` with the cluster's
-  // per-replica seed decorrelation (also what readmission rebuilds from).
-  std::unique_ptr<SymphonyServer> BuildReplica(size_t index) const;
+  // per-replica seed decorrelation (also what readmission rebuilds from),
+  // its scheduler feeding queue_waits_ms_.
+  std::unique_ptr<SymphonyServer> BuildReplica(size_t index);
   // Replica `index` accepts new placements (not dead, draining, or halted).
   bool Placeable(size_t index) const;
   // Routing should avoid `index` (control plane suspects it is failing).
@@ -478,6 +479,9 @@ class SymphonyCluster : private ClusterControl {
   std::unique_ptr<NetworkTopology> topology_;
   std::unique_ptr<SnapshotStore> store_;
   std::unique_ptr<IpcFabric> fabric_;
+  // Every queue wait of every incarnation, fed as batches launch (declared
+  // before the servers whose schedulers feed it).
+  SampleSeries queue_waits_ms_;
   std::vector<std::unique_ptr<SymphonyServer>> replicas_;
   // Replaced server incarnations (readmission rebuilds the slot). Kept
   // alive, not destroyed: halted runtimes may still be named by pending

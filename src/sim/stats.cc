@@ -6,9 +6,11 @@ double SampleSeries::Percentile(double q) const {
   if (samples_.empty()) {
     return 0.0;
   }
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
+  if (sorted_ < samples_.size()) {
+    auto tail = samples_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+    std::sort(tail, samples_.end());
+    std::inplace_merge(samples_.begin(), tail, samples_.end());
+    sorted_ = samples_.size();
   }
   if (q <= 0.0) {
     return samples_.front();
@@ -27,7 +29,7 @@ double SampleSeries::Percentile(double q) const {
 
 void SampleSeries::Reset() {
   samples_.clear();
-  sorted_ = false;
+  sorted_ = 0;
   stats_.Reset();
 }
 

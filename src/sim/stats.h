@@ -3,7 +3,12 @@
 // OnlineStats: numerically stable streaming mean/variance (Welford).
 // SampleSeries: stores all samples for exact percentiles — simulation runs
 // are bounded (<1e7 samples), so exactness beats sketching here.
-// Counter/Gauge: trivial named metrics used by server metric registries.
+// Invariant: samples()[0, sorted_) is sorted, and Add only appends. After k
+// new samples, Percentile sorts just those k, O(k log k), and merges them
+// into the sorted prefix, one linear pass that moves at most the n samples
+// held. A series polled as it grows thus never re-sorts what it already
+// sorted, and the merged array equals a full sort's, so percentiles are
+// bit-identical to sorting everything.
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
 
@@ -54,7 +59,6 @@ class SampleSeries {
  public:
   void Add(double x) {
     samples_.push_back(x);
-    sorted_ = false;
     stats_.Add(x);
   }
 
@@ -74,7 +78,7 @@ class SampleSeries {
 
  private:
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
+  mutable size_t sorted_ = 0;  // samples_[0, sorted_) is sorted.
   OnlineStats stats_;
 };
 

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -219,6 +220,95 @@ TEST(CtrlTest, HealedCrashIsReadmittedAtBumpedEpoch) {
   EXPECT_TRUE(cluster.Done(next));
   EXPECT_FALSE(cluster.Output(next).empty());
   EXPECT_EQ(cluster.Snapshot().replay_divergences, 0u);
+}
+
+// Cluster aggregates span every incarnation of a slot. Slot 0 finishes a
+// LIP and runs batches, crashes with a LIP still on it, heals, and is
+// rebuilt by readmission; its old server's work must stay in the totals, so
+// no counter goes backwards across the readmission, and the queue-wait
+// percentiles are those of every incarnation's samples.
+TEST(CtrlTest, SnapshotAggregatesSpanReadmittedIncarnations) {
+  const uint64_t seed = 9002;
+  CtrlRun baseline = RunCtrlAgents(seed, 2, /*agents=*/2, /*turns=*/8);
+  SimTime crash_at = baseline.finish / 2;
+  SimTime heal_at = crash_at + baseline.finish;  // After the work drained.
+  Simulator sim;
+  FaultPlan plan(seed);
+  plan.CrashReplicaAt(0, crash_at, heal_at - crash_at);
+  uint64_t executions = 0;
+  ClusterOptions options = CtrlCluster(seed, 2, &executions);
+  options.server.fault_plan = &plan;
+  std::vector<std::vector<SymphonyServer*>> incarnations(2);
+  options.configure_replica = [configure = options.configure_replica,
+                               &incarnations](SymphonyServer& server,
+                                              size_t index) {
+    configure(server, index);
+    incarnations[index].push_back(&server);
+  };
+  SymphonyCluster cluster(&sim, options);
+  // Round-robin: a short agent per slot finishes before the crash, and a
+  // long one per slot is still running when slot 0 goes down.
+  std::vector<SymphonyCluster::ClusterLip> ids;
+  for (int turns : {1, 1, 8, 8}) {
+    ids.push_back(cluster.Launch("agent" + std::to_string(ids.size()), "",
+                                 MakeAgent(turns)));
+  }
+  SymphonyCluster::ClusterSnapshot before;
+  sim.ScheduleAt(heal_at - 1, [&] { before = cluster.Snapshot(); });
+  sim.Run();
+  ASSERT_EQ(incarnations[0].size(), 2u);  // Readmission rebuilt slot 0.
+  SymphonyServer* crashed = incarnations[0][0];
+  ASSERT_GT(crashed->runtime().stats().lips_completed, 0u);
+  ASSERT_GT(crashed->device().stats().batches, 0u);
+  EXPECT_EQ(before.ctrl.readmissions, 0u);
+  EXPECT_GE(before.failovers, 1u);
+  // New work lands on the rebuilt slot too.
+  for (int i = 0; i < 2; ++i) {
+    ids.push_back(cluster.Launch("late" + std::to_string(i), "", MakeAgent(2)));
+  }
+  sim.Run();
+  for (const SymphonyCluster::ClusterLip& id : ids) {
+    EXPECT_TRUE(cluster.Done(id));
+  }
+  ASSERT_GT(incarnations[0][1]->device().stats().batches, 0u);
+  SymphonyCluster::ClusterSnapshot after = cluster.Snapshot();
+  EXPECT_EQ(after.ctrl.readmissions, 1u);
+  EXPECT_EQ(after.replay_divergences, 0u);
+
+  using Snap = SymphonyCluster::ClusterSnapshot;
+  const std::pair<const char*, uint64_t Snap::*> counters[] = {
+      {"batches", &Snap::batches},
+      {"lips_completed", &Snap::lips_completed},
+      {"lips_replayed", &Snap::lips_replayed},
+      {"replay_divergences", &Snap::replay_divergences},
+      {"ipc_recvs_replayed", &Snap::ipc_recvs_replayed},
+      {"ipc_sends_suppressed", &Snap::ipc_sends_suppressed},
+      {"ipc_credit_waits_replayed", &Snap::ipc_credit_waits_replayed},
+      {"decode_tokens_batched", &Snap::decode_tokens_batched},
+      {"prefill_tokens_batched", &Snap::prefill_tokens_batched},
+      {"prefill_chunks", &Snap::prefill_chunks},
+      {"prefills_chunked", &Snap::prefills_chunked},
+      {"failovers", &Snap::failovers},
+  };
+  for (const auto& [name, counter] : counters) {
+    EXPECT_GE(after.*counter, before.*counter) << name;
+  }
+  uint64_t batches = 0;
+  uint64_t completed = 0;
+  SampleSeries waits;
+  for (const std::vector<SymphonyServer*>& slot : incarnations) {
+    for (SymphonyServer* server : slot) {
+      batches += server->device().stats().batches;
+      completed += server->runtime().stats().lips_completed;
+      for (double wait : server->scheduler().queue_waits_ms().samples()) {
+        waits.Add(wait);
+      }
+    }
+  }
+  EXPECT_EQ(after.batches, batches);
+  EXPECT_EQ(after.lips_completed, completed);
+  EXPECT_EQ(after.queue_wait_p50_ms, waits.Percentile(0.5));
+  EXPECT_EQ(after.queue_wait_p99_ms, waits.Percentile(0.99));
 }
 
 // A partition between a replica and the seat silences its heartbeats: the
