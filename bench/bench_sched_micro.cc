@@ -11,7 +11,11 @@
 //                 one client that prefills 2048 tokens over and over. Once
 //                 the decodes alone fill a batch (depth past 32), the
 //                 prefill waits at the front of the queue and every batch is
-//                 decodes; at depth 10 each batch carries one chunk.
+//                 decodes; at depth 10 each batch carries one chunk;
+//   * prefill   — one client on a Llama-13B model that prefills a 3,000-token
+//                 document over and over: rag's document prefill, where
+//                 completing the batch (one distribution per token) is the
+//                 cost. Run at depth 1.
 // Virtual time plays no part in the numbers; this is the simulator's own
 // cost. Arg: queue depth.
 #include <benchmark/benchmark.h>
@@ -31,10 +35,22 @@
 namespace symphony {
 namespace {
 
-enum class Mode { kFifo, kFairShare, kDecodePriority };
+enum class Mode { kFifo, kFairShare, kDecodePriority, kPrefill };
 
 constexpr LipId kFairShareLips = 8;
 constexpr size_t kPrefillTokens = 2048;
+constexpr size_t kDocumentTokens = 3000;
+
+ModelConfig ModelFor(Mode mode) {
+  return mode == Mode::kPrefill ? ModelConfig::Llama13B() : ModelConfig::Tiny();
+}
+
+size_t TokensFor(Mode mode, size_t client) {
+  if (mode == Mode::kPrefill) {
+    return kDocumentTokens;
+  }
+  return mode == Mode::kDecodePriority && client == 0 ? kPrefillTokens : 1;
+}
 
 KvfsOptions BigOptions() {
   KvfsOptions o;
@@ -55,19 +71,18 @@ InferenceSchedulerOptions OptionsFor(Mode mode) {
   return o;
 }
 
-// A scheduler on a Tiny model whose clients each keep one pred queued.
+// A scheduler whose clients each keep one pred queued.
 class Rig {
  public:
   Rig(Mode mode, size_t depth)
-      : model_(ModelConfig::Tiny()),
+      : model_(ModelFor(mode)),
         kvfs_(BigOptions()),
-        device_(&sim_, CostModel(ModelConfig::Tiny())),
+        device_(&sim_, CostModel(ModelFor(mode))),
         scheduler_(&sim_, &kvfs_, &model_, &device_,
                    std::make_unique<EagerPolicy>(), OptionsFor(mode)) {
     for (size_t i = 0; i < depth; ++i) {
       LipId lip = mode == Mode::kFairShare ? 1 + i % kFairShareLips : 1;
-      bool prefill = mode == Mode::kDecodePriority && i == 0;
-      Submit(lip, *kvfs_.CreateAnonymous(lip), prefill ? kPrefillTokens : 1);
+      Submit(lip, *kvfs_.CreateAnonymous(lip), TokensFor(mode, i));
     }
   }
 
@@ -119,6 +134,7 @@ BENCHMARK_CAPTURE(BM_LaunchCycle, fair, Mode::kFairShare)
     ->Arg(10)->Arg(1000)->Arg(100000);
 BENCHMARK_CAPTURE(BM_LaunchCycle, decode_p, Mode::kDecodePriority)
     ->Arg(10)->Arg(1000)->Arg(100000);
+BENCHMARK_CAPTURE(BM_LaunchCycle, prefill, Mode::kPrefill)->Arg(1);
 
 }  // namespace
 }  // namespace symphony

@@ -16,9 +16,7 @@ constexpr uint64_t kTailSalt = 0x7a11aa55deadbeefULL;
 
 }  // namespace
 
-Distribution::Distribution(uint64_t state, const ModelConfig* config)
-    : state_(state), config_(config) {
-  assert(config != nullptr);
+Distribution::Entries Distribution::Candidates() const {
   const uint32_t vocab = config_->vocab_size;
   assert(vocab > kNumCandidates * 2u);
 
@@ -63,7 +61,8 @@ Distribution::Distribution(uint64_t state, const ModelConfig* config)
   }
 
   // Score by rank with model-specific jitter, then sort descending so that
-  // entries_[0] is the argmax for THIS model (family members may disagree).
+  // entries[0] is the argmax for THIS model (family members may disagree).
+  Entries entries{};
   for (int j = 0; j < kNumCandidates; ++j) {
     double jitter = 0.0;
     if (config_->score_jitter > 0.0) {
@@ -71,11 +70,12 @@ Distribution::Distribution(uint64_t state, const ModelConfig* config)
                          (static_cast<uint64_t>(j) * 0x9e3779b97f4a7c15ULL));
       jitter = (static_cast<double>(h >> 11) * 0x1.0p-53 - 0.5) * config_->score_jitter;
     }
-    entries_[static_cast<size_t>(j)] =
+    entries[static_cast<size_t>(j)] =
         Entry{tokens[static_cast<size_t>(j)], -kScoreDecay * j + jitter};
   }
-  std::stable_sort(entries_.begin(), entries_.end(),
+  std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) { return a.score > b.score; });
+  return entries;
 }
 
 double Distribution::CandidateWeight(double score, double temperature) const {
@@ -88,12 +88,12 @@ double Distribution::TailMass(double temperature) const {
   return tail_count * std::exp(kFloorScore / temperature);
 }
 
-TokenId Distribution::Argmax() const { return entries_[0].token; }
+TokenId Distribution::Argmax() const { return Candidates()[0].token; }
 
 double Distribution::Prob(TokenId token) const {
   double z = TailMass(1.0);
   double token_weight = std::exp(kFloorScore);  // Default: tail token.
-  for (const Entry& e : entries_) {
+  for (const Entry& e : Candidates()) {
     double w = CandidateWeight(e.score, 1.0);
     z += w;
     if (e.token == token) {
@@ -111,16 +111,17 @@ double Distribution::LogProb(TokenId token) const { return std::log(Prob(token))
 TokenId Distribution::Sample(double u, double temperature) const {
   assert(u >= 0.0 && u < 1.0);
   assert(temperature > 0.0);
+  const Entries entries = Candidates();
   double weights[kNumCandidates];
   double z = TailMass(temperature);
   for (int j = 0; j < kNumCandidates; ++j) {
-    weights[j] = CandidateWeight(entries_[static_cast<size_t>(j)].score, temperature);
+    weights[j] = CandidateWeight(entries[static_cast<size_t>(j)].score, temperature);
     z += weights[j];
   }
   double target = u * z;
   for (int j = 0; j < kNumCandidates; ++j) {
     if (target < weights[j]) {
-      return entries_[static_cast<size_t>(j)].token;
+      return entries[static_cast<size_t>(j)].token;
     }
     target -= weights[j];
   }
@@ -132,7 +133,7 @@ TokenId Distribution::Sample(double u, double temperature) const {
     probe = Mix64(probe + 1);
     TokenId t = static_cast<TokenId>(probe % vocab);
     bool is_candidate = false;
-    for (const Entry& e : entries_) {
+    for (const Entry& e : entries) {
       if (e.token == t) {
         is_candidate = true;
         break;
@@ -145,7 +146,12 @@ TokenId Distribution::Sample(double u, double temperature) const {
 }
 
 TokenId Distribution::GreedyMasked(const std::function<bool(TokenId)>& allowed) const {
-  for (const Entry& e : entries_) {
+  return GreedyMaskedOver(Candidates(), allowed);
+}
+
+TokenId Distribution::GreedyMaskedOver(
+    const Entries& entries, const std::function<bool(TokenId)>& allowed) const {
+  for (const Entry& e : entries) {
     if (allowed(e.token)) {
       return e.token;
     }
@@ -164,30 +170,31 @@ TokenId Distribution::GreedyMasked(const std::function<bool(TokenId)>& allowed) 
 
 TokenId Distribution::SampleMasked(double u, double temperature,
                                    const std::function<bool(TokenId)>& allowed) const {
+  const Entries entries = Candidates();
   double weights[kNumCandidates];
   double z = 0.0;
   for (int j = 0; j < kNumCandidates; ++j) {
-    const Entry& e = entries_[static_cast<size_t>(j)];
+    const Entry& e = entries[static_cast<size_t>(j)];
     weights[j] = allowed(e.token) ? CandidateWeight(e.score, temperature) : 0.0;
     z += weights[j];
   }
   if (z <= 0.0) {
-    return GreedyMasked(allowed);
+    return GreedyMaskedOver(entries, allowed);
   }
   double target = u * z;
   for (int j = 0; j < kNumCandidates; ++j) {
     if (weights[j] > 0.0 && target < weights[j]) {
-      return entries_[static_cast<size_t>(j)].token;
+      return entries[static_cast<size_t>(j)].token;
     }
     target -= weights[j];
   }
-  return GreedyMasked(allowed);
+  return GreedyMaskedOver(entries, allowed);
 }
 
 std::vector<TokenId> Distribution::TopCandidates() const {
   std::vector<TokenId> out;
   out.reserve(kNumCandidates);
-  for (const Entry& e : entries_) {
+  for (const Entry& e : Candidates()) {
     out.push_back(e.token);
   }
   return out;
@@ -197,14 +204,15 @@ std::vector<double> Distribution::Dense() const {
   const uint32_t vocab = config_->vocab_size;
   double z = TailMass(1.0);
   double floor_w = std::exp(kFloorScore);
+  const Entries entries = Candidates();
   double weights[kNumCandidates];
   for (int j = 0; j < kNumCandidates; ++j) {
-    weights[j] = CandidateWeight(entries_[static_cast<size_t>(j)].score, 1.0);
+    weights[j] = CandidateWeight(entries[static_cast<size_t>(j)].score, 1.0);
     z += weights[j];
   }
   std::vector<double> probs(vocab, floor_w / z);
   for (int j = 0; j < kNumCandidates; ++j) {
-    probs[static_cast<size_t>(entries_[static_cast<size_t>(j)].token)] = weights[j] / z;
+    probs[static_cast<size_t>(entries[static_cast<size_t>(j)].token)] = weights[j] / z;
   }
   return probs;
 }

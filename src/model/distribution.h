@@ -11,12 +11,24 @@
 // and Argmax() exact and O(K) while Dense() stays available (O(vocab)) for
 // tests and constrained decoding over small vocabularies.
 //
+// A Distribution holds only that definition: the state and a pointer to the
+// model config, 16 bytes. Every accessor re-derives the sorted candidate
+// table (draw, EOS boost, jitter, stable sort) once per call, so a
+// distribution nobody reads costs nothing. That is the common case: pred
+// returns one distribution per input token and a LIP usually reads only the
+// last, so a 3,000-token prefill returns 2,999 that are never read. A caller
+// that reads several values of one distribution pays for the table once per
+// read: SampleToken's top-k/top-p branch (one Prob() per kept candidate,
+// twice), beam search's candidate expansion (one LogProb() per candidate) and
+// Generate's LogProb() of the sampled token.
+//
 // The same state always yields the same distribution — the property that
 // makes KV-cache reuse verifiable end to end.
 #ifndef SRC_MODEL_DISTRIBUTION_H_
 #define SRC_MODEL_DISTRIBUTION_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -33,7 +45,10 @@ class Distribution {
   static constexpr double kFloorScore = -18.0;
 
   // `config` must outlive the distribution.
-  Distribution(uint64_t state, const ModelConfig* config);
+  Distribution(uint64_t state, const ModelConfig* config)
+      : state_(state), config_(config) {
+    assert(config != nullptr);
+  }
 
   uint64_t state() const { return state_; }
 
@@ -72,14 +87,21 @@ class Distribution {
     TokenId token;
     double score;  // Pre-temperature score.
   };
+  using Entries = std::array<Entry, kNumCandidates>;
 
+  // The candidate table, sorted by descending score.
+  Entries Candidates() const;
+  TokenId GreedyMaskedOver(const Entries& entries,
+                           const std::function<bool(TokenId)>& allowed) const;
   double TailMass(double temperature) const;  // Total non-candidate weight.
   double CandidateWeight(double score, double temperature) const;
 
   uint64_t state_;
   const ModelConfig* config_;
-  std::array<Entry, kNumCandidates> entries_;  // Sorted by descending score.
 };
+
+static_assert(sizeof(Distribution) == 16,
+              "a Distribution is its (state, config) definition only");
 
 }  // namespace symphony
 

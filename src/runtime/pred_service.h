@@ -25,7 +25,9 @@ using ThreadId = uint64_t;
 struct PredResult {
   Status status;
   // One next-token distribution per input token (paper: "returns a list of
-  // next token distributions for each input token").
+  // next token distributions for each input token"). Each is a 16-byte
+  // (state, config) value that derives its candidates only when read, so a
+  // prefill whose LIP reads only the last one pays for no others.
   std::vector<Distribution> dists;
 };
 

@@ -91,13 +91,13 @@ class PoissonAdaptivePolicy : public BatchPolicy {
     if (input.queue_size >= target) {
       return BatchDecision{true, 0};
     }
-    // Wait for roughly the gap to the next arrival, bounded by the remaining
-    // latency budget.
+    // Wait for roughly the gap to the next arrival, but at least 50 us and
+    // never past the remaining latency budget (which can be the shorter).
     SimDuration gap = input.arrival_rate_per_sec > 0.0
                           ? DurationFromSeconds(1.0 / input.arrival_rate_per_sec)
                           : max_wait_;
     SimDuration budget = max_wait_ - input.oldest_wait;
-    return BatchDecision{false, std::clamp<SimDuration>(gap, Micros(50), budget)};
+    return BatchDecision{false, std::min(std::max(gap, Micros(50)), budget)};
   }
   const char* name() const override { return "poisson-adaptive"; }
 

@@ -3,10 +3,13 @@
 // serving stack depends on (prefix reuse == recompute).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/model/cost_model.h"
 #include "src/model/distribution.h"
@@ -229,6 +232,61 @@ TEST_F(DistributionTest, EosAppearsWithConfiguredBias) {
     s = model.Advance(s, static_cast<TokenId>(260 + (i % 40)), i);
   }
   EXPECT_NEAR(static_cast<double>(eos_top) / kSteps, 0.2, 0.05);
+}
+
+// Folds every accessor's output, over 500 states per model, into one hash.
+// kDigest was recorded when each Distribution built its candidate table once
+// at construction; deriving the table on demand must return the same bits.
+TEST_F(DistributionTest, AccessorDigestMatchesParent) {
+  constexpr uint64_t kDigest = 0x71664cd3addad2adULL;
+  constexpr int kStates = 500;
+  auto even = [](TokenId t) { return t % 2 == 0; };
+  auto none = [](TokenId) { return false; };
+  uint64_t h = 0;
+  auto fold = [&h](uint64_t v) { h = HashCombine(h, v); };
+  auto fold_token = [&fold](TokenId t) { fold(static_cast<uint32_t>(t)); };
+  auto fold_double = [&fold](double v) { fold(std::bit_cast<uint64_t>(v)); };
+  for (const ModelConfig& config :
+       {ModelConfig::Tiny(), ModelConfig::Llama13B(), ModelConfig::Llama1BDraft()}) {
+    Model model(config);
+    const TokenId vocab = static_cast<TokenId>(config.vocab_size);
+    HiddenState s = model.InitialState();
+    for (int i = 0; i < kStates; ++i) {
+      s = model.Advance(s, static_cast<TokenId>(Mix64(static_cast<uint64_t>(i)) %
+                                                config.vocab_size),
+                        i);
+      Distribution d = model.Predict(s);
+      fold_token(d.Argmax());
+      std::vector<TokenId> cands = d.TopCandidates();
+      std::vector<TokenId> probed = cands;
+      for (TokenId t = static_cast<TokenId>(s % config.vocab_size);
+           probed.size() < cands.size() + 2; t = (t + 1) % vocab) {
+        if (std::find(cands.begin(), cands.end(), t) == cands.end()) {
+          probed.push_back(t);  // A tail token.
+        }
+      }
+      for (TokenId t : probed) {
+        fold_token(t);
+        fold_double(d.Prob(t));
+        fold_double(d.LogProb(t));
+      }
+      for (double temperature : {0.5, 1.0, 2.0}) {
+        for (double u : {0.0, 0.3, 0.7, 0.9999}) {
+          fold_token(d.Sample(u, temperature));
+          fold_token(d.SampleMasked(u, temperature, even));
+        }
+      }
+      fold_token(d.GreedyMasked(even));
+      fold_token(d.GreedyMasked(none));
+      fold_token(d.SampleMasked(0.5, 1.0, none));
+      if (config.vocab_size < 1000) {  // Dense() is O(vocab): Tiny only.
+        for (double p : d.Dense()) {
+          fold_double(p);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, kDigest);
 }
 
 class CostModelTest : public ::testing::Test {

@@ -403,6 +403,22 @@ TEST(PoissonPolicyTest, LowRateLaunchesImmediately) {
   EXPECT_TRUE(policy.ShouldLaunch(input).launch);
 }
 
+TEST(PoissonPolicyTest, WaitNeverOutlastsMaxWait) {
+  // 20 us before max_wait, with arrivals every 20 us: the 50 us floor on a
+  // wait must yield to the budget, so the recheck lands by max_wait.
+  PoissonAdaptivePolicy policy(Millis(10));
+  BatchPolicyInput input;
+  input.queue_size = 1;
+  input.oldest_wait = Millis(10) - Micros(20);
+  input.arrival_rate_per_sec = 50000.0;
+  input.est_batch_time = Millis(20);  // Target batch: max_batch.
+  input.max_batch = 32;
+  BatchDecision d = policy.ShouldLaunch(input);
+  EXPECT_FALSE(d.launch);
+  EXPECT_GT(d.recheck_after, 0);
+  EXPECT_LE(d.recheck_after, Millis(10) - input.oldest_wait);
+}
+
 TEST(SizeTimeoutPolicyTest, EmptyQueueWaitsFullTimeout) {
   SizeTimeoutPolicy policy(4, Millis(100));
   BatchPolicyInput input;
