@@ -1,8 +1,8 @@
 // Microbenchmarks for KVFS operations (google-benchmark).
 //
 // Measures the real (host CPU) cost of the KVFS data structures themselves:
-// append, fork, copy-on-write divergence, extract, merge, eviction scans,
-// and path lookups. These are the operations every pred syscall touches, so
+// append, fork, copy-on-write divergence, restore, extract, merge, eviction
+// scans, and path lookups. These are the operations every pred syscall touches, so
 // their constant factors bound the simulator's and — in a real port — the
 // serving system's control-plane overhead.
 #include <benchmark/benchmark.h>
@@ -44,6 +44,24 @@ void BM_Append(benchmark::State& state) {
 }
 BENCHMARK(BM_Append)->Arg(128)->Arg(1024)->Arg(8192);
 
+// Append by a non-admin owner while a page-quota hook is installed, so every
+// new page is checked against the owner's quota: the path a pred's appends
+// take in the serving stack.
+void BM_AppendOwned(benchmark::State& state) {
+  constexpr LipId kOwner = 10;
+  const size_t tokens = static_cast<size_t>(state.range(0));
+  std::vector<TokenRecord> recs = MakeRecords(tokens);
+  for (auto _ : state) {
+    Kvfs fs(BigOptions());
+    fs.set_page_quota_hook([](LipId) -> uint64_t { return 1 << 20; });
+    KvHandle h = *fs.CreateAnonymous(kOwner);
+    benchmark::DoNotOptimize(fs.Append(h, recs));
+    (void)fs.Close(h);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * tokens));
+}
+BENCHMARK(BM_AppendOwned)->Arg(3000);
+
 void BM_Fork(benchmark::State& state) {
   const size_t tokens = static_cast<size_t>(state.range(0));
   Kvfs fs(BigOptions());
@@ -73,6 +91,21 @@ void BM_ForkThenDivergentAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ForkThenDivergentAppend)->Arg(1024)->Arg(8192);
+
+// RestoreToGpu on a fork whose pages are all on the GPU already: what every
+// pred on a forked document pays before it runs.
+void BM_RestoreResident(benchmark::State& state) {
+  const size_t tokens = static_cast<size_t>(state.range(0));
+  Kvfs fs(BigOptions());
+  KvHandle base = *fs.CreateAnonymous(kAdminLip);
+  (void)fs.Append(base, MakeRecords(tokens));
+  KvHandle fork = *fs.Fork(base, kAdminLip);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fs.RestoreToGpu(fork));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RestoreResident)->Arg(3000);
 
 void BM_Extract(benchmark::State& state) {
   const size_t tokens = 8192;

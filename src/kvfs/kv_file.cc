@@ -1,12 +1,16 @@
 #include "src/kvfs/kv_file.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace symphony {
 
 KvFileData::KvFileData(KvFileData&& other) noexcept
-    : pool_(other.pool_), pages_(std::move(other.pages_)), length_(other.length_) {
+    : pool_(other.pool_),
+      pages_(std::move(other.pages_)),
+      length_(other.length_),
+      resident_epoch_(other.resident_epoch_) {
   other.pages_.clear();
   other.length_ = 0;
 }
@@ -17,6 +21,7 @@ KvFileData& KvFileData::operator=(KvFileData&& other) noexcept {
     pool_ = other.pool_;
     pages_ = std::move(other.pages_);
     length_ = other.length_;
+    resident_epoch_ = other.resident_epoch_;
     other.pages_.clear();
     other.length_ = 0;
   }
@@ -30,28 +35,29 @@ Status KvFileData::MakeExclusive(size_t page_index) {
   return Status::Ok();
 }
 
-Status KvFileData::Append(const TokenRecord& record, Tier tier) {
+StatusOr<size_t> KvFileData::AppendRun(std::span<const TokenRecord> records, Tier tier) {
+  if (records.empty()) {
+    return size_t{0};
+  }
   uint32_t offset = static_cast<uint32_t>(length_ % kPageTokens);
   if (offset == 0) {
-    // Need a fresh page.
     SYMPHONY_ASSIGN_OR_RETURN(PageId page, pool_->Allocate(tier));
     pages_.push_back(page);
     NotifyDelta(1);
   } else {
     SYMPHONY_RETURN_IF_ERROR(MakeExclusive(pages_.size() - 1));
   }
+  uint32_t n = static_cast<uint32_t>(
+      std::min<size_t>(records.size(), kPageTokens - offset));
   PageId tail = pages_.back();
-  pool_->MutableRecords(tail)[offset] = record;
-  pool_->set_used(tail, offset + 1);
-  ++length_;
-  return Status::Ok();
+  std::copy_n(records.begin(), n, pool_->MutableRecords(tail) + offset);
+  pool_->set_used(tail, offset + n);
+  length_ += n;
+  return size_t{n};
 }
 
-Status KvFileData::AppendSpan(std::span<const TokenRecord> records, Tier tier) {
-  for (const TokenRecord& r : records) {
-    SYMPHONY_RETURN_IF_ERROR(Append(r, tier));
-  }
-  return Status::Ok();
+Status KvFileData::Append(const TokenRecord& record, Tier tier) {
+  return AppendRun(std::span<const TokenRecord>(&record, 1), tier).status();
 }
 
 StatusOr<TokenRecord> KvFileData::At(uint64_t index) const {
@@ -104,6 +110,7 @@ Status KvFileData::CloneFrom(const KvFileData& other) {
   }
   pages_ = other.pages_;
   length_ = other.length_;
+  resident_epoch_ = kNoEpoch;
   for (PageId page : pages_) {
     pool_->Ref(page);
   }

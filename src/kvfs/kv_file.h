@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,9 +37,16 @@ class KvFileData {
   bool empty() const { return length_ == 0; }
   const std::vector<PageId>& pages() const { return pages_; }
 
-  // Appends one record; allocates pages in `tier` as needed.
+  // Appends the longest prefix of `records` that fits in one page: into the
+  // partial tail page (made exclusive first) or, when the file ends on a page
+  // boundary, into one fresh page allocated in `tier`. Returns how many
+  // records it wrote, which is 0 only for an empty span. On error nothing is
+  // written. `records` must never point into pool storage: the allocation may
+  // grow it and leave the span dangling.
+  StatusOr<size_t> AppendRun(std::span<const TokenRecord> records, Tier tier = Tier::kGpu);
+
+  // Appends one record (a one-record AppendRun).
   Status Append(const TokenRecord& record, Tier tier = Tier::kGpu);
-  Status AppendSpan(std::span<const TokenRecord> records, Tier tier = Tier::kGpu);
 
   // Random access. Index must be < length().
   StatusOr<TokenRecord> At(uint64_t index) const;
@@ -59,8 +67,15 @@ class KvFileData {
   // Number of this file's pages currently resident in each tier.
   uint64_t PagesInTier(Tier tier) const;
 
-  // True if every page is GPU-resident (required before pred can use it).
-  bool FullyOnGpu() const { return PagesInTier(Tier::kHost) == 0; }
+  // The pool's host_epoch() when every page of this file was last seen on the
+  // GPU, or kNoEpoch. While it equals the pool's current epoch the file is
+  // fully GPU-resident: a page reaches the host only through a host-tier
+  // event, which advances the epoch. So GPU appends and truncation keep the
+  // stamp, moves carry it, and CloneFrom clears it (the pages it takes may
+  // sit on the host). Kvfs::RestoreToGpu is the only writer.
+  static constexpr uint64_t kNoEpoch = std::numeric_limits<uint64_t>::max();
+  uint64_t resident_epoch() const { return resident_epoch_; }
+  void set_resident_epoch(uint64_t epoch) { resident_epoch_ = epoch; }
 
   // Observer of this file's page-reference count (for per-owner resource
   // accounting): called with +n / -n whenever pages_ grows or shrinks.
@@ -81,6 +96,7 @@ class KvFileData {
   PagePool* pool_;
   std::vector<PageId> pages_;
   uint64_t length_ = 0;
+  uint64_t resident_epoch_ = kNoEpoch;
   std::function<void(int64_t)> page_ref_observer_;
 };
 

@@ -314,12 +314,14 @@ StatusOr<KvHandle> Kvfs::Extract(KvHandle source, std::span<const uint64_t> indi
     ReclaimIfOrphaned(id);
     return st;
   };
+  // One record per call: a span into the source's pages could dangle once
+  // an append allocates.
   for (uint64_t index : indices) {
     StatusOr<TokenRecord> rec = files_[src_id].data->At(index);
     if (!rec.ok()) {
       return abort_build(rec.status());
     }
-    Status st = AppendWithEviction(files_[id], *rec);
+    Status st = AppendRecords(files_[id], std::span(&*rec, 1), Tier::kGpu);
     if (!st.ok()) {
       return abort_build(st);
     }
@@ -363,12 +365,13 @@ StatusOr<KvHandle> Kvfs::Merge(std::span<const KvHandle> sources, LipId requeste
   };
   for (FileId src_id : src_ids) {
     uint64_t len = files_[src_id].data->length();
+    // One record per call, as in Extract.
     for (uint64_t i = 0; i < len; ++i) {
       StatusOr<TokenRecord> rec = files_[src_id].data->At(i);
       if (!rec.ok()) {
         return abort_build(rec.status());
       }
-      Status st = AppendWithEviction(files_[id], *rec);
+      Status st = AppendRecords(files_[id], std::span(&*rec, 1), Tier::kGpu);
       if (!st.ok()) {
         return abort_build(st);
       }
@@ -380,25 +383,35 @@ StatusOr<KvHandle> Kvfs::Merge(std::span<const KvHandle> sources, LipId requeste
   return MakeHandle(id, owner, /*read=*/true, /*write=*/true);
 }
 
-Status Kvfs::AppendWithEviction(FileEntry& file, const TokenRecord& record) {
-  for (;;) {
-    Status st = file.data->Append(record, Tier::kGpu);
-    if (st.ok()) {
-      if (OverPageQuota(file.owner)) {
-        // Roll the record back; the quota is a hard per-tenant cap (§6).
-        (void)file.data->Truncate(file.data->length() - 1);
-        return QuotaExceededError("kv page quota exceeded for lip " +
-                                  std::to_string(file.owner));
+Status Kvfs::AppendRecords(FileEntry& file, std::span<const TokenRecord> records,
+                           Tier tier) {
+  KvFileData& data = *file.data;
+  const uint64_t original_length = data.length();
+  Status st;
+  while (!records.empty()) {
+    StatusOr<size_t> written = data.AppendRun(records, tier);
+    if (!written.ok()) {
+      if (tier == Tier::kGpu &&
+          written.status().code() == StatusCode::kResourceExhausted &&
+          options_.eviction != EvictionMode::kNone && EvictOne()) {
+        continue;
       }
-      return st;
+      st = written.status();
+      break;
     }
-    if (st.code() != StatusCode::kResourceExhausted) {
-      return st;
+    if (OverPageQuota(file.owner)) {
+      // The quota is a hard per-tenant cap (§6).
+      st = QuotaExceededError("kv page quota exceeded for lip " +
+                              std::to_string(file.owner));
+      break;
     }
-    if (options_.eviction == EvictionMode::kNone || !EvictOne()) {
-      return st;
-    }
+    records = records.subspan(*written);
   }
+  if (!st.ok()) {
+    // Appends are atomic: roll back the partial span.
+    (void)data.Truncate(original_length);
+  }
+  return st;
 }
 
 Status Kvfs::Append(KvHandle handle, std::span<const TokenRecord> records) {
@@ -407,22 +420,12 @@ Status Kvfs::Append(KvHandle handle, std::span<const TokenRecord> records) {
     ++stats_.acl_denials;
     return PermissionDeniedError("append on read-only handle");
   }
-  FileId file_id = entry->file;
-  LipId requester = entry->requester;
-  FileEntry& file = files_[file_id];
-  if (file.lock_holder != kNoLip && file.lock_holder != requester) {
+  FileEntry& file = files_[entry->file];
+  if (file.lock_holder != kNoLip && file.lock_holder != entry->requester) {
     return FailedPreconditionError("file locked by another lip");
   }
-  uint64_t original_length = files_[file_id].data->length();
-  for (const TokenRecord& rec : records) {
-    Status st = AppendWithEviction(files_[file_id], rec);
-    if (!st.ok()) {
-      // Appends are atomic: roll back the partial span.
-      (void)files_[file_id].data->Truncate(original_length);
-      return st;
-    }
-  }
-  files_[file_id].last_access = Now();
+  SYMPHONY_RETURN_IF_ERROR(AppendRecords(file, records, Tier::kGpu));
+  file.last_access = Now();
   return Status::Ok();
 }
 
@@ -466,32 +469,13 @@ Status Kvfs::ImportRecords(KvHandle handle,
     ++stats_.acl_denials;
     return PermissionDeniedError("import on read-only handle");
   }
-  FileId file_id = entry->file;
-  LipId requester = entry->requester;
-  if (files_[file_id].lock_holder != kNoLip &&
-      files_[file_id].lock_holder != requester) {
+  FileEntry& file = files_[entry->file];
+  if (file.lock_holder != kNoLip && file.lock_holder != entry->requester) {
     return FailedPreconditionError("file locked by another lip");
   }
-  uint64_t original_length = files_[file_id].data->length();
-  for (const TokenRecord& rec : records) {
-    Status st;
-    if (tier == Tier::kGpu) {
-      st = AppendWithEviction(files_[file_id], rec);
-    } else {
-      st = files_[file_id].data->Append(rec, tier);
-      if (st.ok() && OverPageQuota(files_[file_id].owner)) {
-        st = QuotaExceededError("kv page quota exceeded for lip " +
-                                std::to_string(files_[file_id].owner));
-      }
-    }
-    if (!st.ok()) {
-      // Imports are atomic: roll back the partial span.
-      (void)files_[file_id].data->Truncate(original_length);
-      return st;
-    }
-  }
+  SYMPHONY_RETURN_IF_ERROR(AppendRecords(file, records, tier));
   stats_.imported_tokens += records.size();
-  files_[file_id].last_access = Now();
+  file.last_access = Now();
   return Status::Ok();
 }
 
@@ -589,17 +573,25 @@ Status Kvfs::OffloadToHost(KvHandle handle) {
 
 Status Kvfs::RestoreToGpu(KvHandle handle) {
   SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileId file_id = entry->file;
-  for (PageId page : files_[file_id].data->pages()) {
-    if (pool_.tier(page) != Tier::kHost) {
-      continue;
+  FileEntry& file = files_[entry->file];
+  KvFileData& data = *file.data;
+  const uint64_t epoch = pool_.host_epoch();
+  if (data.resident_epoch() != epoch) {
+    for (PageId page : data.pages()) {
+      if (pool_.tier(page) != Tier::kHost) {
+        continue;
+      }
+      SYMPHONY_RETURN_IF_ERROR(ReserveGpuPages(1));
+      SYMPHONY_RETURN_IF_ERROR(pool_.MoveToTier(page, Tier::kGpu));
+      pending_transfer_bytes_ += bytes_per_page_;
+      ++stats_.restored_pages;
     }
-    SYMPHONY_RETURN_IF_ERROR(ReserveGpuPages(1));
-    SYMPHONY_RETURN_IF_ERROR(pool_.MoveToTier(page, Tier::kGpu));
-    pending_transfer_bytes_ += bytes_per_page_;
-    ++stats_.restored_pages;
+    // An eviction above may have offloaded a page already passed.
+    if (pool_.host_epoch() == epoch) {
+      data.set_resident_epoch(epoch);
+    }
   }
-  files_[file_id].last_access = Now();
+  file.last_access = Now();
   return Status::Ok();
 }
 

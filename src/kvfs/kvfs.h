@@ -193,6 +193,11 @@ class Kvfs {
   Status OffloadToHost(KvHandle handle);
 
   // Ensures all pages are GPU-resident, evicting other files if necessary.
+  // Skips the page scan while the file's resident epoch equals the pool's
+  // host epoch (KvFileData::resident_epoch). It stamps the file only when no
+  // host-tier event happened during its own scan: an eviction it triggers may
+  // offload a page the file shares with the victim, and the next restore
+  // must find that page.
   Status RestoreToGpu(KvHandle handle);
 
   // Ensures at least `pages` free GPU pages, evicting eligible files.
@@ -259,8 +264,14 @@ class Kvfs {
   StatusOr<KvHandle> MakeHandle(FileId file, LipId requester, bool read, bool write);
   bool MayRead(const FileEntry& file, LipId requester) const;
   bool MayWrite(const FileEntry& file, LipId requester) const;
-  // Appends with eviction-on-pressure retry.
-  Status AppendWithEviction(FileEntry& file, const TokenRecord& record);
+  // Appends `records` to `file` one page run at a time (KvFileData::AppendRun)
+  // with pages in `tier`. A GPU run that fails with kResourceExhausted evicts
+  // one file and retries. Each written run is checked against the owner's
+  // page quota; once per run is exact, because the owner's page references
+  // change only when the run starts a page or an eviction frees one, and both
+  // happen before the check. Any error rolls the file back to its original
+  // length. `records` must not point into pool storage.
+  Status AppendRecords(FileEntry& file, std::span<const TokenRecord> records, Tier tier);
   // Evicts one eligible file; returns false if none eligible.
   bool EvictOne();
   // True when `owner` is at/over its page quota (admin is exempt).

@@ -1,24 +1,13 @@
 #include "src/kvfs/page_pool.h"
 
-#include <cassert>
+#include <algorithm>
 
 namespace symphony {
 
 PagePool::PagePool(uint64_t gpu_page_budget, uint64_t host_page_budget)
     : gpu_budget_(gpu_page_budget), host_budget_(host_page_budget) {
   pages_.reserve(1024);
-}
-
-PagePool::PageMeta& PagePool::Meta(PageId id) {
-  assert(id < pages_.size());
-  assert(pages_[id].live);
-  return pages_[id];
-}
-
-const PagePool::PageMeta& PagePool::Meta(PageId id) const {
-  assert(id < pages_.size());
-  assert(pages_[id].live);
-  return pages_[id];
+  records_.reserve(1024);
 }
 
 uint64_t& PagePool::TierUsage(Tier tier) {
@@ -38,13 +27,13 @@ StatusOr<PageId> PagePool::Allocate(Tier tier) {
   } else {
     id = static_cast<PageId>(pages_.size());
     pages_.emplace_back();
+    records_.emplace_back();
   }
-  PageMeta& meta = pages_[id];
-  meta = PageMeta{};
-  meta.refcount = 1;
-  meta.tier = tier;
-  meta.live = true;
+  pages_[id] = PageMeta{.used = 0, .refcount = 1, .tier = tier, .live = true};
   ++TierUsage(tier);
+  if (tier == Tier::kHost) {
+    ++host_epoch_;
+  }
   ++stats_.allocations;
   return id;
 }
@@ -63,16 +52,14 @@ void PagePool::Unref(PageId id) {
 }
 
 StatusOr<PageId> PagePool::EnsureExclusive(PageId id) {
-  PageMeta& meta = Meta(id);
-  if (meta.refcount == 1) {
+  if (Meta(id).refcount == 1) {
     return id;
   }
-  SYMPHONY_ASSIGN_OR_RETURN(PageId copy, Allocate(meta.tier));
-  PageMeta& copy_meta = pages_[copy];
-  // Re-fetch: Allocate may have reallocated pages_.
+  SYMPHONY_ASSIGN_OR_RETURN(PageId copy, Allocate(Meta(id).tier));
+  // Re-fetch: Allocate may have reallocated pages_ and records_.
   PageMeta& src_meta = pages_[id];
-  copy_meta.records = src_meta.records;
-  copy_meta.used = src_meta.used;
+  pages_[copy].used = src_meta.used;
+  std::copy_n(records_[id].begin(), src_meta.used, records_[copy].begin());
   --src_meta.refcount;
   ++stats_.cow_copies;
   return copy;
@@ -90,19 +77,11 @@ Status PagePool::MoveToTier(PageId id, Tier tier) {
   --TierUsage(meta.tier);
   meta.tier = tier;
   ++TierUsage(tier);
+  if (tier == Tier::kHost) {
+    ++host_epoch_;
+  }
   ++stats_.tier_moves;
   return Status::Ok();
 }
-
-TokenRecord* PagePool::MutableRecords(PageId id) { return Meta(id).records.data(); }
-const TokenRecord* PagePool::Records(PageId id) const { return Meta(id).records.data(); }
-
-uint32_t PagePool::used(PageId id) const { return Meta(id).used; }
-void PagePool::set_used(PageId id, uint32_t used) {
-  assert(used <= kPageTokens);
-  Meta(id).used = used;
-}
-uint32_t PagePool::refcount(PageId id) const { return Meta(id).refcount; }
-Tier PagePool::tier(PageId id) const { return Meta(id).tier; }
 
 }  // namespace symphony

@@ -7,10 +7,16 @@
 //
 // The pool is mechanism only. Which page to evict, and whether eviction means
 // offload-to-host or drop, is policy owned by Kvfs/eviction.
+//
+// Layout: a page's metadata (used, refcount, tier, live: 12 bytes) and its
+// token records (256 bytes) sit in two parallel vectors indexed by PageId, so
+// a scan over a file's page tiers reads a few cache lines of metadata and
+// never touches the records.
 #ifndef SRC_KVFS_PAGE_POOL_H_
 #define SRC_KVFS_PAGE_POOL_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -53,14 +59,30 @@ class PagePool {
   // time). Fails with kResourceExhausted if the target tier is full.
   Status MoveToTier(PageId id, Tier tier);
 
-  // Record access (mutable interface used by files).
-  TokenRecord* MutableRecords(PageId id);
-  const TokenRecord* Records(PageId id) const;
+  // Record access (mutable interface used by files). The pointer is valid
+  // only until the next Allocate (directly or through EnsureExclusive), which
+  // may grow the record storage.
+  TokenRecord* MutableRecords(PageId id) {
+    (void)Meta(id);
+    return records_[id].data();
+  }
+  const TokenRecord* Records(PageId id) const {
+    (void)Meta(id);
+    return records_[id].data();
+  }
 
-  uint32_t used(PageId id) const;
-  void set_used(PageId id, uint32_t used);
-  uint32_t refcount(PageId id) const;
-  Tier tier(PageId id) const;
+  uint32_t used(PageId id) const { return Meta(id).used; }
+  void set_used(PageId id, uint32_t used) {
+    assert(used <= kPageTokens);
+    Meta(id).used = used;
+  }
+  uint32_t refcount(PageId id) const { return Meta(id).refcount; }
+  Tier tier(PageId id) const { return Meta(id).tier; }
+
+  // Number of host-tier events so far: pages allocated on the host and pages
+  // moved there. While it is unchanged no page has gone to the host, so a
+  // file seen fully GPU-resident at some epoch still is (Kvfs::RestoreToGpu).
+  uint64_t host_epoch() const { return host_epoch_; }
 
   uint64_t gpu_pages_free() const { return gpu_budget_ - stats_.gpu_pages_used; }
   uint64_t host_pages_free() const { return host_budget_ - stats_.host_pages_used; }
@@ -70,21 +92,33 @@ class PagePool {
 
  private:
   struct PageMeta {
-    std::array<TokenRecord, kPageTokens> records;
     uint32_t used = 0;
     uint32_t refcount = 0;
     Tier tier = Tier::kGpu;
     bool live = false;
   };
+  static_assert(sizeof(PageMeta) == 12);
 
-  PageMeta& Meta(PageId id);
-  const PageMeta& Meta(PageId id) const;
+  PageMeta& Meta(PageId id) {
+    assert(id < pages_.size());
+    assert(pages_[id].live);
+    return pages_[id];
+  }
+  const PageMeta& Meta(PageId id) const {
+    assert(id < pages_.size());
+    assert(pages_[id].live);
+    return pages_[id];
+  }
   uint64_t& TierUsage(Tier tier);
 
   uint64_t gpu_budget_;
   uint64_t host_budget_;
   std::vector<PageMeta> pages_;
+  // records_[id] holds page id's tokens; only the first pages_[id].used are
+  // meaningful.
+  std::vector<std::array<TokenRecord, kPageTokens>> records_;
   std::vector<PageId> free_list_;
+  uint64_t host_epoch_ = 0;
   PagePoolStats stats_;
 };
 

@@ -27,36 +27,49 @@ Tokenizer::Tokenizer(uint32_t vocab_size) : vocab_size_(vocab_size) {
   uint32_t capacity = vocab_size_ - kFirstWordToken;
   // Leave headroom for caller-registered words (tool names, tags) when the
   // vocabulary is large enough to afford it.
-  uint32_t procedural = capacity > 512 ? capacity - 256 : capacity;
-  words_.reserve(capacity);
-  word_ids_.reserve(capacity);
-  for (uint32_t i = 0; i < procedural; ++i) {
-    std::string word = "w" + std::to_string(i);
-    word_ids_.emplace(word, static_cast<TokenId>(kFirstWordToken + words_.size()));
-    words_.push_back(std::move(word));
+  procedural_ = capacity > 512 ? capacity - 256 : capacity;
+}
+
+std::optional<uint32_t> Tokenizer::ProceduralIndex(std::string_view word) const {
+  if (word.size() < 2 || word[0] != 'w' || (word[1] == '0' && word.size() > 2)) {
+    return std::nullopt;
   }
+  uint64_t index = 0;
+  for (char c : word.substr(1)) {
+    if (c < '0' || c > '9') {
+      return std::nullopt;
+    }
+    index = index * 10 + static_cast<uint64_t>(c - '0');
+    if (index >= procedural_) {  // Also bounds index, so it cannot overflow.
+      return std::nullopt;
+    }
+  }
+  return static_cast<uint32_t>(index);
 }
 
 StatusOr<TokenId> Tokenizer::AddWord(std::string_view word) {
   if (word.empty() || ContainsSpace(word)) {
     return InvalidArgumentError("word must be non-empty and whitespace-free");
   }
-  auto it = word_ids_.find(std::string(word));
-  if (it != word_ids_.end()) {
-    return it->second;
+  TokenId existing = LookupWord(word);
+  if (existing != kUnkToken) {
+    return existing;
   }
-  if (kFirstWordToken + words_.size() >= vocab_size_) {
+  if (kFirstWordToken + num_words() >= vocab_size_) {
     return ResourceExhaustedError("vocabulary full");
   }
-  TokenId id = static_cast<TokenId>(kFirstWordToken + words_.size());
-  words_.emplace_back(word);
-  word_ids_.emplace(std::string(word), id);
+  TokenId id = static_cast<TokenId>(kFirstWordToken + num_words());
+  added_.emplace_back(word);
+  added_ids_.emplace(std::string(word), id);
   return id;
 }
 
 TokenId Tokenizer::LookupWord(std::string_view word) const {
-  auto it = word_ids_.find(std::string(word));
-  return it == word_ids_.end() ? kUnkToken : it->second;
+  if (std::optional<uint32_t> index = ProceduralIndex(word)) {
+    return static_cast<TokenId>(kFirstWordToken + *index);
+  }
+  auto it = added_ids_.find(std::string(word));
+  return it == added_ids_.end() ? kUnkToken : it->second;
 }
 
 std::vector<TokenId> Tokenizer::Encode(std::string_view text) const {
@@ -119,9 +132,17 @@ std::string Tokenizer::TokenToString(TokenId id) const {
   if (id >= kFirstByteToken && id < kFirstWordToken) {
     return std::string(1, static_cast<char>(id - kFirstByteToken));
   }
-  size_t index = static_cast<size_t>(id - kFirstWordToken);
-  if (id >= kFirstWordToken && index < words_.size()) {
-    return words_[index];
+  if (id >= kFirstWordToken) {
+    size_t index = static_cast<size_t>(id - kFirstWordToken);
+    if (index < procedural_) {
+      // Not "w" + std::to_string(...): GCC 12 -O3 reports a false -Wrestrict.
+      std::string word = "w";
+      word += std::to_string(index);
+      return word;
+    }
+    if (index - procedural_ < added_.size()) {
+      return added_[index - procedural_];
+    }
   }
   return "<invalid>";
 }

@@ -3,8 +3,11 @@
 // extract, merge, eviction, residency).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "src/common/hash.h"
+#include "src/common/rng.h"
 #include "src/kvfs/kv_file.h"
 #include "src/kvfs/kvfs.h"
 #include "src/kvfs/page_pool.h"
@@ -206,6 +209,16 @@ TEST_F(KvFileDataTest, ReleaseAllFreesEverything) {
   a.ReleaseAll();
   EXPECT_EQ(a.length(), 0u);
   EXPECT_EQ(pool_.stats().gpu_pages_used, 0u);
+}
+
+TEST_F(KvFileDataTest, CloneFromClearsResidentEpoch) {
+  KvFileData a(&pool_);
+  ASSERT_TRUE(a.Append(Rec(1, 0)).ok());
+  ASSERT_TRUE(pool_.MoveToTier(a.pages()[0], Tier::kHost).ok());
+  KvFileData b(&pool_);
+  b.set_resident_epoch(pool_.host_epoch());  // Empty, so trivially resident.
+  ASSERT_TRUE(b.CloneFrom(a).ok());
+  EXPECT_EQ(b.resident_epoch(), KvFileData::kNoEpoch);  // Its page is on the host.
 }
 
 TEST_F(KvFileDataTest, MoveTransfersOwnership) {
@@ -662,6 +675,210 @@ TEST_F(KvfsTest, AppendIsAtomicOnMidSpanFailure) {
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(*fs.Length(h), 16u);
   EXPECT_EQ(fs.pool().stats().gpu_pages_used, 1u);
+}
+
+TEST_F(KvfsTest, RestoreAfterInLoopEvictionRestoresSharedPage) {
+  // The fork shares both of /doc's pages. Restoring the first page makes the
+  // closed /doc eligible and least recently used, so making room for the
+  // second page offloads the first one again. That restore returns OK with a
+  // page on the host; the next restore must find the page and bring it back.
+  Kvfs fs(Options(EvictionMode::kOffloadLru, /*gpu_pages=*/4, /*host_pages=*/16));
+  OpenOptions create{.requester = kAlice, .write = true, .create = true};
+  KvHandle doc = *fs.Open("/doc", create);
+  ASSERT_TRUE(fs.Append(doc, MakeRecords(32)).ok());  // 2 pages.
+  KvHandle fork = *fs.Fork(doc, kAlice);
+  ASSERT_TRUE(fs.Close(doc).ok());
+  ASSERT_TRUE(fs.OffloadToHost(fork).ok());
+  for (int i = 0; i < 4; ++i) {
+    KvHandle filler = *fs.Open("/filler/" + std::to_string(i), create);
+    ASSERT_TRUE(fs.Append(filler, MakeRecords(16)).ok());  // 1 page.
+    ASSERT_TRUE(fs.Close(filler).ok());
+  }
+  ASSERT_EQ(fs.pool().gpu_pages_free(), 0u);
+  ASSERT_TRUE(fs.RestoreToGpu(fork).ok());
+  ASSERT_EQ(fs.Stat(fork)->host_pages, 1u);
+
+  uint64_t restored = fs.stats().restored_pages;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(fs.Remove("/filler/" + std::to_string(i), kAlice).ok());
+  }
+  ASSERT_TRUE(fs.RestoreToGpu(fork).ok());
+  EXPECT_EQ(fs.Stat(fork)->host_pages, 0u);
+  EXPECT_EQ(fs.stats().restored_pages, restored + 1);
+}
+
+// ---------- Digest sweep ----------
+
+std::vector<TokenRecord> RandomRecords(Rng& rng, uint64_t n) {
+  std::vector<TokenRecord> recs(n);
+  for (TokenRecord& rec : recs) {
+    rec = TokenRecord{static_cast<TokenId>(rng.NextBounded(32000)),
+                      static_cast<int32_t>(rng.NextBounded(4096)), rng.NextU64()};
+  }
+  return recs;
+}
+
+// Seeded random operations on a KVFS with a tight GPU budget, under both
+// eviction modes and a page quota that caps two of the four owners. Every
+// status code, every pool and KVFS counter and the pending transfer bytes
+// after each op, and every live file's metadata and records at the end fold
+// into one hash. kDigest was recorded when each appended token was its own
+// append, quota check and eviction retry, and each restore checked every
+// page's tier; appending page runs and skipping resident files must give the
+// same bits.
+TEST(KvfsDigestTest, MatchesParent) {
+  constexpr uint64_t kDigest = 0x48ccfce97ffe2bbbULL;
+  constexpr uint64_t kSeeds = 64;
+  constexpr int kOps = 300;
+  constexpr size_t kMaxOpen = 6;
+  uint64_t h = 0;
+  auto fold = [&h](uint64_t v) { h = HashCombine(h, v); };
+  auto fold_status = [&fold](const Status& st) { fold(static_cast<uint64_t>(st.code())); };
+  auto fold_file = [&fold](const KvFileData& data) {
+    fold(data.length());
+    for (uint64_t i = 0; i < data.length(); ++i) {
+      TokenRecord rec = *data.At(i);
+      fold(static_cast<uint32_t>(rec.token));
+      fold(static_cast<uint32_t>(rec.position));
+      fold(rec.state);
+    }
+  };
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(seed);
+    KvfsOptions options;
+    options.gpu_page_budget = 4 + rng.NextBounded(8);
+    options.host_page_budget = 4 + rng.NextBounded(20);
+    options.eviction = seed % 2 == 0 ? EvictionMode::kDropLru : EvictionMode::kOffloadLru;
+    Kvfs fs(options);
+    fs.set_page_quota_hook([](LipId owner) -> uint64_t {
+      return owner == 12 ? 5 : owner == 13 ? 10 : UINT64_MAX;
+    });
+    auto owner = [&rng] { return static_cast<LipId>(10 + rng.NextBounded(4)); };
+    auto path = [&rng] { return "/f" + std::to_string(rng.NextBounded(12)); };
+    std::vector<KvHandle> open;
+    auto any_open = [&] { return open[rng.NextBounded(open.size())]; };
+    auto keep = [&](const StatusOr<KvHandle>& handle) {
+      fold_status(handle.status());
+      if (handle.ok()) {
+        open.push_back(*handle);
+      }
+    };
+    for (int op = 0; op < kOps; ++op) {
+      uint64_t kind = rng.NextBounded(18);
+      if (open.empty()) {
+        kind %= 2;
+      } else if (open.size() >= kMaxOpen) {
+        kind = 13;
+      }
+      fold(kind);
+      switch (kind) {
+        case 0:
+        case 16:
+        case 17: {  // Named opens are three of the 18 kinds.
+          static constexpr uint8_t kModes[] = {kModePrivate, kModeShared, kModePublic};
+          OpenOptions create{.requester = owner(), .write = true, .create = true};
+          create.create_mode = kModes[rng.NextBounded(3)];
+          keep(fs.Open(path(), create));
+          break;
+        }
+        case 1:
+          keep(fs.CreateAnonymous(owner()));
+          break;
+        case 2:
+        case 3:
+          fold_status(fs.Append(any_open(), RandomRecords(rng, 1 + rng.NextBounded(40))));
+          break;
+        case 4:
+          keep(fs.Fork(any_open(), rng.NextBounded(3) == 0 ? kNoLip : owner()));
+          break;
+        case 5: {
+          KvHandle handle = any_open();
+          fold_status(fs.Truncate(handle, rng.NextBounded(*fs.Length(handle) + 2)));
+          break;
+        }
+        case 6:
+          fold_status(fs.OffloadToHost(any_open()));
+          break;
+        case 7:
+          fold(fs.OffloadOwnedBy(owner()));
+          break;
+        case 8:
+        case 9:
+          fold_status(fs.RestoreToGpu(any_open()));
+          break;
+        case 10: {
+          Tier tier = rng.NextBounded(2) == 0 ? Tier::kGpu : Tier::kHost;
+          fold_status(fs.ImportRecords(any_open(), RandomRecords(rng, 1 + rng.NextBounded(40)),
+                                       tier));
+          break;
+        }
+        case 11: {
+          std::vector<KvHandle> sources = {any_open(), any_open()};
+          keep(fs.Merge(sources, owner()));
+          break;
+        }
+        case 12: {
+          KvHandle source = any_open();
+          std::vector<uint64_t> indices;
+          for (uint64_t i = 0; i <= *fs.Length(source); ++i) {
+            if (rng.NextBounded(3) == 0) {
+              indices.push_back(i);  // Index length() makes the extract fail.
+            }
+          }
+          keep(fs.Extract(source, indices, owner()));
+          break;
+        }
+        case 13: {
+          size_t i = rng.NextBounded(open.size());
+          fold_status(fs.Close(open[i]));
+          open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        }
+        case 14:
+          fold_status(fs.Remove(path(), rng.NextBounded(4) == 0 ? kAdminLip : owner()));
+          break;
+        case 15: {
+          KvHandle handle = any_open();
+          StatusOr<TokenRecord> rec = fs.Read(handle, rng.NextBounded(*fs.Length(handle) + 1));
+          fold_status(rec.status());
+          if (rec.ok()) {
+            fold(rec->state);
+          }
+          break;
+        }
+      }
+      const PagePoolStats& pool = fs.pool().stats();
+      for (uint64_t v : {pool.gpu_pages_used, pool.host_pages_used, pool.cow_copies,
+                         pool.allocations, pool.frees, pool.tier_moves}) {
+        fold(v);
+      }
+      const KvfsStats& stats = fs.stats();
+      for (uint64_t v : {stats.opens, stats.forks, stats.extracts, stats.merges,
+                         stats.evicted_files, stats.dropped_files, stats.offloaded_pages,
+                         stats.restored_pages, stats.acl_denials, stats.snapshot_exports,
+                         stats.snapshot_imports, stats.imported_tokens}) {
+        fold(v);
+      }
+      fold(fs.TakePendingTransferBytes());
+    }
+    for (const KvFileInfo& info : fs.ListAll()) {
+      for (uint64_t v : {uint64_t{info.id}, uint64_t{info.owner}, info.length, info.gpu_pages,
+                         info.host_pages, uint64_t{info.open_count},
+                         static_cast<uint64_t>(info.last_access)}) {
+        fold(v);
+      }
+    }
+    for (KvHandle handle : open) {
+      fold_file(**fs.FileData(handle));
+    }
+    for (const std::string& name : fs.List("/")) {
+      fold(Fnv1a(name));
+      KvHandle handle = *fs.Open(name, OpenOptions{.requester = kAdminLip});
+      fold_file(**fs.FileData(handle));
+      ASSERT_TRUE(fs.Close(handle).ok());
+    }
+  }
+  EXPECT_EQ(h, kDigest);
 }
 
 }  // namespace

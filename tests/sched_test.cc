@@ -1075,8 +1075,8 @@ INSTANTIATE_TEST_SUITE_P(
                       0xf131c64b7fea7eea},
         PickOrderCase{"fair_dp_chunk64", QueueDiscipline::kFairShare, true, 64,
                       0x3caf27c7b22b5e3b}),
-    [](const ::testing::TestParamInfo<PickOrderCase>& info) {
-      return std::string(info.param.name);
+    [](const ::testing::TestParamInfo<PickOrderCase>& param_info) {
+      return std::string(param_info.param.name);
     });
 
 }  // namespace

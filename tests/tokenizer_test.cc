@@ -1,6 +1,8 @@
 // Unit tests for the deterministic tokenizer.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/model/model_config.h"
 #include "src/model/tokenizer.h"
 
@@ -101,6 +103,33 @@ TEST(TokenizerTest, TinyConfigVocabIsValid) {
   ModelConfig tiny = ModelConfig::Tiny();
   Tokenizer tok(tiny.vocab_size);
   EXPECT_EQ(tok.Decode(tok.Encode("w0 w39")), "w0 w39");
+}
+
+// Procedural words are derived from their ids: every id round-trips, only the
+// canonical spelling "w<index>" names a procedural word, and AddWord of one
+// returns its existing id.
+TEST(TokenizerTest, ProceduralWordsAreCanonicalDecimals) {
+  auto word_of = [](size_t index) {
+    std::string word = "w";
+    word += std::to_string(index);
+    return word;
+  };
+  for (const ModelConfig& config : {ModelConfig::Tiny(), ModelConfig::Llama13B()}) {
+    Tokenizer tok(config.vocab_size);
+    const size_t procedural = tok.num_words();
+    for (size_t i = 0; i < procedural; ++i) {
+      TokenId id = static_cast<TokenId>(kFirstWordToken + i);
+      ASSERT_EQ(tok.TokenToString(id), word_of(i));
+      ASSERT_EQ(tok.LookupWord(tok.TokenToString(id)), id);
+    }
+    for (const std::string& word : {std::string("w01"), std::string("w00"), std::string("w"),
+                                     std::string("w-1"), std::string("w+1"), std::string("W1"),
+                                     std::string("w1x"), word_of(procedural)}) {
+      EXPECT_EQ(tok.LookupWord(word), kUnkToken) << word;
+    }
+    EXPECT_EQ(*tok.AddWord("w5"), 265);
+    EXPECT_EQ(tok.num_words(), procedural);
+  }
 }
 
 TEST(TokenizerTest, DeterministicAcrossInstances) {
