@@ -7,22 +7,6 @@
 
 namespace symphony {
 
-const char* ReplicaHealthName(ReplicaHealth health) {
-  switch (health) {
-    case ReplicaHealth::kLive:
-      return "live";
-    case ReplicaHealth::kSuspected:
-      return "suspected";
-    case ReplicaHealth::kDead:
-      return "dead";
-    case ReplicaHealth::kDraining:
-      return "draining";
-    case ReplicaHealth::kDetached:
-      return "detached";
-  }
-  return "?";
-}
-
 ControlPlane::ControlPlane(Simulator* sim, ClusterControl* cluster,
                            NetworkTopology* topology, FaultPlan* faults,
                            TraceRecorder* trace, ControlPlaneOptions options)
@@ -54,7 +38,8 @@ void ControlPlane::EnsureTracked() {
   while (tracked_.size() < cluster_->ControlReplicaCount()) {
     Tracked t;
     t.joined_at = now;
-    tracked_.push_back(t);
+    t.label = "hb:replica" + std::to_string(tracked_.size());
+    tracked_.push_back(std::move(t));
   }
 }
 
@@ -109,17 +94,26 @@ SimDuration ControlPlane::NextBeatDelay(size_t replica) {
 
 void ControlPlane::Beat(size_t replica) {
   Tracked& t = tracked_[replica];
+  SimTime now = sim_->now();
   if (!Monitorable(t.health) || !cluster_->ControlHasWork()) {
     t.loop_running = false;
+    // The chain stops, but the queue must still run to its last arrival,
+    // as it would if each arrival were an event.
+    SimTime last = now;
+    for (const InFlightBeat& beat : t.in_flight) {
+      last = std::max(last, beat.stamp.when);
+    }
+    if (last > now) {
+      sim_->ScheduleAt(last, [this, replica] { SettleArrivals(replica); });
+    }
     return;
   }
-  SimTime now = sim_->now();
   if (cluster_->ControlBeating(replica)) {
     size_t dest = replica == seat_ ? deputy_ : seat_;
     if (dest == kNoReplica || dest == replica) {
       // Sole member: its beat is trivially observed locally.
       t.last_ok_send = now;
-      RecordArrival(replica, t.epoch);
+      RecordArrival(t, t.epoch, now);
     } else if ((faults_ != nullptr &&
                 faults_->Partitioned(replica, dest, now)) ||
                !topology_->HasRoute(replica, dest, now)) {
@@ -141,32 +135,52 @@ void ControlPlane::Beat(size_t replica) {
       ++stats_.heartbeats_sent;
       t.last_ok_send = now;
       // The beat rides the real links — it queues behind migrations and IPC
-      // and arrives when the topology says it arrives.
-      SimTime arrive =
-          topology_->Transfer(replica, dest, options_.heartbeat_bytes,
-                              "hb:replica" + std::to_string(replica));
-      uint64_t epoch = t.epoch;
-      sim_->ScheduleAt(arrive, [this, replica, epoch] {
-        RecordArrival(replica, epoch);
-      });
+      // and arrives when the topology says it arrives. It takes its place
+      // in the event order now, where its arrival event would have.
+      SimTime arrive = topology_->Transfer(
+          replica, dest, options_.heartbeat_bytes, t.label);
+      t.in_flight.push_back(InFlightBeat{sim_->StampAt(arrive), t.epoch});
     }
   }
   sim_->ScheduleAfter(NextBeatDelay(replica),
                       [this, replica] { Beat(replica); });
 }
 
-void ControlPlane::RecordArrival(size_t replica, uint64_t epoch) {
-  Tracked& t = tracked_[replica];
+void ControlPlane::RecordArrival(const Tracked& t, uint64_t epoch,
+                                 SimTime at) const {
   // A beat from a fenced epoch is a zombie talking: drop it. Same for a
   // replica already declared dead — its failover is committed.
   if (t.epoch != epoch || !Monitorable(t.health)) {
     return;
   }
   ++stats_.heartbeats_delivered;
-  t.last_heartbeat = std::max(t.last_heartbeat, sim_->now());
+  t.last_heartbeat = std::max(t.last_heartbeat, at);
+}
+
+void ControlPlane::SettleArrivals(size_t replica) const {
+  if (replica >= tracked_.size()) {
+    return;
+  }
+  const Tracked& t = tracked_[replica];
+  // Beats can land out of send order (a seat change switches links), so
+  // scan them all; there are rarely more than one or two.
+  std::erase_if(t.in_flight, [&](const InFlightBeat& beat) {
+    if (!sim_->Dispatched(beat.stamp)) {
+      return false;
+    }
+    RecordArrival(t, beat.epoch, beat.stamp.when);
+    return true;
+  });
+}
+
+void ControlPlane::SettleArrivals() const {
+  for (size_t i = 0; i < tracked_.size(); ++i) {
+    SettleArrivals(i);
+  }
 }
 
 void ControlPlane::Sweep() {
+  SettleArrivals();
   if (!cluster_->ControlHasWork()) {
     sweep_running_ = false;
     return;
@@ -299,6 +313,7 @@ void ControlPlane::NoteReplicaHealed(size_t replica) {
 
 void ControlPlane::TryReadmit(size_t replica) {
   EnsureTracked();
+  SettleArrivals(replica);
   Tracked& t = tracked_[replica];
   if (t.health != ReplicaHealth::kDead) {
     return;
@@ -345,6 +360,7 @@ void ControlPlane::NoteReplicaAdded(size_t replica) {
 
 void ControlPlane::NoteManualDeath(size_t replica) {
   EnsureTracked();
+  SettleArrivals(replica);
   Tracked& t = tracked_[replica];
   if (t.health == ReplicaHealth::kDead ||
       t.health == ReplicaHealth::kDetached) {
@@ -359,6 +375,7 @@ void ControlPlane::NoteManualDeath(size_t replica) {
 
 void ControlPlane::NoteDrainStarted(size_t replica) {
   EnsureTracked();
+  SettleArrivals(replica);
   Tracked& t = tracked_[replica];
   if (!Monitorable(t.health) || t.health == ReplicaHealth::kDraining) {
     return;
@@ -369,6 +386,7 @@ void ControlPlane::NoteDrainStarted(size_t replica) {
 }
 
 void ControlPlane::EvaluateScaling() {
+  SettleArrivals();
   if (!cluster_->ControlHasWork()) {
     scale_running_ = false;
     return;
@@ -431,6 +449,7 @@ ReplicaHealth ControlPlane::Health(size_t replica) const {
   if (replica >= tracked_.size()) {
     return ReplicaHealth::kLive;
   }
+  SettleArrivals(replica);
   return tracked_[replica].health;
 }
 
@@ -438,16 +457,23 @@ uint64_t ControlPlane::Epoch(size_t replica) const {
   if (replica >= tracked_.size()) {
     return 1;
   }
+  SettleArrivals(replica);
   return tracked_[replica].epoch;
 }
 
 SimDuration ControlPlane::HeartbeatAge(size_t replica) const {
+  SettleArrivals(replica);
   if (replica >= tracked_.size() ||
       !Monitorable(tracked_[replica].health) ||
       tracked_[replica].last_heartbeat == 0) {
     return -1;
   }
   return sim_->now() - tracked_[replica].last_heartbeat;
+}
+
+const ControlPlaneStats& ControlPlane::stats() const {
+  SettleArrivals();
+  return stats_;
 }
 
 }  // namespace symphony

@@ -57,6 +57,26 @@
 // plane DOES change IPC timings (heartbeats occupy real links) — that is
 // the point, not a bug.
 //
+// Arrivals are settled, not scheduled. A delivered beat only moves its
+// replica's last-heartbeat time (or is dropped at a stale epoch), so it
+// needs no event of its own: each beat in flight stays on its replica as
+// (arrival time, Simulator stamp, epoch). SettleArrivals applies every beat
+// the queue would already have dispatched — a beat landing at exactly a
+// sweep's or a reader's instant counts only if its stamp orders first —
+// with the arrival semantics of a scheduled event, and it runs in front of
+// every mutator (Sweep, TryReadmit, NoteManualDeath, NoteDrainStarted,
+// EvaluateScaling) and every reader (Health, Epoch, HeartbeatAge, stats).
+// Nothing changes a replica's epoch or health between two settles, so each
+// beat meets the state it would have met on arrival. A beat chain that
+// stops with beats still in flight schedules one event at the latest
+// arrival, so the clock still runs to it.
+//
+// Sweeps are not skipped, even when no age can cross a threshold: the sweep
+// chain stops at the first grid instant where ControlHasWork() is false and
+// the next Kick() starts a fresh grid, so dropping an instant would move
+// every later decision instant unless the cluster reported its idle
+// transitions exactly, which it does not.
+//
 // Liveness: all chains (beats, sweep, scaling) are guarded by
 // ClusterControl::ControlHasWork and die when the cluster drains, so
 // Simulator::Run terminates; SymphonyCluster re-arms them via Kick() when
@@ -86,7 +106,6 @@ enum class ReplicaHealth {
   kDraining,   // Scale-in: migrating LIPs off before detach.
   kDetached,   // Drained and removed from service (terminal).
 };
-const char* ReplicaHealthName(ReplicaHealth health);
 
 struct ScalingOptions {
   bool enabled = false;
@@ -232,15 +251,21 @@ class ControlPlane {
   // the detach (the scaling loop flips this itself for its own drains).
   void NoteDrainStarted(size_t replica);
 
+  // Readers settle arrivals first (see the file comment).
   ReplicaHealth Health(size_t replica) const;
   uint64_t Epoch(size_t replica) const;
   // Age of the last delivered beat; -1 when dead/detached or never beat.
   SimDuration HeartbeatAge(size_t replica) const;
   size_t seat() const { return seat_; }
   const ControlPlaneOptions& options() const { return options_; }
-  const ControlPlaneStats& stats() const { return stats_; }
+  const ControlPlaneStats& stats() const;
 
  private:
+  // A sent beat that has not been applied yet. stamp.when is its arrival.
+  struct InFlightBeat {
+    Simulator::Stamp stamp;
+    uint64_t epoch = 0;
+  };
   struct Tracked {
     ReplicaHealth health = ReplicaHealth::kLive;
     uint64_t epoch = 1;
@@ -248,11 +273,16 @@ class ControlPlane {
     // max(last_heartbeat, joined_at) so a fresh member is never judged on
     // beats it could not yet have sent.
     SimTime joined_at = 0;
-    SimTime last_heartbeat = 0;  // Arrival time of the last delivered beat.
+    // Arrival time of the last delivered beat, and the beats still in
+    // flight. Settling moves beats from one to the other, so const readers
+    // change both.
+    mutable SimTime last_heartbeat = 0;
+    mutable std::vector<InFlightBeat> in_flight;
     SimTime last_ok_send = 0;    // Last beat that left the replica.
     uint64_t beat_seq = 0;       // Jitter stream position.
     bool loop_running = false;   // A Beat event chain is pending.
     bool self_fenced = false;
+    std::string label;           // "hb:replica<i>", the beat's link label.
   };
 
   void EnsureTracked();
@@ -263,7 +293,12 @@ class ControlPlane {
   }
   void StartBeat(size_t replica);
   void Beat(size_t replica);
-  void RecordArrival(size_t replica, uint64_t epoch);
+  // Applies a beat arriving at `at`: dropped unless it carries the
+  // replica's current epoch and the replica is still monitored.
+  void RecordArrival(const Tracked& t, uint64_t epoch, SimTime at) const;
+  // Applies every in-flight beat the event queue has already passed.
+  void SettleArrivals(size_t replica) const;
+  void SettleArrivals() const;
   SimDuration NextBeatDelay(size_t replica);
   void Sweep();
   void EvaluateScaling();
@@ -290,7 +325,8 @@ class ControlPlane {
   double ewma_load_ = 0.0;
   SimTime last_scale_out_ = -1;
   SimTime last_scale_in_ = -1;
-  ControlPlaneStats stats_;
+  // Mutable for heartbeats_delivered, which settling counts.
+  mutable ControlPlaneStats stats_;
 };
 
 }  // namespace symphony

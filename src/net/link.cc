@@ -26,10 +26,6 @@ Link::Link(Simulator* sim, double bandwidth, SimDuration latency,
   assert(latency >= 0);
 }
 
-SimTime Link::Transmit(uint64_t bytes, const std::string& label) {
-  return TransmitFrom(sim_->now(), bytes, label);
-}
-
 SimTime Link::TransmitFrom(SimTime earliest, uint64_t bytes,
                            const std::string& label) {
   SimTime start = std::max(earliest, sim_->now());

@@ -48,13 +48,11 @@ class Link {
   Link(Simulator* sim, double bandwidth, SimDuration latency,
        TraceRecorder* trace, std::string name);
 
-  // Charges one transfer of `bytes` starting now and returns its absolute
-  // arrival time: serialization queues behind earlier transfers still on the
-  // wire, then the propagation latency applies.
-  SimTime Transmit(uint64_t bytes, const std::string& label);
-
-  // Same, but serialization cannot begin before `earliest` — the previous
-  // hop's arrival when this link is a later hop of a multi-hop transfer.
+  // Charges one transfer of `bytes` and returns its absolute arrival time:
+  // serialization starts at max(now, `earliest`) — `earliest` is the
+  // previous hop's arrival when this link is a later hop of a multi-hop
+  // transfer — queues behind earlier transfers still on the wire, and then
+  // the propagation latency applies.
   SimTime TransmitFrom(SimTime earliest, uint64_t bytes,
                        const std::string& label);
 

@@ -225,26 +225,19 @@ const std::vector<size_t>& NetworkTopology::StaticPath(size_t from,
   return it->second;
 }
 
-std::vector<size_t> NetworkTopology::PathFor(size_t from, size_t to,
-                                             SimTime now, bool* rerouted) {
-  *rerouted = false;
+const std::vector<size_t>& NetworkTopology::PathFor(
+    size_t from, size_t to, SimTime now, std::vector<size_t>* detour) {
   const std::vector<size_t>& preferred = StaticPath(from, to);
   if (faults_ == nullptr || faults_->link_downs().empty()) {
     return preferred;
   }
-  bool up = true;
   for (size_t i = 0; i + 1 < preferred.size(); ++i) {
     if (!LinkUp(preferred[i], preferred[i + 1], now)) {
-      up = false;
-      break;
+      *detour = Shortest(from, to, now, /*respect_down=*/true);
+      return *detour;
     }
   }
-  if (up) {
-    return preferred;
-  }
-  std::vector<size_t> alternate = Shortest(from, to, now, /*respect_down=*/true);
-  *rerouted = !alternate.empty();
-  return alternate;
+  return preferred;
 }
 
 bool NetworkTopology::Routable(size_t from, size_t to, SimTime now) {
@@ -261,8 +254,8 @@ bool NetworkTopology::HasRoute(size_t from, size_t to, SimTime now) {
     return true;
   }
   EnsureReplica(std::max(from, to));
-  bool rerouted = false;
-  return !PathFor(NodeOf(from), NodeOf(to), now, &rerouted).empty();
+  std::vector<size_t> detour;
+  return !PathFor(NodeOf(from), NodeOf(to), now, &detour).empty();
 }
 
 SimTime NetworkTopology::Transfer(size_t from, size_t to, uint64_t bytes,
@@ -274,27 +267,29 @@ SimTime NetworkTopology::Transfer(size_t from, size_t to, uint64_t bytes,
   if (from == to) {
     return now;
   }
-  bool rerouted = false;
   size_t from_node = NodeOf(from);
   size_t to_node = NodeOf(to);
-  std::vector<size_t> path = PathFor(from_node, to_node, now, &rerouted);
-  if (rerouted) {
-    ++stats_.reroutes;
-    faults_->NoteLinkBlocked();
+  std::vector<size_t> detour;
+  const std::vector<size_t>* path =
+      &PathFor(from_node, to_node, now, &detour);
+  if (path == &detour) {
+    if (detour.empty()) {
+      // Fully severed cut: charge the static route deterministically rather
+      // than drop the bytes. Callers gate on Routable() to avoid this.
+      path = &StaticPath(from_node, to_node);
+    } else {
+      ++stats_.reroutes;
+      faults_->NoteLinkBlocked();
+    }
   }
-  if (path.empty()) {
-    // Fully severed cut: charge the static route deterministically rather
-    // than drop the bytes. Callers gate on Routable() to avoid this.
-    path = StaticPath(from_node, to_node);
-  }
-  if (path.size() > 2) {
+  if (path->size() > 2) {
     ++stats_.multi_hop_transfers;
   }
   // Store-and-forward: hop N serializes once hop N-1 delivered, and queues
   // behind whatever else occupies that wire.
   SimTime at = now;
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    at = LinkFor(path[i], path[i + 1]).TransmitFrom(at, bytes, label);
+  for (size_t i = 0; i + 1 < path->size(); ++i) {
+    at = LinkFor((*path)[i], (*path)[i + 1]).TransmitFrom(at, bytes, label);
   }
   return at;
 }

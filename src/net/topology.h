@@ -153,7 +153,6 @@ class NetworkTopology {
   SimDuration Distance(size_t from, size_t to);
 
   size_t replica_count() const { return replica_count_; }
-  size_t node_count() const { return names_.size(); }
   const std::string& node_name(size_t id) const { return names_[id]; }
   const TopologyOptions& options() const { return options_; }
   const TopologyStats& stats() const { return stats_; }
@@ -182,10 +181,11 @@ class NetworkTopology {
                                bool respect_down) const;
   // The all-up static route, memoized.
   const std::vector<size_t>& StaticPath(size_t from, size_t to);
-  // Route honoring down windows; sets *rerouted when it deviates from the
-  // static path. Empty when no live path exists.
-  std::vector<size_t> PathFor(size_t from, size_t to, SimTime now,
-                              bool* rerouted);
+  // Route honoring down windows: the memoized static path while every hop
+  // of it is up, else *detour, filled with the shortest surviving path
+  // (empty when no live path exists).
+  const std::vector<size_t>& PathFor(size_t from, size_t to, SimTime now,
+                                     std::vector<size_t>* detour);
 
   Simulator* sim_;
   const CostModel* cost_;

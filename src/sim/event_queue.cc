@@ -17,6 +17,7 @@ void Simulator::DispatchNext() {
   Event event = std::move(const_cast<Event&>(queue_.top()));
   queue_.pop();
   now_ = event.when;
+  frontier_ = Stamp{event.when, event.seq};
   event.fn();
 }
 
@@ -35,8 +36,10 @@ uint64_t Simulator::RunUntil(SimTime deadline) {
     DispatchNext();
     ++dispatched;
   }
-  if (now_ < deadline) {
+  if (now_ <= deadline) {
+    // Every event up to the deadline ran, stamped ones included.
     now_ = deadline;
+    frontier_ = Stamp{deadline, next_seq_};
   }
   return dispatched;
 }

@@ -4,6 +4,21 @@
 // Components schedule work with ScheduleAt/ScheduleAfter; Run() dispatches
 // events in (time, insertion order) until the queue drains or a deadline is
 // hit. Ties break by insertion order, which makes runs fully deterministic.
+//
+// Stamps. An event whose only effect is a state update need not be
+// scheduled at all. StampAt(when) returns the place such an event would
+// take in the (time, insertion order) sequence; it uses up an insertion
+// number exactly as ScheduleAt would, so every real event keeps its order.
+// Dispatched(stamp) answers whether the queue would already have run it:
+// inside an event, whether it orders before the event now running; between
+// dispatches, whether it orders before the next one; after RunUntil,
+// whether it is due by the deadline. The owner applies its stamped updates
+// lazily, in front of every read and every other write of the state they
+// touch, which leaves exactly the state the scheduled events would have
+// left, ties included. It must still schedule one real event at its last
+// stamped time when nothing else keeps the queue running that long, or
+// Run() would stop the clock earlier. ControlPlane (src/ctrl) applies
+// heartbeat arrivals this way.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -35,6 +50,21 @@ class Simulator {
     ScheduleAt(now_ + delay, std::move(fn));
   }
 
+  // A would-be event's place in the dispatch order (see the file comment).
+  struct Stamp {
+    SimTime when = 0;
+    uint64_t seq = 0;
+  };
+  // The place an event scheduled now at `when` would take; schedules nothing.
+  Stamp StampAt(SimTime when) {
+    return Stamp{when < now_ ? now_ : when, next_seq_++};
+  }
+  // True when the queue would already have dispatched an event stamped so.
+  bool Dispatched(Stamp stamp) const {
+    return stamp.when != frontier_.when ? stamp.when < frontier_.when
+                                        : stamp.seq < frontier_.seq;
+  }
+
   // Dispatches events until the queue is empty. Returns number dispatched.
   uint64_t Run();
 
@@ -46,7 +76,6 @@ class Simulator {
   bool Step();
 
   bool empty() const { return queue_.empty(); }
-  size_t pending_count() const { return queue_.size(); }
 
  private:
   struct Event {
@@ -68,6 +97,9 @@ class Simulator {
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
+  // Everything ordered before this has been dispatched: the running (or
+  // last dispatched) event, or a RunUntil deadline past it.
+  Stamp frontier_;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

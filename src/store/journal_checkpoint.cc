@@ -1,7 +1,7 @@
 #include "src/store/journal_checkpoint.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cassert>
 
 namespace symphony {
 
@@ -9,27 +9,42 @@ namespace {
 
 // Little-endian primitives. The simulator is single-platform per run, but a
 // byte-stable encoding keeps chunk content addresses reproducible across
-// builds, which property tests rely on.
+// builds, which property tests rely on. Each writes at `p` into space the
+// caller has already sized, one byte at a time (no assumption about host
+// endianness), and returns the position after it.
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
+char* PutU8(char* p, uint8_t v) {
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
-void PutU32(std::string* out, uint32_t v) {
+char* PutU32(char* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    *p++ = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+  return p;
 }
 
-void PutU64(std::string* out, uint64_t v) {
+char* PutU64(char* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    *p++ = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+  return p;
 }
 
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
+char* PutString(char* p, const std::string& s) {
+  p = PutU32(p, static_cast<uint32_t>(s.size()));
+  return std::copy(s.begin(), s.end(), p);
+}
+
+// Bytes AppendJournalEntry writes for `entry`, field by field: kind and
+// status code, then each string and vector behind its 4-byte length, with
+// the 8-byte duration and ordinal in between.
+size_t EncodedSize(const JournalEntry& entry) {
+  return 2 + (4 + entry.status.message().size()) +
+         (4 + 4 * entry.tokens.size()) + (4 + 4 * entry.positions.size()) +
+         (4 + 8 * entry.states.size()) + (4 + entry.payload.size()) + 8 +
+         (4 + entry.channel.size()) + 8;
 }
 
 class Cursor {
@@ -89,25 +104,29 @@ class Cursor {
 }  // namespace
 
 void AppendJournalEntry(std::string* out, const JournalEntry& entry) {
-  PutU8(out, static_cast<uint8_t>(entry.kind));
-  PutU8(out, static_cast<uint8_t>(entry.status.code()));
-  PutString(out, entry.status.message());
-  PutU32(out, static_cast<uint32_t>(entry.tokens.size()));
+  size_t at = out->size();
+  out->resize(at + EncodedSize(entry));
+  char* p = out->data() + at;
+  p = PutU8(p, static_cast<uint8_t>(entry.kind));
+  p = PutU8(p, static_cast<uint8_t>(entry.status.code()));
+  p = PutString(p, entry.status.message());
+  p = PutU32(p, static_cast<uint32_t>(entry.tokens.size()));
   for (TokenId token : entry.tokens) {
-    PutU32(out, static_cast<uint32_t>(token));
+    p = PutU32(p, static_cast<uint32_t>(token));
   }
-  PutU32(out, static_cast<uint32_t>(entry.positions.size()));
+  p = PutU32(p, static_cast<uint32_t>(entry.positions.size()));
   for (int32_t position : entry.positions) {
-    PutU32(out, static_cast<uint32_t>(position));
+    p = PutU32(p, static_cast<uint32_t>(position));
   }
-  PutU32(out, static_cast<uint32_t>(entry.states.size()));
+  p = PutU32(p, static_cast<uint32_t>(entry.states.size()));
   for (uint64_t state : entry.states) {
-    PutU64(out, state);
+    p = PutU64(p, state);
   }
-  PutString(out, entry.payload);
-  PutU64(out, static_cast<uint64_t>(entry.duration));
-  PutString(out, entry.channel);
-  PutU64(out, entry.ordinal);
+  p = PutString(p, entry.payload);
+  p = PutU64(p, static_cast<uint64_t>(entry.duration));
+  p = PutString(p, entry.channel);
+  p = PutU64(p, entry.ordinal);
+  assert(p == out->data() + out->size());
 }
 
 std::string SerializeJournalEntries(const std::vector<JournalEntry>& entries) {
@@ -158,12 +177,12 @@ StatusOr<std::vector<JournalEntry>> ParseJournalEntries(
 }
 
 std::string SerializeTokenRecords(const std::vector<TokenRecord>& records) {
-  std::string out;
-  out.reserve(records.size() * 16);
+  std::string out(records.size() * 16, '\0');
+  char* p = out.data();
   for (const TokenRecord& record : records) {
-    PutU32(&out, static_cast<uint32_t>(record.token));
-    PutU32(&out, static_cast<uint32_t>(record.position));
-    PutU64(&out, record.state);
+    p = PutU32(p, static_cast<uint32_t>(record.token));
+    p = PutU32(p, static_cast<uint32_t>(record.position));
+    p = PutU64(p, record.state);
   }
   return out;
 }
@@ -197,9 +216,7 @@ uint64_t JournalLiveBytes(const SyscallJournal& journal) {
       continue;
     }
     for (const JournalEntry& entry : log.live) {
-      std::string buf;
-      AppendJournalEntry(&buf, entry);
-      bytes += buf.size();
+      bytes += EncodedSize(entry);
     }
     bytes += path.size();
   }
@@ -248,6 +265,11 @@ StatusOr<CheckpointOutcome> CheckpointJournal(SnapshotStore& store,
       }
     }
     const SyscallJournal::ThreadLog& log = journal.threads().at(path);
+    size_t grown = stream.size();
+    for (const JournalEntry& entry : log.live) {
+      grown += EncodedSize(entry);
+    }
+    stream.reserve(grown);
     for (const JournalEntry& entry : log.live) {
       AppendJournalEntry(&stream, entry);
     }

@@ -37,6 +37,9 @@ namespace symphony {
 // Appends one journal entry to a stream; the encoding is append-only stable:
 // serializing entries [0, n) then [0, m), m > n, yields byte-identical
 // prefixes, which is what makes checkpoint chunks dedup across generations.
+// The entry's encoded size is computed once, the stream grows once, and the
+// fields are written in place, each little-endian one byte at a time; the
+// byte format is the one the codec has always written.
 void AppendJournalEntry(std::string* out, const JournalEntry& entry);
 std::string SerializeJournalEntries(const std::vector<JournalEntry>& entries);
 StatusOr<std::vector<JournalEntry>> ParseJournalEntries(
@@ -47,7 +50,8 @@ std::string SerializeTokenRecords(const std::vector<TokenRecord>& records);
 StatusOr<std::vector<TokenRecord>> ParseTokenRecords(const std::string& bytes);
 
 // Serialized size of the live (post-checkpoint) suffix / the whole resident
-// log: the bytes a delta / full migration ships.
+// log: the bytes a delta / full migration ships. Summed from the entries'
+// encoded sizes; nothing is encoded.
 uint64_t JournalLiveBytes(const SyscallJournal& journal);
 
 // ---- Checkpoint fold / rehydrate ----------------------------------------

@@ -66,6 +66,8 @@ PublishResult SnapshotStore::Publish(size_t replica,
     StreamManifest stream;
     stream.name = name;
     stream.bytes = bytes.size();
+    stream.chunks.reserve((bytes.size() + options_.chunk_bytes - 1) /
+                          options_.chunk_bytes);
     key = HashCombine(key, Fnv1a(name));
     for (size_t offset = 0; offset < bytes.size();
          offset += options_.chunk_bytes) {
@@ -100,25 +102,25 @@ PublishResult SnapshotStore::Publish(size_t replica,
       }
     }
   } else {
-    // Store chunks, reusing any shared with earlier snapshots (the prefix of
-    // a grown stream, or identical content elsewhere).
-    for (const auto& [name, bytes] : payload.streams) {
-      for (size_t offset = 0; offset < bytes.size();
-           offset += options_.chunk_bytes) {
-        size_t len = std::min<size_t>(options_.chunk_bytes,
-                                      bytes.size() - offset);
-        std::string_view slice = std::string_view(bytes).substr(offset, len);
-        uint64_t chunk_key = SnapshotChunkKey(slice);
-        Chunk& chunk = chunks_[chunk_key];
+    // Store chunks under the keys the manifest already holds, reusing any
+    // shared with earlier snapshots (the prefix of a grown stream, or
+    // identical content elsewhere).
+    for (size_t s = 0; s < payload.streams.size(); ++s) {
+      std::string_view bytes = payload.streams[s].second;
+      const std::vector<uint64_t>& keys = manifest.streams[s].chunks;
+      for (size_t c = 0; c < keys.size(); ++c) {
+        std::string_view slice = bytes.substr(c * options_.chunk_bytes,
+                                              options_.chunk_bytes);
+        Chunk& chunk = chunks_[keys[c]];
         if (chunk.refs == 0) {
           chunk.bytes = std::string(slice);
-          stored_bytes_ += len;
-          result.new_bytes += len;
+          stored_bytes_ += slice.size();
+          result.new_bytes += slice.size();
         } else {
-          result.deduped_bytes += len;
+          result.deduped_bytes += slice.size();
         }
         ++chunk.refs;
-        cache.insert(chunk_key);
+        cache.insert(keys[c]);
       }
     }
     stats_.published_bytes += result.new_bytes;
@@ -306,22 +308,6 @@ void SnapshotStore::ForgetReplica(size_t replica) {
 const SnapshotManifest* SnapshotStore::Find(uint64_t key) const {
   auto it = manifests_.find(key);
   return it == manifests_.end() ? nullptr : &it->second.manifest;
-}
-
-bool SnapshotStore::LocalAt(size_t replica, uint64_t key) const {
-  const SnapshotManifest* manifest = Find(key);
-  if (manifest == nullptr || replica >= local_.size()) {
-    return manifest != nullptr && manifest->bytes == 0;
-  }
-  const std::unordered_set<uint64_t>& cache = local_[replica];
-  for (const StreamManifest& stream : manifest->streams) {
-    for (uint64_t chunk_key : stream.chunks) {
-      if (cache.count(chunk_key) == 0) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace symphony

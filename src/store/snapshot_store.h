@@ -132,7 +132,8 @@ class SnapshotStore {
   // Stores `payload`, dedup-aware, and returns its content key holding one
   // new reference for the caller (every Publish must eventually be matched
   // by a Release). The publishing replica's cache is marked as holding every
-  // chunk — the data originated there.
+  // chunk — the data originated there. Each chunk is hashed once, for the
+  // manifest, and stored under that key.
   PublishResult Publish(size_t replica, const SnapshotPayload& payload);
 
   // Reassembles snapshot `key` at `replica`: chunks missing from the
@@ -160,9 +161,6 @@ class SnapshotStore {
 
   const SnapshotManifest* Find(uint64_t key) const;
   bool Contains(uint64_t key) const { return Find(key) != nullptr; }
-  // True when every chunk of `key` is already cached at `replica` (an import
-  // would move zero bytes).
-  bool LocalAt(size_t replica, uint64_t key) const;
 
   size_t snapshot_count() const { return manifests_.size(); }
   size_t chunk_count() const { return chunks_.size(); }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -556,6 +557,140 @@ TEST(CtrlTest, FabricAndStoreRefuseFencedReplicas) {
   // The fence epoch survives revival as the slot's generation high-water
   // mark (stale sends from epoch < 7 stay refused).
   EXPECT_EQ(cluster.fabric().replica_fence_epoch(1), 7u);
+}
+
+// ---- Detector digest ---------------------------------------------------
+
+// One detector configuration of the digest sweep. Jitter-free beats on a
+// link whose serialization rounds to 0 ns make arrivals land exactly on
+// sweep and snapshot instants, so the digest pins which of two same-instant
+// events the detector sees first.
+struct DigestCase {
+  SimDuration beat;
+  double jitter;
+  SimDuration sweep;
+  SimDuration latency;
+  SimDuration suspect;
+  SimDuration lease;
+  SimDuration declare;
+  bool faults;
+};
+
+void Fold(uint64_t* digest, uint64_t value) {
+  *digest = HashCombine(*digest, value);
+}
+
+void FoldDetector(uint64_t* digest,
+                  const SymphonyCluster::ClusterSnapshot& snap) {
+  for (const SymphonyCluster::ClusterSnapshot::ReplicaLiveness& row :
+       snap.liveness) {
+    Fold(digest, static_cast<uint64_t>(row.state));
+    Fold(digest, row.epoch);
+    Fold(digest, static_cast<uint64_t>(row.heartbeat_age));
+    Fold(digest, row.fenced ? 1 : 0);
+  }
+  const ControlPlaneStats& s = snap.ctrl;
+  for (uint64_t counter :
+       {s.heartbeats_sent, s.heartbeats_delivered, s.heartbeats_dropped,
+        s.suspicions, s.false_suspicions, s.self_fences, s.dead_declared,
+        s.auto_failovers, s.readmissions, s.seat_changes, s.scale_outs,
+        s.scale_ins, s.drains_completed}) {
+    Fold(digest, counter);
+  }
+  Fold(digest, static_cast<uint64_t>(s.detection_age_total));
+  Fold(digest, static_cast<uint64_t>(s.last_dead_declared_at));
+  Fold(digest, static_cast<uint64_t>(s.last_readmission_at));
+  Fold(digest, static_cast<uint64_t>(s.last_scale_out_at));
+  Fold(digest, snap.ctrl_seat);
+}
+
+// 40 agents on 3 replicas, one launched every 5 ms, with the detector
+// snapshotted on a 1 ms grid up to 100 ms twice over: once from events
+// scheduled up front (they run before arrivals stamped later at the same
+// instant) and once from a self-rescheduling chain (scheduled 1 ms ahead,
+// so it tends to run after them).
+uint64_t DetectorDigest(uint64_t seed, const DigestCase& c) {
+  Simulator sim;
+  FaultPlan plan(seed);
+  if (c.faults) {
+    plan.CrashReplicaAt(1, Millis(30), /*down_for=*/Millis(40));
+    plan.AddPartition(0, 2, Millis(70), Millis(9));
+  }
+  uint64_t executions = 0;
+  ClusterOptions options = CtrlCluster(seed, 3, &executions);
+  options.server.fault_plan = &plan;
+  options.server.hardware.interconnect_bandwidth = 1e15;
+  options.server.hardware.interconnect_latency = c.latency;
+  options.ctrl.heartbeat_period = c.beat;
+  options.ctrl.heartbeat_jitter = c.jitter;
+  options.ctrl.sweep_period = c.sweep;
+  options.ctrl.suspect_after = c.suspect;
+  options.ctrl.lease = c.lease;
+  options.ctrl.declare_dead_after = c.declare;
+  SymphonyCluster cluster(&sim, options);
+
+  uint64_t digest = 0;
+  auto snapshot = [&] { FoldDetector(&digest, cluster.Snapshot()); };
+  std::vector<SymphonyCluster::ClusterLip> ids;
+  for (int i = 0; i < 40; ++i) {
+    sim.ScheduleAt(Millis(5) * i, [&cluster, &ids, i] {
+      ids.push_back(
+          cluster.Launch("agent" + std::to_string(i), "", MakeAgent(6)));
+    });
+  }
+  for (int ms = 1; ms <= 100; ++ms) {
+    sim.ScheduleAt(Millis(ms), snapshot);
+  }
+  std::function<void()> chain = [&] {
+    snapshot();
+    if (sim.now() < Millis(100)) {
+      sim.ScheduleAfter(Millis(1), chain);
+    }
+  };
+  sim.ScheduleAt(Millis(1), chain);
+  sim.Run();
+
+  EXPECT_EQ(ids.size(), 40u);
+  for (const SymphonyCluster::ClusterLip& id : ids) {
+    Fold(&digest, cluster.Done(id) ? 1 : 0);
+    Fold(&digest, Fnv1a(cluster.Output(id)));
+  }
+  snapshot();
+  Fold(&digest, static_cast<uint64_t>(sim.now()));
+  return digest;
+}
+
+// Pins the detector's observable behaviour — liveness rows, counters, and
+// outputs across crash, partition, declare and readmission, including which
+// of two same-instant events (a beat's arrival and a sweep or snapshot) the
+// detector sees first. The expected value was recorded when every
+// heartbeat arrival was its own scheduled event; how arrivals are applied
+// may change, what they do may not.
+TEST(CtrlDigestTest, MatchesParent) {
+  const SimDuration ms = kMillisecond;
+  const DigestCase cases[] = {
+      // Arrivals tie with sweeps; the sweep was scheduled first.
+      {5 * ms, 0.0, 4 * ms, 1 * ms, 4 * ms, 7 * ms, 10 * ms, false},
+      {5 * ms, 0.0, 4 * ms, 1 * ms, 4 * ms, 7 * ms, 10 * ms, true},
+      // Arrivals tie with sweeps; the arrival was stamped first.
+      {4 * ms, 0.0, 4 * ms, 4 * ms, 4 * ms, 7 * ms, 10 * ms, false},
+      {4 * ms, 0.0, 4 * ms, 4 * ms, 5 * ms, 7 * ms, 10 * ms, true},
+      // Jittered beats, several in flight at once.
+      {2 * ms, 0.25, 2 * ms, 3 * ms, 4 * ms, 7 * ms, 10 * ms, true},
+      // Latency beyond the declare window: beats stay in flight across a
+      // declare and a fence-only readmission.
+      {2 * ms, 0.25, 2 * ms, 12 * ms, 4 * ms, 7 * ms, 10 * ms, false},
+  };
+  uint64_t digest = 0;
+  std::string per_case;
+  for (const DigestCase& c : cases) {
+    for (uint64_t seed : {1, 2}) {
+      uint64_t one = DetectorDigest(seed, c);
+      per_case += " " + std::to_string(one);
+      Fold(&digest, one);
+    }
+  }
+  EXPECT_EQ(digest, 0x2564b0f9ef149340ULL) << "per case:" << per_case;
 }
 
 // ---- The stress property ----------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -89,6 +90,75 @@ TEST(SimulatorTest, StepDispatchesOne) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.Step());
   EXPECT_FALSE(sim.Step());
+}
+
+// A stamp must answer Dispatched exactly as an event scheduled in its place
+// would have run. Each stamp here gets a real twin scheduled right after it
+// (the next insertion number, so nothing can order between the two); events
+// at a handful of instants spawn stamps, twins and plain events at their own
+// instant, at later ones and in the past (clamped to now), and every event,
+// the driver between steps and the driver after a RunUntil deadline check
+// every stamp against whether its twin has started.
+TEST(SimulatorTest, StampsAgreeWithDispatchOrder) {
+  Simulator sim;
+  Rng rng(17);
+  struct Pair {
+    Simulator::Stamp stamp;
+    bool twin_started = false;
+  };
+  std::vector<Pair> pairs;
+  int budget = 600;
+  uint64_t same_instant_before = 0;
+  uint64_t same_instant_after = 0;
+  auto check = [&] {
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      bool dispatched = sim.Dispatched(pairs[i].stamp);
+      EXPECT_EQ(dispatched, pairs[i].twin_started) << "stamp " << i;
+      if (pairs[i].stamp.when == sim.now()) {
+        ++(dispatched ? same_instant_before : same_instant_after);
+      }
+    }
+  };
+  std::function<void()> event;
+  auto spawn = [&] {
+    SimTime when =
+        sim.now() + Millis(5) * static_cast<int64_t>(rng.NextBounded(2));
+    if (rng.NextBounded(4) == 0) {
+      when -= Millis(1);
+    }
+    if (rng.NextBounded(2) == 0) {
+      size_t i = pairs.size();
+      pairs.push_back(Pair{sim.StampAt(when)});
+      sim.ScheduleAt(when, [&pairs, &event, i] {
+        pairs[i].twin_started = true;
+        event();
+      });
+    } else {
+      sim.ScheduleAt(when, event);
+    }
+  };
+  event = [&] {
+    check();
+    for (uint64_t k = rng.NextBounded(4); k > 0 && budget > 0; --k) {
+      --budget;
+      spawn();
+    }
+    check();
+  };
+  for (int64_t ms : {0, 5, 5, 5, 10}) {
+    sim.ScheduleAt(Millis(ms), event);
+  }
+  sim.RunUntil(Millis(5));
+  check();
+  spawn();  // From outside any event, at the deadline or after it.
+  check();
+  while (sim.Step()) {
+    check();
+  }
+  EXPECT_EQ(budget, 0);
+  EXPECT_GT(pairs.size(), 100u);
+  EXPECT_GT(same_instant_before, 0u);
+  EXPECT_GT(same_instant_after, 0u);
 }
 
 TEST(OnlineStatsTest, MeanVarianceMinMax) {

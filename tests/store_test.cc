@@ -3,10 +3,13 @@
 // and checkpoint fold / rehydrate round trips.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
+#include "src/common/rng.h"
 #include "src/faults/fault_plan.h"
 #include "src/model/cost_model.h"
 #include "src/model/model_config.h"
@@ -302,6 +305,125 @@ TEST(JournalCodecTest, TokenRecordsRoundTrip) {
     EXPECT_EQ((*parsed)[i].state, records[i].state);
   }
   EXPECT_FALSE(ParseTokenRecords(bytes.substr(0, bytes.size() - 1)).ok());
+}
+
+std::string RandomBytes(Rng& rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    // One byte in four is NUL.
+    c = rng.NextBounded(4) == 0 ? '\0'
+                                : static_cast<char>(rng.NextBounded(256));
+  }
+  return out;
+}
+
+// A vector length that is often empty or 1 and now and then long.
+size_t RandomLength(Rng& rng) {
+  switch (rng.NextBounded(4)) {
+    case 0:
+      return 0;
+    case 1:
+      return 1;
+    case 2:
+      return rng.NextBounded(16);
+    default:
+      return 300 + rng.NextBounded(400);
+  }
+}
+
+JournalEntry RandomEntry(Rng& rng) {
+  JournalEntry entry;
+  entry.kind = static_cast<JournalEntry::Kind>(rng.NextBounded(6));
+  if (rng.NextBounded(3) == 0) {
+    entry.status = Status(static_cast<StatusCode>(1 + rng.NextBounded(12)),
+                          RandomBytes(rng, rng.NextBounded(24)));
+  }
+  size_t n = RandomLength(rng);
+  for (size_t i = 0; i < n; ++i) {
+    entry.tokens.push_back(static_cast<TokenId>(rng.NextU64()));
+    entry.positions.push_back(static_cast<int32_t>(rng.NextU64()));
+    entry.states.push_back(rng.NextU64());
+  }
+  // Unequal lengths too: the codec writes each vector with its own count.
+  entry.positions.resize(RandomLength(rng) % (n + 2));
+  entry.payload = RandomBytes(rng, RandomLength(rng));
+  entry.duration = static_cast<SimDuration>(rng.NextU64());
+  entry.channel = RandomBytes(rng, rng.NextBounded(12));
+  entry.ordinal = rng.NextU64();
+  return entry;
+}
+
+// Pins the journal byte format, JournalLiveBytes and the store's chunk
+// keying. The expected value was recorded before the codec learned to
+// presize its writes and Publish stopped hashing each chunk twice.
+TEST(JournalCodecTest, EncodingMatchesParent) {
+  uint64_t digest = 0;
+  auto fold = [&digest](uint64_t value) {
+    digest = HashCombine(digest, value);
+  };
+  const std::vector<std::string> paths = {"0", "0.1", "0.1.0"};
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    SyscallJournal journal;
+    journal.name = "codec" + std::to_string(seed);
+    std::vector<std::vector<JournalEntry>> by_path(paths.size());
+    for (int i = 0; i < 64; ++i) {
+      size_t p = rng.NextBounded(paths.size());
+      JournalEntry entry = RandomEntry(rng);
+      std::string bytes;
+      AppendJournalEntry(&bytes, entry);
+      fold(Fnv1a(bytes));
+      fold(bytes.size());
+      by_path[p].push_back(entry);
+      journal.Append(paths[p], std::move(entry));
+    }
+    fold(JournalLiveBytes(journal));
+
+    // Publish the first half of every stream, then the whole: the second
+    // publish stores its tail chunks and dedups the shared prefix.
+    SnapshotStoreOptions options;
+    options.chunk_bytes = 512;
+    SnapshotStore store(options);
+    for (size_t half : {2, 1}) {
+      SnapshotPayload payload;
+      payload.label = journal.name;
+      payload.model_fingerprint = seed;
+      for (size_t p = 0; p < paths.size(); ++p) {
+        std::vector<JournalEntry> entries(
+            by_path[p].begin(),
+            by_path[p].begin() +
+                static_cast<std::ptrdiff_t>(by_path[p].size() / half));
+        payload.streams.emplace_back(paths[p],
+                                     SerializeJournalEntries(entries));
+      }
+      PublishResult published = store.Publish(0, payload);
+      fold(published.key);
+      fold(published.new_bytes);
+      fold(published.deduped_bytes);
+      const SnapshotManifest* manifest = store.Find(published.key);
+      ASSERT_NE(manifest, nullptr);
+      for (const StreamManifest& stream : manifest->streams) {
+        fold(stream.bytes);
+        for (uint64_t chunk : stream.chunks) {
+          fold(chunk);
+        }
+      }
+    }
+    // Re-publishing identical content takes the whole-snapshot dedup path.
+    SnapshotPayload again;
+    again.label = journal.name;
+    again.model_fingerprint = seed;
+    for (size_t p = 0; p < paths.size(); ++p) {
+      again.streams.emplace_back(paths[p],
+                                 SerializeJournalEntries(by_path[p]));
+    }
+    PublishResult dedup = store.Publish(1, again);
+    EXPECT_TRUE(dedup.deduped);
+    fold(dedup.key);
+    fold(dedup.deduped_bytes);
+    fold(store.stored_bytes());
+  }
+  EXPECT_EQ(digest, 0xd203f188d7bfdeaaULL);
 }
 
 // ---- Checkpoint fold / rehydrate ----------------------------------------
