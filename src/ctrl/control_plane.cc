@@ -67,7 +67,7 @@ void ControlPlane::Kick() {
 
 void ControlPlane::StartBeat(size_t replica) {
   Tracked& t = tracked_[replica];
-  if (t.loop_running || !Monitorable(t.health)) {
+  if (t.loop_running || !Monitorable(replica)) {
     return;
   }
   // Fresh grace window: the chain may have been stopped for a long idle
@@ -95,7 +95,7 @@ SimDuration ControlPlane::NextBeatDelay(size_t replica) {
 void ControlPlane::Beat(size_t replica) {
   Tracked& t = tracked_[replica];
   SimTime now = sim_->now();
-  if (!Monitorable(t.health) || !cluster_->ControlHasWork()) {
+  if (!Monitorable(replica) || !cluster_->ControlHasWork()) {
     t.loop_running = false;
     // The chain stops, but the queue must still run to its last arrival,
     // as it would if each arrival were an event.
@@ -113,7 +113,7 @@ void ControlPlane::Beat(size_t replica) {
     if (dest == kNoReplica || dest == replica) {
       // Sole member: its beat is trivially observed locally.
       t.last_ok_send = now;
-      RecordArrival(t, t.epoch, now);
+      RecordArrival(replica, t.epoch, now);
     } else if ((faults_ != nullptr &&
                 faults_->Partitioned(replica, dest, now)) ||
                !topology_->HasRoute(replica, dest, now)) {
@@ -123,10 +123,9 @@ void ControlPlane::Beat(size_t replica) {
       // declare it dead and re-execute its LIPs elsewhere — so it fences
       // itself FIRST. This is what makes a partition-induced false
       // suspicion exactly-once: by declare time the old incarnation is
-      // provably inert.
-      if (!t.self_fenced &&
-          now - std::max(t.last_ok_send, t.joined_at) > options_.lease) {
-        t.self_fenced = true;
+      // provably inert. The fence halts the runtime, which stops this
+      // branch: a replica fences itself at most once per incarnation.
+      if (now - std::max(t.last_ok_send, t.joined_at) > options_.lease) {
         ++stats_.self_fences;
         cluster_->ControlFence(replica, t.epoch);
         Trace("self-fence:replica" + std::to_string(replica));
@@ -146,11 +145,12 @@ void ControlPlane::Beat(size_t replica) {
                       [this, replica] { Beat(replica); });
 }
 
-void ControlPlane::RecordArrival(const Tracked& t, uint64_t epoch,
+void ControlPlane::RecordArrival(size_t replica, uint64_t epoch,
                                  SimTime at) const {
   // A beat from a fenced epoch is a zombie talking: drop it. Same for a
   // replica already declared dead — its failover is committed.
-  if (t.epoch != epoch || !Monitorable(t.health)) {
+  const Tracked& t = tracked_[replica];
+  if (t.epoch != epoch || !Monitorable(replica)) {
     return;
   }
   ++stats_.heartbeats_delivered;
@@ -168,7 +168,7 @@ void ControlPlane::SettleArrivals(size_t replica) const {
     if (!sim_->Dispatched(beat.stamp)) {
       return false;
     }
-    RecordArrival(t, beat.epoch, beat.stamp.when);
+    RecordArrival(replica, beat.epoch, beat.stamp.when);
     return true;
   });
 }
@@ -190,7 +190,7 @@ void ControlPlane::Sweep() {
   SimTime now = sim_->now();
   for (size_t i = 0; i < tracked_.size(); ++i) {
     Tracked& t = tracked_[i];
-    if (!Monitorable(t.health)) {
+    if (!Monitorable(i)) {
       continue;
     }
     any_monitored = true;
@@ -199,22 +199,22 @@ void ControlPlane::Sweep() {
       DeclareDead(i, age);
       continue;
     }
-    if (t.health == ReplicaHealth::kLive && age > options_.suspect_after) {
-      t.health = ReplicaHealth::kSuspected;
+    if (cluster_->ControlState(i) != ReplicaHealth::kLive) {
+      continue;  // Only live slots are suspected.
+    }
+    if (!t.suspected && age > options_.suspect_after) {
+      t.suspected = true;
       ++stats_.suspicions;
       Trace("suspect:replica" + std::to_string(i));
-    } else if (t.health == ReplicaHealth::kSuspected &&
-               age <= options_.suspect_after) {
+    } else if (t.suspected && age <= options_.suspect_after) {
       // Beats resumed: the suspicion was false. Routing trusts it again.
-      t.health = ReplicaHealth::kLive;
+      t.suspected = false;
       ++stats_.false_suspicions;
       Trace("unsuspect:replica" + std::to_string(i));
     }
   }
   for (size_t i = 0; i < tracked_.size(); ++i) {
-    if (tracked_[i].health == ReplicaHealth::kDraining &&
-        cluster_->ControlDrainComplete(i)) {
-      tracked_[i].health = ReplicaHealth::kDetached;
+    if (cluster_->ControlDrainComplete(i)) {
       ++stats_.drains_completed;
       Trace("detach:replica" + std::to_string(i));
     }
@@ -229,7 +229,6 @@ void ControlPlane::Sweep() {
 
 void ControlPlane::DeclareDead(size_t replica, SimDuration age) {
   Tracked& t = tracked_[replica];
-  t.health = ReplicaHealth::kDead;
   // The epoch bump is the fence token: everything the old incarnation might
   // still try (sends, fetches, beats) is refused at the new epoch.
   ++t.epoch;
@@ -239,9 +238,9 @@ void ControlPlane::DeclareDead(size_t replica, SimDuration age) {
   Trace("declare-dead:replica" + std::to_string(replica) + ":epoch" +
         std::to_string(t.epoch));
   // Fence BEFORE failover: the replay that re-executes this replica's LIPs
-  // must never race a live original.
+  // must never race a live original. The failover marks the slot dead.
   cluster_->ControlFence(replica, t.epoch);
-  cluster_->ControlFailover(replica);
+  (void)cluster_->ControlFailover(replica);
   ++stats_.auto_failovers;
   if (replica == seat_ || replica == deputy_) {
     ChooseSeat(/*count_change=*/true);
@@ -254,7 +253,7 @@ void ControlPlane::ChooseSeat(bool count_change) {
   seat_ = kNoReplica;
   deputy_ = kNoReplica;
   for (size_t i = 0; i < tracked_.size(); ++i) {
-    if (!Monitorable(tracked_[i].health)) {
+    if (!Monitorable(i)) {
       continue;
     }
     if (seat_ == kNoReplica) {
@@ -315,7 +314,7 @@ void ControlPlane::TryReadmit(size_t replica) {
   EnsureTracked();
   SettleArrivals(replica);
   Tracked& t = tracked_[replica];
-  if (t.health != ReplicaHealth::kDead) {
+  if (cluster_->ControlState(replica) != ReplicaHealth::kDead) {
     return;
   }
   SimTime now = sim_->now();
@@ -336,8 +335,7 @@ void ControlPlane::TryReadmit(size_t replica) {
   if (!cluster_->ControlReadmit(replica, t.epoch)) {
     return;
   }
-  t.health = ReplicaHealth::kLive;
-  t.self_fenced = false;
+  t.suspected = false;
   t.joined_at = now;
   t.last_heartbeat = now;
   t.last_ok_send = now;
@@ -358,29 +356,21 @@ void ControlPlane::NoteReplicaAdded(size_t replica) {
   Kick();
 }
 
-void ControlPlane::NoteManualDeath(size_t replica) {
+Status ControlPlane::NoteManualDeath(size_t replica) {
   EnsureTracked();
+  // Settle first: the failover stops the slot being monitored, and beats
+  // that landed before this instant still count.
   SettleArrivals(replica);
-  Tracked& t = tracked_[replica];
-  if (t.health == ReplicaHealth::kDead ||
-      t.health == ReplicaHealth::kDetached) {
-    return;
-  }
-  t.health = ReplicaHealth::kDead;
-  ++t.epoch;
+  ++tracked_[replica].epoch;
+  Status status = cluster_->ControlFailover(replica);
   if (replica == seat_ || replica == deputy_) {
     ChooseSeat(/*count_change=*/true);
   }
+  return status;
 }
 
 void ControlPlane::NoteDrainStarted(size_t replica) {
-  EnsureTracked();
-  SettleArrivals(replica);
-  Tracked& t = tracked_[replica];
-  if (!Monitorable(t.health) || t.health == ReplicaHealth::kDraining) {
-    return;
-  }
-  t.health = ReplicaHealth::kDraining;
+  // A draining slot stays monitored, so there is nothing to settle.
   Trace("drain:replica" + std::to_string(replica));
   Kick();  // The sweep chain must run to finish the detach.
 }
@@ -435,7 +425,6 @@ void ControlPlane::EvaluateScaling() {
       }
     }
     if (victim != kNoReplica && cluster_->ControlStartDrain(victim)) {
-      tracked_[victim].health = ReplicaHealth::kDraining;
       last_scale_in_ = now;
       ++stats_.scale_ins;
       Trace("drain:replica" + std::to_string(victim));
@@ -450,7 +439,10 @@ ReplicaHealth ControlPlane::Health(size_t replica) const {
     return ReplicaHealth::kLive;
   }
   SettleArrivals(replica);
-  return tracked_[replica].health;
+  ReplicaHealth state = cluster_->ControlState(replica);
+  return state == ReplicaHealth::kLive && tracked_[replica].suspected
+             ? ReplicaHealth::kSuspected
+             : state;
 }
 
 uint64_t ControlPlane::Epoch(size_t replica) const {
@@ -463,8 +455,7 @@ uint64_t ControlPlane::Epoch(size_t replica) const {
 
 SimDuration ControlPlane::HeartbeatAge(size_t replica) const {
   SettleArrivals(replica);
-  if (replica >= tracked_.size() ||
-      !Monitorable(tracked_[replica].health) ||
+  if (replica >= tracked_.size() || !Monitorable(replica) ||
       tracked_[replica].last_heartbeat == 0) {
     return -1;
   }

@@ -42,6 +42,14 @@
 //     times only (heal instants, partition/link-down window ends), so the
 //     event queue never polls an unreachable replica forever.
 //
+//   * One lifecycle per slot. The cluster owns each slot's lifecycle state
+//     (live, draining, dead, detached) and is its only writer: a declare,
+//     a detach and a readmission each ask the cluster to make the change
+//     (ControlFailover, ControlDrainComplete, ControlReadmit). The detector
+//     reads the state through ClusterControl::ControlState and keeps only
+//     what is its own: a suspicion bit over live slots, the epoch, and the
+//     heartbeat bookkeeping. Health() is that state with suspicion laid on.
+//
 //   * Elasticity. A scaling loop EWMAs the cluster's admission signal
 //     (worst projected queue delay, submit-shed delta) and grows the fleet
 //     through ClusterControl::ControlAddReplica — the new replica attaches
@@ -64,10 +72,11 @@
 // the queue would already have dispatched — a beat landing at exactly a
 // sweep's or a reader's instant counts only if its stamp orders first —
 // with the arrival semantics of a scheduled event, and it runs in front of
-// every mutator (Sweep, TryReadmit, NoteManualDeath, NoteDrainStarted,
-// EvaluateScaling) and every reader (Health, Epoch, HeartbeatAge, stats).
-// Nothing changes a replica's epoch or health between two settles, so each
-// beat meets the state it would have met on arrival. A beat chain that
+// every transition that changes whether a slot is monitored (into dead or
+// detached, or out of dead: Sweep, TryReadmit, NoteManualDeath) and every
+// reader (Health, Epoch, HeartbeatAge, stats). Nothing changes a replica's
+// epoch or whether it is monitored between two settles, so each beat meets
+// the state it would have met on arrival. A beat chain that
 // stops with beats still in flight schedules one event at the latest
 // arrival, so the clock still runs to it.
 //
@@ -89,6 +98,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/faults/fault_plan.h"
 #include "src/net/topology.h"
 #include "src/sim/event_queue.h"
@@ -99,10 +109,13 @@ namespace symphony {
 
 inline constexpr size_t kNoReplica = SIZE_MAX;
 
+// A replica slot's lifecycle. The cluster keeps one of kLive, kDraining,
+// kDead or kDetached per slot; kSuspected exists only in the detector's
+// view (ControlPlane::Health), laid over a live slot.
 enum class ReplicaHealth {
-  kLive,       // Beats arriving within suspect_after.
-  kSuspected,  // Beats missing; routing de-prefers it; not yet declared.
-  kDead,       // Declared dead: fenced, failed over, awaiting readmission.
+  kLive,       // Serving (its process may still have crashed or been fenced).
+  kSuspected,  // Live, but beats missing; routing de-prefers it.
+  kDead,       // Failed over: killed, or declared dead; maybe readmitted.
   kDraining,   // Scale-in: migrating LIPs off before detach.
   kDetached,   // Drained and removed from service (terminal).
 };
@@ -193,31 +206,35 @@ class ClusterControl {
   };
 
   virtual size_t ControlReplicaCount() const = 0;
-  // True while `replica` can emit heartbeats (not dead, fenced, or halted).
+  // The slot's lifecycle state: kLive, kDraining, kDead or kDetached.
+  virtual ReplicaHealth ControlState(size_t replica) const = 0;
+  // True while `replica` can emit heartbeats: its runtime is not halted (a
+  // crash, a fence, a failover and a detach all halt it).
   virtual bool ControlBeating(size_t replica) const = 0;
   // True while the cluster has undone work (records, live LIPs, queued
   // admissions, active drains). Gates every control chain.
   virtual bool ControlHasWork() const = 0;
-  // When the replica's process is healthy again: 0 = already (fence-only),
-  // a future SimTime = crash heal instant, negative = never (permanent
-  // crash or manual kill — readmission is impossible).
+  // When the replica's process is healthy again: 0 = never crashed
+  // (fence-only), else the crash's heal instant; negative = never (permanent
+  // crash, manual kill or detach — readmission is impossible).
   virtual SimTime ControlHealAt(size_t replica) const = 0;
   // Fences `replica` at `epoch`: halts its runtime and marks it refused at
   // the IPC fabric and snapshot store. Idempotent.
   virtual void ControlFence(size_t replica, uint64_t epoch) = 0;
-  // Journaled failover of every LIP hosted on the (already fenced) replica,
-  // spread across placeable survivors.
-  virtual void ControlFailover(size_t replica) = 0;
-  // Rebuilds the replica slot fresh and returns it to service at `epoch`.
-  // False when readmission is impossible (retired slot, still down).
+  // Marks the slot kDead, halts it, and fails every LIP it hosts over to
+  // placeable survivors from their journals.
+  virtual Status ControlFailover(size_t replica) = 0;
+  // Rebuilds a kDead slot fresh and returns it to service (kLive) at
+  // `epoch`. False when readmission is impossible (never heals, still down).
   virtual bool ControlReadmit(size_t replica, uint64_t epoch) = 0;
   // Grows the fleet by one replica (topology attach + fabric wiring);
   // returns the new index, or kNoReplica when refused.
   virtual size_t ControlAddReplica() = 0;
-  // Starts draining `replica` (stops placement, migrates its LIPs off).
+  // Starts draining `replica` (kDraining: stops placement, migrates its
+  // LIPs off).
   virtual bool ControlStartDrain(size_t replica) = 0;
-  // Retries straggler migrations and, once nothing is hosted, detaches the
-  // replica. True when fully detached.
+  // For a draining replica: retries straggler migrations and, once nothing
+  // is hosted, detaches it (kDetached). True when it detached.
   virtual bool ControlDrainComplete(size_t replica) = 0;
   virtual LoadSignal ControlLoadSignal() const = 0;
 };
@@ -244,11 +261,13 @@ class ControlPlane {
   // The replica's crashed process healed (FaultPlan down_for): try to
   // readmit it now.
   void NoteReplicaHealed(size_t replica);
-  // KillReplica was called manually: record the death (epoch bump, no
-  // probes — manual kills stay permanent, the legacy contract).
-  void NoteManualDeath(size_t replica);
-  // DrainReplica was called manually: track the drain so the sweep finishes
-  // the detach (the scaling loop flips this itself for its own drains).
+  // KillReplica was called manually: settles the replica's beats, bumps its
+  // epoch, runs the cluster's failover, then re-chooses the seat. No
+  // probes — manual kills stay permanent, the legacy contract. Returns the
+  // failover's status.
+  Status NoteManualDeath(size_t replica);
+  // DrainReplica started a drain: make sure the sweep runs to finish the
+  // detach.
   void NoteDrainStarted(size_t replica);
 
   // Readers settle arrivals first (see the file comment).
@@ -266,8 +285,9 @@ class ControlPlane {
     Simulator::Stamp stamp;
     uint64_t epoch = 0;
   };
+  // The detector's own view of a slot; its lifecycle lives in the cluster.
   struct Tracked {
-    ReplicaHealth health = ReplicaHealth::kLive;
+    bool suspected = false;  // Beats late on a live slot.
     uint64_t epoch = 1;
     // Grace anchor: (re)join/seat-change time; ages are measured from
     // max(last_heartbeat, joined_at) so a fresh member is never judged on
@@ -281,21 +301,20 @@ class ControlPlane {
     SimTime last_ok_send = 0;    // Last beat that left the replica.
     uint64_t beat_seq = 0;       // Jitter stream position.
     bool loop_running = false;   // A Beat event chain is pending.
-    bool self_fenced = false;
     std::string label;           // "hb:replica<i>", the beat's link label.
   };
 
   void EnsureTracked();
-  bool Monitorable(ReplicaHealth health) const {
-    return health == ReplicaHealth::kLive ||
-           health == ReplicaHealth::kSuspected ||
-           health == ReplicaHealth::kDraining;
+  // Heartbeats are sent and judged for live and draining slots only.
+  bool Monitorable(size_t replica) const {
+    ReplicaHealth state = cluster_->ControlState(replica);
+    return state == ReplicaHealth::kLive || state == ReplicaHealth::kDraining;
   }
   void StartBeat(size_t replica);
   void Beat(size_t replica);
   // Applies a beat arriving at `at`: dropped unless it carries the
   // replica's current epoch and the replica is still monitored.
-  void RecordArrival(const Tracked& t, uint64_t epoch, SimTime at) const;
+  void RecordArrival(size_t replica, uint64_t epoch, SimTime at) const;
   // Applies every in-flight beat the event queue has already passed.
   void SettleArrivals(size_t replica) const;
   void SettleArrivals() const;

@@ -71,8 +71,6 @@ class Dfa {
     return state == kDead || !live_[state];
   }
 
-  size_t num_states() const { return accept_.size(); }
-
  private:
   friend StatusOr<std::unique_ptr<Dfa>> CompileRegex(std::string_view pattern,
                                                      size_t max_states);

@@ -26,9 +26,6 @@ struct SamplerConfig {
 // Samples one token according to config. `u` must be uniform in [0,1).
 TokenId SampleToken(const Distribution& dist, const SamplerConfig& config, double u);
 
-// Convenience wrappers.
-inline TokenId GreedyToken(const Distribution& dist) { return dist.Argmax(); }
-
 }  // namespace symphony
 
 #endif  // SRC_DECODE_SAMPLERS_H_

@@ -16,23 +16,6 @@ SimDuration Device::EstimateTime(std::span<const WorkItem> items,
   return std::max(compute, cost_.TransferTime(transfer_bytes));
 }
 
-SimDuration Device::EstimateChunkedTime(const WorkItem& item,
-                                        uint64_t chunk_tokens) const {
-  if (chunk_tokens == 0 || item.new_tokens <= chunk_tokens) {
-    WorkItem whole = item;
-    return cost_.BatchTime({&whole, 1});
-  }
-  SimDuration total = 0;
-  uint64_t done = 0;
-  while (done < item.new_tokens) {
-    uint64_t take = std::min(chunk_tokens, item.new_tokens - done);
-    WorkItem chunk{take, item.context_start + done};
-    total += cost_.BatchTime({&chunk, 1});
-    done += take;
-  }
-  return total;
-}
-
 SimTime Device::Execute(std::vector<WorkItem> items, uint64_t transfer_bytes,
                         std::function<void()> done) {
   assert(!busy_ && "device already executing a batch");

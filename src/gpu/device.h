@@ -50,15 +50,6 @@ class Device {
   SimDuration EstimateTime(std::span<const WorkItem> items,
                            uint64_t transfer_bytes) const;
 
-  // Predicted time to execute `item` as position-contiguous chunks of at
-  // most `chunk_tokens` new tokens each, one chunk per batch with the
-  // context growing between chunks (0 = a single unchunked batch). The gap
-  // vs EstimateTime({item}, 0) is the per-chunk launch overhead a scheduler
-  // pays for stall-free packing; handoff cost gates use it to price a
-  // prefill before it happens.
-  SimDuration EstimateChunkedTime(const WorkItem& item,
-                                  uint64_t chunk_tokens) const;
-
   // Busy fraction since simulation start.
   double Utilization() const;
 

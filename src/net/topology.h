@@ -153,7 +153,6 @@ class NetworkTopology {
   SimDuration Distance(size_t from, size_t to);
 
   size_t replica_count() const { return replica_count_; }
-  const std::string& node_name(size_t id) const { return names_[id]; }
   const TopologyOptions& options() const { return options_; }
   const TopologyStats& stats() const { return stats_; }
   // Every link that carried traffic, in deterministic (from, to) order.

@@ -134,8 +134,6 @@ void LipRuntime::Ready(ThreadId thread) {
                       [this, thread] { Resume(thread); });
 }
 
-void LipRuntime::WakeSoon(ThreadId thread) { Ready(thread); }
-
 void LipRuntime::Resume(ThreadId thread) {
   if (halted_) {
     return;
@@ -332,11 +330,6 @@ Status LipRuntime::BeginReplay(LipId lip, RecoveryMode mode,
     proc.replay->complete = true;  // Empty journal: live immediately.
   }
   return Status::Ok();
-}
-
-bool LipRuntime::ReplayActive(LipId lip) const {
-  const Process& proc = GetProcess(lip);
-  return proc.replay != nullptr && !proc.replay->complete;
 }
 
 void LipRuntime::Halt() {

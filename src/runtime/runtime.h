@@ -210,9 +210,6 @@ class LipRuntime {
   // model config to reconstruct Distributions from journaled states.
   Status BeginReplay(LipId lip, RecoveryMode mode, const ModelConfig* config);
 
-  // True while `lip` still has journaled entries to consume.
-  bool ReplayActive(LipId lip) const;
-
   // Kills the whole runtime (replica failure): no thread ever resumes and
   // pending completions become no-ops. Coroutine frames stay allocated until
   // destruction so in-flight completions writing result slots stay safe.
@@ -267,10 +264,6 @@ class LipRuntime {
 
   // Makes `thread` runnable; it resumes after resume_overhead.
   void Ready(ThreadId thread);
-
-  // Schedules a wake of `thread` at now (used for error completions so the
-  // caller never resumes a coroutine from inside await_suspend).
-  void WakeSoon(ThreadId thread);
 
   // pred syscall plumbing. The completion callback writes into `result`
   // (which lives in the suspended coroutine frame) and wakes the thread.

@@ -13,19 +13,6 @@ SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
     : sim_(sim), options_(std::move(options)) {
   assert(sim != nullptr);
   assert(options_.replicas > 0);
-  replicas_.reserve(options_.replicas);
-  for (size_t i = 0; i < options_.replicas; ++i) {
-    replicas_.push_back(BuildReplica(i));
-  }
-  roles_ = options_.roles;
-  roles_.resize(options_.replicas, ReplicaRole::kUnified);
-  launched_per_replica_.assign(options_.replicas, 0);
-  dead_.assign(options_.replicas, false);
-  draining_.assign(options_.replicas, false);
-  fenced_.assign(options_.replicas, false);
-  crashed_.assign(options_.replicas, false);
-  retired_.assign(options_.replicas, false);
-  crash_heal_at_.assign(options_.replicas, -1);
   cost_model_ = std::make_unique<CostModel>(options_.server.model,
                                             options_.server.hardware);
   // ONE topology instance routes every cross-replica byte: IPC, journal
@@ -46,22 +33,20 @@ SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
   fabric_ = std::make_unique<IpcFabric>(
       sim_, cost_model_.get(), options_.server.fault_plan,
       options_.server.trace, options_.ipc, topology_.get());
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    fabric_->AttachReplica(i, &replicas_[i]->runtime());
-    replicas_[i]->runtime().set_channel_fabric(fabric_.get(), i);
-    // Credit backpressure feeds admission: parked senders on a replica
-    // inflate its projected queue delay, steering Submit's reroute tier
-    // toward less-congested replicas.
-    replicas_[i]->set_backpressure_hook(
-        [fabric = fabric_.get(), i] { return fabric->BackpressureDelay(i); });
-    InstallDisaggHook(i);
+  // Replicas beyond options_.roles are kUnified.
+  slots_.resize(options_.replicas);
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (i < options_.roles.size()) {
+      slots_[i].role = options_.roles[i];
+    }
+    BuildReplica(i);
   }
   // Arm the fault plan's replica-kill schedule. Kills route through the
   // normal KillReplica path, so with recovery enabled the victims fail over.
   if (options_.server.fault_plan != nullptr) {
     for (const auto& [replica, at] : options_.server.fault_plan->replica_kills()) {
       sim_->ScheduleAt(at, [this, replica = replica] {
-        if (replica < replicas_.size() && !dead_[replica]) {
+        if (replica < slots_.size() && !replica_dead(replica)) {
           (void)KillReplica(replica);
         }
       });
@@ -85,31 +70,51 @@ SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
   }
 }
 
-std::unique_ptr<SymphonyServer> SymphonyCluster::BuildReplica(
-    size_t index) {
+void SymphonyCluster::BuildReplica(size_t index) {
+  ReplicaSlot& slot = slots_[index];
+  // Readmission replaces the old incarnation. It is parked, not destroyed:
+  // pending simulator events may still name its (halted) runtime.
+  bool readmitted = slot.server != nullptr;
+  if (readmitted) {
+    retired_servers_.push_back(std::move(slot.server));
+  }
   ServerOptions server_options = options_.server;
   // Decorrelate per-replica randomness (tool latencies etc.). A readmitted
   // slot rebuilds with the same seeds: determinism is per slot, and the
   // replayed LIPs draw from their own uid-derived streams anyway.
   server_options.runtime.seed = options_.server.runtime.seed + index * 7919;
   server_options.tool_seed = options_.server.tool_seed + index * 104729;
-  auto server = std::make_unique<SymphonyServer>(sim_, server_options);
-  server->scheduler().set_queue_wait_hook(
+  slot.server = std::make_unique<SymphonyServer>(sim_, server_options);
+  SymphonyServer& server = *slot.server;
+  server.scheduler().set_queue_wait_hook(
       [this](double wait_ms) { queue_waits_ms_.Add(wait_ms); });
   // Same setup for every incarnation of the slot: a replica rebuilt by
   // readmission (or added by scale-out) must serve the same tools as the
   // original fleet, or replayed/new LIPs would observe a different server.
   if (options_.configure_replica) {
-    options_.configure_replica(*server, index);
+    options_.configure_replica(server, index);
   }
-  return server;
+  if (readmitted) {
+    fabric_->ReviveReplica(index, &server.runtime());
+  } else {
+    fabric_->AttachReplica(index, &server.runtime());
+  }
+  server.runtime().set_channel_fabric(fabric_.get(), index);
+  // Credit backpressure feeds admission: parked senders on a replica
+  // inflate its projected queue delay, steering Submit's reroute tier
+  // toward less-congested replicas.
+  server.set_backpressure_hook(
+      [fabric = fabric_.get(), index] {
+        return fabric->BackpressureDelay(index);
+      });
+  InstallDisaggHook(index);  // The slot keeps its role across incarnations.
 }
 
 std::vector<uint64_t> SymphonyCluster::StrandedLips() const {
   std::vector<uint64_t> stranded;
   for (const auto& entry : records_) {
     const LipRecord& rec = entry.second;
-    if (!rec.done && !rec.in_flight && dead_[rec.replica]) {
+    if (!rec.done && !rec.in_flight && replica_dead(rec.replica)) {
       stranded.push_back(rec.uid);
     }
   }
@@ -118,8 +123,13 @@ std::vector<uint64_t> SymphonyCluster::StrandedLips() const {
 }
 
 bool SymphonyCluster::Placeable(size_t index) const {
-  return !dead_[index] && !draining_[index] &&
-         !replicas_[index]->runtime().halted();
+  const ReplicaSlot& slot = slots_[index];
+  return slot.state == ReplicaHealth::kLive &&
+         !slot.server->runtime().halted();
+}
+
+size_t SymphonyCluster::LiveLips(size_t index) const {
+  return slots_[index].server->runtime().live_lips();
 }
 
 bool SymphonyCluster::Avoided(size_t index) const {
@@ -128,7 +138,7 @@ bool SymphonyCluster::Avoided(size_t index) const {
 }
 
 ReplicaRole SymphonyCluster::RoleOf(size_t index) const {
-  return index < roles_.size() ? roles_[index] : ReplicaRole::kUnified;
+  return slots_[index].role;
 }
 
 bool SymphonyCluster::InServePool(size_t index) const {
@@ -136,7 +146,7 @@ bool SymphonyCluster::InServePool(size_t index) const {
 }
 
 bool SymphonyCluster::HasPrefillPool() const {
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
     if (RoleOf(i) == ReplicaRole::kPrefill) {
       return true;
     }
@@ -147,11 +157,11 @@ bool SymphonyCluster::HasPrefillPool() const {
 size_t SymphonyCluster::LeastLoadedPrefill() const {
   size_t best = kNoReplica;
   size_t best_load = SIZE_MAX;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
     if (RoleOf(i) != ReplicaRole::kPrefill || !Placeable(i) || Avoided(i)) {
       continue;
     }
-    size_t load = replicas_[i]->runtime().live_lips();
+    size_t load = LiveLips(i);
     if (load < best_load) {
       best = i;
       best_load = load;
@@ -170,20 +180,20 @@ size_t SymphonyCluster::LeastLoaded() const {
   // every replica in the serve pool, preserving the legacy pick exactly.
   for (int pool = 0; pool < 2; ++pool) {
     for (int pass = 0; pass < 2; ++pass) {
-      size_t best = replicas_.size();
+      size_t best = slots_.size();
       size_t best_load = SIZE_MAX;
-      for (size_t i = 0; i < replicas_.size(); ++i) {
+      for (size_t i = 0; i < slots_.size(); ++i) {
         if (!Placeable(i) || (pool == 0 && !InServePool(i)) ||
             (pass == 0 && Avoided(i))) {
           continue;
         }
-        size_t load = replicas_[i]->runtime().live_lips();
+        size_t load = LiveLips(i);
         if (load < best_load) {
           best = i;
           best_load = load;
         }
       }
-      if (best < replicas_.size()) {
+      if (best < slots_.size()) {
         return best;
       }
     }
@@ -196,8 +206,8 @@ size_t SymphonyCluster::FirstLiveFrom(size_t preferred) const {
   // Same pool preference as LeastLoaded: serve-pool replicas first.
   for (int pool = 0; pool < 2; ++pool) {
     for (int pass = 0; pass < 2; ++pass) {
-      for (size_t probe = 0; probe < replicas_.size(); ++probe) {
-        size_t i = (preferred + probe) % replicas_.size();
+      for (size_t probe = 0; probe < slots_.size(); ++probe) {
+        size_t i = (preferred + probe) % slots_.size();
         if (Placeable(i) && (pool == 1 || InServePool(i)) &&
             (pass == 1 || !Avoided(i))) {
           return i;
@@ -229,7 +239,7 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
   switch (options_.routing) {
     case RoutingPolicy::kRoundRobin: {
       size_t replica = FirstLiveFrom(next_round_robin_);
-      next_round_robin_ = (replica + 1) % replicas_.size();
+      next_round_robin_ = (replica + 1) % slots_.size();
       return replica;
     }
     case RoutingPolicy::kLeastLoaded:
@@ -239,26 +249,26 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
         return LeastLoaded();
       }
       return FirstLiveFrom(
-          static_cast<size_t>(Fnv1a(affinity_key) % replicas_.size()));
+          static_cast<size_t>(Fnv1a(affinity_key) % slots_.size()));
     case RoutingPolicy::kAffinityBounded: {
       if (affinity_key.empty()) {
         return LeastLoaded();
       }
       size_t preferred = FirstLiveFrom(
-          static_cast<size_t>(Fnv1a(affinity_key) % replicas_.size()));
+          static_cast<size_t>(Fnv1a(affinity_key) % slots_.size()));
       size_t total_live = 0;
       size_t live_replicas = 0;
-      for (size_t i = 0; i < replicas_.size(); ++i) {
+      for (size_t i = 0; i < slots_.size(); ++i) {
         if (!Placeable(i)) {
           continue;
         }
-        total_live += replicas_[i]->runtime().live_lips();
+        total_live += LiveLips(i);
         ++live_replicas;
       }
       double average = static_cast<double>(total_live + 1) /
                        static_cast<double>(live_replicas);
       double bound = options_.load_factor * average;
-      if (static_cast<double>(replicas_[preferred]->runtime().live_lips() + 1) <=
+      if (static_cast<double>(LiveLips(preferred) + 1) <=
           bound) {
         return preferred;
       }
@@ -309,7 +319,7 @@ std::function<void(LipId)> SymphonyCluster::MakeOnExit(uint64_t uid) {
     rec.done = true;
     // Cache the output: the hosting slot may be rebuilt by readmission after
     // this LIP is gone, and Output() must keep answering.
-    rec.output = replicas_[rec.replica]->runtime().Output(lip);
+    rec.output = slots_[rec.replica].server->runtime().Output(lip);
     // The journal's life is over: drop its checkpoint's store reference.
     if (rec.journal != nullptr && rec.journal->checkpoint_key() != 0) {
       (void)store_->Release(rec.journal->checkpoint_key());
@@ -354,7 +364,7 @@ void SymphonyCluster::InstallDisaggHook(size_t index) {
   if (RoleOf(index) != ReplicaRole::kPrefill || !options_.enable_recovery) {
     return;
   }
-  replicas_[index]->scheduler().set_prefill_complete_hook(
+  slots_[index].server->scheduler().set_prefill_complete_hook(
       [this, index](LipId lip, uint64_t context_tokens) {
         // Map the runtime LIP back to its cluster record; the handoff runs
         // one dispatch later so the pred result settles into its coroutine
@@ -379,7 +389,7 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
     return;
   }
   LipRecord& rec = it->second;
-  if (rec.done || rec.in_flight || dead_[rec.replica] ||
+  if (rec.done || rec.in_flight || replica_dead(rec.replica) ||
       RoleOf(rec.replica) != ReplicaRole::kPrefill) {
     return;
   }
@@ -397,11 +407,11 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
   // Least-loaded placeable serve-pool target (never another prefill slot).
   size_t target = kNoReplica;
   size_t best_load = SIZE_MAX;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
     if (i == rec.replica || !Placeable(i) || !InServePool(i) || Avoided(i)) {
       continue;
     }
-    size_t load = replicas_[i]->runtime().live_lips();
+    size_t load = LiveLips(i);
     if (load < best_load) {
       target = i;
       best_load = load;
@@ -453,11 +463,11 @@ SymphonyCluster::ClusterLip SymphonyCluster::Launch(
     uint64_t prefill_hint_tokens, LipProgram program,
     std::function<void(LipId)> on_exit) {
   size_t replica = RouteFor(affinity_key, prefill_hint_tokens);
-  ++launched_per_replica_[replica];
+  ++slots_[replica].launched;
   MaybeShedOnOverflow();
   if (!options_.enable_recovery) {
-    LipId lip = replicas_[replica]->Launch(std::move(name), std::move(program),
-                                           std::move(on_exit));
+    LipId lip = slots_[replica].server->Launch(
+        std::move(name), std::move(program), std::move(on_exit));
     if (ctrl_ != nullptr) {
       ctrl_->Kick();  // New work: (re)arm heartbeat/sweep/scaling chains.
     }
@@ -476,7 +486,7 @@ SymphonyCluster::ClusterLip SymphonyCluster::Launch(
   // rather than the replica's decorrelated runtime seed.
   uint64_t seed =
       Mix64(options_.server.runtime.seed ^ (0x5eedULL + uid * 0x9e3779b9ULL));
-  LipRuntime& runtime = replicas_[replica]->runtime();
+  LipRuntime& runtime = slots_[replica].server->runtime();
   rec.lip = runtime.LaunchWithSeed(std::move(name), seed, std::move(program),
                                    MakeOnExit(uid));
   runtime.EnableJournal(rec.lip, rec.journal);
@@ -500,13 +510,13 @@ SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
   if (options_.reroute_on_reject) {
     // (suspected, live lips, replica)
     std::vector<std::tuple<bool, size_t, size_t>> rest;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
       // Prefill-role replicas never serve as reroute fallbacks: rerouted
       // work is by definition not a routed large prefill.
       if (i == preferred || !Placeable(i) || !InServePool(i)) {
         continue;
       }
-      rest.emplace_back(Avoided(i), replicas_[i]->runtime().live_lips(), i);
+      rest.emplace_back(Avoided(i), LiveLips(i), i);
     }
     std::sort(rest.begin(), rest.end());
     for (const auto& [avoided, load, i] : rest) {
@@ -519,9 +529,9 @@ SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
   for (size_t c : candidates) {
     // LaunchSpec is copyable (LipProgram re-invokes); keep ours for the
     // next candidate.
-    SymphonyServer::AdmitResult result = replicas_[c]->Submit(spec);
+    SymphonyServer::AdmitResult result = slots_[c].server->Submit(spec);
     if (result.status.ok()) {
-      ++launched_per_replica_[c];
+      ++slots_[c].launched;
       ClusterAdmitResult out;
       out.result = std::move(result);
       out.replica = c;
@@ -645,7 +655,7 @@ void SymphonyCluster::StartReplay(uint64_t uid, size_t target,
     // in flight; divert to a survivor (the journal bytes already moved — no
     // second shipping charge).
     bool any_live = false;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
       any_live = any_live || Placeable(i);
     }
     if (!any_live) {
@@ -659,7 +669,7 @@ void SymphonyCluster::StartReplay(uint64_t uid, size_t target,
   size_t old_replica = rec.replica;
   LipId old_lip = rec.lip;
   ReplayOutcome outcome = Replayer::Replay(
-      replicas_[target]->runtime(), *cost_model_, &options_.server.model,
+      slots_[target].server->runtime(), *cost_model_, &options_.server.model,
       journal, rec.program, options_.recovery_mode, MakeOnExit(uid));
   fabric_->RehomeEndpoint(old_replica, old_lip, target, outcome.lip);
   rec.replica = target;
@@ -676,29 +686,28 @@ void SymphonyCluster::StartReplay(uint64_t uid, size_t target,
 }
 
 Status SymphonyCluster::KillReplica(size_t index) {
-  if (index >= replicas_.size()) {
+  if (index >= slots_.size()) {
     return InvalidArgumentError("no replica " + std::to_string(index));
   }
-  if (dead_[index]) {
+  if (replica_dead(index)) {
     return FailedPreconditionError("replica " + std::to_string(index) +
                                    " already dead");
   }
-  // Manual kills are permanent: the slot is retired (never readmitted) and
-  // the control plane is told so it stops monitoring instead of burning a
-  // detection window discovering what the caller already knows.
-  retired_[index] = true;
+  // Manual kills are permanent: the slot is never readmitted. With a
+  // control plane the kill runs through its failover path, which settles
+  // the slot's heartbeats before the slot stops being monitored; the
+  // detector never has to discover what the caller already knows.
+  slots_[index].heal_at = -1;
   if (ctrl_ != nullptr) {
-    ctrl_->NoteManualDeath(index);
+    return ctrl_->NoteManualDeath(index);
   }
-  return FailReplica(index);
+  return ControlFailover(index);
 }
 
-Status SymphonyCluster::FailReplica(size_t index) {
-  if (dead_[index]) {
-    return Status::Ok();  // ControlFailover after a manual kill raced: done.
-  }
-  dead_[index] = true;
-  LipRuntime& runtime = replicas_[index]->runtime();
+Status SymphonyCluster::ControlFailover(size_t index) {
+  assert(!replica_dead(index));
+  slots_[index].state = ReplicaHealth::kDead;  // Even if it was draining.
+  LipRuntime& runtime = slots_[index].server->runtime();
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant("recovery",
                                    "kill:replica" + std::to_string(index),
@@ -723,7 +732,7 @@ Status SymphonyCluster::FailReplica(size_t index) {
     return Status::Ok();
   }
   bool any_live = false;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
     any_live = any_live || Placeable(i);
   }
   if (!any_live) {
@@ -735,15 +744,15 @@ Status SymphonyCluster::FailReplica(size_t index) {
   // longer have to re-execute against each other on one replica. Sort first —
   // records_ iteration order is unordered and placement must be stable.
   std::sort(victims.begin(), victims.end());
-  std::vector<size_t> planned(replicas_.size(), 0);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    planned[i] = Placeable(i) ? replicas_[i]->runtime().live_lips() : SIZE_MAX;
+  std::vector<size_t> planned(slots_.size(), 0);
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    planned[i] = Placeable(i) ? LiveLips(i) : SIZE_MAX;
   }
   for (uint64_t uid : victims) {
     size_t target = 0;
     size_t best = SIZE_MAX;
     SimDuration best_dist = 0;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
       if (!Placeable(i)) {
         continue;
       }
@@ -768,25 +777,25 @@ Status SymphonyCluster::FailReplica(size_t index) {
 }
 
 Status SymphonyCluster::CrashReplica(size_t index, SimDuration down_for) {
-  if (index >= replicas_.size()) {
+  if (index >= slots_.size()) {
     return InvalidArgumentError("no replica " + std::to_string(index));
   }
-  if (dead_[index] || crashed_[index]) {
+  ReplicaSlot& slot = slots_[index];
+  if (replica_dead(index) || slot.heal_at != 0) {
     return FailedPreconditionError("replica " + std::to_string(index) +
                                    " already down");
   }
-  crashed_[index] = true;
-  crash_heal_at_[index] = down_for < 0 ? -1 : sim_->now() + down_for;
-  // Silent: the runtime halts (its heartbeats stop with it) but no cluster
-  // component is marked dead — detection is the control plane's job.
-  replicas_[index]->runtime().Halt();
+  slot.heal_at = down_for < 0 ? -1 : sim_->now() + down_for;
+  // Silent: the runtime halts (its heartbeats stop with it) but the slot
+  // stays live — detection is the control plane's job.
+  slot.server->runtime().Halt();
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant("recovery",
                                    "crash:replica" + std::to_string(index),
                                    sim_->now());
   }
   if (down_for >= 0) {
-    sim_->ScheduleAt(crash_heal_at_[index], [this, index] {
+    sim_->ScheduleAt(slot.heal_at, [this, index] {
       if (ctrl_ != nullptr) {
         ctrl_->NoteReplicaHealed(index);
       }
@@ -804,7 +813,7 @@ size_t SymphonyCluster::AddReplica() {
 }
 
 Status SymphonyCluster::DrainReplica(size_t index) {
-  if (index >= replicas_.size()) {
+  if (index >= slots_.size()) {
     return InvalidArgumentError("no replica " + std::to_string(index));
   }
   if (!options_.enable_recovery) {
@@ -825,8 +834,9 @@ Status SymphonyCluster::DrainReplica(size_t index) {
 
 void SymphonyCluster::PollDrain(size_t index) {
   // Manual drains without a control plane finish through this small chain;
-  // it dies with the draining_ flag, so Simulator::Run still terminates.
-  if (!draining_[index]) {
+  // it stops once the slot leaves kDraining (detached or killed), so
+  // Simulator::Run still terminates.
+  if (!replica_draining(index)) {
     return;
   }
   if (!ControlDrainComplete(index)) {
@@ -837,13 +847,15 @@ void SymphonyCluster::PollDrain(size_t index) {
 // ---- ClusterControl (src/ctrl) -----------------------------------------
 
 size_t SymphonyCluster::ControlReplicaCount() const {
-  return replicas_.size();
+  return slots_.size();
+}
+
+ReplicaHealth SymphonyCluster::ControlState(size_t replica) const {
+  return slots_[replica].state;
 }
 
 bool SymphonyCluster::ControlBeating(size_t replica) const {
-  return replica < replicas_.size() && !dead_[replica] &&
-         !crashed_[replica] && !fenced_[replica] &&
-         !replicas_[replica]->runtime().halted();
+  return !slots_[replica].server->runtime().halted();
 }
 
 bool SymphonyCluster::ControlHasWork() const {
@@ -852,12 +864,12 @@ bool SymphonyCluster::ControlHasWork() const {
       return true;  // Includes LIPs stranded on a crashed replica.
     }
   }
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (draining_[i]) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (replica_draining(i)) {
       return true;
     }
-    if (Placeable(i) && (replicas_[i]->runtime().live_lips() > 0 ||
-                         replicas_[i]->admission_queue_depth() > 0)) {
+    if (Placeable(i) && (LiveLips(i) > 0 ||
+                         slots_[i].server->admission_queue_depth() > 0)) {
       return true;
     }
   }
@@ -865,60 +877,34 @@ bool SymphonyCluster::ControlHasWork() const {
 }
 
 SimTime SymphonyCluster::ControlHealAt(size_t replica) const {
-  if (retired_[replica]) {
-    return -1;  // Manual kill / detached drain: permanent.
-  }
-  if (crashed_[replica]) {
-    return crash_heal_at_[replica];  // -1 when the crash never heals.
-  }
-  return 0;  // Fence-only (false suspicion): the process never went away.
+  return slots_[replica].heal_at;
 }
 
 void SymphonyCluster::ControlFence(size_t replica, uint64_t epoch) {
   // Halt + refusal at every shared surface BEFORE any LIP is re-executed
   // elsewhere: the old incarnation must be provably inert.
-  replicas_[replica]->runtime().Halt();
+  slots_[replica].server->runtime().Halt();
   fabric_->FenceReplica(replica, epoch);
   store_->SetReplicaFenced(replica, true);
-  fenced_[replica] = true;
-}
-
-void SymphonyCluster::ControlFailover(size_t replica) {
-  (void)FailReplica(replica);  // Counts one failover per victim LIP.
 }
 
 bool SymphonyCluster::ControlReadmit(size_t replica, uint64_t epoch) {
-  if (retired_[replica] || !dead_[replica]) {
-    return false;
-  }
-  if (crashed_[replica] && (crash_heal_at_[replica] < 0 ||
-                            crash_heal_at_[replica] > sim_->now())) {
-    return false;  // Process still down.
+  ReplicaSlot& slot = slots_[replica];
+  if (slot.state != ReplicaHealth::kDead || slot.heal_at < 0 ||
+      slot.heal_at > sim_->now()) {
+    return false;  // Never heals, or the process is still down.
   }
   // Collect stranded LIPs while this slot is still marked dead: a failover
   // that found no placeable survivor (everyone fenced by a symmetric
   // partition) left their records behind, and the readmitted replica is the
   // first capacity able to rescue them.
   std::vector<uint64_t> stranded = StrandedLips();
-  // The old incarnation's state is gone; rebuild the slot fresh. The old
-  // server object is parked, not destroyed — pending simulator events may
-  // still name its (halted) runtime.
-  retired_servers_.push_back(std::move(replicas_[replica]));
-  replicas_[replica] = BuildReplica(replica);
-  fabric_->ReviveReplica(replica, &replicas_[replica]->runtime());
-  replicas_[replica]->runtime().set_channel_fabric(fabric_.get(), replica);
-  replicas_[replica]->set_backpressure_hook(
-      [fabric = fabric_.get(), replica] {
-        return fabric->BackpressureDelay(replica);
-      });
-  InstallDisaggHook(replica);  // The slot keeps its original role.
+  // The old incarnation's state is gone; rebuild the slot fresh.
+  BuildReplica(replica);
   store_->SetReplicaFenced(replica, false);
   store_->ForgetReplica(replica);
-  dead_[replica] = false;
-  fenced_[replica] = false;
-  crashed_[replica] = false;
-  draining_[replica] = false;
-  crash_heal_at_[replica] = -1;
+  slot.state = ReplicaHealth::kLive;
+  slot.heal_at = 0;
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant(
         "recovery", "readmit:replica" + std::to_string(replica) + "@epoch" +
@@ -944,12 +930,12 @@ size_t SymphonyCluster::ControlAddReplica() {
     SimDuration serve_delay = 0;
     size_t prefill_lips = 0;
     size_t serve_lips = 0;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
       if (!Placeable(i)) {
         continue;
       }
-      SimDuration delay = replicas_[i]->ProjectedAdmissionDelay();
-      size_t lips = replicas_[i]->runtime().live_lips();
+      SimDuration delay = slots_[i].server->ProjectedAdmissionDelay();
+      size_t lips = LiveLips(i);
       if (InServePool(i)) {
         serve_delay = std::max(serve_delay, delay);
         serve_lips += lips;
@@ -964,24 +950,9 @@ size_t SymphonyCluster::ControlAddReplica() {
     }
   }
   size_t index = topology_->AddReplica();
-  assert(index == replicas_.size());
-  replicas_.push_back(BuildReplica(index));
-  roles_.resize(index, ReplicaRole::kUnified);  // Paranoia: stay aligned.
-  roles_.push_back(role);
-  launched_per_replica_.push_back(0);
-  dead_.push_back(false);
-  draining_.push_back(false);
-  fenced_.push_back(false);
-  crashed_.push_back(false);
-  retired_.push_back(false);
-  crash_heal_at_.push_back(-1);
-  fabric_->AttachReplica(index, &replicas_[index]->runtime());
-  replicas_[index]->runtime().set_channel_fabric(fabric_.get(), index);
-  replicas_[index]->set_backpressure_hook(
-      [fabric = fabric_.get(), index] {
-        return fabric->BackpressureDelay(index);
-      });
-  InstallDisaggHook(index);
+  assert(index == slots_.size());
+  slots_.emplace_back().role = role;
+  BuildReplica(index);
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant(
         "recovery",
@@ -998,18 +969,18 @@ size_t SymphonyCluster::ControlAddReplica() {
 }
 
 bool SymphonyCluster::ControlStartDrain(size_t replica) {
-  if (!options_.enable_recovery || replica >= replicas_.size() ||
+  if (!options_.enable_recovery || replica >= slots_.size() ||
       !Placeable(replica)) {
     return false;
   }
   bool other = false;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
     other = other || (i != replica && Placeable(i));
   }
   if (!other) {
     return false;  // Nowhere for its LIPs to go.
   }
-  draining_[replica] = true;  // Placement stops at once.
+  slots_[replica].state = ReplicaHealth::kDraining;  // Placement stops.
   DrainStep(replica);
   return true;
 }
@@ -1019,7 +990,7 @@ void SymphonyCluster::DrainStep(size_t index) {
   for (auto& entry : records_) {
     LipRecord& rec = entry.second;
     if (rec.replica == index && !rec.done && !rec.in_flight &&
-        !replicas_[index]->runtime().LipDone(rec.lip)) {
+        !slots_[index].server->runtime().LipDone(rec.lip)) {
       hosted.push_back(rec.uid);
     }
   }
@@ -1034,7 +1005,7 @@ void SymphonyCluster::DrainStep(size_t index) {
 }
 
 bool SymphonyCluster::ControlDrainComplete(size_t replica) {
-  if (!draining_[replica]) {
+  if (!replica_draining(replica)) {
     return false;
   }
   DrainStep(replica);  // Retry stragglers (e.g. a target that went away).
@@ -1045,14 +1016,13 @@ bool SymphonyCluster::ControlDrainComplete(size_t replica) {
       return false;
     }
   }
-  if (replicas_[replica]->runtime().live_lips() > 0 ||
-      replicas_[replica]->admission_queue_depth() > 0) {
+  ReplicaSlot& slot = slots_[replica];
+  if (LiveLips(replica) > 0 || slot.server->admission_queue_depth() > 0) {
     return false;  // Untracked (non-recovery or admission-queued) work left.
   }
-  draining_[replica] = false;
-  dead_[replica] = true;
-  retired_[replica] = true;  // A detached slot is never readmitted.
-  replicas_[replica]->runtime().Halt();
+  slot.state = ReplicaHealth::kDetached;
+  slot.heal_at = -1;  // A detached slot is never readmitted.
+  slot.server->runtime().Halt();
   fabric_->MarkReplicaDead(replica);
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant(
@@ -1064,18 +1034,18 @@ bool SymphonyCluster::ControlDrainComplete(size_t replica) {
 ClusterControl::LoadSignal SymphonyCluster::ControlLoadSignal() const {
   LoadSignal sig;
   sig.sheds = submit_sheds_;
-  sig.lips.assign(replicas_.size(), kNoReplica);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  sig.lips.assign(slots_.size(), kNoReplica);
+  for (size_t i = 0; i < slots_.size(); ++i) {
     if (!Placeable(i)) {
       continue;
     }
     ++sig.serving;
-    size_t lips = replicas_[i]->runtime().live_lips();
+    size_t lips = LiveLips(i);
     sig.live_lips += lips;
     sig.lips[i] = lips;
-    sig.queued += replicas_[i]->admission_queue_depth();
+    sig.queued += slots_[i].server->admission_queue_depth();
     sig.worst_delay =
-        std::max(sig.worst_delay, replicas_[i]->ProjectedAdmissionDelay());
+        std::max(sig.worst_delay, slots_[i].server->ProjectedAdmissionDelay());
   }
   return sig;
 }
@@ -1089,13 +1059,13 @@ Status SymphonyCluster::Migrate(const ClusterLip& id, size_t to_replica) {
     return NotFoundError("unknown lip uid " + std::to_string(id.uid));
   }
   LipRecord& rec = it->second;
-  if (to_replica >= replicas_.size()) {
+  if (to_replica >= slots_.size()) {
     return InvalidArgumentError("no replica " + std::to_string(to_replica));
   }
   if (!Placeable(to_replica)) {
     return FailedPreconditionError("target replica is not placeable");
   }
-  if (dead_[rec.replica]) {
+  if (replica_dead(rec.replica)) {
     return FailedPreconditionError("source replica is dead");
   }
   if (to_replica == rec.replica) {
@@ -1105,7 +1075,7 @@ Status SymphonyCluster::Migrate(const ClusterLip& id, size_t to_replica) {
   if (rec.in_flight) {
     return FailedPreconditionError("lip migration already in flight");
   }
-  LipRuntime& source = replicas_[rec.replica]->runtime();
+  LipRuntime& source = slots_[rec.replica].server->runtime();
   if (rec.done || source.LipDone(rec.lip)) {
     return FailedPreconditionError("lip already finished");
   }
@@ -1126,67 +1096,63 @@ size_t SymphonyCluster::Rebalance() {
   if (!options_.enable_recovery) {
     return 0;
   }
-  std::vector<size_t> loads(replicas_.size(), SIZE_MAX);
+  std::vector<size_t> loads(slots_.size(), SIZE_MAX);
   size_t total = 0;
   size_t live_replicas = 0;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
     if (!Placeable(i)) {
       continue;
     }
-    loads[i] = replicas_[i]->runtime().live_lips();
+    loads[i] = LiveLips(i);
     total += loads[i];
     ++live_replicas;
   }
   if (live_replicas < 2) {
     return 0;
   }
+  // A replica above load_factor x the live average sheds LIPs to the
+  // emptiest replica — but only moves that strictly improve balance
+  // (target + 1 < source on the planned loads). Without that guard a single
+  // straggler ping-pongs between replicas forever, each migration
+  // restarting it before it can finish.
   std::vector<std::pair<uint64_t, size_t>> moves;
-  if (rebalance_hook_) {
-    moves = rebalance_hook_(loads);
-  } else {
-    // Default policy: a replica above load_factor x the live average sheds
-    // LIPs to the emptiest replica — but only moves that strictly improve
-    // balance (target + 1 < source on the planned loads). Without that
-    // guard a single straggler ping-pongs between replicas forever, each
-    // migration restarting it before it can finish.
-    double average =
-        static_cast<double>(total) / static_cast<double>(live_replicas);
-    double bound = options_.load_factor * average;
-    std::vector<size_t> planned = loads;  // SIZE_MAX marks unusable replicas.
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (loads[i] == SIZE_MAX || static_cast<double>(loads[i]) <= bound) {
+  double average =
+      static_cast<double>(total) / static_cast<double>(live_replicas);
+  double bound = options_.load_factor * average;
+  std::vector<size_t> planned = loads;  // SIZE_MAX marks unusable replicas.
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (loads[i] == SIZE_MAX || static_cast<double>(loads[i]) <= bound) {
+      continue;
+    }
+    for (auto& entry : records_) {
+      LipRecord& rec = entry.second;
+      if (rec.replica != i || rec.done || rec.in_flight ||
+          slots_[i].server->runtime().LipDone(rec.lip)) {
         continue;
       }
-      for (auto& entry : records_) {
-        LipRecord& rec = entry.second;
-        if (rec.replica != i || rec.done || rec.in_flight ||
-            replicas_[i]->runtime().LipDone(rec.lip)) {
+      size_t target = i;
+      SimDuration target_dist = 0;
+      for (size_t j = 0; j < slots_.size(); ++j) {
+        if (planned[j] == SIZE_MAX) {
           continue;
         }
-        size_t target = i;
-        SimDuration target_dist = 0;
-        for (size_t j = 0; j < replicas_.size(); ++j) {
-          if (planned[j] == SIZE_MAX) {
-            continue;
-          }
-          // Same topology-aware tie-break as KillReplica: prefer the closest
-          // equally-empty replica so rebalance ships stay intra-rack.
-          SimDuration dist = topology_->Distance(i, j);
-          if (planned[j] < planned[target] ||
-              (target != i && planned[j] == planned[target] &&
-               dist < target_dist)) {
-            target = j;
-            target_dist = dist;
-          }
+        // Same topology-aware tie-break as KillReplica: prefer the closest
+        // equally-empty replica so rebalance ships stay intra-rack.
+        SimDuration dist = topology_->Distance(i, j);
+        if (planned[j] < planned[target] ||
+            (target != i && planned[j] == planned[target] &&
+             dist < target_dist)) {
+          target = j;
+          target_dist = dist;
         }
-        if (target == i || planned[target] + 1 >= planned[i] ||
-            static_cast<double>(planned[i]) <= bound) {
-          break;
-        }
-        moves.emplace_back(rec.uid, target);
-        --planned[i];
-        ++planned[target];
       }
+      if (target == i || planned[target] + 1 >= planned[i] ||
+          static_cast<double>(planned[i]) <= bound) {
+        break;
+      }
+      moves.emplace_back(rec.uid, target);
+      --planned[i];
+      ++planned[target];
     }
   }
   size_t moved = 0;
@@ -1203,30 +1169,14 @@ size_t SymphonyCluster::Rebalance() {
   return moved;
 }
 
-void SymphonyCluster::ScheduleRebalance(SimDuration period) {
-  sim_->ScheduleAfter(period, [this, period] {
-    Rebalance();
-    // Keep the chain alive only while there is work, so Simulator::Run
-    // still terminates once the cluster drains.
-    if (LiveLipsTotal() > 0) {
-      ScheduleRebalance(period);
-    }
-  });
-}
-
-void SymphonyCluster::StartAutoRebalance(SimDuration period) {
-  assert(period > 0);
-  ScheduleRebalance(period);
-}
-
 size_t SymphonyCluster::SharePrefixes() {
   size_t warmed = 0;
   uint64_t fingerprint = options_.server.model.Fingerprint();
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
     if (!Placeable(i)) {
       continue;
     }
-    Kvfs& kvfs = replicas_[i]->kvfs();
+    Kvfs& kvfs = slots_[i].server->kvfs();
     for (const KvFileInfo& info : kvfs.ListAll()) {
       if (info.path.empty() || info.opens_total < options_.share_min_opens ||
           info.length < options_.share_min_tokens) {
@@ -1277,8 +1227,9 @@ size_t SymphonyCluster::SharePrefixes() {
       }
       // Warm every live replica that lacks the path. The file materializes
       // after the fetched bytes' interconnect time.
-      for (size_t j = 0; j < replicas_.size(); ++j) {
-        if (j == i || !Placeable(j) || replicas_[j]->kvfs().Exists(info.path)) {
+      for (size_t j = 0; j < slots_.size(); ++j) {
+        if (j == i || !Placeable(j) ||
+            slots_[j].server->kvfs().Exists(info.path)) {
           continue;
         }
         StatusOr<FetchResult> fetch = store_->Fetch(j, published.key);
@@ -1303,40 +1254,13 @@ size_t SymphonyCluster::SharePrefixes() {
         ++warmed;
         sim_->ScheduleAfter(fetch->transfer_time, [this, j, import] {
           if (Placeable(j)) {
-            (void)replicas_[j]->ImportNamedSnapshot(*import);
+            (void)slots_[j].server->ImportNamedSnapshot(*import);
           }
         });
       }
     }
   }
   return warmed;
-}
-
-void SymphonyCluster::SchedulePrefixSharing(SimDuration period) {
-  sim_->ScheduleAfter(period, [this, period] {
-    (void)SharePrefixes();
-    // Keep the chain alive only while there is work (see ScheduleRebalance).
-    if (LiveLipsTotal() > 0) {
-      SchedulePrefixSharing(period);
-    }
-  });
-}
-
-void SymphonyCluster::StartPrefixSharing(SimDuration period) {
-  assert(period > 0);
-  SchedulePrefixSharing(period);
-}
-
-size_t SymphonyCluster::LiveLipsTotal() const {
-  size_t live = 0;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    // Placeable only: a crashed replica's stranded count must not keep the
-    // rebalance/sharing chains (and thus Simulator::Run) alive forever.
-    if (Placeable(i)) {
-      live += replicas_[i]->runtime().live_lips();
-    }
-  }
-  return live;
 }
 
 SymphonyCluster::ClusterLip SymphonyCluster::Locate(
@@ -1356,7 +1280,7 @@ const std::string& SymphonyCluster::Output(const ClusterLip& id) const {
     return it->second.output;
   }
   ClusterLip where = Locate(id);
-  return replicas_[where.replica]->runtime().Output(where.lip);
+  return slots_[where.replica].server->runtime().Output(where.lip);
 }
 
 bool SymphonyCluster::Done(const ClusterLip& id) const {
@@ -1364,12 +1288,11 @@ bool SymphonyCluster::Done(const ClusterLip& id) const {
   if (it != records_.end()) {
     return it->second.done;
   }
-  return replicas_[id.replica]->runtime().LipDone(id.lip);
+  return slots_[id.replica].server->runtime().LipDone(id.lip);
 }
 
 SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   ClusterSnapshot snap;
-  snap.lips_per_replica = launched_per_replica_;
   // Work counters span every incarnation: a slot rebuilt by readmission
   // parks its old server in retired_servers_, whose work still counts, so
   // the totals never go backwards.
@@ -1388,12 +1311,13 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
     snap.prefill_chunks += sched.prefill_chunks;
     snap.prefills_chunked += sched.prefills_chunked;
   };
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    snap.total_throughput_busy += replicas_[i]->device().Utilization();
-    if (dead_[i]) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    snap.lips_per_replica.push_back(slots_[i].launched);
+    snap.total_throughput_busy += slots_[i].server->device().Utilization();
+    if (replica_dead(i)) {
       ++snap.replicas_dead;
     }
-    add_work(replicas_[i].get());
+    add_work(slots_[i].server.get());
   }
   for (const auto& server : retired_servers_) {
     add_work(server.get());
@@ -1448,15 +1372,15 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   if (ctrl_ != nullptr) {
     snap.ctrl = ctrl_->stats();
     snap.ctrl_seat = ctrl_->seat();
-    snap.liveness.resize(replicas_.size());
-    for (size_t i = 0; i < replicas_.size(); ++i) {
+    snap.liveness.resize(slots_.size());
+    for (size_t i = 0; i < slots_.size(); ++i) {
       ClusterSnapshot::ReplicaLiveness& row = snap.liveness[i];
       row.state = ctrl_->Health(i);
       row.epoch = ctrl_->Epoch(i);
       row.heartbeat_age = ctrl_->HeartbeatAge(i);
-      row.fenced = fenced_[i];
+      row.fenced = fabric_->replica_fenced(i);
       if (!options_.enable_recovery) {
-        row.lips_hosted = replicas_[i]->runtime().live_lips();
+        row.lips_hosted = LiveLips(i);
       }
     }
     if (options_.enable_recovery) {

@@ -19,6 +19,14 @@
 // fast-forward deterministically and produce bit-identical output (see
 // journal.h for the determinism contract).
 //
+// Replica slots: each replica index is one ReplicaSlot holding its current
+// server incarnation, role, launch count and ONE lifecycle state — kLive,
+// kDraining, kDead or kDetached (the process of a live slot may still have
+// crashed or been fenced; both just halt its runtime). The cluster is the
+// only writer of that state. The control plane (src/ctrl) reads it through
+// ClusterControl and adds only its own suspicion bit, so the two can never
+// disagree about whether a slot is dead or draining.
+//
 // Snapshot store (src/store): the cluster owns one content-addressed KV
 // snapshot store shared by three consumers —
 //   * journal checkpointing: each journal folds into the store every
@@ -36,7 +44,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/ctrl/control_plane.h"
@@ -86,9 +93,9 @@ struct ClusterOptions {
   // Event-driven rebalancing: under kAffinityBounded, each routing decision
   // that overflows away from its preferred replica is evidence of a hot key.
   // When `overflow_threshold` overflows accumulate within `overflow_window`,
-  // a Rebalance pass runs immediately (at most once per `overflow_cooldown`)
-  // instead of waiting for the next fixed-period StartAutoRebalance tick.
-  // Requires enable_recovery; other routing policies never overflow.
+  // the next launch runs a Rebalance pass at once (at most once per
+  // `overflow_cooldown`). Requires enable_recovery; other routing policies
+  // never overflow.
   bool rebalance_on_overflow = true;
   uint32_t overflow_threshold = 4;
   SimDuration overflow_window = Millis(50);
@@ -198,11 +205,17 @@ class SymphonyCluster : private ClusterControl {
   // The role replica `index` was configured (or scaled out) with.
   ReplicaRole RoleOf(size_t index) const;
 
-  size_t replica_count() const { return replicas_.size(); }
-  SymphonyServer& replica(size_t index) { return *replicas_[index]; }
+  size_t replica_count() const { return slots_.size(); }
+  SymphonyServer& replica(size_t index) { return *slots_[index].server; }
   const ClusterOptions& options() const { return options_; }
-  bool replica_dead(size_t index) const { return dead_[index]; }
-  bool replica_draining(size_t index) const { return draining_[index]; }
+  // Killed, declared dead, or drained and detached.
+  bool replica_dead(size_t index) const {
+    ReplicaHealth state = slots_[index].state;
+    return state == ReplicaHealth::kDead || state == ReplicaHealth::kDetached;
+  }
+  bool replica_draining(size_t index) const {
+    return slots_[index].state == ReplicaHealth::kDraining;
+  }
 
   // The autonomic control plane, or nullptr when options.ctrl.enabled is
   // false. Exposes detector state (Health/Epoch/HeartbeatAge) and stats.
@@ -237,7 +250,10 @@ class SymphonyCluster : private ClusterControl {
   // journaled LIP is replayed on a survivor, spread across survivors by
   // load. IPC-coupled LIPs no longer need to co-migrate: the fabric serves
   // journaled recvs, suppresses journaled sends, and rehomes each replayed
-  // endpoint's channels wherever it lands (see src/net/ipc_fabric.h).
+  // endpoint's channels wherever it lands (see src/net/ipc_fabric.h). The
+  // slot is dead for good, even if it was draining. With the control plane
+  // on, the kill runs through its failover path (ControlPlane::
+  // NoteManualDeath: epoch bump, failover, seat re-choice).
   Status KillReplica(size_t index);
 
   // Live-migrates one LIP to `to_replica`: detaches it from its current
@@ -245,22 +261,9 @@ class SymphonyCluster : private ClusterControl {
   Status Migrate(const ClusterLip& id, size_t to_replica);
 
   // One rebalance pass: migrates LIPs off replicas whose live load exceeds
-  // load_factor x the live-replica average (or whatever the hook decides).
-  // Returns the number of LIPs moved.
+  // load_factor x the live-replica average. Returns the number of LIPs
+  // moved. Overflow-driven rebalancing (rebalance_on_overflow) runs it.
   size_t Rebalance();
-
-  // Custom rebalance policy: given per-replica live-LIP counts (SIZE_MAX for
-  // dead replicas), return (uid, target_replica) migrations to perform.
-  using RebalanceHook =
-      std::function<std::vector<std::pair<uint64_t, size_t>>(
-          const std::vector<size_t>& live_lips)>;
-  void set_rebalance_hook(RebalanceHook hook) {
-    rebalance_hook_ = std::move(hook);
-  }
-
-  // Runs Rebalance() every `period` while the cluster has live LIPs (the
-  // chain stops when it drains, so Simulator::Run still terminates).
-  void StartAutoRebalance(SimDuration period);
 
   // ---- Cross-replica prefix sharing (src/store) ------------------------
 
@@ -270,9 +273,6 @@ class SymphonyCluster : private ClusterControl {
   // every live replica that lacks the path. The import lands after the
   // fetched bytes' interconnect time. Returns files warmed this pass.
   size_t SharePrefixes();
-
-  // Runs SharePrefixes() every `period` while the cluster has live LIPs.
-  void StartPrefixSharing(SimDuration period);
 
   // The cluster-wide snapshot store (journal checkpoints + shared prefixes).
   SnapshotStore& store() { return *store_; }
@@ -400,30 +400,46 @@ class SymphonyCluster : private ClusterControl {
     std::string output;
   };
 
+  // One replica index: its current server and its lifecycle.
+  struct ReplicaSlot {
+    std::unique_ptr<SymphonyServer> server;  // The current incarnation.
+    ReplicaRole role = ReplicaRole::kUnified;
+    // kLive, kDraining, kDead or kDetached; never kSuspected. A crash or a
+    // fence only halts the server's runtime.
+    ReplicaHealth state = ReplicaHealth::kLive;
+    // What ControlHealAt reports: 0 while the process has never crashed
+    // (a fence-only false death), the crash's heal instant, or -1 for a
+    // permanent crash, a manual kill or a detach.
+    SimTime heal_at = 0;
+    uint64_t launched = 0;  // Launches placed on the slot, every incarnation.
+  };
+
   // ---- ClusterControl (src/ctrl) ---------------------------------------
   size_t ControlReplicaCount() const override;
+  ReplicaHealth ControlState(size_t replica) const override;
   bool ControlBeating(size_t replica) const override;
   bool ControlHasWork() const override;
   SimTime ControlHealAt(size_t replica) const override;
   void ControlFence(size_t replica, uint64_t epoch) override;
-  void ControlFailover(size_t replica) override;
+  Status ControlFailover(size_t replica) override;
   bool ControlReadmit(size_t replica, uint64_t epoch) override;
   size_t ControlAddReplica() override;
   bool ControlStartDrain(size_t replica) override;
   bool ControlDrainComplete(size_t replica) override;
   LoadSignal ControlLoadSignal() const override;
 
-  // Builds the SymphonyServer for slot `index` with the cluster's
-  // per-replica seed decorrelation (also what readmission rebuilds from),
-  // its scheduler feeding queue_waits_ms_.
-  std::unique_ptr<SymphonyServer> BuildReplica(size_t index);
-  // Replica `index` accepts new placements (not dead, draining, or halted).
+  // Builds and wires the server of slot `index`: the cluster's per-replica
+  // seed decorrelation, its scheduler feeding queue_waits_ms_,
+  // configure_replica, the fabric (attached, or revived after the old
+  // incarnation is parked on readmission), backpressure and the disagg
+  // hook. The constructor, readmission and scale-out all build through it.
+  void BuildReplica(size_t index);
+  // Replica `index` accepts new placements (live and not halted).
   bool Placeable(size_t index) const;
+  // Live LIPs on slot `index`'s current incarnation.
+  size_t LiveLips(size_t index) const;
   // Routing should avoid `index` (control plane suspects it is failing).
   bool Avoided(size_t index) const;
-  // Shared guts of KillReplica and ControlFailover: marks the replica dead
-  // and fails its journaled LIPs over to placeable survivors.
-  Status FailReplica(size_t index);
   // Migrates every undone LIP hosted on draining replica `index` away.
   void DrainStep(size_t index);
   // LIPs stranded on dead replicas with no failover in flight (a failover
@@ -469,9 +485,6 @@ class SymphonyCluster : private ClusterControl {
   // Installs the journal's store fold hook for its current host replica.
   void InstallCheckpointHook(const std::shared_ptr<SyscallJournal>& journal,
                              size_t replica);
-  void ScheduleRebalance(SimDuration period);
-  void SchedulePrefixSharing(SimDuration period);
-  size_t LiveLipsTotal() const;
 
   Simulator* sim_;
   ClusterOptions options_;
@@ -482,22 +495,12 @@ class SymphonyCluster : private ClusterControl {
   // Every queue wait of every incarnation, fed as batches launch (declared
   // before the servers whose schedulers feed it).
   SampleSeries queue_waits_ms_;
-  std::vector<std::unique_ptr<SymphonyServer>> replicas_;
+  std::vector<ReplicaSlot> slots_;
   // Replaced server incarnations (readmission rebuilds the slot). Kept
   // alive, not destroyed: halted runtimes may still be named by pending
   // simulator events and late completions.
   std::vector<std::unique_ptr<SymphonyServer>> retired_servers_;
   mutable size_t next_round_robin_ = 0;
-  std::vector<uint64_t> launched_per_replica_;
-  std::vector<bool> dead_;
-  std::vector<bool> draining_;   // Scale-in: no placement, migrating off.
-  std::vector<bool> fenced_;     // Fenced by the control plane (epoch bump).
-  std::vector<bool> crashed_;    // Process down (FaultPlan crash).
-  std::vector<bool> retired_;    // Manual kill / detached: never readmitted.
-  std::vector<SimTime> crash_heal_at_;  // -1: permanent.
-  // Per-slot roles, kept index-aligned with replicas_ (scale-out appends the
-  // hotter pool's role; readmission keeps the slot's original role).
-  std::vector<ReplicaRole> roles_;
   std::unordered_map<uint64_t, LipRecord> records_;
   uint64_t next_uid_ = 1;
   uint64_t failovers_ = 0;
@@ -508,7 +511,6 @@ class SymphonyCluster : private ClusterControl {
   mutable SimTime overflow_window_start_ = 0;
   uint64_t overflow_rebalances_ = 0;
   SimTime last_overflow_rebalance_ = -1;
-  RebalanceHook rebalance_hook_;
   // Snapshot-store consumer state.
   struct SharedPrefix {
     uint64_t key = 0;      // Store manifest (one reference held).

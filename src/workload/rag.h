@@ -74,9 +74,6 @@ class RagCorpus {
   // Per-request query tokens (start with a topic marker, then noise).
   std::vector<TokenId> MakeQuery(size_t topic, uint64_t request_id) const;
 
-  // Shared instruction preamble (identical across requests).
-  const std::vector<TokenId>& instruction() const { return instruction_; }
-
   // Baseline prompt in the given layout.
   std::vector<TokenId> MakePrompt(size_t topic, uint64_t request_id,
                                   PromptLayout layout) const;
@@ -85,7 +82,7 @@ class RagCorpus {
   uint64_t seed_;
   uint32_t query_tokens_;
   uint32_t vocab_size_;
-  std::vector<TokenId> instruction_;
+  std::vector<TokenId> instruction_;  // Shared preamble of every request.
   std::vector<std::vector<TokenId>> docs_;
 };
 

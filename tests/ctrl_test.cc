@@ -523,6 +523,78 @@ TEST(CtrlTest, CrashWithoutControlPlaneStrandsWork) {
   EXPECT_FALSE(cluster.replica_dead(a.replica));
 }
 
+// ---- Slot lifecycle ----------------------------------------------------
+
+// A replica that dies while it drains is dead, not draining. Six agents run
+// round-robin on three replicas; `script` drains and kills replica 2. The
+// runs stop at a deadline instead of an empty queue, so control loops that
+// never stop fail the assertions rather than hang the test.
+void ExpectDiesWhileDraining(
+    uint64_t seed, bool ctrl, const std::function<void(FaultPlan&)>& arm,
+    const std::function<void(SymphonyCluster&)>& script) {
+  Simulator sim;
+  FaultPlan plan(seed);
+  if (arm) {
+    arm(plan);
+  }
+  uint64_t executions = 0;
+  ClusterOptions options = CtrlCluster(seed, 3, &executions);
+  options.ctrl.enabled = ctrl;
+  options.server.fault_plan = &plan;
+  SymphonyCluster cluster(&sim, options);
+  std::vector<SymphonyCluster::ClusterLip> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(
+        cluster.Launch("agent" + std::to_string(i), "", MakeAgent(8)));
+  }
+  sim.ScheduleAt(Millis(6), [&cluster, &script] {
+    EXPECT_TRUE(cluster.DrainReplica(2).ok());
+    script(cluster);
+  });
+  sim.RunUntil(Seconds(20));
+  for (const SymphonyCluster::ClusterLip& id : ids) {
+    EXPECT_TRUE(cluster.Done(id));
+  }
+  EXPECT_TRUE(sim.empty());
+  EXPECT_TRUE(cluster.replica_dead(2));
+  EXPECT_FALSE(cluster.replica_draining(2));
+  SymphonyCluster::ClusterSnapshot snap = cluster.Snapshot();
+  EXPECT_EQ(snap.replay_divergences, 0u);
+  if (ctrl) {
+    ASSERT_EQ(snap.liveness.size(), 3u);
+    EXPECT_EQ(snap.liveness[2].state, ReplicaHealth::kDead);
+  }
+}
+
+TEST(CtrlTest, KillWhileDrainingStopsTheControlLoops) {
+  ExpectDiesWhileDraining(42, /*ctrl=*/true, nullptr,
+                          [](SymphonyCluster& cluster) {
+                            EXPECT_TRUE(cluster.KillReplica(2).ok());
+                          });
+}
+
+TEST(CtrlTest, KillWhileDrainingWithoutControlPlaneTerminates) {
+  ExpectDiesWhileDraining(42, /*ctrl=*/false, nullptr,
+                          [](SymphonyCluster& cluster) {
+                            EXPECT_TRUE(cluster.KillReplica(2).ok());
+                          });
+}
+
+// The draining replica crashes for good while the drain's journal ships
+// wait for its links to come back, so the detector declares it dead before
+// the drain can finish.
+TEST(CtrlTest, DeclaredDeadWhileDrainingStopsTheControlLoops) {
+  ExpectDiesWhileDraining(
+      41, /*ctrl=*/true,
+      [](FaultPlan& plan) {
+        plan.AddLinkDown("replica2", "replica0", Millis(5), Millis(30));
+        plan.AddLinkDown("replica2", "replica1", Millis(5), Millis(30));
+      },
+      [](SymphonyCluster& cluster) {
+        EXPECT_TRUE(cluster.CrashReplica(2).ok());
+      });
+}
+
 // ---- Fencing surfaces (defense in depth) -------------------------------
 
 // The fabric and store refuse a fenced replica directly: the exactly-once
@@ -691,6 +763,188 @@ TEST(CtrlDigestTest, MatchesParent) {
     }
   }
   EXPECT_EQ(digest, 0x2564b0f9ef149340ULL) << "per case:" << per_case;
+}
+
+// ---- Slot lifecycle digest ---------------------------------------------
+
+// The slot operations of one lifecycle digest run.
+enum class SlotScript {
+  kKillSeatTwice,      // Kill replica 0 (the seat), then 1 (the next seat).
+  kKillNonSeat,        // Kill replica 2.
+  kDrainThenKillSeat,  // Drain replica 2, then kill replica 0 (the seat).
+  kCrashReadmitKill,   // Crash replica 1 for 20 ms; kill it once readmitted.
+  kScaleIn,            // The scaling loop drains and detaches a replica.
+};
+
+struct SlotRun {
+  uint64_t digest = 0;
+  SymphonyCluster::ClusterSnapshot snap;
+};
+
+// 12 agents on 3 replicas, one launched every 2 ms, with every slot's
+// lifecycle, the detector and the failover counters folded on a 1 ms grid
+// up to 80 ms. Each slot operation runs from an event scheduled 1 ms
+// earlier, so beats landing at its instant are stamped before it and still
+// unsettled when it runs: the digest then sees whether the operation
+// settles them before or after it changes the slot.
+SlotRun SlotLifecycleDigest(uint64_t seed, const DigestCase* cadence,
+                            SlotScript script) {
+  Simulator sim;
+  FaultPlan plan(seed);
+  uint64_t executions = 0;
+  ClusterOptions options = CtrlCluster(seed, 3, &executions);
+  options.server.fault_plan = &plan;
+  options.server.hardware.interconnect_bandwidth = 1e15;
+  options.ctrl.enabled = cadence != nullptr;
+  if (cadence != nullptr) {
+    options.server.hardware.interconnect_latency = cadence->latency;
+    options.ctrl.heartbeat_period = cadence->beat;
+    options.ctrl.heartbeat_jitter = cadence->jitter;
+    options.ctrl.sweep_period = cadence->sweep;
+  }
+  if (script == SlotScript::kScaleIn) {
+    options.ctrl.scaling.enabled = true;
+    options.ctrl.scaling.scale_out_on_sheds = 0;
+    options.ctrl.scaling.scale_out_queue_delay = Seconds(100);
+    options.ctrl.scaling.scale_in_load = 1.5;
+    options.ctrl.scaling.evaluate_period = Millis(4);
+    options.ctrl.scaling.scale_in_cooldown = Millis(8);
+  }
+  if (script == SlotScript::kCrashReadmitKill) {
+    plan.CrashReplicaAt(1, Millis(5), /*down_for=*/Millis(20));
+  }
+  SymphonyCluster cluster(&sim, options);
+
+  SlotRun run;
+  auto snapshot = [&] {
+    SymphonyCluster::ClusterSnapshot snap = cluster.Snapshot();
+    FoldDetector(&run.digest, snap);
+    for (size_t i = 0; i < cluster.replica_count(); ++i) {
+      Fold(&run.digest, cluster.replica_dead(i) ? 1 : 0);
+      Fold(&run.digest, cluster.replica_draining(i) ? 1 : 0);
+    }
+    for (uint64_t lips : snap.lips_per_replica) {
+      Fold(&run.digest, lips);
+    }
+    for (uint64_t counter : {snap.failovers, snap.migrations,
+                             static_cast<uint64_t>(snap.replicas_dead),
+                             snap.lips_completed}) {
+      Fold(&run.digest, counter);
+    }
+  };
+  auto at = [&sim](SimTime when, std::function<void()> op) {
+    sim.ScheduleAt(when - Millis(1), [&sim, when, op = std::move(op)] {
+      sim.ScheduleAt(when, op);
+    });
+  };
+  auto kill = [&](size_t replica) {
+    Fold(&run.digest,
+         static_cast<uint64_t>(cluster.KillReplica(replica).code()));
+  };
+  std::vector<SymphonyCluster::ClusterLip> ids;
+  for (int i = 0; i < 12; ++i) {
+    sim.ScheduleAt(Millis(2) * i, [&cluster, &ids, i] {
+      ids.push_back(
+          cluster.Launch("agent" + std::to_string(i), "", MakeAgent(5)));
+    });
+  }
+  for (int ms = 1; ms <= 80; ++ms) {
+    sim.ScheduleAt(Millis(ms), snapshot);
+  }
+  switch (script) {
+    case SlotScript::kKillSeatTwice:
+      at(Millis(7), [&] { kill(0); });
+      at(Millis(15), [&] { kill(1); });
+      break;
+    case SlotScript::kKillNonSeat:
+      at(Millis(8), [&] { kill(2); });
+      break;
+    case SlotScript::kDrainThenKillSeat:
+      at(Millis(6), [&] {
+        Fold(&run.digest,
+             static_cast<uint64_t>(cluster.DrainReplica(2).code()));
+      });
+      at(Millis(30), [&] { kill(0); });
+      break;
+    case SlotScript::kCrashReadmitKill:
+      at(Millis(45), [&] { kill(1); });
+      break;
+    case SlotScript::kScaleIn:
+      break;
+  }
+  sim.Run();
+
+  EXPECT_EQ(ids.size(), 12u);
+  for (const SymphonyCluster::ClusterLip& id : ids) {
+    EXPECT_TRUE(cluster.Done(id));
+    Fold(&run.digest, cluster.Done(id) ? 1 : 0);
+    Fold(&run.digest, Fnv1a(cluster.Output(id)));
+  }
+  snapshot();
+  Fold(&run.digest, static_cast<uint64_t>(sim.now()));
+  run.snap = cluster.Snapshot();
+  EXPECT_EQ(run.snap.replay_divergences, 0u);
+  return run;
+}
+
+// Pins what each slot transition does — kills of the seat and of other
+// replicas, a drain, a crash and its readmission, a scale-in — to the
+// detector's rows and counters, the seat, the failovers and every output,
+// with the control plane on at two cadences and off. The expected value was
+// recorded while the cluster and the control plane each kept their own copy
+// of a replica's lifecycle.
+TEST(SlotLifecycleDigestTest, MatchesParent) {
+  const SimDuration ms = kMillisecond;
+  const DigestCase cadences[] = {
+      {2 * ms, 0.25, 2 * ms, 1 * ms, 0, 0, 0, false},
+      {4 * ms, 0.0, 4 * ms, 4 * ms, 0, 0, 0, false},
+  };
+  struct ScriptCase {
+    SlotScript script;
+    bool ctrl_off_too;
+    // The transition the script must reach.
+    std::function<bool(const SymphonyCluster::ClusterSnapshot&)> reached;
+  };
+  const ScriptCase scripts[] = {
+      {SlotScript::kKillSeatTwice, true,
+       [](const auto& s) { return s.failovers > 0; }},
+      {SlotScript::kKillNonSeat, true,
+       [](const auto& s) { return s.failovers > 0; }},
+      {SlotScript::kDrainThenKillSeat, true,
+       [](const auto& s) {
+         return (s.liveness.empty() || s.ctrl.drains_completed > 0) &&
+                s.failovers > 0;
+       }},
+      {SlotScript::kCrashReadmitKill, false,
+       [](const auto& s) { return s.ctrl.readmissions > 0; }},
+      {SlotScript::kScaleIn, false,
+       [](const auto& s) {
+         return s.ctrl.scale_ins > 0 && s.ctrl.drains_completed > 0;
+       }},
+  };
+  uint64_t digest = 0;
+  std::string per_case;
+  auto fold_run = [&](const SlotRun& run, const ScriptCase& c,
+                      const std::string& label) {
+    EXPECT_TRUE(c.reached(run.snap)) << label;
+    per_case += " " + std::to_string(run.digest);
+    Fold(&digest, run.digest);
+  };
+  for (const ScriptCase& c : scripts) {
+    for (uint64_t seed : {1, 2}) {
+      std::string label = "script " +
+                          std::to_string(static_cast<int>(c.script)) +
+                          " seed " + std::to_string(seed);
+      for (const DigestCase& cadence : cadences) {
+        fold_run(SlotLifecycleDigest(seed, &cadence, c.script), c, label);
+      }
+      if (c.ctrl_off_too) {
+        fold_run(SlotLifecycleDigest(seed, nullptr, c.script), c,
+                 label + " ctrl off");
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x09e5f195d77c677fULL) << "per case:" << per_case;
 }
 
 // ---- The stress property ----------------------------------------------

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -312,22 +313,60 @@ TEST(RecoveryTest, RebalanceShedsOverloadedReplica) {
   EXPECT_EQ(elsewhere, moved);
 }
 
-TEST(RecoveryTest, AutoRebalanceRunsAndDrains) {
-  Simulator sim;
-  ClusterOptions options = RecoveryCluster(13, RecoveryMode::kAuto);
-  options.routing = RoutingPolicy::kCacheAffinity;
-  SymphonyCluster cluster(&sim, options);
-  RegisterTools(cluster);
-  std::vector<SymphonyCluster::ClusterLip> ids;
-  for (int i = 0; i < 4; ++i) {
-    ids.push_back(cluster.Launch("agent" + std::to_string(i), "hot-key",
-                                 MakeAgent(2)));
+// Under kAffinityBounded, overflows past the threshold run a Rebalance pass
+// at the next launch. Five long agents share one key and three short ones
+// another; once the short ones finish, a late launch on the hot key
+// overflows to the emptied replica and the pass moves a long agent there
+// too. The outputs match a run with overflow rebalancing off.
+TEST(RecoveryTest, OverflowTriggersRebalance) {
+  // Keys chosen by their hash, not by RouteFor: on an empty cluster the
+  // bound is below one LIP, so every first launch overflows and a key
+  // search through the router never reaches the second replica.
+  std::string hot;
+  std::string cold;
+  for (int k = 0; hot.empty() || cold.empty(); ++k) {
+    std::string key = "key-" + std::to_string(k);
+    std::string& slot = Fnv1a(key) % 2 == 0 ? hot : cold;
+    if (slot.empty()) {
+      slot = key;
+    }
   }
-  cluster.StartAutoRebalance(Millis(2));
-  sim.Run();  // Terminates: the rebalance chain stops once lips drain.
-  for (const SymphonyCluster::ClusterLip& id : ids) {
-    EXPECT_TRUE(cluster.Done(id));
-  }
+  auto run = [&hot, &cold](bool rebalance) {
+    Simulator sim;
+    ClusterOptions options = RecoveryCluster(17, RecoveryMode::kAuto);
+    options.routing = RoutingPolicy::kAffinityBounded;
+    options.rebalance_on_overflow = rebalance;
+    options.overflow_threshold = 1;
+    options.overflow_cooldown = Millis(1);
+    SymphonyCluster cluster(&sim, options);
+    RegisterTools(cluster);
+    // Interleaved, the bound places all five long agents on the hot key's
+    // replica and the three short ones on the other.
+    std::vector<SymphonyCluster::ClusterLip> ids;
+    for (int i = 0; i < 8; ++i) {
+      bool short_agent = i % 2 == 1 && i < 6;
+      ids.push_back(cluster.Launch(
+          (short_agent ? "short" : "long") + std::to_string(i),
+          short_agent ? cold : hot, MakeAgent(short_agent ? 1 : 10)));
+    }
+    sim.ScheduleAt(Millis(30), [&cluster, &ids, &hot] {
+      ids.push_back(cluster.Launch("late", hot, MakeAgent(2)));
+    });
+    sim.Run();
+    std::string outputs;
+    for (const SymphonyCluster::ClusterLip& id : ids) {
+      EXPECT_TRUE(cluster.Done(id));
+      outputs += cluster.Output(id) + "|";
+    }
+    return std::make_pair(outputs, cluster.Snapshot());
+  };
+  auto [outputs, snap] = run(true);
+  EXPECT_GE(snap.overflow_rebalances, 1u);
+  EXPECT_GE(snap.migrations, 1u);
+  EXPECT_EQ(snap.replay_divergences, 0u);
+  auto [unbalanced_outputs, unbalanced] = run(false);
+  EXPECT_EQ(unbalanced.overflow_rebalances, 0u);
+  EXPECT_EQ(outputs, unbalanced_outputs);
 }
 
 // ---- KVFS snapshot export/import --------------------------------------
