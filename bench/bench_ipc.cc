@@ -104,8 +104,8 @@ PingPongRun RunPingPong(bool colocated, int rounds) {
   if (elapsed_s > 0.0) {
     run.msgs_per_s = 2.0 * static_cast<double>(rtts.size()) / elapsed_s;
   }
-  run.local_deliveries = cluster.fabric().stats().local_deliveries;
-  run.cross_sends = cluster.fabric().stats().cross_sends;
+  run.local_deliveries = cluster.fabric().stats().ipc_local_deliveries;
+  run.cross_sends = cluster.fabric().stats().ipc_cross_sends;
   return run;
 }
 
@@ -314,7 +314,7 @@ SlowConsumerRun RunSlowConsumer(uint64_t credits) {
   sim.Run();
   SlowConsumerRun run;
   run.queue_peak = cluster.fabric().View("flood").queue_peak;
-  run.credit_waits = cluster.fabric().stats().credit_waits;
+  run.credit_waits = cluster.fabric().stats().ipc_credit_waits;
   run.producer_done_ms = ToSeconds(accepted.back()) * 1e3;
   run.finish_ms = ToSeconds(arrivals.back()) * 1e3;
   if (arrivals.back() > 0) {

@@ -650,48 +650,29 @@ KvFileInfo Kvfs::InfoFor(FileId id) const {
   return info;
 }
 
-std::vector<KvFileInfo> Kvfs::EligibleVictims() const {
-  std::vector<KvFileInfo> out;
+FileId Kvfs::LruVictim() const {
+  FileId victim = kInvalidFile;
   for (FileId id = 0; id < files_.size(); ++id) {
     const FileEntry& entry = files_[id];
     if (!entry.live || !entry.data || entry.pinned || entry.open_count > 0 ||
-        entry.lock_holder != kNoLip) {
+        entry.lock_holder != kNoLip ||
+        entry.data->PagesInTier(Tier::kGpu) == 0) {
       continue;
     }
-    if (entry.data->PagesInTier(Tier::kGpu) == 0) {
-      continue;
+    if (victim == kInvalidFile ||
+        entry.last_access < files_[victim].last_access) {
+      victim = id;
     }
-    out.push_back(InfoFor(id));
   }
-  return out;
+  return victim;
 }
 
 bool Kvfs::EvictOne() {
-  std::vector<KvFileInfo> candidates = EligibleVictims();
-  if (candidates.empty()) {
+  FileId victim = LruVictim();
+  if (victim == kInvalidFile) {
     return false;
-  }
-  FileId victim = kInvalidFile;
-  if (eviction_hook_) {
-    std::optional<FileId> pick = eviction_hook_(candidates);
-    if (!pick.has_value()) {
-      return false;
-    }
-    victim = *pick;
-  } else {
-    SimTime oldest = candidates[0].last_access;
-    victim = candidates[0].id;
-    for (const KvFileInfo& info : candidates) {
-      if (info.last_access < oldest) {
-        oldest = info.last_access;
-        victim = info.id;
-      }
-    }
   }
   FileEntry& entry = files_[victim];
-  if (!entry.live || !entry.data) {
-    return false;
-  }
   ++stats_.evicted_files;
   if (options_.eviction == EvictionMode::kOffloadLru) {
     bool offloaded_all = true;

@@ -75,11 +75,6 @@ struct KvFileInfo {
   SimTime last_access = 0;
 };
 
-// Custom eviction hook: return the victim file id, or nullopt to give up.
-// Candidates are pre-filtered to eligible files (not pinned/locked/open).
-using EvictionHook =
-    std::function<std::optional<FileId>(const std::vector<KvFileInfo>& candidates)>;
-
 // Per-owner page quota hook (paper §6, resource accounting): returns the
 // maximum page references the owner may hold; UINT64_MAX = unlimited. Admin
 // is never limited.
@@ -220,7 +215,6 @@ class Kvfs {
   const KvfsStats& stats() const { return stats_; }
   const PagePool& pool() const { return pool_; }
   void set_bytes_per_page(uint64_t bytes) { bytes_per_page_ = bytes; }
-  void set_eviction_hook(EvictionHook hook) { eviction_hook_ = std::move(hook); }
   void set_page_quota_hook(PageQuotaHook hook) { page_quota_ = std::move(hook); }
 
   // Page references currently attributed to files owned by `owner`.
@@ -275,7 +269,9 @@ class Kvfs {
   bool EvictOne();
   // True when `owner` is at/over its page quota (admin is exempt).
   bool OverPageQuota(LipId owner) const;
-  std::vector<KvFileInfo> EligibleVictims() const;
+  // The least recently accessed file eviction may take (live, holding GPU
+  // pages, not pinned, locked or open), or kInvalidFile when none is.
+  FileId LruVictim() const;
   KvFileInfo InfoFor(FileId id) const;
 
   KvfsOptions options_;
@@ -288,7 +284,6 @@ class Kvfs {
   std::vector<HandleEntry> handles_;
   std::vector<uint32_t> free_handle_slots_;
   std::unordered_map<std::string, FileId> names_;
-  EvictionHook eviction_hook_;
   PageQuotaHook page_quota_;
   // KV bytes per page; the serving layer overwrites this from its model
   // config (default: Llama-13B geometry).

@@ -99,7 +99,7 @@ bool IpcFabric::TrySend(size_t replica, LipId sender,
     // A fenced incarnation's packets are dropped on the floor: report the
     // send handled (fire-and-forget, like a real network eating the frame)
     // so the zombie never parks, and count the rejection.
-    ++stats_.fenced_rejections;
+    ++stats_.ipc_fenced_rejections;
     message->clear();
     return true;
   }
@@ -141,7 +141,7 @@ void IpcFabric::AddSendWaiter(size_t replica, LipId sender,
                               const std::string& channel, ThreadId waiter,
                               std::string* slot, uint64_t resume_grant) {
   if (replica_fenced(replica)) {
-    ++stats_.fenced_rejections;  // See AddWaiter: never park a zombie.
+    ++stats_.ipc_fenced_rejections;  // See AddWaiter: never park a zombie.
     return;
   }
   ChannelState& ch = Chan(channel);
@@ -161,7 +161,7 @@ void IpcFabric::AddSendWaiter(size_t replica, LipId sender,
   }
   ch.send_waiters.insert(
       pos, SendWaiter{replica, sender, waiter, slot, resume_grant});
-  ++stats_.credit_waits;
+  ++stats_.ipc_credit_waits;
   ++replica_stats_[replica].credit_waits;
   if (trace_ != nullptr) {
     trace_->Instant("net", "credit-wait:" + channel, sim_->now());
@@ -203,7 +203,7 @@ void IpcFabric::DrainSenders(const std::string& name, ChannelState& ch) {
       continue;  // Dead sender: credit and grant ordinal stay unconsumed.
     }
     ++ch.next_grant_ordinal;
-    ++stats_.credit_grants;
+    ++stats_.ipc_credit_grants;
     Accept(waiter.replica, name, ch, std::move(bytes));
   }
   ch.granting = false;
@@ -284,7 +284,7 @@ void IpcFabric::CheckDeadlock(const std::string& name, ChannelState& origin) {
       ch.deadlocked = true;
       ch.last_error = DeadlockError("credit-wait cycle through channel '" +
                                     n + "'");
-      ++stats_.credit_deadlocks;
+      ++stats_.ipc_credit_deadlocks;
       SYMPHONY_LOG(kWarning) << "ipc credit-wait deadlock on '" << n << "'";
       if (trace_ != nullptr) {
         trace_->Instant("net", "deadlock:" + n, sim_->now());
@@ -301,7 +301,7 @@ bool IpcFabric::TryRecv(size_t replica, LipId receiver,
   if (replica_fenced(replica)) {
     // A fenced incarnation must not consume a message its replayed
     // successor is entitled to (that would break exactly-once delivery).
-    ++stats_.fenced_rejections;
+    ++stats_.ipc_fenced_rejections;
     return false;
   }
   ChannelState& ch = Chan(channel);
@@ -319,7 +319,7 @@ bool IpcFabric::TryRecv(size_t replica, LipId receiver,
   *ordinal = ch.next_recv_ordinal++;
   ++replica_stats_[replica].received;
   if (msg.origin == replica) {
-    ++stats_.local_deliveries;
+    ++stats_.ipc_local_deliveries;
   }
   Refund(channel, ch);
   return true;
@@ -331,7 +331,7 @@ void IpcFabric::AddWaiter(size_t replica, LipId receiver,
   if (replica_fenced(replica)) {
     // Never park a zombie: its thread will not be resumed (the replica is
     // halted) and a parked fenced waiter would absorb a delivery.
-    ++stats_.fenced_rejections;
+    ++stats_.ipc_fenced_rejections;
     return;
   }
   ChannelState& ch = Chan(channel);
@@ -409,7 +409,7 @@ void IpcFabric::Register(const std::string& name, ChannelState& ch,
   ch.home = replica;
   ch.receiver = lip;
   if (rehome) {
-    ++stats_.rehomes;
+    ++stats_.ipc_rehomes;
     if (trace_ != nullptr) {
       trace_->Instant("net", "rehome:" + name, sim_->now());
     }
@@ -447,7 +447,7 @@ void IpcFabric::RehomeEndpoint(size_t old_replica, LipId old_lip,
     }
     ch.home = new_replica;
     ch.receiver = new_lip;
-    ++stats_.rehomes;
+    ++stats_.ipc_rehomes;
     if (trace_ != nullptr) {
       trace_->Instant("net",
                       "rehome:" + name + ":replica" +
@@ -555,9 +555,9 @@ void IpcFabric::BeginTransfer(const std::string& name, uint64_t msg_id) {
   bool unroutable = !partitioned && !topology_->Routable(from, to, now);
   if (partitioned || unroutable) {
     if (partitioned) {
-      ++stats_.partition_retries;
+      ++stats_.ipc_partition_retries;
     } else {
-      ++stats_.link_down_retries;
+      ++stats_.ipc_link_down_retries;
     }
     if (msg->first_blocked < 0) {
       msg->first_blocked = now;
@@ -584,8 +584,8 @@ void IpcFabric::BeginTransfer(const std::string& name, uint64_t msg_id) {
   }
   msg->first_blocked = -1;
   msg->attempt = 0;
-  ++stats_.cross_sends;
-  stats_.cross_bytes += msg->bytes.size();
+  ++stats_.ipc_cross_sends;
+  stats_.ipc_cross_bytes += msg->bytes.size();
   SimTime arrival = topology_->Transfer(from, to, msg->bytes.size(), name);
   msg->in_flight = true;
   sim_->ScheduleAt(arrival,
@@ -634,7 +634,7 @@ void IpcFabric::Drain(const std::string& name, ChannelState& ch) {
     ++ch.next_recv_ordinal;
     ++replica_stats_[waiter.replica].received;
     if (head.origin == waiter.replica) {
-      ++stats_.local_deliveries;
+      ++stats_.ipc_local_deliveries;
     }
     ch.queue.pop_front();
     Refund(name, ch);

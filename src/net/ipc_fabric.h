@@ -122,17 +122,18 @@ struct IpcReplicaStats {
   uint64_t queue_peak = 0;    // Deepest queue among channels homed here.
 };
 
+// Field names carry the ipc_ prefix because ClusterSnapshot inherits them.
 struct IpcFabricStats {
-  uint64_t local_deliveries = 0;   // Origin and home on the same replica.
-  uint64_t cross_sends = 0;        // Topology transfers started.
-  uint64_t cross_bytes = 0;        // Payload bytes handed to the topology.
-  uint64_t partition_retries = 0;  // Transfer attempts blocked by a partition.
-  uint64_t link_down_retries = 0;  // Transfer attempts with no live route.
-  uint64_t rehomes = 0;            // Channel endpoint re-registrations.
-  uint64_t credit_waits = 0;       // Senders parked for a credit.
-  uint64_t credit_grants = 0;      // Parked senders granted a freed credit.
-  uint64_t credit_deadlocks = 0;   // Channels flagged kDeadlock (once each).
-  uint64_t fenced_rejections = 0;  // Sends/recvs refused from fenced replicas.
+  uint64_t ipc_local_deliveries = 0;  // Origin and home on one replica.
+  uint64_t ipc_cross_sends = 0;       // Topology transfers started.
+  uint64_t ipc_cross_bytes = 0;       // Payload bytes handed to the topology.
+  uint64_t ipc_partition_retries = 0;  // Attempts blocked by a partition.
+  uint64_t ipc_link_down_retries = 0;  // Attempts with no live route.
+  uint64_t ipc_rehomes = 0;           // Channel endpoint re-registrations.
+  uint64_t ipc_credit_waits = 0;      // Senders parked for a credit.
+  uint64_t ipc_credit_grants = 0;     // Parked senders granted a freed credit.
+  uint64_t ipc_credit_deadlocks = 0;  // Channels flagged kDeadlock (once each).
+  uint64_t ipc_fenced_rejections = 0;  // Sends/recvs refused while fenced.
 };
 
 // Introspection snapshot of one channel (tests, bench reports).
@@ -177,8 +178,8 @@ class IpcFabric : public ChannelFabric {
 
   // Fences replica `index` at generation `epoch`: until revived, sends from
   // it are discarded at the fabric boundary and recvs/parks from it are
-  // refused (counted in stats().fenced_rejections). The runtime is halted by
-  // the cluster before fencing, so these guards are the defense-in-depth
+  // refused (counted in stats().ipc_fenced_rejections). The runtime is halted
+  // by the cluster before fencing, so these guards are the defense-in-depth
   // layer that makes a zombie incarnation provably unable to interact —
   // exactly-once ownership for replayed LIPs does not rest on the halt
   // alone.

@@ -244,7 +244,7 @@ bool NetworkTopology::Routable(size_t from, size_t to, SimTime now) {
   if (HasRoute(from, to, now)) {
     return true;
   }
-  ++stats_.blocked;
+  ++stats_.net_link_blocked;
   faults_->NoteLinkBlocked();
   return false;
 }
@@ -261,8 +261,8 @@ bool NetworkTopology::HasRoute(size_t from, size_t to, SimTime now) {
 SimTime NetworkTopology::Transfer(size_t from, size_t to, uint64_t bytes,
                                   const std::string& label) {
   EnsureReplica(std::max(from, to));
-  ++stats_.transfers;
-  stats_.payload_bytes += bytes;
+  ++stats_.net_transfers;
+  stats_.net_payload_bytes += bytes;
   SimTime now = sim_->now();
   if (from == to) {
     return now;
@@ -278,12 +278,12 @@ SimTime NetworkTopology::Transfer(size_t from, size_t to, uint64_t bytes,
       // than drop the bytes. Callers gate on Routable() to avoid this.
       path = &StaticPath(from_node, to_node);
     } else {
-      ++stats_.reroutes;
+      ++stats_.net_reroutes;
       faults_->NoteLinkBlocked();
     }
   }
   if (path->size() > 2) {
-    ++stats_.multi_hop_transfers;
+    ++stats_.net_multi_hop;
   }
   // Store-and-forward: hop N serializes once hop N-1 delivered, and queues
   // behind whatever else occupies that wire.

@@ -35,9 +35,9 @@
 //
 // Fault injection: FaultPlan::AddLinkDown names two nodes; while the window
 // covers a link on a transfer's static path, the transfer is rerouted over
-// the shortest surviving path (stats().reroutes) or — when no path survives
-// — Routable() reports false and the IPC fabric surfaces its partition
-// retry/deadline semantics (stats().blocked).
+// the shortest surviving path (stats().net_reroutes) or — when no path
+// survives — Routable() reports false and the IPC fabric surfaces its
+// partition retry/deadline semantics (stats().net_link_blocked).
 //
 // Determinism: routing is a pure function of (graph, fault plan, virtual
 // time) — shortest paths break ties toward the lowest node id — and link
@@ -92,12 +92,13 @@ struct TopologyOptions {
   SimDuration spine_latency = -1;   // < 0: 4x uplink latency (per hop).
 };
 
+// Field names carry the net_ prefix because ClusterSnapshot inherits them.
 struct TopologyStats {
-  uint64_t transfers = 0;          // End-to-end transfers routed.
-  uint64_t payload_bytes = 0;      // Payload bytes (counted once, not per hop).
-  uint64_t multi_hop_transfers = 0;  // Transfers whose path had > 1 link.
-  uint64_t reroutes = 0;           // Static path down; surviving path used.
-  uint64_t blocked = 0;            // Routable() == false answers.
+  uint64_t net_transfers = 0;      // End-to-end transfers routed.
+  uint64_t net_payload_bytes = 0;  // Payload bytes (counted once, not per hop).
+  uint64_t net_multi_hop = 0;      // Transfers whose path had > 1 link.
+  uint64_t net_reroutes = 0;       // Static path down; surviving path used.
+  uint64_t net_link_blocked = 0;   // Routable() == false answers.
 };
 
 // One row of per-link observability (ClusterSnapshot::net_links).

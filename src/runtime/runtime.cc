@@ -860,7 +860,6 @@ bool LipRuntime::ChannelTrySend(const std::string& channel,
 
 void LipRuntime::ChannelAddSendWaiter(const std::string& channel,
                                       ThreadId waiter, std::string* slot) {
-  ++stats_.ipc_sends_blocked;
   LipId sender = kNoLip;
   uint64_t resume_grant = 0;
   if (current_ != 0) {
@@ -906,7 +905,6 @@ bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
     proc.journal->Append(tcb.path, std::move(send));
   }
   ++stats_.ipc_messages;
-  ++stats_.ipc_credit_grants;
   *bytes = std::move(*slot);
   Ready(thread);
   return true;

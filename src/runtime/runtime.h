@@ -134,11 +134,8 @@ struct RuntimeStats {
   // suppressed re-sends whose original delivery already happened.
   uint64_t ipc_recvs_replayed = 0;
   uint64_t ipc_sends_suppressed = 0;
-  // Credit flow control: sends that parked for a credit / blocked sends
-  // granted (journaled kCreditWait entries) / credit waits consumed from the
-  // journal during replay.
-  uint64_t ipc_sends_blocked = 0;
-  uint64_t ipc_credit_grants = 0;
+  // Credit flow control: credit waits consumed from the journal during
+  // replay (the fabric counts live parks and grants).
   uint64_t ipc_credit_waits_replayed = 0;
   // Recovery (src/recovery): syscalls answered from a journal during replay.
   uint64_t lips_replayed = 0;

@@ -219,12 +219,8 @@ size_t SymphonyCluster::FirstLiveFrom(size_t preferred) const {
   return 0;
 }
 
-size_t SymphonyCluster::RouteFor(const std::string& affinity_key) const {
-  return RouteFor(affinity_key, 0);
-}
-
 size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
-                                 uint64_t prefill_hint_tokens) const {
+                                 uint64_t prefill_hint_tokens) {
   // A fresh launch that will prefill a large context goes to the prefill
   // pool (least-loaded placeable prefill replica). Everything else — decode
   // streams, small jobs, hint-less launches — routes through the normal
@@ -232,7 +228,7 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
   if (prefill_hint_tokens >= options_.disagg_min_prefill_tokens) {
     size_t pick = LeastLoadedPrefill();
     if (pick != kNoReplica) {
-      ++disagg_prefill_routes_;
+      ++stats_.disagg_prefill_routes;
       return pick;
     }
   }
@@ -281,8 +277,8 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
   return 0;
 }
 
-void SymphonyCluster::NoteOverflow() const {
-  ++overflow_events_;
+void SymphonyCluster::NoteOverflow() {
+  ++stats_.overflow_events;
   SimTime now = sim_->now();
   if (now - overflow_window_start_ > options_.overflow_window) {
     overflow_window_start_ = now;
@@ -303,7 +299,7 @@ void SymphonyCluster::MaybeShedOnOverflow() {
   }
   last_overflow_rebalance_ = now;
   overflow_in_window_ = 0;
-  ++overflow_rebalances_;
+  ++stats_.overflow_rebalances;
   // Deferred one dispatch: Launch's placement must settle before migration
   // decisions read the load it just added.
   sim_->ScheduleAt(now, [this] { (void)Rebalance(); });
@@ -347,8 +343,8 @@ void SymphonyCluster::InstallCheckpointHook(
           // the next interval crossing.
           return;
         }
-        ++checkpoints_;
-        checkpoint_entries_folded_ += out->folded_entries;
+        ++stats_.checkpoints;
+        stats_.checkpoint_entries_folded += out->folded_entries;
         if (options_.server.trace != nullptr) {
           options_.server.trace->Instant(
               "store",
@@ -401,7 +397,7 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
       // the LIP decodes where it is.
       Replayer::Choose(*cost_model_, context_tokens) !=
           RecoveryMode::kImportSnapshot) {
-    ++disagg_handoff_skips_;
+    ++stats_.disagg_handoff_skips;
     return;
   }
   // Least-loaded placeable serve-pool target (never another prefill slot).
@@ -418,7 +414,7 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
     }
   }
   if (target == kNoReplica) {
-    ++disagg_handoff_skips_;
+    ++stats_.disagg_handoff_skips;
     return;
   }
   // Publish the prefilled KV through the snapshot store now, so the ship is
@@ -430,14 +426,14 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
         *store_, rec.replica, options_.server.model.Fingerprint(),
         *rec.journal);
     if (folded.ok()) {
-      ++checkpoints_;
-      checkpoint_entries_folded_ += folded->folded_entries;
+      ++stats_.checkpoints;
+      stats_.checkpoint_entries_folded += folded->folded_entries;
     }
     // A corruption-window failure just means a fatter (full) ship below.
   }
   ClusterLip id{rec.replica, rec.lip, uid};
   if (Migrate(id, target).ok()) {
-    ++disagg_handoffs_;
+    ++stats_.disagg_handoffs;
     if (options_.server.trace != nullptr) {
       options_.server.trace->Instant(
           "recovery", "handoff:" + rec.name + ":replica" +
@@ -447,7 +443,7 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
           sim_->now());
     }
   } else {
-    ++disagg_handoff_skips_;
+    ++stats_.disagg_handoff_skips;
   }
 }
 
@@ -537,7 +533,7 @@ SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
       out.replica = c;
       out.rerouted = c != preferred;
       if (out.rerouted) {
-        ++submit_reroutes_;
+        ++stats_.submit_reroutes;
       }
       if (ctrl_ != nullptr) {
         // AFTER the admit/queue landed: Kick is gated on ControlHasWork and
@@ -554,7 +550,7 @@ SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
       shed.replica = c;
     }
   }
-  ++submit_sheds_;
+  ++stats_.submit_sheds;
   return shed;
 }
 
@@ -600,7 +596,7 @@ void SymphonyCluster::ShipJournal(uint64_t uid, size_t target,
     StatusOr<RehydrateOutcome> fetch =
         RehydrateJournal(*store_, target, *journal);
     if (!fetch.ok()) {
-      ++rehydrate_retries_;
+      ++stats_.rehydrate_retries;
       sim_->ScheduleAfter(Millis(2), [this, uid, target, journal] {
         ShipJournal(uid, target, journal);
       });
@@ -622,11 +618,11 @@ void SymphonyCluster::ShipJournal(uint64_t uid, size_t target,
                                          "ship:" + it->second.name) -
                      sim_->now();
   SimDuration delay = delta ? std::max(wire, fetch_time) : wire;
-  ship_bytes_ += ship;
+  stats_.ship_bytes += ship;
   if (delta) {
-    ++delta_ships_;
+    ++stats_.delta_ships;
   } else {
-    ++full_ships_;
+    ++stats_.full_ships;
   }
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant(
@@ -769,7 +765,7 @@ Status SymphonyCluster::ControlFailover(size_t index) {
     }
     ++planned[target];
     ReplayOnto(records_[uid], target);
-    ++failovers_;
+    ++stats_.failovers;
   }
   SYMPHONY_LOG(kInfo) << "replica " << index << " killed; " << victims.size()
                       << " lip journal(s) shipped to survivors";
@@ -913,7 +909,7 @@ bool SymphonyCluster::ControlReadmit(size_t replica, uint64_t epoch) {
   }
   for (uint64_t uid : stranded) {
     ReplayOnto(records_[uid], replica);
-    ++failovers_;
+    ++stats_.failovers;
   }
   return true;
 }
@@ -963,7 +959,7 @@ size_t SymphonyCluster::ControlAddReplica() {
   // Fresh capacity rescues any LIPs stranded by a survivor-less failover.
   for (uint64_t uid : StrandedLips()) {
     ReplayOnto(records_[uid], index);
-    ++failovers_;
+    ++stats_.failovers;
   }
   return index;
 }
@@ -1033,7 +1029,7 @@ bool SymphonyCluster::ControlDrainComplete(size_t replica) {
 
 ClusterControl::LoadSignal SymphonyCluster::ControlLoadSignal() const {
   LoadSignal sig;
-  sig.sheds = submit_sheds_;
+  sig.sheds = stats_.submit_sheds;
   sig.lips.assign(slots_.size(), kNoReplica);
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (!Placeable(i)) {
@@ -1088,7 +1084,7 @@ Status SymphonyCluster::Migrate(const ClusterLip& id, size_t to_replica) {
         sim_->now());
   }
   ReplayOnto(rec, to_replica);
-  ++migrations_;
+  ++stats_.migrations;
   return Status::Ok();
 }
 
@@ -1191,7 +1187,7 @@ size_t SymphonyCluster::SharePrefixes() {
       // import costs more than one recompute prefill isn't worth sharing.
       if (Replayer::Choose(*cost_model_, info.length) !=
           RecoveryMode::kImportSnapshot) {
-        ++warm_skips_cost_;
+        ++stats_.warm_skips_cost;
         continue;
       }
       OpenOptions open;
@@ -1213,7 +1209,7 @@ size_t SymphonyCluster::SharePrefixes() {
       payload.streams.emplace_back("records",
                                    SerializeTokenRecords(snap->records));
       PublishResult published = store_->Publish(i, payload);
-      ++prefix_publishes_;
+      ++stats_.prefix_publishes;
       if (shared != shared_prefixes_.end()) {
         if (shared->second.key != published.key) {
           (void)store_->Release(shared->second.key);
@@ -1236,21 +1232,21 @@ size_t SymphonyCluster::SharePrefixes() {
         if (!fetch.ok()) {
           // Corruption window: the import is abandoned — the replica falls
           // back to recomputing the prefix when it needs it.
-          ++warm_corrupt_fallbacks_;
+          ++stats_.warm_corrupt_fallbacks;
           continue;
         }
         StatusOr<std::vector<TokenRecord>> records =
             ParseTokenRecords(fetch->streams[0].second);
         if (!records.ok()) {
-          ++warm_corrupt_fallbacks_;
+          ++stats_.warm_corrupt_fallbacks;
           continue;
         }
         auto import = std::make_shared<KvFileSnapshot>();
         import->path = info.path;
         import->mode = snap->mode;
         import->records = std::move(*records);
-        ++warm_imports_;
-        warm_import_tokens_ += info.length;
+        ++stats_.warm_imports;
+        stats_.warm_import_tokens += info.length;
         ++warmed;
         sim_->ScheduleAfter(fetch->transfer_time, [this, j, import] {
           if (Placeable(j)) {
@@ -1293,6 +1289,9 @@ bool SymphonyCluster::Done(const ClusterLip& id) const {
 
 SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   ClusterSnapshot snap;
+  static_cast<ClusterStats&>(snap) = stats_;
+  static_cast<IpcFabricStats&>(snap) = fabric_->stats();
+  static_cast<TopologyStats&>(snap) = topology_->stats();
   // Work counters span every incarnation: a slot rebuilt by readmission
   // parks its old server in retired_servers_, whose work still counts, so
   // the totals never go backwards.
@@ -1324,9 +1323,6 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   }
   snap.queue_wait_p50_ms = queue_waits_ms_.Percentile(0.5);
   snap.queue_wait_p99_ms = queue_waits_ms_.Percentile(0.99);
-  snap.disagg_prefill_routes = disagg_prefill_routes_;
-  snap.disagg_handoffs = disagg_handoffs_;
-  snap.disagg_handoff_skips = disagg_handoff_skips_;
   for (size_t i = 0; i < fabric_->replica_count(); ++i) {
     const IpcReplicaStats& ipc = fabric_->replica_stats(i);
     snap.ipc_sent += ipc.sent;
@@ -1335,40 +1331,8 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
     snap.ipc_dropped += ipc.dropped;
     snap.ipc_per_replica.push_back(ipc);
   }
-  snap.ipc_cross_sends = fabric_->stats().cross_sends;
-  snap.ipc_cross_bytes = fabric_->stats().cross_bytes;
-  snap.ipc_local_deliveries = fabric_->stats().local_deliveries;
-  snap.ipc_partition_retries = fabric_->stats().partition_retries;
-  snap.ipc_link_down_retries = fabric_->stats().link_down_retries;
-  snap.ipc_rehomes = fabric_->stats().rehomes;
-  snap.ipc_credit_waits = fabric_->stats().credit_waits;
-  snap.ipc_credit_grants = fabric_->stats().credit_grants;
-  snap.ipc_credit_deadlocks = fabric_->stats().credit_deadlocks;
-  snap.failovers = failovers_;
-  snap.migrations = migrations_;
-  snap.overflow_events = overflow_events_;
-  snap.overflow_rebalances = overflow_rebalances_;
-  snap.checkpoints = checkpoints_;
-  snap.checkpoint_entries_folded = checkpoint_entries_folded_;
-  snap.delta_ships = delta_ships_;
-  snap.full_ships = full_ships_;
-  snap.ship_bytes = ship_bytes_;
-  snap.rehydrate_retries = rehydrate_retries_;
-  snap.prefix_publishes = prefix_publishes_;
-  snap.warm_imports = warm_imports_;
-  snap.warm_import_tokens = warm_import_tokens_;
-  snap.warm_skips_cost = warm_skips_cost_;
-  snap.warm_corrupt_fallbacks = warm_corrupt_fallbacks_;
-  snap.submit_reroutes = submit_reroutes_;
-  snap.submit_sheds = submit_sheds_;
   snap.store = store_->stats();
-  snap.net_transfers = topology_->stats().transfers;
-  snap.net_payload_bytes = topology_->stats().payload_bytes;
-  snap.net_multi_hop = topology_->stats().multi_hop_transfers;
-  snap.net_reroutes = topology_->stats().reroutes;
-  snap.net_link_blocked = topology_->stats().blocked;
   snap.net_links = topology_->LinkReport();
-  snap.ipc_fenced_rejections = fabric_->stats().fenced_rejections;
   if (ctrl_ != nullptr) {
     snap.ctrl = ctrl_->stats();
     snap.ctrl_seat = ctrl_->seat();

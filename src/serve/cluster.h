@@ -195,12 +195,12 @@ class SymphonyCluster : private ClusterControl {
   ClusterAdmitResult Submit(SymphonyServer::LaunchSpec spec,
                             const std::string& affinity_key = "");
 
-  // The replica the router would pick for `affinity_key` right now. Dead
-  // replicas are never picked; prefill-role replicas are picked only through
-  // a qualifying `prefill_hint_tokens` (or when nothing else is placeable).
-  size_t RouteFor(const std::string& affinity_key) const;
+  // Routes one launch for `affinity_key`: the replica the router picks right
+  // now. Dead replicas are never picked; prefill-role replicas are picked
+  // only through a qualifying `prefill_hint_tokens` (or when nothing else is
+  // placeable). Advances the round-robin cursor and counts overflows.
   size_t RouteFor(const std::string& affinity_key,
-                  uint64_t prefill_hint_tokens) const;
+                  uint64_t prefill_hint_tokens = 0);
 
   // The role replica `index` was configured (or scaled out) with.
   ReplicaRole RoleOf(size_t index) const;
@@ -296,17 +296,12 @@ class SymphonyCluster : private ClusterControl {
   const std::string& Output(const ClusterLip& id) const;
   bool Done(const ClusterLip& id) const;
 
-  // Cluster-wide aggregates.
-  struct ClusterSnapshot {
-    double total_throughput_busy = 0.0;  // Sum of device busy fractions.
-    uint64_t batches = 0;
-    uint64_t lips_completed = 0;
-    std::vector<uint64_t> lips_per_replica;
-    size_t replicas_dead = 0;
+  // The counters the cluster itself increments (routing, migration, the
+  // snapshot store's consumers, the admission tier, disaggregation). Each is
+  // declared here once; ClusterSnapshot inherits them.
+  struct ClusterStats {
     uint64_t failovers = 0;    // LIPs replayed because their replica died.
     uint64_t migrations = 0;   // Migrate/Rebalance moves.
-    uint64_t lips_replayed = 0;
-    uint64_t replay_divergences = 0;
     uint64_t overflow_events = 0;      // kAffinityBounded hot-key overflows.
     uint64_t overflow_rebalances = 0;  // Rebalances those overflows triggered.
     // Snapshot store consumers.
@@ -324,32 +319,42 @@ class SymphonyCluster : private ClusterControl {
     // Cluster admission tier.
     uint64_t submit_reroutes = 0;       // Rejections salvaged elsewhere.
     uint64_t submit_sheds = 0;          // Rejected by every live replica.
-    // Cluster IPC fabric (src/net).
+    // Prefill/decode disaggregation.
+    uint64_t disagg_prefill_routes = 0;  // Launches sent to the prefill pool.
+    uint64_t disagg_handoffs = 0;        // Prefill->decode migrations shipped.
+    uint64_t disagg_handoff_skips = 0;   // Handoffs declined (cost gate,
+                                         // no placeable target, or raced).
+  };
+
+  // Cluster-wide aggregates. The cluster's own counters, the IPC fabric's
+  // (ipc_*) and the topology's (net_*) come whole from their owners' stats
+  // structs; the fields below are only what the snapshot sums or gathers.
+  struct ClusterSnapshot : ClusterStats, IpcFabricStats, TopologyStats {
+    double total_throughput_busy = 0.0;  // Sum of device busy fractions.
+    // Work counters, summed over every server incarnation.
+    uint64_t batches = 0;
+    uint64_t lips_completed = 0;
+    uint64_t lips_replayed = 0;
+    uint64_t replay_divergences = 0;
+    uint64_t ipc_recvs_replayed = 0;    // Recvs served verbatim from journals.
+    uint64_t ipc_sends_suppressed = 0;  // Journaled sends not re-sent.
+    uint64_t ipc_credit_waits_replayed = 0;  // Waits consumed from journals.
+    // Stall-free scheduling (chunked prefill + decode priority, src/sched).
+    uint64_t decode_tokens_batched = 0;   // Per-batch token occupancy, summed.
+    uint64_t prefill_tokens_batched = 0;
+    uint64_t prefill_chunks = 0;          // Chunk launches of split prefills.
+    uint64_t prefills_chunked = 0;        // Prefills split at least once.
+    double queue_wait_p50_ms = 0.0;     // Scheduler queue waits, cluster-wide.
+    double queue_wait_p99_ms = 0.0;
+    std::vector<uint64_t> lips_per_replica;
+    size_t replicas_dead = 0;
+    // Cluster IPC fabric (src/net), summed over the fabric's replica rows.
     uint64_t ipc_sent = 0;              // Messages accepted from senders.
     uint64_t ipc_received = 0;          // Messages delivered to receivers.
     uint64_t ipc_forwarded = 0;         // Transfers re-kicked after a rehome.
     uint64_t ipc_dropped = 0;           // Partitioned past the send deadline.
-    uint64_t ipc_cross_sends = 0;       // Link transfers started.
-    uint64_t ipc_local_deliveries = 0;  // Sender and receiver co-located.
-    uint64_t ipc_partition_retries = 0; // Transfer attempts blocked.
-    uint64_t ipc_rehomes = 0;           // Channel endpoint re-registrations.
-    uint64_t ipc_recvs_replayed = 0;    // Recvs served verbatim from journals.
-    uint64_t ipc_sends_suppressed = 0;  // Journaled sends not re-sent.
-    // Credit-based flow control (bounded channels).
-    uint64_t ipc_credit_waits = 0;      // Sends parked for lack of credit.
-    uint64_t ipc_credit_grants = 0;     // Parked sends later granted a credit.
-    uint64_t ipc_credit_deadlocks = 0;  // Channels flagged in a wait cycle.
-    uint64_t ipc_credit_waits_replayed = 0;  // Waits consumed from journals.
     std::vector<IpcReplicaStats> ipc_per_replica;
     SnapshotStoreStats store;
-    // Network topology (src/net): every cross-replica byte, by physical link.
-    uint64_t net_transfers = 0;         // End-to-end transfers routed.
-    uint64_t net_payload_bytes = 0;     // Payload bytes (counted once each).
-    uint64_t net_multi_hop = 0;         // Transfers that crossed a switch hop.
-    uint64_t net_reroutes = 0;          // Transfers detoured around a down link.
-    uint64_t net_link_blocked = 0;      // Attempts with no live route at all.
-    uint64_t ipc_cross_bytes = 0;       // IPC payload handed to the topology.
-    uint64_t ipc_link_down_retries = 0; // IPC retries caused by down links.
     std::vector<TopoLinkReport> net_links;  // Per-link transfer/byte/queue stats.
     // Control plane (src/ctrl): per-replica liveness as the detector sees it
     // (empty when the control plane is disabled).
@@ -363,19 +368,6 @@ class SymphonyCluster : private ClusterControl {
     std::vector<ReplicaLiveness> liveness;
     ControlPlaneStats ctrl;
     size_t ctrl_seat = kNoReplica;      // Where the membership service runs.
-    uint64_t ipc_fenced_rejections = 0; // Fabric ops refused from fenced replicas.
-    // Stall-free scheduling (chunked prefill + decode priority, src/sched).
-    double queue_wait_p50_ms = 0.0;     // Scheduler queue waits, cluster-wide.
-    double queue_wait_p99_ms = 0.0;
-    uint64_t decode_tokens_batched = 0;   // Per-batch token occupancy, summed.
-    uint64_t prefill_tokens_batched = 0;
-    uint64_t prefill_chunks = 0;          // Chunk launches of split prefills.
-    uint64_t prefills_chunked = 0;        // Prefills split at least once.
-    // Prefill/decode disaggregation.
-    uint64_t disagg_prefill_routes = 0;   // Launches steered to the prefill pool.
-    uint64_t disagg_handoffs = 0;         // Prefill->decode migrations shipped.
-    uint64_t disagg_handoff_skips = 0;    // Handoffs declined (cost gate,
-                                          // no placeable target, or raced).
   };
   ClusterSnapshot Snapshot() const;
 
@@ -466,9 +458,8 @@ class SymphonyCluster : private ClusterControl {
   // snapshot store and migrate the LIP to the least-loaded decode-pool
   // replica, unless the cost model says the hop loses to local decode.
   void MaybeHandoff(uint64_t uid, uint64_t context_tokens);
-  // Records a kAffinityBounded overflow (RouteFor is const; the counters are
-  // routing observability, not routing state).
-  void NoteOverflow() const;
+  // Records a kAffinityBounded overflow.
+  void NoteOverflow();
   // Runs an immediate Rebalance if recent overflows crossed the threshold.
   void MaybeShedOnOverflow();
   std::function<void(LipId)> MakeOnExit(uint64_t uid);
@@ -500,41 +491,20 @@ class SymphonyCluster : private ClusterControl {
   // alive, not destroyed: halted runtimes may still be named by pending
   // simulator events and late completions.
   std::vector<std::unique_ptr<SymphonyServer>> retired_servers_;
-  mutable size_t next_round_robin_ = 0;
+  size_t next_round_robin_ = 0;
   std::unordered_map<uint64_t, LipRecord> records_;
   uint64_t next_uid_ = 1;
-  uint64_t failovers_ = 0;
-  uint64_t migrations_ = 0;
-  // Overflow-driven rebalance state (mutable: see NoteOverflow).
-  mutable uint64_t overflow_events_ = 0;
-  mutable uint32_t overflow_in_window_ = 0;
-  mutable SimTime overflow_window_start_ = 0;
-  uint64_t overflow_rebalances_ = 0;
+  ClusterStats stats_;
+  // Overflow-driven rebalance state.
+  uint32_t overflow_in_window_ = 0;
+  SimTime overflow_window_start_ = 0;
   SimTime last_overflow_rebalance_ = -1;
-  // Snapshot-store consumer state.
+  // Prefixes published by SharePrefixes.
   struct SharedPrefix {
     uint64_t key = 0;      // Store manifest (one reference held).
     uint64_t tokens = 0;   // File length at publish (skip unchanged files).
   };
   std::unordered_map<std::string, SharedPrefix> shared_prefixes_;
-  uint64_t checkpoints_ = 0;
-  uint64_t checkpoint_entries_folded_ = 0;
-  uint64_t delta_ships_ = 0;
-  uint64_t full_ships_ = 0;
-  uint64_t ship_bytes_ = 0;
-  uint64_t rehydrate_retries_ = 0;
-  uint64_t prefix_publishes_ = 0;
-  uint64_t warm_imports_ = 0;
-  uint64_t warm_import_tokens_ = 0;
-  uint64_t warm_skips_cost_ = 0;
-  uint64_t warm_corrupt_fallbacks_ = 0;
-  uint64_t submit_reroutes_ = 0;
-  uint64_t submit_sheds_ = 0;
-  // Disaggregation observability (mutable: RouteFor is const, see
-  // NoteOverflow for the precedent).
-  mutable uint64_t disagg_prefill_routes_ = 0;
-  uint64_t disagg_handoffs_ = 0;
-  uint64_t disagg_handoff_skips_ = 0;
   // Declared last: the control plane's loops call back into everything
   // above, so it must be destroyed first.
   std::unique_ptr<ControlPlane> ctrl_;

@@ -2,15 +2,13 @@
 // aggregate accounting.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/serve/cluster.h"
+#include "tests/stress_seeds.h"
 
 namespace symphony {
 namespace {
@@ -313,25 +311,6 @@ TEST(PrefixSharingTest, ColdOrShortFilesAreNotShared) {
 
 // ---- Prefill/decode disaggregation --------------------------------------
 
-// Stress-scalable seeds, same contract as PropertySeeds in property_test.cc.
-std::vector<uint64_t> DisaggSeeds(std::vector<uint64_t> base, uint64_t stream) {
-  const char* stress = std::getenv("SYMPHONY_STRESS");
-  if (stress == nullptr || *stress == '\0' ||
-      std::string_view(stress) == "0") {
-    return base;
-  }
-  uint64_t extra = 64;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(stress, &end, 10);
-  if (end != stress && *end == '\0' && parsed > 1) {
-    extra = parsed;
-  }
-  for (uint64_t i = 0; i < extra; ++i) {
-    base.push_back(Mix64((stream << 32) ^ (i + 1)));
-  }
-  return base;
-}
-
 // Prefills `prompt_len` deterministic tokens, then emits `decode_steps`
 // greedy continuation tokens — the output fingerprints the whole KV state.
 LipProgram PrefillThenDecode(uint64_t prompt_len, int decode_steps) {
@@ -477,7 +456,7 @@ TEST_P(ChunkedKillSweepTest, KillMidChunkedPrefillReplaysBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChunkedKillSweepTest,
-                         ::testing::ValuesIn(DisaggSeeds({1, 2, 3}, 0xD1)));
+                         ::testing::ValuesIn(StressSeeds({1, 2, 3}, 0xD1)));
 
 // Kill/replay around the prefill->decode handoff: depending on the seed the
 // kill lands before the handoff (on the prefill replica), while the shipped
@@ -523,7 +502,7 @@ TEST_P(DisaggKillSweepTest, KillAroundHandoffReplaysBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DisaggKillSweepTest,
-                         ::testing::ValuesIn(DisaggSeeds({1, 2, 3}, 0xD2)));
+                         ::testing::ValuesIn(StressSeeds({1, 2, 3}, 0xD2)));
 
 }  // namespace
 }  // namespace symphony

@@ -9,16 +9,15 @@
 // double execution — property-tested across seeds and random fault windows.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/serve/cluster.h"
+#include "tests/stress_seeds.h"
 
 namespace symphony {
 namespace {
@@ -948,26 +947,6 @@ TEST(SlotLifecycleDigestTest, MatchesParent) {
 }
 
 // ---- The stress property ----------------------------------------------
-
-// Mirrors recovery_test.cc: curated base seeds, widened with derived seeds
-// when SYMPHONY_STRESS is set.
-std::vector<uint64_t> StressSeeds(std::vector<uint64_t> base, uint64_t stream) {
-  const char* stress = std::getenv("SYMPHONY_STRESS");
-  if (stress == nullptr || *stress == '\0' ||
-      std::string_view(stress) == "0") {
-    return base;
-  }
-  uint64_t extra = 64;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(stress, &end, 10);
-  if (end != stress && *end == '\0' && parsed > 1) {
-    extra = parsed;
-  }
-  for (uint64_t i = 0; i < extra; ++i) {
-    base.push_back(Mix64((stream << 32) ^ (i + 1)));
-  }
-  return base;
-}
 
 class CtrlPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

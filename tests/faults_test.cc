@@ -224,9 +224,8 @@ TEST(ToolFaultTest, OutageTripsBreakerAndShortCircuits) {
   const CircuitBreaker* breaker = server.tool_breaker("flaky");
   ASSERT_NE(breaker, nullptr);
   EXPECT_GE(breaker->opens(), 1u);
-  EXPECT_GT(server.Snapshot().breaker_rejections, 0u);
   // The breaker saved tool-latency: most attempts never reached the tool.
-  EXPECT_GT(server.Snapshot().breaker_opens, 0u);
+  EXPECT_GT(server.tool_stats().breaker_rejections, 0u);
 }
 
 TEST(ToolFaultTest, TimeoutCutsLatencyTails) {
@@ -513,7 +512,6 @@ TEST(DeadlineTest, ExpiryCancelsPredsAndReleasesKvQuota) {
 
   // KV quota released at expiry.
   EXPECT_EQ(server.kvfs().OwnerPageRefs(lip), 0u);
-  EXPECT_EQ(server.Snapshot().deadlines_expired, 1u);
 }
 
 TEST(DeadlineTest, QueuedPredsAreCancelledAtExpiry) {

@@ -16,17 +16,15 @@
 // backpressure to producers.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/faults/fault_plan.h"
 #include "src/net/ipc_fabric.h"
 #include "src/serve/cluster.h"
+#include "tests/stress_seeds.h"
 
 namespace symphony {
 namespace {
@@ -143,26 +141,6 @@ PairRun RunSplitPair(uint64_t seed, PairFault fault, SimTime at,
   EXPECT_EQ(run.snap.replay_divergences, 0u);
   EXPECT_EQ(run.snap.ipc_dropped, 0u);
   return run;
-}
-
-// Mirrors recovery_test.cc's stress-scalable seed lists: curated base seeds
-// by default, widened with derived seeds when SYMPHONY_STRESS is set.
-std::vector<uint64_t> StressSeeds(std::vector<uint64_t> base, uint64_t stream) {
-  const char* stress = std::getenv("SYMPHONY_STRESS");
-  if (stress == nullptr || *stress == '\0' ||
-      std::string_view(stress) == "0") {
-    return base;
-  }
-  uint64_t extra = 64;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(stress, &end, 10);
-  if (end != stress && *end == '\0' && parsed > 1) {
-    extra = parsed;
-  }
-  for (uint64_t i = 0; i < extra; ++i) {
-    base.push_back(Mix64((stream << 32) ^ (i + 1)));
-  }
-  return base;
 }
 
 // ---- The acceptance property ------------------------------------------
@@ -855,7 +833,7 @@ TEST(NetTopologyTest, SingleSwitchMatchesCostModelAndSerializes) {
   EXPECT_EQ(second, first + serialize);
   // The reverse direction is an independent wire.
   EXPECT_EQ(topo.Transfer(1, 0, kBytes, "c"), cost.NetworkTime(kBytes));
-  EXPECT_EQ(topo.stats().multi_hop_transfers, 0u);
+  EXPECT_EQ(topo.stats().net_multi_hop, 0u);
   std::vector<TopoLinkReport> links = topo.LinkReport();
   ASSERT_EQ(links.size(), 2u);
   EXPECT_EQ(links[0].name, "link:replica0->replica1");
@@ -890,7 +868,7 @@ TEST(NetTopologyTest, InterRackCostsOneUplinkMoreThanIntraRack) {
   // Defaults: edge latency = half the interconnect latency, uplink = full —
   // so the extra hop costs exactly one single-switch one-way.
   EXPECT_EQ(inter - intra, cost.NetworkTime(kBytes));
-  EXPECT_EQ(topo.stats().multi_hop_transfers, 2u);
+  EXPECT_EQ(topo.stats().net_multi_hop, 2u);
   SimDuration hw_latency = cost.hardware().interconnect_latency;
   EXPECT_EQ(topo.Distance(0, 1), hw_latency);
   EXPECT_EQ(topo.Distance(0, 2), 2 * hw_latency);
@@ -914,7 +892,7 @@ TEST(NetTopologyTest, DownedUplinkReroutesOverSpine) {
   SimTime via_spine = faulted.Transfer(0, 2, kBytes, "x");
   SimTime via_uplink = healthy.Transfer(0, 2, kBytes, "x");
   EXPECT_GT(via_spine, via_uplink);
-  EXPECT_EQ(faulted.stats().reroutes, 1u);
+  EXPECT_EQ(faulted.stats().net_reroutes, 1u);
   EXPECT_EQ(plan.stats().link_down_blocks, 1u);
   // Outside the window the static uplink route is live again.
   EXPECT_TRUE(faulted.Routable(0, 2, Millis(11)));
@@ -932,7 +910,7 @@ TEST(NetTopologyTest, DownedUplinkWithoutSpareBlocksRouting) {
   EXPECT_FALSE(topo.Routable(0, 2, 0));
   EXPECT_TRUE(topo.Routable(0, 1, 0));
   EXPECT_TRUE(topo.Routable(0, 2, Millis(10)));  // Window is half-open.
-  EXPECT_EQ(topo.stats().blocked, 1u);
+  EXPECT_EQ(topo.stats().net_link_blocked, 1u);
   EXPECT_EQ(plan.stats().link_down_blocks, 1u);
 }
 

@@ -22,33 +22,10 @@
 #include "src/model/cost_model.h"
 #include "src/model/model.h"
 #include "src/model/tokenizer.h"
+#include "tests/stress_seeds.h"
 
 namespace symphony {
 namespace {
-
-// Stress-scalable seed lists. By default each sweep runs its curated base
-// seeds; when SYMPHONY_STRESS is set (the nightly CI stress profile), every
-// sweep is widened with derived seeds — 64 extra, or the variable's integer
-// value when it parses to something larger than 1. `stream` decorrelates the
-// suites so they don't all replay the same derived sequence.
-std::vector<uint64_t> PropertySeeds(std::vector<uint64_t> base,
-                                    uint64_t stream) {
-  const char* stress = std::getenv("SYMPHONY_STRESS");
-  if (stress == nullptr || *stress == '\0' ||
-      std::string_view(stress) == "0") {
-    return base;
-  }
-  uint64_t extra = 64;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(stress, &end, 10);
-  if (end != stress && *end == '\0' && parsed > 1) {
-    extra = parsed;
-  }
-  for (uint64_t i = 0; i < extra; ++i) {
-    base.push_back(Mix64((stream << 32) ^ (i + 1)));
-  }
-  return base;
-}
 
 std::vector<uint64_t> SeedRange(uint64_t begin, uint64_t end) {
   std::vector<uint64_t> seeds;
@@ -151,7 +128,7 @@ TEST_P(PagePoolPropertyTest, MatchesReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PagePoolPropertyTest,
-                         ::testing::ValuesIn(PropertySeeds({1, 2, 3, 17, 99, 12345}, 1)));
+                         ::testing::ValuesIn(StressSeeds({1, 2, 3, 17, 99, 12345}, 1)));
 
 // ---------------------------------------------------------------------------
 // KvFileData: random append/truncate/clone vs std::vector references.
@@ -239,7 +216,7 @@ TEST_P(KvFilePropertyTest, MatchesVectorReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvFilePropertyTest,
-                         ::testing::ValuesIn(PropertySeeds({5, 6, 7, 8, 4242}, 2)));
+                         ::testing::ValuesIn(StressSeeds({5, 6, 7, 8, 4242}, 2)));
 
 // ---------------------------------------------------------------------------
 // Model state: shared prefix <=> shared state.
@@ -283,7 +260,7 @@ TEST_P(ModelStatePropertyTest, SharedPrefixSharedState) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelStatePropertyTest,
-                         ::testing::ValuesIn(PropertySeeds(SeedRange(100, 120), 3)));
+                         ::testing::ValuesIn(StressSeeds(SeedRange(100, 120), 3)));
 
 // ---------------------------------------------------------------------------
 // Distribution axioms across many states.
@@ -335,7 +312,7 @@ TEST_P(DistributionPropertyTest, AxiomsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DistributionPropertyTest,
-                         ::testing::ValuesIn(PropertySeeds({11, 22, 33, 44}, 4)));
+                         ::testing::ValuesIn(StressSeeds({11, 22, 33, 44}, 4)));
 
 // ---------------------------------------------------------------------------
 // Regex engine: differential test against std::regex (ECMAScript).
@@ -467,7 +444,7 @@ TEST_P(JsonPropertyTest, StructuralCorruptionDetected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JsonPropertyTest,
-                         ::testing::ValuesIn(PropertySeeds({51, 52, 53}, 5)));
+                         ::testing::ValuesIn(StressSeeds({51, 52, 53}, 5)));
 
 // ---------------------------------------------------------------------------
 // Tokenizer: decode(encode(s)) == whitespace-normalized s, for fuzzed input.
@@ -514,7 +491,7 @@ TEST_P(TokenizerPropertyTest, RoundTripNormalizesWhitespace) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TokenizerPropertyTest,
-                         ::testing::ValuesIn(PropertySeeds({61, 62, 63}, 6)));
+                         ::testing::ValuesIn(StressSeeds({61, 62, 63}, 6)));
 
 // ---------------------------------------------------------------------------
 // Cost model: monotonicity and superadditivity-of-batching properties.
@@ -561,7 +538,7 @@ TEST_P(CostModelPropertyTest, TransferTimeIsLinearish) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CostModelPropertyTest,
-                         ::testing::ValuesIn(PropertySeeds({71, 72}, 7)));
+                         ::testing::ValuesIn(StressSeeds({71, 72}, 7)));
 
 }  // namespace
 }  // namespace symphony

@@ -7,10 +7,8 @@
 // all recovery modes.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,16 +17,18 @@
 #include "src/recovery/replayer.h"
 #include "src/serve/cluster.h"
 #include "src/store/journal_checkpoint.h"
+#include "tests/stress_seeds.h"
 
 namespace symphony {
 namespace {
 
 // A multi-turn tool-calling agent: samples tokens (RNG-dependent), calls a
 // tool whose args depend on generated state, sleeps between turns, and emits
-// everything. Captures nothing by reference so the cluster's retained copy
-// can re-run it during replay.
-LipProgram MakeAgent(int turns) {
-  return [turns](LipContext& ctx) -> Task {
+// everything. Stops at the first EOS it samples unless `stop_at_eos` is
+// false. Captures nothing by reference so the cluster's retained copy can
+// re-run it during replay.
+LipProgram MakeAgent(int turns, bool stop_at_eos = true) {
+  return [turns, stop_at_eos](LipContext& ctx) -> Task {
     KvHandle kv = *ctx.kv_tmp();
     std::vector<TokenId> prompt = ctx.tokenizer().Encode("w1 w2 w3");
     StatusOr<std::vector<Distribution>> dists = co_await ctx.pred(kv, prompt);
@@ -37,7 +37,7 @@ LipProgram MakeAgent(int turns) {
     }
     TokenId next = dists->back().Sample(ctx.uniform(), 0.8);
     for (int turn = 0; turn < turns; ++turn) {
-      for (int i = 0; i < 6 && next != kEosToken; ++i) {
+      for (int i = 0; i < 6 && !(stop_at_eos && next == kEosToken); ++i) {
         ctx.emit(ctx.tokenizer().TokenToString(next) + " ");
         StatusOr<std::vector<Distribution>> d = co_await ctx.pred1(kv, next);
         if (!d.ok()) {
@@ -51,7 +51,7 @@ LipProgram MakeAgent(int turns) {
         ctx.emit("[" + *out + "]");
       }
       co_await ctx.sleep(Millis(1));
-      if (next == kEosToken) {
+      if (stop_at_eos && next == kEosToken) {
         break;
       }
     }
@@ -88,11 +88,13 @@ struct RunResult {
 // Runs one agent to completion; optionally kills its replica at
 // `kill_frac x baseline_finish` virtual time.
 RunResult RunAgent(uint64_t seed, RecoveryMode mode,
-                   std::optional<double> kill_frac, SimTime baseline_finish) {
+                   std::optional<double> kill_frac, SimTime baseline_finish,
+                   bool stop_at_eos = true) {
   Simulator sim;
   SymphonyCluster cluster(&sim, RecoveryCluster(seed, mode));
   RegisterTools(cluster);
-  SymphonyCluster::ClusterLip id = cluster.Launch("agent", "", MakeAgent(4));
+  SymphonyCluster::ClusterLip id =
+      cluster.Launch("agent", "", MakeAgent(4, stop_at_eos));
   if (kill_frac.has_value()) {
     SimTime kill_at =
         static_cast<SimTime>(*kill_frac * static_cast<double>(baseline_finish));
@@ -419,26 +421,6 @@ TEST(RecoveryTest, ImportBeatsRecomputeForLargeContexts) {
 
 // ---- Checkpoint truncation + delta migration (src/store) ---------------
 
-// Mirrors property_test.cc's stress-scalable seed lists: curated base seeds
-// by default, widened with derived seeds when SYMPHONY_STRESS is set.
-std::vector<uint64_t> StressSeeds(std::vector<uint64_t> base, uint64_t stream) {
-  const char* stress = std::getenv("SYMPHONY_STRESS");
-  if (stress == nullptr || *stress == '\0' ||
-      std::string_view(stress) == "0") {
-    return base;
-  }
-  uint64_t extra = 64;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(stress, &end, 10);
-  if (end != stress && *end == '\0' && parsed > 1) {
-    extra = parsed;
-  }
-  for (uint64_t i = 0; i < extra; ++i) {
-    base.push_back(Mix64((stream << 32) ^ (i + 1)));
-  }
-  return base;
-}
-
 constexpr uint64_t kCheckpointInterval = 8;
 
 ClusterOptions CheckpointCluster(uint64_t seed, bool delta) {
@@ -461,11 +443,13 @@ struct CheckpointRun {
 // every 500us; optionally kills its replica mid-run.
 CheckpointRun RunCheckpointedAgent(uint64_t seed, bool delta,
                                    std::optional<double> kill_frac,
-                                   SimTime baseline_finish) {
+                                   SimTime baseline_finish,
+                                   bool stop_at_eos = true) {
   Simulator sim;
   SymphonyCluster cluster(&sim, CheckpointCluster(seed, delta));
   RegisterTools(cluster);
-  SymphonyCluster::ClusterLip id = cluster.Launch("agent", "", MakeAgent(4));
+  SymphonyCluster::ClusterLip id =
+      cluster.Launch("agent", "", MakeAgent(4, stop_at_eos));
   CheckpointRun run;
   bool killed = false;
   std::function<void()> probe = [&] {
@@ -509,15 +493,18 @@ class CheckpointPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 // The satellite property: with truncation on, the journal's resident entry
 // count stays bounded (<= 2x the checkpoint interval) for the whole run, and
 // replay after a random-time kill is still bit-identical — the truncated
-// prefix comes back from the store, not from luck.
+// prefix comes back from the store, not from luck. The agent ignores EOS and
+// runs all its turns, so every seed's journal crosses the checkpoint
+// interval (one that samples EOS early would never fold).
 TEST_P(CheckpointPropertyTest, TruncationBoundsJournalAndKillStaysBitIdentical) {
   uint64_t seed = GetParam();
-  RunResult plain = RunAgent(seed, RecoveryMode::kAuto, std::nullopt, 0);
+  RunResult plain = RunAgent(seed, RecoveryMode::kAuto, std::nullopt, 0,
+                             /*stop_at_eos=*/false);
   ASSERT_FALSE(plain.output.empty());
 
   // Checkpointing must not perturb execution: same output, journal bounded.
-  CheckpointRun baseline =
-      RunCheckpointedAgent(seed, /*delta=*/true, std::nullopt, 0);
+  CheckpointRun baseline = RunCheckpointedAgent(
+      seed, /*delta=*/true, std::nullopt, 0, /*stop_at_eos=*/false);
   EXPECT_EQ(baseline.output, plain.output);
   EXPECT_GT(baseline.snap.checkpoints, 0u);
   EXPECT_GT(baseline.snap.checkpoint_entries_folded, 0u);
@@ -528,8 +515,8 @@ TEST_P(CheckpointPropertyTest, TruncationBoundsJournalAndKillStaysBitIdentical) 
   // Kill at a seed-derived random time: replay from (checkpoint + suffix).
   Rng kill_rng(seed ^ 0xC0FFEEULL);
   double frac = 0.05 + 0.85 * kill_rng.NextDouble();
-  CheckpointRun after_kill =
-      RunCheckpointedAgent(seed, /*delta=*/true, frac, plain.finish);
+  CheckpointRun after_kill = RunCheckpointedAgent(
+      seed, /*delta=*/true, frac, plain.finish, /*stop_at_eos=*/false);
   EXPECT_EQ(after_kill.output, plain.output) << "seed=" << seed
                                              << " kill_frac=" << frac;
   EXPECT_EQ(after_kill.snap.failovers, 1u);

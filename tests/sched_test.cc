@@ -5,12 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -23,6 +21,7 @@
 #include "src/sched/batch_policy.h"
 #include "src/sched/inference_scheduler.h"
 #include "src/sim/event_queue.h"
+#include "tests/stress_seeds.h"
 
 namespace symphony {
 namespace {
@@ -578,26 +577,6 @@ TEST(MemoryBackoffTest, RetryBudgetExhaustionFailsTheRequest) {
 // Stall-free scheduling: chunked prefill must be semantically invisible.
 // ---------------------------------------------------------------------------
 
-// Stress-scalable seeds, same contract as PropertySeeds in property_test.cc:
-// curated base seeds by default, widened under SYMPHONY_STRESS.
-std::vector<uint64_t> ChunkSeeds(std::vector<uint64_t> base, uint64_t stream) {
-  const char* stress = std::getenv("SYMPHONY_STRESS");
-  if (stress == nullptr || *stress == '\0' ||
-      std::string_view(stress) == "0") {
-    return base;
-  }
-  uint64_t extra = 64;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(stress, &end, 10);
-  if (end != stress && *end == '\0' && parsed > 1) {
-    extra = parsed;
-  }
-  for (uint64_t i = 0; i < extra; ++i) {
-    base.push_back(Mix64((stream << 32) ^ (i + 1)));
-  }
-  return base;
-}
-
 struct LipObservation {
   std::vector<uint64_t> dist_states;  // Every distribution, in program order.
   HiddenState tail = 0;
@@ -714,7 +693,7 @@ TEST_P(ChunkInvarianceTest, ChunkedExecutionIsBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChunkInvarianceTest,
-                         ::testing::ValuesIn(ChunkSeeds({11, 29, 47}, 0xC0)));
+                         ::testing::ValuesIn(StressSeeds({11, 29, 47}, 0xC0)));
 
 // ---------------------------------------------------------------------------
 // Chunking exists to bound decode tail latency: shrinking the chunk must
@@ -1039,7 +1018,7 @@ TEST_P(PickOrderTest, BatchesMatchRecordedDigest) {
 TEST_P(PickOrderTest, ExtraSeedsAreDeterministic) {
   // Only SYMPHONY_STRESS adds seeds here, at most 8 per configuration since
   // a run takes seconds under sanitizers. Each must give one digest twice.
-  std::vector<uint64_t> seeds = ChunkSeeds({}, 0x9C);
+  std::vector<uint64_t> seeds = StressSeeds({}, 0x9C);
   seeds.resize(std::min<size_t>(seeds.size(), 8));
   for (uint64_t seed : seeds) {
     EXPECT_EQ(RunPickOrder(seed, GetParam()).digest,

@@ -248,22 +248,6 @@ TEST(ServerTest, NamedKvPersistsAcrossLips) {
   EXPECT_EQ(server.device().stats().batches, prefill_batches + 1);
 }
 
-TEST(ServerTest, SnapshotAggregatesComponentStats) {
-  Simulator sim;
-  SymphonyServer server(&sim, TinyOptions());
-  server.Launch("work", [&](LipContext& ctx) -> Task {
-    KvHandle kv = *ctx.kv_tmp();
-    (void)co_await ctx.pred_tokens(kv, 260, 261);
-    co_return;
-  });
-  sim.Run();
-  SymphonyServer::MetricsSnapshot snap = server.Snapshot();
-  EXPECT_EQ(snap.preds, 1u);
-  EXPECT_EQ(snap.lips_completed, 1u);
-  EXPECT_GT(snap.gpu_utilization, 0.0);
-  EXPECT_EQ(snap.batches, 1u);
-}
-
 TEST(ServerTest, AclIsolatesTenants) {
   Simulator sim;
   SymphonyServer server(&sim, TinyOptions());

@@ -174,15 +174,15 @@ TEST(SnapshotStoreTest, FetchRoutesMovedChunksThroughTheTopology) {
   StatusOr<FetchResult> local = store.Fetch(0, pub.key);
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(local->transfer_time, 0);
-  EXPECT_EQ(topo.stats().transfers, 0u);  // Nothing moved, nothing routed.
+  EXPECT_EQ(topo.stats().net_transfers, 0u);  // Nothing moved, nothing routed.
   StatusOr<FetchResult> remote = store.Fetch(1, pub.key);
   ASSERT_TRUE(remote.ok());
   EXPECT_EQ(remote->bytes_fetched, data.size());
   // Idle single-source transfer == the legacy flat charge, and the bytes are
   // now visible on the publisher->fetcher link.
   EXPECT_EQ(remote->transfer_time, cost.NetworkTime(data.size()));
-  EXPECT_EQ(topo.stats().transfers, 1u);
-  EXPECT_EQ(topo.stats().payload_bytes, data.size());
+  EXPECT_EQ(topo.stats().net_transfers, 1u);
+  EXPECT_EQ(topo.stats().net_payload_bytes, data.size());
   std::vector<TopoLinkReport> links = topo.LinkReport();
   ASSERT_EQ(links.size(), 1u);
   EXPECT_EQ(links[0].name, "link:replica0->replica1");
@@ -192,7 +192,7 @@ TEST(SnapshotStoreTest, FetchRoutesMovedChunksThroughTheTopology) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->bytes_fetched, 0u);
   EXPECT_EQ(again->transfer_time, 0);
-  EXPECT_EQ(topo.stats().transfers, 1u);
+  EXPECT_EQ(topo.stats().net_transfers, 1u);
 }
 
 // ---- Corruption detection -----------------------------------------------
