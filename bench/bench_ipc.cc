@@ -381,9 +381,8 @@ void TopologyRttSweep() {
       Simulator sim;
       TopologyOptions topt;
       topt.preset = TopologyOptions::Preset::kTwoRack;
-      topt.replicas = 4;
       topt.rack_split = 2;
-      NetworkTopology topo(&sim, &cost, nullptr, nullptr, topt);
+      NetworkTopology topo(&sim, &cost, nullptr, nullptr, 4, topt);
       double one_way_us =
           ToSeconds(topo.Transfer(scope.from, scope.to, payload, "rtt")) * 1e6;
       double rtt_us = 2.0 * one_way_us;

@@ -105,10 +105,8 @@ BENCHMARK(BM_JournalLiveBytes);
 void BM_TopologyTransfer(benchmark::State& state) {
   Simulator sim;
   CostModel cost(ModelConfig::Llama13B());
-  TopologyOptions options;
-  options.replicas = 4;
   NetworkTopology topology(&sim, &cost, /*faults=*/nullptr, /*trace=*/nullptr,
-                           options);
+                           /*replicas=*/4);
   const std::string label = "hb:replica0";
   for (auto _ : state) {
     benchmark::DoNotOptimize(topology.Transfer(0, 1, 64, label));

@@ -6,6 +6,16 @@
 #include "src/common/hash.h"
 
 namespace symphony {
+namespace {
+
+// Payload of one heartbeat on the topology's links.
+constexpr uint64_t kHeartbeatBytes = 64;
+// Seeds the per-(replica, beat) heartbeat jitter stream.
+constexpr uint64_t kJitterSeed = 0xC7A1;
+// EWMA weight for the scaling loop's admission signals (per tick).
+constexpr double kScalingEwmaAlpha = 0.4;
+
+}  // namespace
 
 ControlPlane::ControlPlane(Simulator* sim, ClusterControl* cluster,
                            NetworkTopology* topology, FaultPlan* faults,
@@ -83,7 +93,7 @@ SimDuration ControlPlane::NextBeatDelay(size_t replica) {
   ++t.beat_seq;
   // Deterministic jitter stream per (seed, replica, beat): desynchronizes
   // the fleet's beats so they don't all hit the seat's links in lockstep.
-  uint64_t draw = Mix64(options_.seed ^
+  uint64_t draw = Mix64(kJitterSeed ^
                         (replica * 0x9e3779b97f4a7c15ULL) ^ t.beat_seq);
   double unit = static_cast<double>(draw >> 11) * 0x1p-53;  // [0, 1)
   double factor = 1.0 + options_.heartbeat_jitter * (2.0 * unit - 1.0);
@@ -137,7 +147,7 @@ void ControlPlane::Beat(size_t replica) {
       // and arrives when the topology says it arrives. It takes its place
       // in the event order now, where its arrival event would have.
       SimTime arrive = topology_->Transfer(
-          replica, dest, options_.heartbeat_bytes, t.label);
+          replica, dest, kHeartbeatBytes, t.label);
       t.in_flight.push_back(InFlightBeat{sim_->StampAt(arrive), t.epoch});
     }
   }
@@ -384,14 +394,14 @@ void ControlPlane::EvaluateScaling() {
   ClusterControl::LoadSignal signal = cluster_->ControlLoadSignal();
   uint64_t shed_delta = signal.sheds - last_sheds_;
   last_sheds_ = signal.sheds;
-  double alpha = options_.scaling.ewma_alpha;
-  ewma_delay_ = alpha * static_cast<double>(signal.worst_delay) +
-                (1.0 - alpha) * ewma_delay_;
+  ewma_delay_ = kScalingEwmaAlpha * static_cast<double>(signal.worst_delay) +
+                (1.0 - kScalingEwmaAlpha) * ewma_delay_;
   double per_replica =
       signal.serving > 0 ? static_cast<double>(signal.live_lips) /
                                static_cast<double>(signal.serving)
                          : 0.0;
-  ewma_load_ = alpha * per_replica + (1.0 - alpha) * ewma_load_;
+  ewma_load_ = kScalingEwmaAlpha * per_replica +
+               (1.0 - kScalingEwmaAlpha) * ewma_load_;
   SimTime now = sim_->now();
   bool overloaded =
       (options_.scaling.scale_out_on_sheds > 0 &&

@@ -57,8 +57,8 @@
 //     when the load floor and cooldowns allow, migrating its LIPs off
 //     before detaching it.
 //
-// Determinism: every decision is a pure function of (options.seed, replica,
-// beat sequence, virtual time); heartbeat jitter is Mix64-derived, sweeps
+// Determinism: every decision is a pure function of (replica, beat
+// sequence, virtual time); heartbeat jitter is Mix64-derived, sweeps
 // and beats run at scheduled virtual times, and link charging is the
 // topology's deterministic serialization. A seeded run detects, fences,
 // fails over, and scales identically across reruns. Enabling the control
@@ -124,9 +124,8 @@ struct ScalingOptions {
   bool enabled = false;
   size_t min_replicas = 1;
   size_t max_replicas = 8;
+  // Each evaluation tick EWMAs the admission signals (weight 0.4).
   SimDuration evaluate_period = Millis(25);
-  // EWMA weight for the admission signals (per evaluation tick).
-  double ewma_alpha = 0.4;
   // Scale OUT when the EWMA of the worst per-replica projected admission
   // delay exceeds this, or when >= scale_out_on_sheds requests were shed
   // since the last tick (sheds are rare and decisive; delay is smooth).
@@ -151,7 +150,6 @@ struct ControlPlaneOptions {
   // drawn uniformly from [1 - jitter, 1 + jitter] (seeded, per replica).
   SimDuration heartbeat_period = Millis(5);
   double heartbeat_jitter = 0.25;
-  uint64_t heartbeat_bytes = 64;
   // Detector thresholds on the age of the last DELIVERED beat. Must order
   // suspect_after < lease < declare_dead_after: the source-side lease fence
   // has to land before the seat re-executes the victim's LIPs.
@@ -161,7 +159,6 @@ struct ControlPlaneOptions {
   // for this long halts itself (it must assume it has been declared dead).
   SimDuration lease = Millis(25);
   SimDuration sweep_period = Millis(4);
-  uint64_t seed = 0xC7A1;
   ScalingOptions scaling;
 };
 

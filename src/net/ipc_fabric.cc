@@ -9,6 +9,18 @@
 #include "src/common/rng.h"
 
 namespace symphony {
+namespace {
+
+// Retry jitter: each blocked-transfer retry delay is stretched by a factor
+// drawn uniformly from [1 - kRetryJitter, 1 + kRetryJitter], from a stream
+// seeded by kRetrySeed.
+constexpr double kRetryJitter = 0.2;
+constexpr uint64_t kRetrySeed = 0x1Bc;
+// Admission backpressure: each sender parked for a credit on a replica
+// inflates that replica's projected queue delay by this much.
+constexpr SimDuration kBackpressurePenalty = Micros(50);
+
+}  // namespace
 
 IpcFabric::IpcFabric(Simulator* sim, const CostModel* cost, FaultPlan* faults,
                      TraceRecorder* trace, IpcFabricOptions options,
@@ -526,10 +538,10 @@ SimDuration IpcFabric::RetryDelay(const std::string& name,
   base = std::min(base, options_.retry_cap);
   // One decision stream per (seed, channel, message, attempt) — the FaultPlan
   // keying discipline, so a replayed run re-draws identical backoffs.
-  Rng rng(Mix64(options_.seed ^ Fnv1a(name)) ^
+  Rng rng(Mix64(kRetrySeed ^ Fnv1a(name)) ^
           Mix64(msg.id * 0x9e3779b97f4a7c15ULL + msg.attempt));
   double jitter =
-      1.0 + options_.retry_jitter * (2.0 * rng.NextDouble() - 1.0);
+      1.0 + kRetryJitter * (2.0 * rng.NextDouble() - 1.0);
   SimDuration delay =
       static_cast<SimDuration>(static_cast<double>(base) * jitter);
   return std::max<SimDuration>(delay, 1);
@@ -714,7 +726,7 @@ size_t IpcFabric::ParkedSenders(size_t replica) const {
 
 SimDuration IpcFabric::BackpressureDelay(size_t replica) const {
   return static_cast<SimDuration>(ParkedSenders(replica)) *
-         options_.backpressure_penalty;
+         kBackpressurePenalty;
 }
 
 }  // namespace symphony

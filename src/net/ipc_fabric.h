@@ -1,9 +1,10 @@
-// IpcFabric: cluster-wide named channels (the paper's server-side IPC made
-// multi-replica).
+// IpcFabric: named channels, the one implementation of the paper's
+// server-side IPC. A SymphonyCluster shares one fabric across its replicas;
+// a standalone SymphonyServer runs its channels on a one-replica fabric.
 //
-// The fabric is the cluster's channel router and registry. A channel's HOME
-// is the (replica, LIP) endpoint that receives on it, registered on first
-// recv and re-registered when the receiver moves (every live recv re-homes;
+// The fabric is the channel router and registry. A channel's HOME is the
+// (replica, LIP) endpoint that receives on it, registered on first recv and
+// re-registered when the receiver moves (every live recv re-homes;
 // SymphonyCluster additionally calls RehomeEndpoint when it replays an
 // endpoint elsewhere, so messages already in flight are forwarded). Sends
 // from any replica are accepted immediately — fire-and-forget, matching
@@ -96,21 +97,13 @@ struct IpcFabricOptions {
   // How long a message may stay stuck behind a partition before it is
   // dropped (per message, measured from its first blocked attempt).
   SimDuration send_deadline = Millis(250);
-  // Exponential backoff for blocked transfers: base * 2^(attempt-1), capped.
+  // Exponential backoff for blocked transfers: base * 2^(attempt-1), capped,
+  // then stretched by a deterministic jitter factor in [0.8, 1.2].
   SimDuration retry_base = Millis(1);
   SimDuration retry_cap = Millis(32);
-  // Deterministic jitter: each retry delay is stretched by a factor drawn
-  // uniformly from [1 - retry_jitter, 1 + retry_jitter].
-  double retry_jitter = 0.2;
-  uint64_t seed = 0x1Bc;
   // Credit capacity applied to every channel at creation; 0 = unbounded
-  // (legacy behaviour: send never blocks). SetChannelCredits overrides per
-  // channel.
+  // (send never blocks). SetChannelCredits overrides per channel.
   uint64_t channel_credits = 0;
-  // Admission backpressure: each sender parked for a credit on a replica
-  // inflates that replica's projected queue delay by this much (see
-  // BackpressureDelay and SymphonyServer::set_backpressure_hook).
-  SimDuration backpressure_penalty = Micros(50);
 };
 
 struct IpcReplicaStats {
@@ -157,9 +150,10 @@ struct ChannelView {
 class IpcFabric : public ChannelFabric {
  public:
   // `topology` routes every cross-replica transfer; nullptr makes the fabric
-  // construct and own a default single-switch NetworkTopology (standalone
-  // tests). SymphonyCluster passes its shared instance so IPC contends with
-  // journal shipping and store fetches on the same links.
+  // construct and own a default single-switch NetworkTopology (a standalone
+  // server and standalone tests). SymphonyCluster passes its shared instance
+  // so IPC contends with journal shipping and store fetches on the same
+  // links.
   IpcFabric(Simulator* sim, const CostModel* cost, FaultPlan* faults,
             TraceRecorder* trace, IpcFabricOptions options = {},
             NetworkTopology* topology = nullptr);
@@ -228,9 +222,9 @@ class IpcFabric : public ChannelFabric {
   void SetChannelCredits(const std::string& channel, uint64_t capacity);
 
   // Senders currently parked for a credit on channels, sending from
-  // `replica`, and the admission-facing penalty derived from them
-  // (parked * options.backpressure_penalty) — wired into
-  // SymphonyServer::set_backpressure_hook by the cluster.
+  // `replica`, and the admission-facing penalty derived from them (50 µs
+  // per parked sender) — wired into SymphonyServer::set_backpressure_hook by
+  // the cluster.
   size_t ParkedSenders(size_t replica) const;
   SimDuration BackpressureDelay(size_t replica) const;
 

@@ -13,38 +13,25 @@ constexpr SimDuration kUnreachable = std::numeric_limits<SimDuration>::max();
 
 NetworkTopology::NetworkTopology(Simulator* sim, const CostModel* cost,
                                  FaultPlan* faults, TraceRecorder* trace,
-                                 TopologyOptions options)
-    : sim_(sim),
-      cost_(cost),
-      faults_(faults),
-      trace_(trace),
-      options_(options) {
+                                 size_t replicas, TopologyOptions options)
+    : sim_(sim), cost_(cost), faults_(faults), trace_(trace) {
   assert(sim != nullptr);
   assert(cost != nullptr);
-  if (options_.preset == TopologyOptions::Preset::kSingleSwitch) {
-    EnsureReplica(options_.replicas > 0 ? options_.replicas - 1 : 0);
+  if (options.preset == TopologyOptions::Preset::kSingleSwitch) {
+    EnsureReplica(replicas > 0 ? replicas - 1 : 0);
     return;
   }
   // kTwoRack: fixed graph, built up front from the replica count.
   const HardwareConfig& hw = cost_->hardware();
-  size_t replicas = std::max<size_t>(options_.replicas, 1);
-  size_t split = options_.rack_split > 0 ? options_.rack_split
-                                         : (replicas + 1) / 2;
+  replicas = std::max<size_t>(replicas, 1);
+  size_t split =
+      options.rack_split > 0 ? options.rack_split : (replicas + 1) / 2;
   split = std::min(split, replicas);
-  options_.rack_split = split;
-  double edge_bw = options_.edge_bandwidth > 0 ? options_.edge_bandwidth
-                                               : hw.interconnect_bandwidth;
-  SimDuration edge_lat = options_.edge_latency >= 0
-                             ? options_.edge_latency
-                             : hw.interconnect_latency / 2;
-  double up_bw = options_.uplink_bandwidth > 0 ? options_.uplink_bandwidth
-                                               : hw.interconnect_bandwidth;
-  SimDuration up_lat = options_.uplink_latency >= 0 ? options_.uplink_latency
-                                                    : hw.interconnect_latency;
-  double spine_bw = options_.spine_bandwidth > 0 ? options_.spine_bandwidth
-                                                 : up_bw;
-  SimDuration spine_lat =
-      options_.spine_latency >= 0 ? options_.spine_latency : 4 * up_lat;
+  edge_bw_ = hw.interconnect_bandwidth;
+  edge_lat_ = hw.interconnect_latency / 2;
+  double up_bw = options.uplink_bandwidth > 0 ? options.uplink_bandwidth
+                                              : hw.interconnect_bandwidth;
+  SimDuration up_lat = hw.interconnect_latency;
 
   replica_count_ = replicas;
   for (size_t i = 0; i < replicas; ++i) {
@@ -55,22 +42,20 @@ NetworkTopology::NetworkTopology(Simulator* sim, const CostModel* cost,
   names_.push_back("rack0");
   size_t rack1 = names_.size();
   names_.push_back("rack1");
-  adj_.resize(names_.size() + (options_.spine ? 1 : 0));
+  adj_.resize(names_.size() + (options.spine ? 1 : 0));
   for (size_t i = 0; i < replicas; ++i) {
-    AddBidirectionalEdge(i, i < split ? rack0 : rack1, edge_bw, edge_lat);
+    AddBidirectionalEdge(i, i < split ? rack0 : rack1, edge_bw_, edge_lat_);
   }
   rack0_node_ = rack0;
   rack1_node_ = rack1;
   rack_members_[0] = split;
   rack_members_[1] = replicas - split;
-  edge_bw_ = edge_bw;
-  edge_lat_ = edge_lat;
   AddBidirectionalEdge(rack0, rack1, up_bw, up_lat);
-  if (options_.spine) {
+  if (options.spine) {
     size_t spine = names_.size();
     names_.push_back("spine");
-    AddBidirectionalEdge(rack0, spine, spine_bw, spine_lat);
-    AddBidirectionalEdge(spine, rack1, spine_bw, spine_lat);
+    AddBidirectionalEdge(rack0, spine, up_bw, 4 * up_lat);
+    AddBidirectionalEdge(spine, rack1, up_bw, 4 * up_lat);
   }
 }
 

@@ -69,27 +69,19 @@ struct TopologyOptions {
     kTwoRack,       // Two rack switches joined by a shared uplink.
   };
   Preset preset = Preset::kSingleSwitch;
-  // Replica count. kTwoRack builds its fixed graph from this at
-  // construction; kSingleSwitch grows lazily and ignores it. SymphonyCluster
-  // overwrites it with ClusterOptions::replicas.
-  size_t replicas = 0;
   // kTwoRack: replicas [0, rack_split) sit under "rack0", the rest under
   // "rack1". 0 = split in half (first rack rounded up).
   size_t rack_split = 0;
-  // Per-link parameter overrides. Bandwidth <= 0 / latency < 0 = derive from
-  // HardwareConfig::interconnect_*: edges default to full bandwidth at HALF
-  // the interconnect latency (edge + edge latency == the single-switch
-  // one-way latency), the uplink to full bandwidth at the full latency.
-  double edge_bandwidth = 0;        // Replica <-> rack switch.
-  SimDuration edge_latency = -1;
-  double uplink_bandwidth = 0;      // rack0 <-> rack1.
-  SimDuration uplink_latency = -1;
-  // kTwoRack redundancy: a spare path rack0 <-> spine <-> rack1, strictly
-  // worse than the uplink by default (4x uplink latency per hop), used only
-  // when a link-down window takes the primary uplink out.
+  // kTwoRack link parameters derive from HardwareConfig::interconnect_*:
+  // edges (replica <-> rack switch) run at full bandwidth and HALF the
+  // interconnect latency (edge + edge latency == the single-switch one-way
+  // latency); the uplink (rack0 <-> rack1) at the full latency and this
+  // bandwidth (<= 0: the interconnect bandwidth).
+  double uplink_bandwidth = 0;
+  // kTwoRack redundancy: a spare path rack0 <-> spine <-> rack1 at the
+  // uplink's bandwidth and 4x its latency per hop, strictly worse than the
+  // uplink, used only when a link-down window takes the uplink out.
   bool spine = false;
-  double spine_bandwidth = 0;       // <= 0: uplink bandwidth.
-  SimDuration spine_latency = -1;   // < 0: 4x uplink latency (per hop).
 };
 
 // Field names carry the net_ prefix because ClusterSnapshot inherits them.
@@ -110,8 +102,11 @@ struct TopoLinkReport {
 class NetworkTopology {
  public:
   // `sim` and `cost` are required; `faults` and `trace` are optional.
+  // kTwoRack builds its fixed graph for `replicas` (at least 1) at
+  // construction; kSingleSwitch grows lazily from it.
   NetworkTopology(Simulator* sim, const CostModel* cost, FaultPlan* faults,
-                  TraceRecorder* trace, TopologyOptions options = {});
+                  TraceRecorder* trace, size_t replicas = 0,
+                  TopologyOptions options = {});
 
   NetworkTopology(const NetworkTopology&) = delete;
   NetworkTopology& operator=(const NetworkTopology&) = delete;
@@ -154,7 +149,6 @@ class NetworkTopology {
   SimDuration Distance(size_t from, size_t to);
 
   size_t replica_count() const { return replica_count_; }
-  const TopologyOptions& options() const { return options_; }
   const TopologyStats& stats() const { return stats_; }
   // Every link that carried traffic, in deterministic (from, to) order.
   std::vector<TopoLinkReport> LinkReport() const;
@@ -191,7 +185,6 @@ class NetworkTopology {
   const CostModel* cost_;
   FaultPlan* faults_;      // Optional.
   TraceRecorder* trace_;   // Optional.
-  TopologyOptions options_;
   size_t replica_count_ = 0;
   std::vector<size_t> replica_node_;     // Replica index -> node id.
   // kTwoRack growth state: rack switch node ids, per-rack replica counts,

@@ -19,29 +19,23 @@
 //   * tools    — entry per completed call: status + output payload.
 //   * sleep    — entry per completed sleep; replay skips the wait.
 //   * IPC recv — entry per delivered message (channel + per-channel receive
-//                ordinal + payload). Two disciplines, chosen by whether a
-//                cluster IPC fabric (src/net) is attached:
-//                  - standalone runtime: replay re-executes IPC naturally
-//                    (co-replayed LIPs re-send and re-receive through real
-//                    channels) and uses the recorded payload only to detect
-//                    divergence;
-//                  - cluster fabric: recv is served verbatim from the journal
-//                    (same discipline as tool results), so ONE endpoint of a
-//                    cross-replica pair can be killed and replayed while the
-//                    other keeps running live.
-//   * IPC send — fabric mode only: entry per send (channel + payload).
-//                Replay consumes and SUPPRESSES the send — the original
-//                message already reached (or is queued for) the peer, and
-//                re-sending would duplicate it. Standalone replay has no
-//                kSend entries and re-sends through real channels.
-//   * IPC credit wait — fabric mode only: when a send blocked on channel
-//                credits, an entry (channel + grant ordinal) is appended at
-//                the moment the fabric granted the credit, immediately
-//                before the kSend entry. Replay consumes the pair without
-//                re-parking; the grant ordinal re-parks any FOLLOWING live
-//                blocked send at its original position in the channel's
-//                sender FIFO, so blocked-sender wakeup order is bit-identical
-//                (the same discipline as kRecv resume ordinals).
+//                ordinal + payload). Every channel runs on the IPC fabric
+//                (src/net), and replay serves the recv verbatim from the
+//                journal (same discipline as tool results), so ONE endpoint
+//                of a communicating pair can be killed and replayed while
+//                the other keeps running live.
+//   * IPC send — entry per send (channel + payload). Replay consumes and
+//                SUPPRESSES the send — the original message already reached
+//                (or is queued for) the peer, and re-sending would
+//                duplicate it.
+//   * IPC credit wait — when a send blocked on channel credits, an entry
+//                (channel + grant ordinal) is appended at the moment the
+//                fabric granted the credit, immediately before the kSend
+//                entry. Replay consumes the pair without re-parking; the
+//                grant ordinal re-parks any FOLLOWING live blocked send at
+//                its original position in the channel's sender FIFO, so
+//                blocked-sender wakeup order is bit-identical (the same
+//                discipline as kRecv resume ordinals).
 //   * RNG      — replayed by reseeding: the journal stores the LIP's rng
 //                seed and the program re-draws the identical stream, so
 //                individual draws need no log entries.

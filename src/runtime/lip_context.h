@@ -255,13 +255,12 @@ class LipContext {
 
   // ---- IPC ---------------------------------------------------------------
 
-  // send is a (potentially) blocking syscall: on a credit-bounded fabric
-  // channel with no credits left the sender parks FIFO until the consumer
-  // frees one (backpressure). await_ready completes the common case — an
-  // unbounded channel, an available credit, a legacy in-runtime channel, or
-  // a replay-suppressed send — without suspending, so existing workloads'
-  // timing is unchanged. Dropping the awaitable without co_await silently
-  // skips the send, hence [[nodiscard]] on the factory below.
+  // send is a (potentially) blocking syscall: on a credit-bounded channel
+  // with no credits left the sender parks FIFO until the consumer frees one
+  // (backpressure). await_ready completes the common case — an unbounded
+  // channel, an available credit, or a replay-suppressed send — without
+  // suspending. Dropping the awaitable without co_await silently skips the
+  // send, hence [[nodiscard]] on the factory below.
   //
   // Toolchain caveat (applies to every awaitable here): GCC 12 double-
   // destroys conditional-operator temporaries inside a co_await operand, so

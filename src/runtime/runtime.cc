@@ -359,21 +359,9 @@ Status LipRuntime::Detach(LipId lip) {
     }
   }
   // Drop the LIP's pending channel waits so a later send is not swallowed
-  // by a dead consumer.
+  // by a dead consumer and a freed credit is not granted to a dead sender.
   if (fabric_ != nullptr) {
     fabric_->DropWaiters(replica_index_, lip);
-  }
-  for (auto& entry : channels_) {
-    Channel& ch = entry.second;
-    std::deque<std::pair<ThreadId, std::string*>> kept;
-    for (auto& waiter : ch.waiters) {
-      auto tit = threads_.find(waiter.first);
-      if (tit != threads_.end() && tit->second.lip == lip) {
-        continue;
-      }
-      kept.push_back(waiter);
-    }
-    ch.waiters = std::move(kept);
   }
   for (KvHandle handle : proc.open_handles) {
     (void)kvfs_->Close(handle);
@@ -455,8 +443,8 @@ void LipRuntime::JournalRecvDelivery(ThreadId thread,
   if (proc.replay != nullptr && !proc.replay->complete) {
     const JournalEntry* entry = NextReplayEntry(proc, tcb);
     if (entry != nullptr) {
-      // The ordinal is deliberately not checked: it counts deliveries on the
-      // channel object, which a fresh runtime restarts at zero.
+      // The ordinal is deliberately not checked: replay does not rewind the
+      // fabric's delivery counters (see JournalEntry::ordinal).
       if (entry->kind != JournalEntry::Kind::kRecv ||
           entry->payload != message || entry->channel != channel) {
         ReplayDiverged(proc, "recv delivery disagrees with journal");
@@ -782,84 +770,72 @@ void LipRuntime::AddJoinAllWaiter(LipId lip, ThreadId waiter) {
 
 bool LipRuntime::ChannelTrySend(const std::string& channel,
                                 std::string* message) {
-  if (fabric_ != nullptr) {
-    LipId sender = kNoLip;
-    if (current_ != 0) {
-      Tcb& tcb = GetTcb(current_);
-      sender = tcb.lip;
-      Process& proc = GetProcess(tcb.lip);
-      if (proc.replay != nullptr && !proc.replay->complete) {
-        const JournalEntry* entry = NextReplayEntry(proc, tcb);
-        if (entry != nullptr &&
-            entry->kind == JournalEntry::Kind::kCreditWait &&
-            entry->channel == channel) {
-          // The original send parked for a credit granted at this ordinal.
-          // Remember it so this thread's first LIVE blocked send re-parks at
-          // its original sender-FIFO position, then consume the kSend that
-          // the grant completed (next entry, same syscall).
-          tcb.replay_send_resume[channel] = entry->ordinal + 1;
-          ++stats_.ipc_credit_waits_replayed;
+  assert(fabric_ != nullptr && "channel syscall without a ChannelFabric");
+  LipId sender = kNoLip;
+  if (current_ != 0) {
+    Tcb& tcb = GetTcb(current_);
+    sender = tcb.lip;
+    Process& proc = GetProcess(tcb.lip);
+    if (proc.replay != nullptr && !proc.replay->complete) {
+      const JournalEntry* entry = NextReplayEntry(proc, tcb);
+      if (entry != nullptr &&
+          entry->kind == JournalEntry::Kind::kCreditWait &&
+          entry->channel == channel) {
+        // The original send parked for a credit granted at this ordinal.
+        // Remember it so this thread's first LIVE blocked send re-parks at
+        // its original sender-FIFO position, then consume the kSend that
+        // the grant completed (next entry, same syscall).
+        tcb.replay_send_resume[channel] = entry->ordinal + 1;
+        ++stats_.ipc_credit_waits_replayed;
+        ConsumeReplayEntry(proc, tcb);
+        entry = NextReplayEntry(proc, tcb);
+      }
+      if (entry != nullptr) {
+        if (entry->kind == JournalEntry::Kind::kSend &&
+            entry->channel == channel && entry->payload == *message) {
+          // The original send already reached (or is queued for) the peer;
+          // re-sending would duplicate it at a live endpoint. No credit is
+          // consumed: the original message's credit travels with it.
+          ++stats_.ipc_sends_suppressed;
+          ++stats_.ipc_messages;
           ConsumeReplayEntry(proc, tcb);
-          entry = NextReplayEntry(proc, tcb);
+          return true;
         }
-        if (entry != nullptr) {
-          if (entry->kind == JournalEntry::Kind::kSend &&
-              entry->channel == channel && entry->payload == *message) {
-            // The original send already reached (or is queued for) the peer;
-            // re-sending would duplicate it at a live endpoint. No credit is
-            // consumed: the original message's credit travels with it.
-            ++stats_.ipc_sends_suppressed;
-            ++stats_.ipc_messages;
-            ConsumeReplayEntry(proc, tcb);
-            return true;
-          }
-          ReplayDiverged(proc, "send disagrees with journal");
-          // Fall through live: the message is new as far as anyone knows.
-        }
+        ReplayDiverged(proc, "send disagrees with journal");
+        // Fall through live: the message is new as far as anyone knows.
       }
     }
-    // TrySend consumes *message on success, so capture the payload for the
-    // journal first (the original code paid the same copy).
-    std::string payload;
-    bool journal = false;
-    if (current_ != 0 && GetProcess(GetTcb(current_).lip).journal != nullptr) {
-      journal = true;
-      payload = *message;
-    }
-    if (!fabric_->TrySend(replica_index_, sender, channel, message)) {
-      return false;  // Out of credits: park; journaling happens at grant.
-    }
-    ++stats_.ipc_messages;
-    if (current_ != 0) {
-      // Re-fetch: TrySend can drain deliveries that touch thread state.
-      Tcb& tcb = GetTcb(current_);
-      tcb.replay_send_resume.erase(channel);  // Completed live: hint stale.
-      if (journal) {
-        JournalEntry entry;
-        entry.kind = JournalEntry::Kind::kSend;
-        entry.channel = channel;
-        entry.payload = std::move(payload);
-        GetProcess(tcb.lip).journal->Append(tcb.path, std::move(entry));
-      }
-    }
-    return true;
+  }
+  // TrySend consumes *message on success, so capture the payload for the
+  // journal first (the original code paid the same copy).
+  std::string payload;
+  bool journal = false;
+  if (current_ != 0 && GetProcess(GetTcb(current_).lip).journal != nullptr) {
+    journal = true;
+    payload = *message;
+  }
+  if (!fabric_->TrySend(replica_index_, sender, channel, message)) {
+    return false;  // Out of credits: park; journaling happens at grant.
   }
   ++stats_.ipc_messages;
-  Channel& ch = channels_[channel];
-  if (!ch.waiters.empty()) {
-    auto [waiter, slot] = ch.waiters.front();
-    ch.waiters.pop_front();
-    *slot = std::move(*message);
-    JournalRecvDelivery(waiter, channel, ch.next_ordinal++, *slot);
-    Ready(waiter);
-    return true;
+  if (current_ != 0) {
+    // Re-fetch: TrySend can drain deliveries that touch thread state.
+    Tcb& tcb = GetTcb(current_);
+    tcb.replay_send_resume.erase(channel);  // Completed live: hint stale.
+    if (journal) {
+      JournalEntry entry;
+      entry.kind = JournalEntry::Kind::kSend;
+      entry.channel = channel;
+      entry.payload = std::move(payload);
+      GetProcess(tcb.lip).journal->Append(tcb.path, std::move(entry));
+    }
   }
-  ch.messages.push_back(std::move(*message));
   return true;
 }
 
 void LipRuntime::ChannelAddSendWaiter(const std::string& channel,
                                       ThreadId waiter, std::string* slot) {
+  assert(fabric_ != nullptr && "channel syscall without a ChannelFabric");
   LipId sender = kNoLip;
   uint64_t resume_grant = 0;
   if (current_ != 0) {
@@ -911,78 +887,63 @@ bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
 }
 
 bool LipRuntime::ChannelTryRecv(const std::string& channel, std::string* message) {
-  if (fabric_ != nullptr) {
-    LipId receiver = kNoLip;
-    if (current_ != 0) {
-      Tcb& tcb = GetTcb(current_);
-      receiver = tcb.lip;
-      Process& proc = GetProcess(tcb.lip);
-      if (proc.replay != nullptr && !proc.replay->complete) {
-        const JournalEntry* entry = NextReplayEntry(proc, tcb);
-        if (entry != nullptr) {
-          if (entry->kind == JournalEntry::Kind::kRecv &&
-              entry->channel == channel) {
-            // Serve the delivery verbatim — the fabric's copy was consumed
-            // by the original incarnation (tool-result discipline). Remember
-            // the ordinal: when this thread's journal runs dry mid-wait, the
-            // fabric uses it to re-park the thread in its original queue
-            // position among this LIP's other waiters.
-            *message = entry->payload;
-            tcb.replay_recv_resume[channel] = entry->ordinal + 1;
-            ++stats_.ipc_recvs_replayed;
-            ConsumeReplayEntry(proc, tcb);
-            return true;
-          }
-          // Per-thread logs are ordered, so the original run's next
-          // completed syscall was this recv; anything else is divergence.
-          // Fall through to a live receive afterwards.
-          ReplayDiverged(proc, "recv where journal has a different syscall");
+  assert(fabric_ != nullptr && "channel syscall without a ChannelFabric");
+  LipId receiver = kNoLip;
+  if (current_ != 0) {
+    Tcb& tcb = GetTcb(current_);
+    receiver = tcb.lip;
+    Process& proc = GetProcess(tcb.lip);
+    if (proc.replay != nullptr && !proc.replay->complete) {
+      const JournalEntry* entry = NextReplayEntry(proc, tcb);
+      if (entry != nullptr) {
+        if (entry->kind == JournalEntry::Kind::kRecv &&
+            entry->channel == channel) {
+          // Serve the delivery verbatim — the fabric's copy was consumed by
+          // the original incarnation (tool-result discipline). Remember the
+          // ordinal: when this thread's journal runs dry mid-wait, the fabric
+          // uses it to re-park the thread in its original queue position
+          // among this LIP's other waiters.
+          *message = entry->payload;
+          tcb.replay_recv_resume[channel] = entry->ordinal + 1;
+          ++stats_.ipc_recvs_replayed;
+          ConsumeReplayEntry(proc, tcb);
+          return true;
         }
+        // Per-thread logs are ordered, so the original run's next completed
+        // syscall was this recv; anything else is divergence. Fall through
+        // to a live receive afterwards.
+        ReplayDiverged(proc, "recv where journal has a different syscall");
       }
     }
-    uint64_t ordinal = 0;
-    if (!fabric_->TryRecv(replica_index_, receiver, channel, message,
-                          &ordinal)) {
-      return false;
-    }
-    if (current_ != 0) {
-      // Live delivery: any replay re-park hint is now stale.
-      GetTcb(current_).replay_recv_resume.erase(channel);
-      JournalRecvDelivery(current_, channel, ordinal, *message);
-    }
-    return true;
   }
-  auto it = channels_.find(channel);
-  if (it == channels_.end() || it->second.messages.empty()) {
+  uint64_t ordinal = 0;
+  if (!fabric_->TryRecv(replica_index_, receiver, channel, message, &ordinal)) {
     return false;
   }
-  *message = std::move(it->second.messages.front());
-  it->second.messages.pop_front();
   if (current_ != 0) {
-    JournalRecvDelivery(current_, channel, it->second.next_ordinal++, *message);
+    // Live delivery: any replay re-park hint is now stale.
+    GetTcb(current_).replay_recv_resume.erase(channel);
+    JournalRecvDelivery(current_, channel, ordinal, *message);
   }
   return true;
 }
 
 void LipRuntime::ChannelAddWaiter(const std::string& channel, ThreadId waiter,
                                   std::string* slot) {
-  if (fabric_ != nullptr) {
-    LipId receiver = kNoLip;
-    uint64_t resume_ordinal = 0;
-    if (current_ != 0) {
-      Tcb& tcb = GetTcb(waiter);
-      receiver = tcb.lip;
-      auto hint = tcb.replay_recv_resume.find(channel);
-      if (hint != tcb.replay_recv_resume.end()) {
-        resume_ordinal = hint->second;  // One-shot: first re-park only.
-        tcb.replay_recv_resume.erase(hint);
-      }
+  assert(fabric_ != nullptr && "channel syscall without a ChannelFabric");
+  LipId receiver = kNoLip;
+  uint64_t resume_ordinal = 0;
+  if (current_ != 0) {
+    Tcb& tcb = GetTcb(waiter);
+    receiver = tcb.lip;
+    auto hint = tcb.replay_recv_resume.find(channel);
+    if (hint != tcb.replay_recv_resume.end()) {
+      resume_ordinal = hint->second;  // One-shot: first re-park only.
+      tcb.replay_recv_resume.erase(hint);
     }
-    fabric_->AddWaiter(replica_index_, receiver, channel, waiter, slot,
-                       resume_ordinal);
-    return;
   }
-  channels_[channel].waiters.emplace_back(waiter, slot);
+  fabric_->AddWaiter(replica_index_, receiver, channel, waiter, slot,
+                     resume_ordinal);
 }
 
 bool LipRuntime::DeliverToWaiter(ThreadId thread, std::string* slot,

@@ -11,7 +11,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,15 +33,14 @@ namespace symphony {
 class LipContext;
 using LipProgram = std::function<Task(LipContext&)>;
 
-// Cluster IPC fabric interface (implemented by src/net's IpcFabric; the
-// runtime sees only this so the dependency arrow stays net -> runtime).
-// When attached, the runtime's channel syscalls delegate here and named
-// channels become cluster-wide: a channel's home is the replica+LIP that
-// receives on it, sends from other replicas traverse a simulated link, and
-// delivery is journaled at the receiving LIP's syscall boundary (per-channel
-// receive ordinals) so one endpoint of a pair can be killed and replayed
-// while the other keeps running live. Without a fabric the legacy in-runtime
-// channels (re-execution replay discipline) are used unchanged.
+// IPC fabric interface (implemented by src/net's IpcFabric; the runtime sees
+// only this so the dependency arrow stays net -> runtime). Every channel
+// syscall delegates here: a standalone SymphonyServer attaches a one-replica
+// fabric, a SymphonyCluster one fabric shared by every replica. A channel's
+// home is the replica+LIP that receives on it, sends from other replicas
+// traverse a simulated link, and delivery is journaled at the receiving
+// LIP's syscall boundary (per-channel receive ordinals) so one endpoint of a
+// pair can be killed and replayed while the other keeps running live.
 class ChannelFabric {
  public:
   virtual ~ChannelFabric() = default;
@@ -165,10 +163,9 @@ class LipRuntime {
   // Optional tracing: one span per LIP lifetime on track "lips".
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  // Attaches the cluster IPC fabric (this runtime is replica
-  // `replica_index`); channel syscalls delegate to it from then on. The
-  // fabric must outlive the runtime. Without a fabric, channels stay local
-  // to this runtime (legacy behaviour, unchanged).
+  // Attaches the IPC fabric (this runtime is replica `replica_index`); every
+  // channel syscall delegates to it, so a runtime whose LIPs use channels
+  // needs one before they run. The fabric must outlive the runtime.
   void set_channel_fabric(ChannelFabric* fabric, size_t replica_index) {
     fabric_ = fabric;
     replica_index_ = replica_index;
@@ -280,19 +277,17 @@ class LipRuntime {
   void AddJoiner(ThreadId target, ThreadId waiter);
   void AddJoinAllWaiter(LipId lip, ThreadId waiter);
 
-  // IPC channels (named, FIFO; bounded by credits when a fabric is attached
-  // and configured). With a fabric attached these delegate cluster-wide (see
-  // ChannelFabric above); otherwise they are the legacy in-runtime channels
-  // (always unbounded — TrySend never fails).
+  // IPC channels (named, FIFO; bounded by credits when the fabric is
+  // configured). Each delegates to the attached ChannelFabric (see above).
   //
   // ChannelTrySend returns true when the send completed (accepted by the
-  // fabric, handed to a legacy waiter, queued, or suppressed by replay) and
-  // false when the channel is out of credits: *message is left intact and
-  // the caller must park via ChannelAddSendWaiter (the send awaitable's
-  // await_suspend). Journaling of a blocked send happens at grant time
-  // (CompleteBlockedSend), not at park time, so the journal records only
-  // COMPLETED syscalls — a sender killed while parked re-runs the send live
-  // on replay, re-parking at its original sender-FIFO position.
+  // fabric or suppressed by replay) and false when the channel is out of
+  // credits: *message is left intact and the caller must park via
+  // ChannelAddSendWaiter (the send awaitable's await_suspend). Journaling of
+  // a blocked send happens at grant time (CompleteBlockedSend), not at park
+  // time, so the journal records only COMPLETED syscalls — a sender killed
+  // while parked re-runs the send live on replay, re-parking at its original
+  // sender-FIFO position.
   bool ChannelTrySend(const std::string& channel, std::string* message);
   void ChannelAddSendWaiter(const std::string& channel, ThreadId waiter,
                             std::string* slot);
@@ -384,13 +379,6 @@ class LipRuntime {
     std::unique_ptr<ReplayState> replay;
   };
 
-  struct Channel {
-    std::deque<std::string> messages;
-    std::deque<std::pair<ThreadId, std::string*>> waiters;
-    // Per-channel delivery count (the kRecv ordinal in legacy mode).
-    uint64_t next_ordinal = 0;
-  };
-
   void Resume(ThreadId thread);
   void OnThreadExit(Tcb& tcb);
   Tcb& GetTcb(ThreadId thread);
@@ -410,8 +398,8 @@ class LipRuntime {
   void FinishReplay(Process& proc, bool diverged);
   void ReplayDiverged(Process& proc, const char* what);
   // Records a delivered IPC message (or checks it against the journal
-  // during replay). Called at every delivery point: direct handoff in
-  // legacy ChannelSend, successful ChannelTryRecv, and DeliverToWaiter.
+  // during replay). Called at both delivery points: a successful
+  // ChannelTryRecv and DeliverToWaiter.
   void JournalRecvDelivery(ThreadId thread, const std::string& channel,
                            uint64_t ordinal, const std::string& message);
   void JournalSleepDone(ThreadId thread, SimDuration duration);
@@ -428,7 +416,6 @@ class LipRuntime {
 
   std::unordered_map<ThreadId, Tcb> threads_;
   std::unordered_map<LipId, Process> processes_;
-  std::unordered_map<std::string, Channel> channels_;
   ThreadId next_thread_ = 1;
   LipId next_lip_ = kAdminLip + 1;
   ThreadId current_ = 0;

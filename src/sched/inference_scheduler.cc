@@ -13,6 +13,16 @@
 #include "src/common/logging.h"
 
 namespace symphony {
+namespace {
+
+// EWMA smoothing for the arrival-rate estimate.
+constexpr double kRateEwmaAlpha = 0.2;
+// Pause after a batch completes before launching the next one, so threads
+// woken by the completed batch can resubmit and join it. Without this the
+// client population splits into two alternating half-sized batches.
+constexpr SimDuration kFormationDelay = Micros(100);
+
+}  // namespace
 
 InferenceScheduler::InferenceScheduler(Simulator* sim, Kvfs* kvfs,
                                        const Model* model, Device* device,
@@ -52,8 +62,8 @@ void InferenceScheduler::Submit(PredRequest request) {
     double inst_rate = 1.0 / gap_s;
     rate_per_sec_ = rate_per_sec_ == 0.0
                         ? inst_rate
-                        : (1.0 - options_.rate_ewma_alpha) * rate_per_sec_ +
-                              options_.rate_ewma_alpha * inst_rate;
+                        : (1.0 - kRateEwmaAlpha) * rate_per_sec_ +
+                              kRateEwmaAlpha * inst_rate;
   }
   last_submit_ = now;
   queue_.push_back(std::move(request));
@@ -247,7 +257,7 @@ void InferenceScheduler::BatchPicker::RemovePicks(
 
 bool InferenceScheduler::IsDecode(const PredRequest& request) const {
   return request.chunk_done == 0 &&
-         request.tokens.size() <= options_.decode_classify_tokens;
+         request.tokens.size() <= kDecodeClassifyTokens;
 }
 
 uint64_t InferenceScheduler::ChunkTake(const PredRequest& request) const {
@@ -333,7 +343,7 @@ void InferenceScheduler::LaunchBatch() {
   uint64_t transfer_bytes = kvfs_->TakePendingTransferBytes();
   ++stats_.batches;
   device_->Execute(std::move(items), transfer_bytes, [this, batch] {
-    next_launch_time_ = sim_->now() + options_.formation_delay;
+    next_launch_time_ = sim_->now() + kFormationDelay;
     for (BatchEntry& entry : *batch) {
       CompleteRequest(entry.request, entry.take);
     }
@@ -487,7 +497,7 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
   LipId lip = request.lip;
   request.complete(std::move(result));
   if (prefill_complete_hook_ != nullptr &&
-      pred_tokens > options_.decode_classify_tokens) {
+      pred_tokens > kDecodeClassifyTokens) {
     prefill_complete_hook_(lip, context_after);
   }
 }

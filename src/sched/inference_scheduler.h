@@ -43,18 +43,17 @@ enum class QueueDiscipline {
                // starve others (paper §6, multi-tenant fairness).
 };
 
+// A request with at most this many new tokens counts as a decode for
+// decode-priority packing and token-occupancy stats; continuations of a
+// split prefill always count as prefill regardless of their tail size.
+inline constexpr uint64_t kDecodeClassifyTokens = 8;
+
 struct InferenceSchedulerOptions {
   QueueDiscipline discipline = QueueDiscipline::kFifo;
   size_t max_batch_requests = 32;
   // Cap on total new tokens per batch so giant prefills don't head-of-line
   // block an entire round.
   uint64_t max_batch_tokens = 16384;
-  // EWMA smoothing for the arrival-rate estimate.
-  double rate_ewma_alpha = 0.2;
-  // Pause after a batch completes before launching the next one, so threads
-  // woken by the completed batch can resubmit and join it. Without this the
-  // client population splits into two alternating half-sized batches.
-  SimDuration formation_delay = Micros(100);
   // Preemption-style handling of device-memory exhaustion: a request whose
   // KV cannot be restored/appended is requeued after a backoff instead of
   // failing, up to this many attempts. Memory freed by completing or
@@ -80,10 +79,6 @@ struct InferenceSchedulerOptions {
   // time is bounded by the decode load plus the chunk budget. Pair with
   // prefill_chunk_tokens > 0 to actually bound the prefill contribution.
   bool decode_priority = false;
-  // A request with at most this many new tokens counts as a decode for
-  // decode-priority packing and token-occupancy stats; continuations of a
-  // split prefill always count as prefill regardless of their tail size.
-  uint64_t decode_classify_tokens = 8;
 };
 
 struct InferenceSchedulerStats {
@@ -130,7 +125,7 @@ class InferenceScheduler : public PredService {
   double arrival_rate_per_sec() const { return rate_per_sec_; }
   size_t queue_depth() const { return queue_.size(); }
 
-  // Fired right after a prefill-sized pred (more than decode_classify_tokens
+  // Fired right after a prefill-sized pred (more than kDecodeClassifyTokens
   // new tokens, counting every chunk of a split) completes successfully, with
   // the LIP and the KV file length after the append. Prefill-role cluster
   // replicas use it to hand freshly prefilled LIPs to a decode replica.

@@ -8,6 +8,13 @@
 #include "src/common/logging.h"
 
 namespace symphony {
+namespace {
+
+// Overflows further apart than this start a new overflow window (see
+// ClusterOptions::overflow_threshold).
+constexpr SimDuration kOverflowWindow = Millis(50);
+
+}  // namespace
 
 SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
     : sim_(sim), options_(std::move(options)) {
@@ -17,13 +24,10 @@ SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
                                             options_.server.hardware);
   // ONE topology instance routes every cross-replica byte: IPC, journal
   // shipping, and store fetches contend for the same physical links.
-  TopologyOptions topology_options = options_.topology;
-  topology_options.replicas = options_.replicas;
   topology_ = std::make_unique<NetworkTopology>(
       sim_, cost_model_.get(), options_.server.fault_plan,
-      options_.server.trace, topology_options);
+      options_.server.trace, options_.replicas, options_.topology);
   SnapshotStoreOptions store_options;
-  store_options.chunk_bytes = options_.store_chunk_bytes;
   store_options.sim = sim_;
   store_options.cost = cost_model_.get();
   store_options.fault_plan = options_.server.fault_plan;
@@ -154,11 +158,12 @@ bool SymphonyCluster::HasPrefillPool() const {
   return false;
 }
 
-size_t SymphonyCluster::LeastLoadedPrefill() const {
+template <typename Eligible>
+size_t SymphonyCluster::LeastLoadedWhere(Eligible eligible) const {
   size_t best = kNoReplica;
   size_t best_load = SIZE_MAX;
   for (size_t i = 0; i < slots_.size(); ++i) {
-    if (RoleOf(i) != ReplicaRole::kPrefill || !Placeable(i) || Avoided(i)) {
+    if (!Placeable(i) || !eligible(i)) {
       continue;
     }
     size_t load = LiveLips(i);
@@ -180,20 +185,10 @@ size_t SymphonyCluster::LeastLoaded() const {
   // every replica in the serve pool, preserving the legacy pick exactly.
   for (int pool = 0; pool < 2; ++pool) {
     for (int pass = 0; pass < 2; ++pass) {
-      size_t best = slots_.size();
-      size_t best_load = SIZE_MAX;
-      for (size_t i = 0; i < slots_.size(); ++i) {
-        if (!Placeable(i) || (pool == 0 && !InServePool(i)) ||
-            (pass == 0 && Avoided(i))) {
-          continue;
-        }
-        size_t load = LiveLips(i);
-        if (load < best_load) {
-          best = i;
-          best_load = load;
-        }
-      }
-      if (best < slots_.size()) {
+      size_t best = LeastLoadedWhere([&](size_t i) {
+        return (pool == 1 || InServePool(i)) && (pass == 1 || !Avoided(i));
+      });
+      if (best != kNoReplica) {
         return best;
       }
     }
@@ -226,7 +221,9 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
   // streams, small jobs, hint-less launches — routes through the normal
   // policy, which avoids prefill replicas (see LeastLoaded/FirstLiveFrom).
   if (prefill_hint_tokens >= options_.disagg_min_prefill_tokens) {
-    size_t pick = LeastLoadedPrefill();
+    size_t pick = LeastLoadedWhere([this](size_t i) {
+      return RoleOf(i) == ReplicaRole::kPrefill && !Avoided(i);
+    });
     if (pick != kNoReplica) {
       ++stats_.disagg_prefill_routes;
       return pick;
@@ -280,7 +277,7 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
 void SymphonyCluster::NoteOverflow() {
   ++stats_.overflow_events;
   SimTime now = sim_->now();
-  if (now - overflow_window_start_ > options_.overflow_window) {
+  if (now - overflow_window_start_ > kOverflowWindow) {
     overflow_window_start_ = now;
     overflow_in_window_ = 0;
   }
@@ -401,18 +398,9 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
     return;
   }
   // Least-loaded placeable serve-pool target (never another prefill slot).
-  size_t target = kNoReplica;
-  size_t best_load = SIZE_MAX;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (i == rec.replica || !Placeable(i) || !InServePool(i) || Avoided(i)) {
-      continue;
-    }
-    size_t load = LiveLips(i);
-    if (load < best_load) {
-      target = i;
-      best_load = load;
-    }
-  }
+  size_t target = LeastLoadedWhere([&](size_t i) {
+    return i != rec.replica && InServePool(i) && !Avoided(i);
+  });
   if (target == kNoReplica) {
     ++stats_.disagg_handoff_skips;
     return;

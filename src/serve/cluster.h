@@ -92,13 +92,12 @@ struct ClusterOptions {
   RecoveryMode recovery_mode = RecoveryMode::kAuto;
   // Event-driven rebalancing: under kAffinityBounded, each routing decision
   // that overflows away from its preferred replica is evidence of a hot key.
-  // When `overflow_threshold` overflows accumulate within `overflow_window`,
+  // When `overflow_threshold` overflows accumulate within a 50 ms window,
   // the next launch runs a Rebalance pass at once (at most once per
   // `overflow_cooldown`). Requires enable_recovery; other routing policies
   // never overflow.
   bool rebalance_on_overflow = true;
   uint32_t overflow_threshold = 4;
-  SimDuration overflow_window = Millis(50);
   SimDuration overflow_cooldown = Millis(100);
   // ---- Snapshot store (src/store) --------------------------------------
   // Fold each LIP's journal into the store and truncate the folded prefix
@@ -107,9 +106,9 @@ struct ClusterOptions {
   uint64_t checkpoint_interval = 64;
   // Ship (checkpoint ref + live suffix) on Migrate/KillReplica instead of
   // the full serialized journal. Replay start is delayed by the shipped
-  // bytes' time on the topology's links either way.
+  // bytes' time on the topology's links either way. The store cuts
+  // snapshots into SnapshotStoreOptions' default 4 KB chunks.
   bool delta_migration = true;
-  uint64_t store_chunk_bytes = 4096;
   // Prefix sharing: a named file is publishable once it has been opened this
   // often and is at least this long (shorter prefixes lose to recompute
   // anyway — the Replayer cost model has the final say per file).
@@ -134,9 +133,9 @@ struct ClusterOptions {
   // retry/deadline behavior, link cost charging.
   IpcFabricOptions ipc;
   // Network topology (src/net): the physical link graph EVERY cross-replica
-  // byte — IPC, journal shipping, snapshot-store fetches — is routed over.
-  // `replicas` above overrides the preset's replica count. The default
-  // single-switch preset reproduces the uniform-interconnect timings exactly.
+  // byte — IPC, journal shipping, snapshot-store fetches — is routed over,
+  // built for `replicas` above. The default single-switch preset reproduces
+  // the uniform-interconnect timings exactly.
   TopologyOptions topology;
   // Autonomic control plane (src/ctrl): heartbeat failure detection with
   // epoch-fenced automatic recovery, readmission of healed replicas, and
@@ -440,6 +439,10 @@ class SymphonyCluster : private ClusterControl {
   // Completion chain for manual drains without a control plane.
   void PollDrain(size_t index);
 
+  // The placeable slot with the fewest live LIPs among those `eligible`
+  // accepts (the lowest index on a tie), or kNoReplica when none qualifies.
+  template <typename Eligible>
+  size_t LeastLoadedWhere(Eligible eligible) const;
   size_t LeastLoaded() const;
   size_t FirstLiveFrom(size_t preferred) const;
   // Replica `index` belongs to the general placement pool (decode/unified).
@@ -448,8 +451,6 @@ class SymphonyCluster : private ClusterControl {
   // the serve pool is placeable.
   bool InServePool(size_t index) const;
   bool HasPrefillPool() const;
-  // Least-loaded placeable prefill-role replica, or kNoReplica.
-  size_t LeastLoadedPrefill() const;
   // Wires the prefill-completion handoff hook into replica `index`'s
   // scheduler (no-op unless the slot is prefill-role with recovery on).
   // Re-run wherever the slot's server is (re)built.

@@ -4,10 +4,17 @@
 #include <utility>
 
 #include "src/common/hash.h"
+#include "src/net/ipc_fabric.h"
 
 namespace symphony {
 
 namespace {
+
+// Tool retry backoff cap and jitter (see ToolRetryOptions).
+constexpr SimDuration kToolBackoffCap = Millis(500);
+constexpr double kToolBackoffJitter = 0.2;
+// EWMA smoothing for the per-LIP service-time estimate (admission).
+constexpr double kServiceEwmaAlpha = 0.2;
 
 std::unique_ptr<BatchPolicy> MakePolicy(const ServerOptions& options) {
   switch (options.batch_policy) {
@@ -159,15 +166,13 @@ class SymphonyServer::ServerToolService : public ToolService {
     }
     ++stats_.retries;
     SimDuration backoff = retry.backoff_base;
-    for (uint32_t i = 1; i < attempt && backoff < retry.backoff_cap; ++i) {
+    for (uint32_t i = 1; i < attempt && backoff < kToolBackoffCap; ++i) {
       backoff *= 2;
     }
-    backoff = std::min(backoff, retry.backoff_cap);
-    if (retry.backoff_jitter > 0.0) {
-      backoff += static_cast<SimDuration>(static_cast<double>(backoff) *
-                                          retry.backoff_jitter *
-                                          jitter_rng_.NextDouble());
-    }
+    backoff = std::min(backoff, kToolBackoffCap);
+    backoff += static_cast<SimDuration>(static_cast<double>(backoff) *
+                                        kToolBackoffJitter *
+                                        jitter_rng_.NextDouble());
     sim->ScheduleAfter(backoff, [this, lip, tool, args, ordinal, attempt,
                                  complete = std::move(complete)]() mutable {
       Attempt(lip, tool, args, ordinal, attempt + 1, std::move(complete));
@@ -205,6 +210,14 @@ SymphonyServer::SymphonyServer(Simulator* sim, ServerOptions options)
   if (options_.fault_plan != nullptr) {
     options_.fault_plan->ArmKvPressure(sim_, kvfs_.get());
   }
+  // Channels run on a one-replica fabric with its own single-switch
+  // topology; nothing ever crosses it. No fault plan or trace: slow-consumer
+  // windows and "net" instants belong to a cluster's shared fabric. A
+  // cluster re-points the runtime at that fabric.
+  fabric_ = std::make_unique<IpcFabric>(sim_, &device_->cost_model(), nullptr,
+                                        nullptr);
+  fabric_->AttachReplica(0, runtime_.get());
+  runtime_->set_channel_fabric(fabric_.get(), 0);
 }
 
 SymphonyServer::~SymphonyServer() = default;
@@ -303,11 +316,10 @@ LipId SymphonyServer::LaunchAdmitted(LaunchSpec spec, SimTime abs_deadline) {
                   user_exit = std::move(user_exit)](LipId lip) {
     if (tracked) {
       double service_s = ToSeconds(sim_->now() - start);
-      double alpha = options_.admission.service_ewma_alpha;
       service_ewma_s_ = service_ewma_s_ == 0.0
                             ? service_s
-                            : (1.0 - alpha) * service_ewma_s_ +
-                                  alpha * service_s;
+                            : (1.0 - kServiceEwmaAlpha) * service_ewma_s_ +
+                                  kServiceEwmaAlpha * service_s;
       --live_admitted_;
     }
     if (user_exit) {

@@ -30,6 +30,8 @@
 
 namespace symphony {
 
+class IpcFabric;
+
 enum class BatchPolicyKind {
   kEager,
   kSizeTimeout,
@@ -46,12 +48,10 @@ struct ToolRetryOptions {
   // waiting out the tail. 0 disables.
   SimDuration call_timeout = 0;
   uint32_t max_attempts = 3;  // Total attempts; 1 = no retries.
-  // Backoff before attempt n+1: base * 2^(n-1), capped, plus a uniform
-  // jitter of up to `backoff_jitter` of the backoff (de-synchronizes
-  // retry storms across LIPs).
+  // Backoff before attempt n+1: base * 2^(n-1), capped at 500 ms, plus a
+  // uniform jitter of up to 20% of the backoff (de-synchronizes retry storms
+  // across LIPs).
   SimDuration backoff_base = Millis(10);
-  SimDuration backoff_cap = Millis(500);
-  double backoff_jitter = 0.2;
 };
 
 // Admission control for LIP launches (paper §6: the server is a shared,
@@ -63,9 +63,8 @@ struct AdmissionOptions {
   uint32_t max_live_lips = 8;
   // Bounded wait queue across all priority classes; beyond it, shed.
   size_t max_queue = 64;
-  // EWMA smoothing for the per-LIP service-time estimate that drives
-  // deadline-aware rejection, and its optimistic prior.
-  double service_ewma_alpha = 0.2;
+  // Optimistic prior for the per-LIP service-time EWMA that drives
+  // deadline-aware rejection.
   SimDuration initial_service_estimate = Millis(500);
 };
 
@@ -236,6 +235,9 @@ class SymphonyServer {
   std::unique_ptr<InferenceScheduler> scheduler_;
   std::unique_ptr<ToolRegistry> tools_;
   std::unique_ptr<ServerToolService> tool_service_;
+  // Declared before runtime_ so it outlives it: the runtime's channel
+  // syscalls go through it.
+  std::unique_ptr<IpcFabric> fabric_;
   std::unique_ptr<LipRuntime> runtime_;
 
   // Admission control state.

@@ -221,50 +221,49 @@ LipProgram MakeRagLip(const RagCorpus* corpus, size_t topic, uint64_t request_id
   };
 }
 
+// RunRagOnSymphony and RunRagOnCluster admit at most config.max_active
+// request LIPs per server and queue the rest FIFO without bound (latency
+// includes the queue wait), mirroring the baselines' continuous-batching
+// slot limit.
+AdmissionOptions RagAdmission(const RagConfig& config) {
+  AdmissionOptions admission;
+  admission.enabled = true;
+  admission.max_live_lips = static_cast<uint32_t>(config.max_active);
+  admission.max_queue = SIZE_MAX;
+  return admission;
+}
+
+// Request `id`'s LIP; its exit stamps the request's finish time.
+SymphonyServer::LaunchSpec RagLaunchSpec(const RagCorpus* corpus, size_t topic,
+                                         uint64_t id, const RagConfig* config,
+                                         RequestRecord* record,
+                                         const Simulator* sim) {
+  SymphonyServer::LaunchSpec spec;
+  spec.name = "rag-" + std::to_string(id);
+  spec.program = MakeRagLip(corpus, topic, id, config, record);
+  spec.on_exit = [record, sim](LipId) { record->finish = sim->now(); };
+  return spec;
+}
+
 }  // namespace
 
 RagRunResult RunRagOnSymphony(const RagConfig& config, ServerOptions server_options) {
   Simulator sim;
+  server_options.admission = RagAdmission(config);
   SymphonyServer server(&sim, server_options);
   RagCorpus corpus(config, server_options.model.vocab_size);
   ParetoCatalog popularity(config.num_docs, config.pareto_index, config.seed + 1);
   PoissonProcess arrivals(config.request_rate, config.seed + 2);
 
   std::vector<RequestRecord> records(config.num_requests);
-
-  // Driver-side admission: at most max_active request LIPs in flight, the
-  // rest queue (latency includes the queue wait), mirroring the baselines'
-  // continuous-batching slot limit.
-  struct Pending {
-    uint64_t id;
-    size_t topic;
-  };
-  std::deque<Pending> pending;
-  size_t active = 0;
-  std::function<void()> maybe_launch = [&] {
-    while (active < config.max_active && !pending.empty()) {
-      Pending next = pending.front();
-      pending.pop_front();
-      ++active;
-      server.Launch("rag-" + std::to_string(next.id),
-                    MakeRagLip(&corpus, next.topic, next.id, &config,
-                               &records[next.id]),
-                    [&, id = next.id](LipId) {
-                      records[id].finish = sim.now();
-                      --active;
-                      maybe_launch();
-                    });
-    }
-  };
-
   SimTime when = 0;
   for (uint64_t i = 0; i < config.num_requests; ++i) {
     when += arrivals.NextGap();
     size_t topic = popularity.Next();
     sim.ScheduleAt(when, [&, i, topic] {
       records[i].arrival = sim.now();
-      pending.push_back(Pending{i, topic});
-      maybe_launch();
+      (void)server.Submit(
+          RagLaunchSpec(&corpus, topic, i, &config, &records[i], &sim));
     });
   }
   sim.Run();
@@ -280,51 +279,27 @@ RagRunResult RunRagOnSymphony(const RagConfig& config, ServerOptions server_opti
 RagRunResult RunRagOnCluster(const RagConfig& config,
                              ClusterOptions cluster_options) {
   Simulator sim;
+  cluster_options.server.admission = RagAdmission(config);
   SymphonyCluster cluster(&sim, cluster_options);
   RagCorpus corpus(config, cluster_options.server.model.vocab_size);
   ParetoCatalog popularity(config.num_docs, config.pareto_index, config.seed + 1);
   PoissonProcess arrivals(config.request_rate, config.seed + 2);
 
   std::vector<RequestRecord> records(config.num_requests);
-
-  // Per-replica admission of config.max_active concurrent LIPs; pending
-  // requests queue per replica (routing is decided at arrival).
-  struct Pending {
-    uint64_t id;
-    size_t topic;
-  };
-  size_t replicas = cluster.replica_count();
-  std::vector<std::deque<Pending>> pending(replicas);
-  std::vector<size_t> active(replicas, 0);
-  std::function<void(size_t)> maybe_launch = [&](size_t replica) {
-    while (active[replica] < config.max_active && !pending[replica].empty()) {
-      Pending next = pending[replica].front();
-      pending[replica].pop_front();
-      ++active[replica];
-      cluster.replica(replica).Launch(
-          "rag-" + std::to_string(next.id),
-          MakeRagLip(&corpus, next.topic, next.id, &config, &records[next.id]),
-          [&, id = next.id, replica](LipId) {
-            records[id].finish = sim.now();
-            --active[replica];
-            maybe_launch(replica);
-          });
-    }
-  };
-
   SimTime when = 0;
   for (uint64_t i = 0; i < config.num_requests; ++i) {
     when += arrivals.NextGap();
     size_t topic = popularity.Next();
     sim.ScheduleAt(when, [&, i, topic] {
       records[i].arrival = sim.now();
-      size_t replica = cluster.RouteFor("doc_" + std::to_string(topic));
-      pending[replica].push_back(Pending{i, topic});
-      maybe_launch(replica);
+      (void)cluster.Submit(
+          RagLaunchSpec(&corpus, topic, i, &config, &records[i], &sim),
+          "doc_" + std::to_string(topic));
     });
   }
   sim.Run();
 
+  size_t replicas = cluster.replica_count();
   double busy = 0.0;
   for (size_t r = 0; r < replicas; ++r) {
     busy += cluster.replica(r).device().Utilization();

@@ -5,13 +5,15 @@
 // tokens." Topic popularity follows a Pareto-index-controlled distribution;
 // requests arrive as a Poisson process.
 //
-// Two drivers run the identical workload:
+// Three functions run the identical workload:
 //   * RunRagOnBaseline  — text-completion requests against a PromptServer
 //     (vLLM-like or TGI-like), prompt = document + query.
 //   * RunRagOnSymphony  — one LIP per request implementing the paper's
 //     application-managed caching policy: keep the KV files of the top-K
 //     most popular topics as named, shared KVFS files and fork them per
 //     request; recompute (and drop) everything else.
+//   * RunRagOnCluster   — the same LIPs on a multi-replica SymphonyCluster,
+//     routed with the topic as the affinity key.
 #ifndef SRC_WORKLOAD_RAG_H_
 #define SRC_WORKLOAD_RAG_H_
 
@@ -112,13 +114,16 @@ RagRunResult RunRagOnBaseline(const RagConfig& config, BaselineOptions baseline)
 
 // Runs the workload to completion on Symphony with the LIP caching policy.
 // `server_options` lets callers pick batch policy etc.; model/hardware should
-// match the baseline's for a fair comparison.
+// match the baseline's for a fair comparison. Requests go through
+// SymphonyServer::Submit, and `server_options.admission` is replaced: at
+// most config.max_active LIPs run, the rest queue without bound.
 RagRunResult RunRagOnSymphony(const RagConfig& config, ServerOptions server_options);
 
-// Runs the workload on a multi-replica cluster; requests route by the
-// cluster's policy with the topic as the affinity key. The per-replica
-// admission limit is config.max_active (so total concurrency scales with the
-// replica count).
+// Runs the workload on a multi-replica cluster; requests go through
+// SymphonyCluster::Submit and route by the cluster's policy with the topic
+// as the affinity key. `cluster_options.server.admission` is replaced the
+// same way, so the limit of config.max_active live LIPs is per replica
+// (total concurrency scales with the replica count).
 RagRunResult RunRagOnCluster(const RagConfig& config, ClusterOptions cluster_options);
 
 }  // namespace symphony

@@ -842,10 +842,9 @@ TEST(NetTopologyTest, SingleSwitchMatchesCostModelAndSerializes) {
   EXPECT_EQ(links[1].name, "link:replica1->replica0");
 }
 
-TopologyOptions TwoRackOptions(size_t replicas, size_t split, bool spine) {
+TopologyOptions TwoRackOptions(size_t split, bool spine) {
   TopologyOptions topt;
   topt.preset = TopologyOptions::Preset::kTwoRack;
-  topt.replicas = replicas;
   topt.rack_split = split;
   topt.spine = spine;
   return topt;
@@ -857,8 +856,8 @@ TopologyOptions TwoRackOptions(size_t replicas, size_t split, bool spine) {
 TEST(NetTopologyTest, InterRackCostsOneUplinkMoreThanIntraRack) {
   Simulator sim;
   CostModel cost(ModelConfig::Tiny());
-  NetworkTopology topo(&sim, &cost, nullptr, nullptr,
-                       TwoRackOptions(4, 2, false));
+  NetworkTopology topo(&sim, &cost, nullptr, nullptr, 4,
+                       TwoRackOptions(2, false));
   constexpr uint64_t kBytes = 4096;
   // Disjoint directed links: 0->1 uses (0->rack0, rack0->1); 2->0 uses
   // (2->rack1, rack1->rack0, rack0->0). No queueing between the two.
@@ -884,10 +883,10 @@ TEST(NetTopologyTest, DownedUplinkReroutesOverSpine) {
   constexpr uint64_t kBytes = 4096;
   FaultPlan plan(7);
   plan.AddLinkDown("rack0", "rack1", 0, Millis(10));
-  NetworkTopology faulted(&sim, &cost, &plan, nullptr,
-                          TwoRackOptions(3, 2, true));
-  NetworkTopology healthy(&sim, &cost, nullptr, nullptr,
-                          TwoRackOptions(3, 2, true));
+  NetworkTopology faulted(&sim, &cost, &plan, nullptr, 3,
+                          TwoRackOptions(2, true));
+  NetworkTopology healthy(&sim, &cost, nullptr, nullptr, 3,
+                          TwoRackOptions(2, true));
   EXPECT_TRUE(faulted.Routable(0, 2, 0));
   SimTime via_spine = faulted.Transfer(0, 2, kBytes, "x");
   SimTime via_uplink = healthy.Transfer(0, 2, kBytes, "x");
@@ -905,8 +904,8 @@ TEST(NetTopologyTest, DownedUplinkWithoutSpareBlocksRouting) {
   CostModel cost(ModelConfig::Tiny());
   FaultPlan plan(7);
   plan.AddLinkDown("rack0", "rack1", 0, Millis(10));
-  NetworkTopology topo(&sim, &cost, &plan, nullptr,
-                       TwoRackOptions(3, 2, false));
+  NetworkTopology topo(&sim, &cost, &plan, nullptr, 3,
+                       TwoRackOptions(2, false));
   EXPECT_FALSE(topo.Routable(0, 2, 0));
   EXPECT_TRUE(topo.Routable(0, 1, 0));
   EXPECT_TRUE(topo.Routable(0, 2, Millis(10)));  // Window is half-open.

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "src/kvfs/kvfs.h"
+#include "src/model/cost_model.h"
+#include "src/net/ipc_fabric.h"
 #include "src/runtime/lip_context.h"
 #include "src/runtime/runtime.h"
 #include "src/sim/event_queue.h"
@@ -16,7 +18,13 @@ namespace {
 
 class RuntimeTest : public ::testing::Test {
  protected:
-  RuntimeTest() : kvfs_(MakeKvfsOptions()), runtime_(&sim_, &kvfs_) {}
+  RuntimeTest()
+      : kvfs_(MakeKvfsOptions()),
+        fabric_(&sim_, &cost_, nullptr, nullptr),
+        runtime_(&sim_, &kvfs_) {
+    fabric_.AttachReplica(0, &runtime_);
+    runtime_.set_channel_fabric(&fabric_, 0);
+  }
 
   static KvfsOptions MakeKvfsOptions() {
     KvfsOptions o;
@@ -27,6 +35,9 @@ class RuntimeTest : public ::testing::Test {
 
   Simulator sim_;
   Kvfs kvfs_;
+  // Channel syscalls go through a fabric; one replica never transfers.
+  CostModel cost_{ModelConfig::Tiny()};
+  IpcFabric fabric_;
   LipRuntime runtime_;
 };
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
+#include "src/common/rng.h"
 #include "src/decode/samplers.h"
 #include "src/serve/server.h"
 
@@ -264,6 +267,107 @@ TEST(ServerTest, AclIsolatesTenants) {
   });
   sim.Run();
   EXPECT_EQ(intruder_status.code(), StatusCode::kPermissionDenied);
+}
+
+// ---- Channel digest ----------------------------------------------------
+
+std::string ChannelName(uint64_t index) { return "ch" + std::to_string(index); }
+
+// One seeded run of a standalone server's channels: 1–4 producers and 1–4
+// consumers on 1–3 channels, each starting at a random instant in the first
+// 2 ms. A producer sends 1–6 messages to random channels with a random pause
+// after each; a consumer receives 1–5 times on random channels, so some
+// receives are never satisfied; one consumer in four is detached at a random
+// instant, often while parked. The delivery log, every LIP's done flag and
+// output, the runtime's IPC and scheduling counters and the final time fold
+// into one hash.
+uint64_t ChannelDigest(uint64_t seed) {
+  Simulator sim;
+  SymphonyServer server(&sim, TinyOptions());
+  Rng rng(seed);
+  uint64_t digest = 0;
+  auto fold = [&digest](uint64_t value) {
+    digest = HashCombine(digest, value);
+  };
+  uint64_t producers = 1 + rng.NextBounded(4);
+  uint64_t consumers = 1 + rng.NextBounded(4);
+  uint64_t channels = 1 + rng.NextBounded(3);
+  std::vector<LipId> lips(producers + consumers, kNoLip);
+  auto launch_at = [&](size_t index, SimTime start, LipProgram program) {
+    sim.ScheduleAt(start, [&server, &lips, index,
+                           program = std::move(program)] {
+      lips[index] = server.Launch("lip" + std::to_string(index), program);
+    });
+  };
+  for (uint64_t p = 0; p < producers; ++p) {
+    std::vector<std::pair<uint64_t, SimDuration>> sends(1 + rng.NextBounded(6));
+    for (auto& [channel, pause] : sends) {
+      channel = rng.NextBounded(channels);
+      pause = rng.NextBounded(4) == 0
+                  ? 0
+                  : static_cast<SimDuration>(rng.NextBounded(Micros(500)));
+    }
+    SimTime start = static_cast<SimTime>(rng.NextBounded(Millis(2)));
+    launch_at(p, start, [p, sends](LipContext& ctx) -> Task {
+      for (size_t i = 0; i < sends.size(); ++i) {
+        std::string message = "p" + std::to_string(p) + "." + std::to_string(i);
+        co_await ctx.send(ChannelName(sends[i].first), std::move(message));
+        co_await ctx.sleep(sends[i].second);
+      }
+    });
+  }
+  for (uint64_t c = 0; c < consumers; ++c) {
+    std::vector<uint64_t> recvs(1 + rng.NextBounded(5));
+    for (uint64_t& channel : recvs) {
+      channel = rng.NextBounded(channels);
+    }
+    size_t index = producers + c;
+    SimTime start = static_cast<SimTime>(rng.NextBounded(Millis(2)));
+    launch_at(index, start, [&fold, c, recvs](LipContext& ctx) -> Task {
+      for (uint64_t channel : recvs) {
+        std::string message = co_await ctx.recv(ChannelName(channel));
+        fold(c);
+        fold(channel);
+        fold(Fnv1a(message));
+        fold(static_cast<uint64_t>(ctx.now()));
+        ctx.emit(message + ";");
+      }
+    });
+    if (rng.NextBounded(4) == 0) {
+      // Scheduled after the launch, so the LIP exists even at its start.
+      SimTime detach_at =
+          start + static_cast<SimTime>(rng.NextBounded(Millis(3)));
+      sim.ScheduleAt(detach_at, [&server, &lips, &fold, index] {
+        fold(static_cast<uint64_t>(
+            server.runtime().Detach(lips[index]).code()));
+      });
+    }
+  }
+  sim.Run();
+  for (LipId lip : lips) {
+    fold(server.runtime().LipDone(lip) ? 1 : 0);
+    fold(Fnv1a(server.runtime().Output(lip)));
+  }
+  const RuntimeStats& stats = server.runtime().stats();
+  fold(stats.ipc_messages);
+  fold(stats.context_switches);
+  fold(stats.lips_completed);
+  fold(static_cast<uint64_t>(sim.now()));
+  return digest;
+}
+
+// Pins a standalone server's channel semantics: FIFO delivery, FIFO waiters,
+// messages queued before their first receiver, receives that never complete,
+// and detached consumers whose parked receives must not swallow a message.
+// The expected value was recorded while a standalone runtime kept its own
+// channel table; which implementation serves the channels may change, what
+// they deliver may not.
+TEST(ChannelDigestTest, MatchesParent) {
+  uint64_t digest = 0;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    digest = HashCombine(digest, ChannelDigest(seed));
+  }
+  EXPECT_EQ(digest, 0x436774c50272a425ULL);
 }
 
 }  // namespace
