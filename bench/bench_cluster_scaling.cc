@@ -8,7 +8,22 @@
 //      files are shared) beat round-robin (topics scatter, every replica
 //      re-prefills and caches every hot document)?
 // Offered load scales with the replica count so each point runs at pressure.
+//
+// `--scale R N` is the memory-at-scale probe instead: one RAG run on R
+// replicas with N requests per replica and nothing cached, printed as one
+// row of replicas, requests, completed, wall microseconds per finished
+// request and peak RSS. Run it once per process, since RSS is a high-water
+// mark; bench/scale_probe.py runs the standard points and derives the RSS
+// growth per finished request.
+#include <sys/resource.h>
+
+#include <cctype>
+#include <cerrno>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,6 +32,53 @@
 
 namespace symphony {
 namespace {
+
+int ScaleProbe(size_t replicas, size_t requests_per_replica) {
+  RagConfig config;
+  config.answer_tokens = 32;
+  config.pareto_index = 0.8;
+  config.cache_top_k = 0;
+  config.max_active = 16;  // Per replica.
+  config.request_rate = 6.0 * static_cast<double>(replicas);
+  config.num_requests = requests_per_replica * replicas;
+  ClusterOptions cluster;
+  cluster.replicas = replicas;
+  cluster.routing = RoutingPolicy::kAffinityBounded;
+  auto start = std::chrono::steady_clock::now();
+  RagRunResult r = RunRagOnCluster(config, cluster);
+  double wall_us = std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  struct rusage usage;
+  getrusage(RUSAGE_SELF, &usage);
+  double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  double us_per_request =
+      r.completed > 0 ? wall_us / static_cast<double>(r.completed) : 0.0;
+  BenchTable table({"replicas", "requests", "completed", "wall_us/req",
+                    "peak_rss_mb"});
+  table.AddRow({std::to_string(replicas), std::to_string(config.num_requests),
+                std::to_string(r.completed), Fmt(us_per_request, 1),
+                Fmt(peak_rss_mb, 1)});
+  table.Print("RAG at scale (aff-bounded, Pareto 0.8, nothing cached, 6 req/s "
+              "per replica)");
+  std::printf("JSON {\"bench\":\"cluster_scaling\",\"row\":\"scale\","
+              "\"replicas\":%zu,\"requests\":%zu,\"completed\":%llu,"
+              "\"wall_us_per_request\":%.1f,\"peak_rss_mb\":%.2f}\n",
+              replicas, config.num_requests,
+              static_cast<unsigned long long>(r.completed), us_per_request,
+              peak_rss_mb);
+  return r.completed == config.num_requests ? 0 : 1;
+}
+
+// A positive decimal count, or 0 for anything else.
+size_t ParseCount(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = std::strtoull(text, &end, 10);
+  bool valid = std::isdigit(static_cast<unsigned char>(text[0])) &&
+               *end == '\0' && errno == 0 && value <= SIZE_MAX;
+  return valid ? static_cast<size_t>(value) : 0;
+}
 
 RagConfig BaseConfig(size_t replicas) {
   RagConfig config;
@@ -32,8 +94,21 @@ RagConfig BaseConfig(size_t replicas) {
 }  // namespace
 }  // namespace symphony
 
-int main() {
+int main(int argc, char** argv) {
   using namespace symphony;
+  if (argc == 4 && std::strcmp(argv[1], "--scale") == 0) {
+    size_t replicas = ParseCount(argv[2]);
+    size_t requests = ParseCount(argv[3]);
+    if (replicas > 0 && requests > 0 && requests <= SIZE_MAX / replicas) {
+      return ScaleProbe(replicas, requests);
+    }
+  }
+  if (argc != 1) {
+    std::fprintf(stderr,
+                 "usage: %s [--scale REPLICAS REQUESTS_PER_REPLICA]\n",
+                 argv[0]);
+    return 2;
+  }
   std::printf("bench_cluster_scaling: data-parallel replicas + routing policy\n");
 
   BenchTable table({"replicas", "routing", "tok/s", "scaling", "hit%",

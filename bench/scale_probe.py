@@ -1,0 +1,48 @@
+#!/usr/bin/env python3
+"""Memory and wall cost of the simulator at scale.
+
+    python3 bench/scale_probe.py [path/to/bench_cluster_scaling]
+
+Runs `bench_cluster_scaling --scale R N` for each standard point, one process
+each (peak RSS is a high-water mark, so points cannot share a process), and
+prints every row. Then it prints the RSS growth per finished request between
+the two 4-replica rows: memory that a finished request leaves behind. The
+default binary is build/bench/bench_cluster_scaling. Exits nonzero when a
+run fails.
+"""
+
+import json
+import subprocess
+import sys
+
+# (replicas, requests per replica)
+POINTS = ((4, 2500), (4, 10000), (64, 40), (256, 40), (1000, 40))
+
+
+def run(binary, replicas, requests):
+    out = subprocess.run([binary, "--scale", str(replicas), str(requests)],
+                         check=True, capture_output=True, text=True).stdout
+    sys.stdout.write(out)
+    sys.stdout.flush()
+    for line in out.splitlines():
+        if line.startswith("JSON "):
+            return json.loads(line[len("JSON "):])
+    raise RuntimeError(f"no JSON row from --scale {replicas} {requests}")
+
+
+def main():
+    binary = sys.argv[1] if len(sys.argv) > 1 else "build/bench/bench_cluster_scaling"
+    rows = [run(binary, replicas, requests) for replicas, requests in POINTS]
+    small, large = rows[0], rows[1]
+    growth_kb = (large["peak_rss_mb"] - small["peak_rss_mb"]) * 1024.0
+    kb_per_request = growth_kb / (large["completed"] - small["completed"])
+    print(f"\nRSS growth per finished request (4 replicas, "
+          f"{small['completed']} -> {large['completed']} requests): "
+          f"{kb_per_request:.3f} KB")
+    print("JSON " + json.dumps({"bench": "cluster_scaling",
+                                "row": "kb_per_finished_request",
+                                "value": round(kb_per_request, 3)}))
+
+
+if __name__ == "__main__":
+    main()

@@ -273,7 +273,6 @@ class ControlPlane {
   // Age of the last delivered beat; -1 when dead/detached or never beat.
   SimDuration HeartbeatAge(size_t replica) const;
   size_t seat() const { return seat_; }
-  const ControlPlaneOptions& options() const { return options_; }
   const ControlPlaneStats& stats() const;
 
  private:

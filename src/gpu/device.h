@@ -54,7 +54,8 @@ class Device {
   double Utilization() const;
 
   const DeviceStats& stats() const { return stats_; }
-  const SampleSeries& batch_sizes() const { return batch_sizes_; }
+  // Items per batch; only the running statistics are kept.
+  const OnlineStats& batch_sizes() const { return batch_sizes_; }
 
   // Optional execution tracing: one span per batch on `track`.
   void set_trace(TraceRecorder* trace, std::string track = "gpu") {
@@ -67,7 +68,7 @@ class Device {
   CostModel cost_;
   bool busy_ = false;
   DeviceStats stats_;
-  SampleSeries batch_sizes_;
+  OnlineStats batch_sizes_;
   TraceRecorder* trace_ = nullptr;
   std::string trace_track_ = "gpu";
 };

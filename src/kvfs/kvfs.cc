@@ -32,9 +32,15 @@ FileId Kvfs::AllocateFileSlot() {
   entry.live = true;
   entry.data.emplace(&pool_);
   // Attribute this file's page references to its (future) owner. The owner
-  // field is always assigned before any pages are added.
+  // field is always assigned before any pages are added. An owner whose
+  // count returns to zero loses its entry, so the map holds current owners,
+  // not every LIP that ever held a page.
   entry.data->set_page_ref_observer([this, id](int64_t delta) {
-    owner_page_refs_[files_[id].owner] += delta;
+    auto it = owner_page_refs_.try_emplace(files_[id].owner, 0).first;
+    it->second += delta;
+    if (it->second == 0) {
+      owner_page_refs_.erase(it);
+    }
   });
   return id;
 }

@@ -1,6 +1,7 @@
 #include "src/runtime/runtime.h"
 
 #include <cassert>
+#include <utility>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -121,11 +122,11 @@ void LipRuntime::Ready(ThreadId thread) {
   if (halted_) {
     return;  // Replica failure: nothing resumes ever again.
   }
+  // Asserts on a finished thread, whose block is erased: waking it is a bug.
   Tcb& tcb = GetTcb(thread);
   if (tcb.state == ThreadState::kKilled) {
     return;  // Detached LIP: a late completion wrote its slot; drop the wake.
   }
-  assert(tcb.state != ThreadState::kDone && "waking a finished thread");
   if (tcb.state == ThreadState::kReady) {
     return;  // A resume event is already pending.
   }
@@ -138,10 +139,11 @@ void LipRuntime::Resume(ThreadId thread) {
   if (halted_) {
     return;
   }
-  Tcb& tcb = GetTcb(thread);
-  if (tcb.state != ThreadState::kReady) {
-    return;  // Stale event.
+  auto it = threads_.find(thread);
+  if (it == threads_.end() || it->second.state != ThreadState::kReady) {
+    return;  // Stale event (an exited thread's block is already erased).
   }
+  Tcb& tcb = it->second;
   tcb.state = ThreadState::kRunning;
   ThreadId prev = current_;
   current_ = thread;
@@ -150,11 +152,12 @@ void LipRuntime::Resume(ThreadId thread) {
   current_ = prev;
   if (tcb.handle.done()) {
     OnThreadExit(tcb);
+    // ThreadDone and AddJoiner answer "finished" for an unknown id.
+    threads_.erase(thread);
   }
 }
 
 void LipRuntime::OnThreadExit(Tcb& tcb) {
-  tcb.state = ThreadState::kDone;
   tcb.handle.destroy();
   tcb.handle = nullptr;
   tcb.program = nullptr;  // Frame destroyed; captures no longer referenced.
@@ -179,29 +182,40 @@ void LipRuntime::OnThreadExit(Tcb& tcb) {
   }
 
   if (proc.live_threads == 0) {
-    // Process exit: release kernel resources the LIP left open.
-    for (KvHandle handle : proc.open_handles) {
-      Status st = kvfs_->Close(handle);
-      if (!st.ok()) {
-        SYMPHONY_LOG(kDebug) << "lip " << proc.id
-                             << " exit close failed: " << st.ToString();
-      }
+    Reap(proc);
+  }
+}
+
+void LipRuntime::Reap(Process& proc) {
+  // Release kernel resources the LIP left open.
+  for (KvHandle handle : proc.open_handles) {
+    Status st = kvfs_->Close(handle);
+    if (!st.ok()) {
+      SYMPHONY_LOG(kDebug) << "lip " << proc.id
+                           << " exit close failed: " << st.ToString();
     }
-    proc.open_handles.clear();
-    proc.done = true;
-    --live_lips_;
-    ++stats_.lips_completed;
-    if (trace_ != nullptr) {
-      trace_->Span("lips", proc.name, proc.launch_time,
-                   sim_->now() - proc.launch_time);
-    }
-    if (proc.on_exit) {
-      // Run after the current dispatch completes so the callback sees a
-      // settled runtime state.
-      LipId lip = proc.id;
-      auto callback = proc.on_exit;
-      sim_->ScheduleAt(sim_->now(), [callback, lip] { callback(lip); });
-    }
+  }
+  proc.done = true;
+  --live_lips_;
+  ++stats_.lips_completed;
+  if (trace_ != nullptr) {
+    trace_->Span("lips", proc.name, proc.launch_time,
+                 sim_->now() - proc.launch_time);
+  }
+  // Nothing reads these after exit. The journal lives on only where the
+  // serving layer holds its own reference.
+  proc.open_handles = std::vector<KvHandle>();
+  proc.join_all_waiters = std::vector<ThreadId>();
+  proc.journal.reset();
+  proc.replay.reset();
+  proc.context.reset();
+  proc.rng.reset();
+  if (proc.on_exit) {
+    // Run after the current dispatch completes so the callback sees a
+    // settled runtime state.
+    sim_->ScheduleAt(sim_->now(),
+                     [callback = std::exchange(proc.on_exit, nullptr),
+                      lip = proc.id] { callback(lip); });
   }
 }
 
@@ -322,7 +336,11 @@ Status LipRuntime::BeginReplay(LipId lip, RecoveryMode mode,
   auto replay = std::make_unique<Process::ReplayState>();
   replay->mode = mode;
   replay->config = config;
-  replay->total = proc.journal->total_entries();
+  for (const auto& entry : proc.journal->threads()) {
+    size_t end = proc.journal->EntryCount(entry.first);
+    replay->cursor[entry.first].end = end;
+    replay->total += end;
+  }
   replay->start = sim_->now();
   proc.replay = std::move(replay);
   ++stats_.lips_replayed;
@@ -351,7 +369,7 @@ Status LipRuntime::Detach(LipId lip) {
   }
   for (auto& entry : threads_) {
     Tcb& tcb = entry.second;
-    if (tcb.lip == lip && tcb.state != ThreadState::kDone) {
+    if (tcb.lip == lip) {
       // Keep the frame allocated: an in-flight pred/tool completion may
       // still write its result slot. ~LipRuntime reclaims it.
       tcb.state = ThreadState::kKilled;
@@ -376,7 +394,11 @@ Status LipRuntime::Detach(LipId lip) {
 
 const JournalEntry* LipRuntime::NextReplayEntry(Process& proc,
                                                 const Tcb& tcb) {
-  return proc.journal->At(tcb.path, proc.replay->cursor[tcb.path]);
+  auto it = proc.replay->cursor.find(tcb.path);
+  if (it == proc.replay->cursor.end() || it->second.next >= it->second.end) {
+    return nullptr;  // Past what was journaled: this thread runs live.
+  }
+  return proc.journal->At(tcb.path, it->second.next);
 }
 
 bool LipRuntime::ReplayServes(Process& proc, const Tcb& tcb) {
@@ -385,7 +407,7 @@ bool LipRuntime::ReplayServes(Process& proc, const Tcb& tcb) {
 }
 
 void LipRuntime::ConsumeReplayEntry(Process& proc, const Tcb& tcb) {
-  ++proc.replay->cursor[tcb.path];
+  ++proc.replay->cursor[tcb.path].next;
   ++proc.replay->consumed;
   if (proc.replay->consumed >= proc.replay->total) {
     FinishReplay(proc, /*diverged=*/false);
@@ -571,7 +593,7 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
         // kRecompute: fall through to a live submit so the device rebuilds
         // the KV cache; completion checks it reproduced the journaled states.
         from_journal = true;
-        verify_index = proc.replay->cursor[tcb.path];
+        verify_index = proc.replay->cursor[tcb.path].next;
         ++stats_.preds_replayed;
         stats_.replay_tokens_recomputed += entry->tokens.size();
         ConsumeReplayEntry(proc, tcb);
@@ -743,13 +765,12 @@ void LipRuntime::SubmitSleep(ThreadId thread, SimDuration duration) {
 }
 
 bool LipRuntime::ThreadDone(ThreadId thread) const {
-  auto it = threads_.find(thread);
-  return it == threads_.end() || it->second.state == ThreadState::kDone;
+  return !threads_.contains(thread);
 }
 
 void LipRuntime::AddJoiner(ThreadId target, ThreadId waiter) {
   auto it = threads_.find(target);
-  if (it == threads_.end() || it->second.state == ThreadState::kDone) {
+  if (it == threads_.end()) {
     Ready(waiter);
     return;
   }
@@ -859,8 +880,7 @@ bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
     return false;
   }
   auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled ||
-      it->second.state == ThreadState::kDone) {
+  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
     return false;
   }
   Tcb& tcb = it->second;
@@ -953,8 +973,7 @@ bool LipRuntime::DeliverToWaiter(ThreadId thread, std::string* slot,
     return false;
   }
   auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled ||
-      it->second.state == ThreadState::kDone) {
+  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
     return false;
   }
   *slot = message;

@@ -87,11 +87,11 @@ class ChannelFabric {
   virtual void DropReplicaWaiters(size_t replica) = 0;
 };
 
+// A finished thread has no state: its control block is erased at exit.
 enum class ThreadState : uint8_t {
   kReady,
   kRunning,
   kBlocked,
-  kDone,
   // Forcibly detached (LIP migrated away). The coroutine frame is kept
   // allocated — in-flight completions may still write their result slots —
   // but the thread never resumes; ~LipRuntime reclaims the frame.
@@ -174,6 +174,10 @@ class LipRuntime {
 
   // Starts a new LIP. The program begins running in virtual time on the next
   // simulator dispatch. on_exit fires when the LIP's last thread finishes.
+  //
+  // An exited LIP is reaped to its exit record: its thread control blocks,
+  // journal, replay state, context and RNG are freed, and only LipDone,
+  // Output, DeadlineExpired and GetUsage keep answering for it.
   LipId Launch(std::string name, LipProgram program,
                std::function<void(LipId)> on_exit = nullptr);
 
@@ -191,10 +195,12 @@ class LipRuntime {
   // Attaches a journal; every completed syscall is recorded from then on.
   // Must be called before the LIP's first dispatch for a complete record.
   // Fills the journal's launch metadata (name, rng seed, quota) from the
-  // process. The runtime shares ownership until the LIP is destroyed.
+  // process. The runtime shares ownership until the LIP exits; a caller
+  // that reads the journal after exit keeps its own reference.
   void EnableJournal(LipId lip, std::shared_ptr<SyscallJournal> journal);
 
-  // The journal attached to `lip`, or nullptr.
+  // The journal attached to `lip`; nullptr when none is attached or the LIP
+  // has exited (the runtime drops its reference at exit).
   std::shared_ptr<SyscallJournal> Journal(LipId lip) const;
 
   // Switches `lip` into replay: subsequent syscalls consume the attached
@@ -345,6 +351,9 @@ class LipRuntime {
     std::unordered_map<std::string, uint64_t> replay_send_resume;
   };
 
+  // A LIP's kernel state. Reap() frees everything except the exit record
+  // that post-exit queries read: done, output, expired and usage (plus the
+  // scalars beside them).
   struct Process {
     LipId id = kNoLip;
     std::string name;
@@ -369,9 +378,15 @@ class LipRuntime {
     struct ReplayState {
       RecoveryMode mode = RecoveryMode::kRecompute;
       const ModelConfig* config = nullptr;  // For kImportSnapshot.
-      // Per-thread-path read cursor into the journal.
-      std::unordered_map<std::string, size_t> cursor;
-      uint64_t total = 0;
+      // Per-thread-path read cursor into the journal, and the path's entry
+      // count when replay began: entries the thread appends live past that
+      // end are never served back to it as journaled.
+      struct Cursor {
+        size_t next = 0;
+        size_t end = 0;
+      };
+      std::unordered_map<std::string, Cursor> cursor;
+      uint64_t total = 0;  // Sum of every cursor's end.
       uint64_t consumed = 0;
       bool complete = false;
       SimTime start = 0;
@@ -381,12 +396,16 @@ class LipRuntime {
 
   void Resume(ThreadId thread);
   void OnThreadExit(Tcb& tcb);
+  // Process exit: closes the LIP's open handles, frees everything but its
+  // exit record and schedules on_exit.
+  void Reap(Process& proc);
   Tcb& GetTcb(ThreadId thread);
   Process& GetProcess(LipId lip);
   const Process& GetProcess(LipId lip) const;
 
   // Replay plumbing. NextReplayEntry returns the next journaled entry for
-  // `tcb`'s thread (nullptr once its log is exhausted — live from then on);
+  // `tcb`'s thread (nullptr once the entries its path had when replay began
+  // are consumed — live from then on);
   // ConsumeReplayEntry advances the cursor and finishes the replay when the
   // whole journal has been consumed.
   const JournalEntry* NextReplayEntry(Process& proc, const Tcb& tcb);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <tuple>
+#include <utility>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -313,13 +314,19 @@ std::function<void(LipId)> SymphonyCluster::MakeOnExit(uint64_t uid) {
     // Cache the output: the hosting slot may be rebuilt by readmission after
     // this LIP is gone, and Output() must keep answering.
     rec.output = slots_[rec.replica].server->runtime().Output(lip);
-    // The journal's life is over: drop its checkpoint's store reference.
+    // The journal's life is over: drop its checkpoint's store reference,
+    // then the journal and the program kept for relaunch. The record keeps
+    // only what Done, Output and Locate read.
     if (rec.journal != nullptr && rec.journal->checkpoint_key() != 0) {
       (void)store_->Release(rec.journal->checkpoint_key());
       rec.journal->AbandonCheckpoint();
     }
-    if (rec.user_on_exit) {
-      rec.user_on_exit(lip);
+    rec.journal.reset();
+    rec.program = nullptr;
+    std::function<void(LipId)> user_on_exit =
+        std::exchange(rec.user_on_exit, nullptr);
+    if (user_on_exit) {
+      user_on_exit(lip);
     }
   };
 }

@@ -371,7 +371,9 @@ class SymphonyCluster : private ClusterControl {
   ClusterSnapshot Snapshot() const;
 
  private:
-  // Everything needed to re-launch a LIP somewhere else.
+  // Everything needed to re-launch a LIP somewhere else. At exit the record
+  // drops its program, journal and on_exit and keeps only what Done, Output
+  // and Locate read.
   struct LipRecord {
     uint64_t uid = 0;
     std::string name;

@@ -7,6 +7,7 @@
 // all recovery modes.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -578,14 +579,144 @@ TEST(RecoveryTest, JournalRecordsSyscallsPerThreadPath) {
   SymphonyCluster cluster(&sim, RecoveryCluster(21, RecoveryMode::kAuto));
   RegisterTools(cluster);
   SymphonyCluster::ClusterLip id = cluster.Launch("agent", "", MakeAgent(2));
-  sim.Run();
+  // Held before the run: the runtime and the cluster drop their references
+  // when the LIP exits.
   std::shared_ptr<SyscallJournal> journal =
       cluster.replica(id.replica).runtime().Journal(id.lip);
+  sim.Run();
   ASSERT_NE(journal, nullptr);
   EXPECT_GT(journal->total_entries(), 0u);
   EXPECT_GT(journal->pred_tokens(), 0u);
   EXPECT_GT(journal->EntryCount("0"), 0u);  // Root thread path.
   EXPECT_EQ(journal->name, "agent");
+}
+
+// ---- Exit records --------------------------------------------------------
+
+// A finished LIP's cluster record drops its journal and program, and the
+// runtime drops its own journal reference: only Done, Output and Locate
+// answer after exit, with the values they had when the LIP exited.
+TEST(RecoveryTest, FinishedLipRecordDropsJournalAndProgram) {
+  Simulator sim;
+  SymphonyCluster cluster(&sim, RecoveryCluster(5, RecoveryMode::kAuto));
+  RegisterTools(cluster);
+  auto sentinel = std::make_shared<int>(1);
+  std::weak_ptr<int> sentinel_ref = sentinel;
+  LipProgram agent = MakeAgent(2);
+  SymphonyCluster::ClusterLip id;
+  std::string exit_output;
+  SymphonyCluster::ClusterLip exit_where;
+  id = cluster.Launch(
+      "agent", "",
+      [agent, sentinel = std::move(sentinel)](LipContext& ctx) {
+        return agent(ctx);
+      },
+      [&](LipId) {
+        exit_output = cluster.Output(id);
+        exit_where = cluster.Locate(id);
+      });
+  std::weak_ptr<SyscallJournal> journal_ref =
+      cluster.replica(id.replica).runtime().Journal(id.lip);
+  ASSERT_FALSE(journal_ref.expired());
+  sim.Run();
+  EXPECT_TRUE(journal_ref.expired());
+  EXPECT_TRUE(sentinel_ref.expired());
+  EXPECT_TRUE(cluster.Done(id));
+  EXPECT_FALSE(exit_output.empty());
+  EXPECT_EQ(cluster.Output(id), exit_output);
+  SymphonyCluster::ClusterLip where = cluster.Locate(id);
+  EXPECT_EQ(where.replica, exit_where.replica);
+  EXPECT_EQ(where.lip, exit_where.lip);
+  EXPECT_EQ(where.replica, id.replica);
+  EXPECT_EQ(cluster.replica(where.replica).runtime().Journal(where.lip),
+            nullptr);
+}
+
+// ---- Multi-threaded replay ------------------------------------------------
+
+// The root thread makes `calls` sequential 100 us tool calls and emits each
+// result ("echo:ok<i>"); a spawned thread runs `preds` one-token preds on its
+// own scratch file. Whichever thread's journal runs dry first goes live while
+// the other still replays; its live entries must not be served back to it.
+LipProgram MakeToolAndPredThreads(int calls, int preds) {
+  return [calls, preds](LipContext& ctx) -> Task {
+    ThreadId worker = ctx.spawn([preds](LipContext& c) -> Task {
+      KvHandle kv = *c.kv_tmp();
+      TokenId next = 5;
+      for (int i = 0; i < preds; ++i) {
+        StatusOr<std::vector<Distribution>> d = co_await c.pred1(kv, next);
+        if (!d.ok()) {
+          co_return;
+        }
+        next = d->back().Argmax();
+      }
+    });
+    for (int i = 0; i < calls; ++i) {
+      StatusOr<std::string> out =
+          co_await ctx.call_tool("echo", "ok" + std::to_string(i));
+      ctx.emit((out.ok() ? *out : out.status().ToString()) + ",");
+    }
+    co_await ctx.join(worker);
+  };
+}
+
+struct ThreadedRun {
+  std::string output;
+  SimTime finish = 0;
+  uint64_t divergences = 0;
+};
+
+ThreadedRun RunToolAndPredThreads(int calls, int preds, bool checkpoint,
+                                  std::optional<SimTime> kill_at) {
+  ClusterOptions options = RecoveryCluster(3, RecoveryMode::kRecompute);
+  options.checkpoint_journals = checkpoint;
+  options.checkpoint_interval = kCheckpointInterval;
+  Simulator sim;
+  SymphonyCluster cluster(&sim, options);
+  for (size_t i = 0; i < cluster.replica_count(); ++i) {
+    EXPECT_TRUE(cluster.replica(i)
+                    .tools()
+                    .Register(ToolRegistry::Echo("echo", Micros(100)))
+                    .ok());
+  }
+  SymphonyCluster::ClusterLip id =
+      cluster.Launch("threads", "", MakeToolAndPredThreads(calls, preds));
+  if (kill_at.has_value()) {
+    sim.ScheduleAt(*kill_at,
+                   [&cluster, id] { (void)cluster.KillReplica(id.replica); });
+  }
+  sim.Run();
+  EXPECT_TRUE(cluster.Done(id));
+  ThreadedRun run;
+  run.output = cluster.Output(id);
+  run.finish = sim.now();
+  run.divergences = cluster.Snapshot().replay_divergences;
+  return run;
+}
+
+// A thread's live syscalls land in its own per-path log, so replay must stop
+// serving that path at the count it had when replay began; otherwise the
+// root reads its previous live result back ("echo:ok5,echo:ok5,") while
+// the worker still replays, with replay_divergences 0.
+TEST(RecoveryTest, MultiThreadReplayNeverServesLiveEntries) {
+  for (bool checkpoint : {false, true}) {
+    for (int calls : {10, 20, 30}) {
+      for (int preds : {20, 40}) {
+        ThreadedRun baseline =
+            RunToolAndPredThreads(calls, preds, checkpoint, std::nullopt);
+        ASSERT_GT(baseline.finish, 0);
+        for (int k = 1; k <= 11; ++k) {
+          SimTime kill_at = baseline.finish * k / 12;
+          ThreadedRun killed =
+              RunToolAndPredThreads(calls, preds, checkpoint, kill_at);
+          EXPECT_EQ(killed.output, baseline.output)
+              << "checkpoint=" << checkpoint << " calls=" << calls
+              << " preds=" << preds << " kill at " << k << "/12";
+          EXPECT_EQ(killed.divergences, 0u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // §4.3 offload-on-I/O policy.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +47,75 @@ TEST(ServerTest, QuickstartGreedyGeneration) {
   });
   sim.Run();
   EXPECT_FALSE(output.empty());
+}
+
+// An exited LIP is reaped to its exit record: the runtime drops its journal
+// and its threads' program closures, and LipDone, Output, DeadlineExpired,
+// GetUsage and ThreadDone keep the values they had at exit.
+TEST(ServerTest, FinishedLipKeepsOnlyItsExitRecord) {
+  Simulator sim;
+  SymphonyServer server(&sim, TinyOptions());
+  LipRuntime& runtime = server.runtime();
+  auto sentinel = std::make_shared<int>(1);
+  std::weak_ptr<int> sentinel_ref = sentinel;
+  ThreadId child = 0;
+  struct ExitRecord {
+    bool done = false;
+    std::string output;
+    bool expired = false;
+    uint64_t pred_tokens = 0;
+    bool child_done = false;
+  };
+  ExitRecord at_exit;
+  auto record = [&](LipId lip) {
+    return ExitRecord{runtime.LipDone(lip), runtime.Output(lip),
+                      runtime.DeadlineExpired(lip),
+                      runtime.GetUsage(lip).pred_tokens,
+                      runtime.ThreadDone(child)};
+  };
+  LipId lip = server.Launch(
+      "reaped",
+      [sentinel = std::move(sentinel), &child](LipContext& ctx) -> Task {
+        KvHandle kv = *ctx.kv_tmp();
+        StatusOr<std::vector<Distribution>> d =
+            co_await ctx.pred(kv, ctx.tokenizer().Encode("w1 w2 w3"));
+        ctx.emit(d.ok() ? "pred " : "failed ");
+        child = ctx.spawn([](LipContext& c) -> Task {
+          co_await c.sleep(Millis(1));
+          c.emit("child ");
+        });
+        co_await ctx.join(child);
+        // The deadline fires meanwhile and closes `kv`.
+        co_await ctx.sleep(Millis(50));
+        StatusOr<std::vector<Distribution>> late =
+            co_await ctx.pred1(*ctx.kv_tmp(), 5);
+        ctx.emit(late.status().code() == StatusCode::kDeadlineExceeded
+                     ? "expired"
+                     : "live");
+        ctx.emit(*sentinel == 1 ? "" : "?");
+      },
+      [&](LipId id) { at_exit = record(id); });
+  auto journal = std::make_shared<SyscallJournal>();
+  std::weak_ptr<SyscallJournal> journal_ref = journal;
+  runtime.EnableJournal(lip, std::move(journal));
+  runtime.SetDeadline(lip, Millis(30));
+  sim.Run();
+
+  EXPECT_TRUE(journal_ref.expired());
+  EXPECT_TRUE(sentinel_ref.expired());
+  EXPECT_EQ(runtime.Journal(lip), nullptr);
+  EXPECT_EQ(runtime.live_lips(), 0u);
+  EXPECT_TRUE(at_exit.done);
+  EXPECT_EQ(at_exit.output, "pred child expired");
+  EXPECT_TRUE(at_exit.expired);
+  EXPECT_EQ(at_exit.pred_tokens, 3u);  // The rejected pred is not charged.
+  EXPECT_TRUE(at_exit.child_done);
+  ExitRecord now = record(lip);
+  EXPECT_EQ(now.done, at_exit.done);
+  EXPECT_EQ(now.output, at_exit.output);
+  EXPECT_EQ(now.expired, at_exit.expired);
+  EXPECT_EQ(now.pred_tokens, at_exit.pred_tokens);
+  EXPECT_EQ(now.child_done, at_exit.child_done);
 }
 
 TEST(ServerTest, GenerationIsReproducible) {
