@@ -269,9 +269,14 @@ class SyscallJournal {
   // another journal object (the replay copy made by ReplayOnto).
   void AbandonCheckpoint() { checkpoint_key_ = 0; }
 
+  // Set from BeginReplay to FinishReplay: no fold while a replay serves
+  // entries, or a thread that went live could fold away entries another
+  // thread has not replayed yet. The next Append folds if one is due.
+  void set_replay_hold(bool hold) { replay_hold_ = hold; }
+
  private:
   void MaybeFold() {
-    if (!fold_hook_ || folding_ || fold_interval_ == 0 ||
+    if (!fold_hook_ || folding_ || replay_hold_ || fold_interval_ == 0 ||
         live_entries() < fold_interval_) {
       return;
     }
@@ -288,6 +293,7 @@ class SyscallJournal {
   FoldHook fold_hook_;
   uint64_t fold_interval_ = 0;
   bool folding_ = false;
+  bool replay_hold_ = false;
 };
 
 }  // namespace symphony

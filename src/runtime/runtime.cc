@@ -346,6 +346,8 @@ Status LipRuntime::BeginReplay(LipId lip, RecoveryMode mode,
   ++stats_.lips_replayed;
   if (proc.replay->total == 0) {
     proc.replay->complete = true;  // Empty journal: live immediately.
+  } else {
+    proc.journal->set_replay_hold(true);  // FinishReplay releases it.
   }
   return Status::Ok();
 }
@@ -419,6 +421,7 @@ void LipRuntime::FinishReplay(Process& proc, bool diverged) {
     return;
   }
   proc.replay->complete = true;
+  proc.journal->set_replay_hold(false);
   if (proc.expired && !proc.done) {
     // The deadline fired mid-replay; run the teardown ExpireDeadline deferred.
     if (pred_service_ != nullptr) {

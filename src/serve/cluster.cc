@@ -112,25 +112,63 @@ void SymphonyCluster::BuildReplica(size_t index) {
       [fabric = fabric_.get(), index] {
         return fabric->BackpressureDelay(index);
       });
+  server.set_launcher([this, index](std::string name, LipProgram program,
+                                    std::function<void(LipId)> on_exit) {
+    return Place(index, std::move(name), std::move(program),
+                 std::move(on_exit))
+        .lip;
+  });
   InstallDisaggHook(index);  // The slot keeps its role across incarnations.
 }
 
 std::vector<uint64_t> SymphonyCluster::StrandedLips() const {
   std::vector<uint64_t> stranded;
-  for (const auto& entry : records_) {
-    const LipRecord& rec = entry.second;
-    if (!rec.done && !rec.in_flight && replica_dead(rec.replica)) {
-      stranded.push_back(rec.uid);
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (!replica_dead(i)) {
+      continue;
+    }
+    for (uint64_t uid : slots_[i].lips) {
+      if (!records_.at(uid).in_flight) {
+        stranded.push_back(uid);
+      }
     }
   }
-  std::sort(stranded.begin(), stranded.end());
+  std::sort(stranded.begin(), stranded.end());  // Merges the dead slots.
   return stranded;
+}
+
+std::vector<uint64_t> SymphonyCluster::HostedLips(size_t index) const {
+  const LipRuntime& runtime = slots_[index].server->runtime();
+  std::vector<uint64_t> hosted;
+  for (uint64_t uid : slots_[index].lips) {
+    const LipRecord& rec = records_.at(uid);
+    if (!rec.in_flight && !runtime.LipDone(rec.lip)) {
+      hosted.push_back(uid);
+    }
+  }
+  return hosted;
 }
 
 bool SymphonyCluster::Placeable(size_t index) const {
   const ReplicaSlot& slot = slots_[index];
   return slot.state == ReplicaHealth::kLive &&
          !slot.server->runtime().halted();
+}
+
+void SymphonyCluster::Instant(const char* track,
+                              const std::string& name) const {
+  if (options_.server.trace != nullptr) {
+    options_.server.trace->Instant(track, name, sim_->now());
+  }
+}
+
+bool SymphonyCluster::AnyPlaceable() const {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (Placeable(i)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 size_t SymphonyCluster::LiveLips(size_t index) const {
@@ -276,7 +314,6 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
 }
 
 void SymphonyCluster::NoteOverflow() {
-  ++stats_.overflow_events;
   SimTime now = sim_->now();
   if (now - overflow_window_start_ > kOverflowWindow) {
     overflow_window_start_ = now;
@@ -311,6 +348,7 @@ std::function<void(LipId)> SymphonyCluster::MakeOnExit(uint64_t uid) {
     }
     LipRecord& rec = it->second;
     rec.done = true;
+    slots_[rec.replica].lips.erase(uid);
     // Cache the output: the hosting slot may be rebuilt by readmission after
     // this LIP is gone, and Output() must keep answering.
     rec.output = slots_[rec.replica].server->runtime().Output(lip);
@@ -336,28 +374,24 @@ void SymphonyCluster::InstallCheckpointHook(
   if (!options_.checkpoint_journals) {
     return;
   }
-  uint64_t fingerprint = options_.server.model.Fingerprint();
   journal->set_fold_hook(
-      [this, replica, fingerprint](SyscallJournal& j) {
-        StatusOr<CheckpointOutcome> out =
-            CheckpointJournal(*store_, replica, fingerprint, j);
-        if (!out.ok()) {
-          // Typically a corruption window on the previous checkpoint's
-          // chunks: the fold is skipped and the journal stays fatter until
-          // the next interval crossing.
-          return;
-        }
-        ++stats_.checkpoints;
-        stats_.checkpoint_entries_folded += out->folded_entries;
-        if (options_.server.trace != nullptr) {
-          options_.server.trace->Instant(
-              "store",
-              "checkpoint:replica" + std::to_string(replica) + ":" +
-                  std::to_string(out->folded_entries) + "entries",
-              sim_->now());
-        }
-      },
+      [this, replica](SyscallJournal& j) { Checkpoint(j, replica); },
       options_.checkpoint_interval);
+}
+
+void SymphonyCluster::Checkpoint(SyscallJournal& journal, size_t replica) {
+  StatusOr<CheckpointOutcome> out = CheckpointJournal(
+      *store_, replica, options_.server.model.Fingerprint(), journal);
+  if (!out.ok()) {
+    // Typically a corruption window on the previous checkpoint's chunks:
+    // the fold is skipped and the journal stays fatter until the next
+    // interval crossing (or, for a handoff, ships in full).
+    return;
+  }
+  ++stats_.checkpoints;
+  stats_.checkpoint_entries_folded += out->folded_entries;
+  Instant("store", "checkpoint:replica" + std::to_string(replica) + ":" +
+                       std::to_string(out->folded_entries) + "entries");
 }
 
 void SymphonyCluster::InstallDisaggHook(size_t index) {
@@ -369,14 +403,12 @@ void SymphonyCluster::InstallDisaggHook(size_t index) {
         // Map the runtime LIP back to its cluster record; the handoff runs
         // one dispatch later so the pred result settles into its coroutine
         // frame (and its journal entry) before the LIP is detached.
-        for (const auto& entry : records_) {
-          const LipRecord& rec = entry.second;
-          if (rec.replica == index && rec.lip == lip && !rec.done &&
-              !rec.in_flight) {
-            sim_->ScheduleAt(sim_->now(),
-                             [this, uid = rec.uid, context_tokens] {
-                               MaybeHandoff(uid, context_tokens);
-                             });
+        for (uint64_t uid : slots_[index].lips) {
+          const LipRecord& rec = records_.at(uid);
+          if (rec.lip == lip && !rec.in_flight) {
+            sim_->ScheduleAt(sim_->now(), [this, uid, context_tokens] {
+              MaybeHandoff(uid, context_tokens);
+            });
             return;
           }
         }
@@ -417,36 +449,18 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
   // log (the target pulls the chunks over the topology either way).
   if (options_.checkpoint_journals && rec.journal != nullptr &&
       rec.journal->live_entries() > 0) {
-    StatusOr<CheckpointOutcome> folded = CheckpointJournal(
-        *store_, rec.replica, options_.server.model.Fingerprint(),
-        *rec.journal);
-    if (folded.ok()) {
-      ++stats_.checkpoints;
-      stats_.checkpoint_entries_folded += folded->folded_entries;
-    }
-    // A corruption-window failure just means a fatter (full) ship below.
+    Checkpoint(*rec.journal, rec.replica);
   }
   ClusterLip id{rec.replica, rec.lip, uid};
   if (Migrate(id, target).ok()) {
     ++stats_.disagg_handoffs;
-    if (options_.server.trace != nullptr) {
-      options_.server.trace->Instant(
-          "recovery", "handoff:" + rec.name + ":replica" +
-                          std::to_string(id.replica) + "->replica" +
-                          std::to_string(target) + ":" +
-                          std::to_string(context_tokens) + "tok",
-          sim_->now());
-    }
+    Instant("recovery", "handoff:" + rec.name + ":replica" +
+                            std::to_string(id.replica) + "->replica" +
+                            std::to_string(target) + ":" +
+                            std::to_string(context_tokens) + "tok");
   } else {
     ++stats_.disagg_handoff_skips;
   }
-}
-
-SymphonyCluster::ClusterLip SymphonyCluster::Launch(
-    std::string name, const std::string& affinity_key, LipProgram program,
-    std::function<void(LipId)> on_exit) {
-  return Launch(std::move(name), affinity_key, 0, std::move(program),
-                std::move(on_exit));
 }
 
 SymphonyCluster::ClusterLip SymphonyCluster::Launch(
@@ -454,102 +468,111 @@ SymphonyCluster::ClusterLip SymphonyCluster::Launch(
     uint64_t prefill_hint_tokens, LipProgram program,
     std::function<void(LipId)> on_exit) {
   size_t replica = RouteFor(affinity_key, prefill_hint_tokens);
-  ++slots_[replica].launched;
   MaybeShedOnOverflow();
-  if (!options_.enable_recovery) {
-    LipId lip = slots_[replica].server->Launch(
-        std::move(name), std::move(program), std::move(on_exit));
-    if (ctrl_ != nullptr) {
-      ctrl_->Kick();  // New work: (re)arm heartbeat/sweep/scaling chains.
-    }
-    return ClusterLip{replica, lip, 0};
-  }
-  uint64_t uid = next_uid_++;
-  LipRecord& rec = records_[uid];
-  rec.uid = uid;
-  rec.name = name;
-  rec.program = program;  // Keep a copy for relaunch.
-  rec.user_on_exit = std::move(on_exit);
-  rec.replica = replica;
-  rec.journal = std::make_shared<SyscallJournal>();
-  // Replica-independent seed: a replayed LIP must re-draw the identical RNG
-  // stream on any replica, so the seed is derived from the cluster-wide uid
-  // rather than the replica's decorrelated runtime seed.
-  uint64_t seed =
-      Mix64(options_.server.runtime.seed ^ (0x5eedULL + uid * 0x9e3779b9ULL));
+  return Place(replica, std::move(name), std::move(program),
+               std::move(on_exit));
+}
+
+SymphonyCluster::ClusterLip SymphonyCluster::Place(
+    size_t replica, std::string name, LipProgram program,
+    std::function<void(LipId)> on_exit) {
+  ++slots_[replica].launched;
   LipRuntime& runtime = slots_[replica].server->runtime();
-  rec.lip = runtime.LaunchWithSeed(std::move(name), seed, std::move(program),
-                                   MakeOnExit(uid));
-  runtime.EnableJournal(rec.lip, rec.journal);
-  InstallCheckpointHook(rec.journal, replica);
+  ClusterLip id{replica, kNoLip, 0};
+  if (!options_.enable_recovery) {
+    id.lip = runtime.Launch(std::move(name), std::move(program),
+                            std::move(on_exit));
+  } else {
+    id.uid = next_uid_++;
+    LipRecord& rec = records_[id.uid];
+    rec.name = name;
+    rec.program = program;  // Keep a copy for relaunch.
+    rec.user_on_exit = std::move(on_exit);
+    rec.replica = replica;
+    rec.journal = std::make_shared<SyscallJournal>();
+    // Replica-independent seed: a replayed LIP must re-draw the identical
+    // RNG stream on any replica, so the seed is derived from the
+    // cluster-wide uid rather than the replica's decorrelated runtime seed.
+    uint64_t seed = Mix64(options_.server.runtime.seed ^
+                          (0x5eedULL + id.uid * 0x9e3779b9ULL));
+    rec.lip = id.lip = runtime.LaunchWithSeed(
+        std::move(name), seed, std::move(program), MakeOnExit(id.uid));
+    runtime.EnableJournal(rec.lip, rec.journal);
+    InstallCheckpointHook(rec.journal, replica);
+    slots_[replica].lips.insert(id.uid);
+  }
   if (ctrl_ != nullptr) {
     // AFTER the record lands: Kick is gated on ControlHasWork, and this
     // launch may be the first work the cluster has seen.
     ctrl_->Kick();
   }
-  return ClusterLip{replica, rec.lip, uid};
+  return id;
 }
 
 SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
     SymphonyServer::LaunchSpec spec, const std::string& affinity_key) {
-  size_t preferred = RouteFor(affinity_key, spec.prefill_hint_tokens);
+  ClusterAdmitResult out;
+  out.replica = RouteFor(affinity_key, spec.prefill_hint_tokens);
   MaybeShedOnOverflow();
-  // Candidate order: the routed replica first, then (with reroute enabled)
-  // the other placeable replicas from least to most loaded, with
-  // control-plane-suspected replicas demoted to the very end.
-  std::vector<size_t> candidates{preferred};
-  if (options_.reroute_on_reject) {
-    // (suspected, live lips, replica)
-    std::vector<std::tuple<bool, size_t, size_t>> rest;
+  // LaunchSpec is copyable (LipProgram re-invokes); keep ours for a
+  // fallback replica.
+  out.result = slots_[out.replica].server->Submit(spec);
+  if (!out.result.status.ok()) {
+    // Fallbacks: the other placeable serve-pool replicas from least to most
+    // loaded, control-plane-suspected ones last. Prefill-role replicas never
+    // serve as fallbacks: rerouted work is by definition not a routed large
+    // prefill.
+    std::vector<std::tuple<bool, size_t, size_t>> rest;  // (suspected, load, i)
     for (size_t i = 0; i < slots_.size(); ++i) {
-      // Prefill-role replicas never serve as reroute fallbacks: rerouted
-      // work is by definition not a routed large prefill.
-      if (i == preferred || !Placeable(i) || !InServePool(i)) {
-        continue;
+      if (i != out.replica && Placeable(i) && InServePool(i)) {
+        rest.emplace_back(Avoided(i), LiveLips(i), i);
       }
-      rest.emplace_back(Avoided(i), LiveLips(i), i);
     }
     std::sort(rest.begin(), rest.end());
     for (const auto& [avoided, load, i] : rest) {
-      candidates.push_back(i);
-    }
-  }
-  ClusterAdmitResult shed;
-  shed.replica = preferred;
-  shed.result.retry_after = 0;
-  for (size_t c : candidates) {
-    // LaunchSpec is copyable (LipProgram re-invokes); keep ours for the
-    // next candidate.
-    SymphonyServer::AdmitResult result = slots_[c].server->Submit(spec);
-    if (result.status.ok()) {
-      ++slots_[c].launched;
-      ClusterAdmitResult out;
-      out.result = std::move(result);
-      out.replica = c;
-      out.rerouted = c != preferred;
-      if (out.rerouted) {
+      SymphonyServer::AdmitResult result = slots_[i].server->Submit(spec);
+      if (result.status.ok()) {
+        out.result = std::move(result);
+        out.replica = i;
+        out.rerouted = true;
         ++stats_.submit_reroutes;
+        break;
       }
-      if (ctrl_ != nullptr) {
-        // AFTER the admit/queue landed: Kick is gated on ControlHasWork and
-        // this may be the cluster's first work.
-        ctrl_->Kick();
+      // Remember the gentlest backpressure hint across the rejections.
+      if (out.result.retry_after == 0 ||
+          (result.retry_after > 0 &&
+           result.retry_after < out.result.retry_after)) {
+        out.result = std::move(result);
+        out.replica = i;
       }
-      return out;
-    }
-    // Remember the gentlest backpressure hint across the rejections.
-    if (shed.result.retry_after == 0 ||
-        (result.retry_after > 0 &&
-         result.retry_after < shed.result.retry_after)) {
-      shed.result = std::move(result);
-      shed.replica = c;
     }
   }
-  ++stats_.submit_sheds;
-  return shed;
+  if (!out.result.status.ok()) {
+    ++stats_.submit_sheds;
+    return out;
+  }
+  if (options_.enable_recovery && out.result.lip != kNoLip) {
+    out.uid = next_uid_ - 1;  // Place just took it.
+  }
+  if (ctrl_ != nullptr) {
+    ctrl_->Kick();  // A queued admission is work too.
+  }
+  return out;
 }
 
-void SymphonyCluster::ReplayOnto(LipRecord& rec, size_t target) {
+void SymphonyCluster::ResubmitQueued(size_t index) {
+  for (SymphonyServer::LaunchSpec& spec :
+       slots_[index].server->TakeQueued()) {
+    if (AnyPlaceable()) {
+      (void)Submit(std::move(spec));
+    } else {
+      ++stats_.submit_sheds;  // The router needs a placeable replica.
+    }
+  }
+}
+
+void SymphonyCluster::ReplayOnto(uint64_t uid, size_t target) {
+  LipRecord& rec = records_.at(uid);
   // Replay from a copy: late completions on the old replica may still append
   // to the original journal, and the new incarnation records into its own.
   auto journal = std::make_shared<SyscallJournal>(*rec.journal);
@@ -559,7 +582,7 @@ void SymphonyCluster::ReplayOnto(LipRecord& rec, size_t target) {
   rec.journal->AbandonCheckpoint();
   rec.journal = journal;
   rec.in_flight = true;
-  ShipJournal(rec.uid, target, std::move(journal));
+  ShipJournal(uid, target, std::move(journal));
 }
 
 void SymphonyCluster::ShipJournal(uint64_t uid, size_t target,
@@ -619,12 +642,8 @@ void SymphonyCluster::ShipJournal(uint64_t uid, size_t target,
   } else {
     ++stats_.full_ships;
   }
-  if (options_.server.trace != nullptr) {
-    options_.server.trace->Instant(
-        "store", std::string(delta ? "delta-ship:" : "full-ship:") +
-                     it->second.name + ":" + std::to_string(ship) + "B",
-        sim_->now());
-  }
+  Instant("store", std::string(delta ? "delta-ship:" : "full-ship:") +
+                       it->second.name + ":" + std::to_string(ship) + "B");
   sim_->ScheduleAfter(delay, [this, uid, target, journal] {
     StartReplay(uid, target, journal);
   });
@@ -645,11 +664,7 @@ void SymphonyCluster::StartReplay(uint64_t uid, size_t target,
     // The target died (or started draining / crashed) while the journal was
     // in flight; divert to a survivor (the journal bytes already moved — no
     // second shipping charge).
-    bool any_live = false;
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      any_live = any_live || Placeable(i);
-    }
-    if (!any_live) {
+    if (!AnyPlaceable()) {
       rec.in_flight = false;
       return;
     }
@@ -663,17 +678,15 @@ void SymphonyCluster::StartReplay(uint64_t uid, size_t target,
       slots_[target].server->runtime(), *cost_model_, &options_.server.model,
       journal, rec.program, options_.recovery_mode, MakeOnExit(uid));
   fabric_->RehomeEndpoint(old_replica, old_lip, target, outcome.lip);
+  slots_[old_replica].lips.erase(uid);
+  slots_[target].lips.insert(uid);
   rec.replica = target;
   rec.lip = outcome.lip;
   rec.in_flight = false;
   InstallCheckpointHook(journal, target);
-  if (options_.server.trace != nullptr) {
-    options_.server.trace->Instant(
-        "recovery", "restore:" + rec.name + "@replica" +
-                        std::to_string(target) + ":" +
-                        RecoveryModeName(outcome.mode),
-        sim_->now());
-  }
+  Instant("recovery", "restore:" + rec.name + "@replica" +
+                          std::to_string(target) + ":" +
+                          RecoveryModeName(outcome.mode));
 }
 
 Status SymphonyCluster::KillReplica(size_t index) {
@@ -699,42 +712,24 @@ Status SymphonyCluster::ControlFailover(size_t index) {
   assert(!replica_dead(index));
   slots_[index].state = ReplicaHealth::kDead;  // Even if it was draining.
   LipRuntime& runtime = slots_[index].server->runtime();
-  if (options_.server.trace != nullptr) {
-    options_.server.trace->Instant("recovery",
-                                   "kill:replica" + std::to_string(index),
-                                   sim_->now());
-  }
+  Instant("recovery", "kill:replica" + std::to_string(index));
   // Collect the victims before halting: LipDone() still answers afterwards,
   // but the order keeps this readable. (On the autonomic path the runtime
-  // was already halted by the fence — collection only reads.)
-  std::vector<uint64_t> victims;
-  for (auto& entry : records_) {
-    LipRecord& rec = entry.second;
-    // In-flight records still name this replica but their journal is already
-    // on its way elsewhere (StartReplay re-targets if needed); skip them.
-    if (rec.replica == index && !rec.done && !rec.in_flight &&
-        !runtime.LipDone(rec.lip)) {
-      victims.push_back(rec.uid);
-    }
-  }
+  // was already halted by the fence — collection only reads.) In-flight
+  // records still name this replica but their journal is already on its way
+  // elsewhere (StartReplay re-targets if needed), so they are not victims.
+  std::vector<uint64_t> victims = HostedLips(index);
   runtime.Halt();
   fabric_->MarkReplicaDead(index);
-  if (!options_.enable_recovery || victims.empty()) {
-    return Status::Ok();
-  }
-  bool any_live = false;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    any_live = any_live || Placeable(i);
-  }
-  if (!any_live) {
+  if (!victims.empty() && !AnyPlaceable()) {
+    ResubmitQueued(index);  // Sheds them: nothing is placeable either.
     return FailedPreconditionError("no surviving replica to fail over to");
   }
-  // Spread the victims across survivors by (planned) load. IPC-coupled LIPs
-  // may land apart: the fabric serves each one's journaled recvs, suppresses
-  // its journaled sends, and rehomes its channels at replay time, so they no
-  // longer have to re-execute against each other on one replica. Sort first —
-  // records_ iteration order is unordered and placement must be stable.
-  std::sort(victims.begin(), victims.end());
+  // Spread the victims (in uid order) across survivors by (planned) load.
+  // IPC-coupled LIPs may land apart: the fabric serves each one's journaled
+  // recvs, suppresses its journaled sends, and rehomes its channels at
+  // replay time, so they no longer have to re-execute against each other on
+  // one replica.
   std::vector<size_t> planned(slots_.size(), 0);
   for (size_t i = 0; i < slots_.size(); ++i) {
     planned[i] = Placeable(i) ? LiveLips(i) : SIZE_MAX;
@@ -759,11 +754,17 @@ Status SymphonyCluster::ControlFailover(size_t index) {
       }
     }
     ++planned[target];
-    ReplayOnto(records_[uid], target);
+    ReplayOnto(uid, target);
     ++stats_.failovers;
   }
-  SYMPHONY_LOG(kInfo) << "replica " << index << " killed; " << victims.size()
-                      << " lip journal(s) shipped to survivors";
+  if (!victims.empty()) {
+    SYMPHONY_LOG(kInfo) << "replica " << index << " killed; "
+                        << victims.size()
+                        << " lip journal(s) shipped to survivors";
+  }
+  // Queued admissions go after the victims, which ran first and keep the
+  // planned placement above.
+  ResubmitQueued(index);
   return Status::Ok();
 }
 
@@ -780,11 +781,7 @@ Status SymphonyCluster::CrashReplica(size_t index, SimDuration down_for) {
   // Silent: the runtime halts (its heartbeats stop with it) but the slot
   // stays live — detection is the control plane's job.
   slot.server->runtime().Halt();
-  if (options_.server.trace != nullptr) {
-    options_.server.trace->Instant("recovery",
-                                   "crash:replica" + std::to_string(index),
-                                   sim_->now());
-  }
+  Instant("recovery", "crash:replica" + std::to_string(index));
   if (down_for >= 0) {
     sim_->ScheduleAt(slot.heal_at, [this, index] {
       if (ctrl_ != nullptr) {
@@ -850,17 +847,13 @@ bool SymphonyCluster::ControlBeating(size_t replica) const {
 }
 
 bool SymphonyCluster::ControlHasWork() const {
-  for (const auto& entry : records_) {
-    if (!entry.second.done) {
-      return true;  // Includes LIPs stranded on a crashed replica.
-    }
-  }
   for (size_t i = 0; i < slots_.size(); ++i) {
-    if (replica_draining(i)) {
-      return true;
-    }
-    if (Placeable(i) && (LiveLips(i) > 0 ||
-                         slots_[i].server->admission_queue_depth() > 0)) {
+    // An undone record counts wherever it names (stranded on a crashed
+    // replica or in flight included), and so does a queued admission: a
+    // crashed replica's queue waits for the failover that re-admits it.
+    if (!slots_[i].lips.empty() || replica_draining(i) ||
+        slots_[i].server->admission_queue_depth() > 0 ||
+        (Placeable(i) && LiveLips(i) > 0)) {
       return true;
     }
   }
@@ -896,14 +889,10 @@ bool SymphonyCluster::ControlReadmit(size_t replica, uint64_t epoch) {
   store_->ForgetReplica(replica);
   slot.state = ReplicaHealth::kLive;
   slot.heal_at = 0;
-  if (options_.server.trace != nullptr) {
-    options_.server.trace->Instant(
-        "recovery", "readmit:replica" + std::to_string(replica) + "@epoch" +
-                        std::to_string(epoch),
-        sim_->now());
-  }
+  Instant("recovery", "readmit:replica" + std::to_string(replica) +
+                          "@epoch" + std::to_string(epoch));
   for (uint64_t uid : stranded) {
-    ReplayOnto(records_[uid], replica);
+    ReplayOnto(uid, replica);
     ++stats_.failovers;
   }
   return true;
@@ -944,16 +933,12 @@ size_t SymphonyCluster::ControlAddReplica() {
   assert(index == slots_.size());
   slots_.emplace_back().role = role;
   BuildReplica(index);
-  if (options_.server.trace != nullptr) {
-    options_.server.trace->Instant(
-        "recovery",
-        "scale-out:replica" + std::to_string(index) +
-            (role == ReplicaRole::kPrefill ? ":prefill" : ":serve"),
-        sim_->now());
-  }
+  Instant("recovery",
+          "scale-out:replica" + std::to_string(index) +
+              (role == ReplicaRole::kPrefill ? ":prefill" : ":serve"));
   // Fresh capacity rescues any LIPs stranded by a survivor-less failover.
   for (uint64_t uid : StrandedLips()) {
-    ReplayOnto(records_[uid], index);
+    ReplayOnto(uid, index);
     ++stats_.failovers;
   }
   return index;
@@ -973,25 +958,13 @@ bool SymphonyCluster::ControlStartDrain(size_t replica) {
   }
   slots_[replica].state = ReplicaHealth::kDraining;  // Placement stops.
   DrainStep(replica);
+  ResubmitQueued(replica);
   return true;
 }
 
 void SymphonyCluster::DrainStep(size_t index) {
-  std::vector<uint64_t> hosted;
-  for (auto& entry : records_) {
-    LipRecord& rec = entry.second;
-    if (rec.replica == index && !rec.done && !rec.in_flight &&
-        !slots_[index].server->runtime().LipDone(rec.lip)) {
-      hosted.push_back(rec.uid);
-    }
-  }
-  // Sort: records_ iteration order is unordered and placement must be
-  // deterministic.
-  std::sort(hosted.begin(), hosted.end());
-  for (uint64_t uid : hosted) {
-    LipRecord& rec = records_[uid];
-    ClusterLip id{rec.replica, rec.lip, uid};
-    (void)Migrate(id, LeastLoaded());
+  for (uint64_t uid : HostedLips(index)) {
+    (void)Migrate(ClusterLip{index, records_.at(uid).lip, uid}, LeastLoaded());
   }
 }
 
@@ -1000,25 +973,18 @@ bool SymphonyCluster::ControlDrainComplete(size_t replica) {
     return false;
   }
   DrainStep(replica);  // Retry stragglers (e.g. a target that went away).
-  for (const auto& entry : records_) {
-    const LipRecord& rec = entry.second;
-    // In-flight journals still name this replica until their replay lands.
-    if (rec.replica == replica && !rec.done) {
-      return false;
-    }
-  }
   ReplicaSlot& slot = slots_[replica];
-  if (LiveLips(replica) > 0 || slot.server->admission_queue_depth() > 0) {
-    return false;  // Untracked (non-recovery or admission-queued) work left.
+  // In-flight journals still name this replica until their replay lands;
+  // LIPs launched on the server directly have no record.
+  if (!slot.lips.empty() || LiveLips(replica) > 0 ||
+      slot.server->admission_queue_depth() > 0) {
+    return false;
   }
   slot.state = ReplicaHealth::kDetached;
   slot.heal_at = -1;  // A detached slot is never readmitted.
   slot.server->runtime().Halt();
   fabric_->MarkReplicaDead(replica);
-  if (options_.server.trace != nullptr) {
-    options_.server.trace->Instant(
-        "recovery", "scale-in:replica" + std::to_string(replica), sim_->now());
-  }
+  Instant("recovery", "scale-in:replica" + std::to_string(replica));
   return true;
 }
 
@@ -1071,14 +1037,10 @@ Status SymphonyCluster::Migrate(const ClusterLip& id, size_t to_replica) {
     return FailedPreconditionError("lip already finished");
   }
   SYMPHONY_RETURN_IF_ERROR(source.Detach(rec.lip));
-  if (options_.server.trace != nullptr) {
-    options_.server.trace->Instant(
-        "recovery", "migrate:" + rec.name + ":replica" +
-                        std::to_string(rec.replica) + "->replica" +
-                        std::to_string(to_replica),
-        sim_->now());
-  }
-  ReplayOnto(rec, to_replica);
+  Instant("recovery", "migrate:" + rec.name + ":replica" +
+                          std::to_string(rec.replica) + "->replica" +
+                          std::to_string(to_replica));
+  ReplayOnto(id.uid, to_replica);
   ++stats_.migrations;
   return Status::Ok();
 }
@@ -1115,12 +1077,7 @@ size_t SymphonyCluster::Rebalance() {
     if (loads[i] == SIZE_MAX || static_cast<double>(loads[i]) <= bound) {
       continue;
     }
-    for (auto& entry : records_) {
-      LipRecord& rec = entry.second;
-      if (rec.replica != i || rec.done || rec.in_flight ||
-          slots_[i].server->runtime().LipDone(rec.lip)) {
-        continue;
-      }
+    for (uint64_t uid : HostedLips(i)) {
       size_t target = i;
       SimDuration target_dist = 0;
       for (size_t j = 0; j < slots_.size(); ++j) {
@@ -1141,19 +1098,15 @@ size_t SymphonyCluster::Rebalance() {
           static_cast<double>(planned[i]) <= bound) {
         break;
       }
-      moves.emplace_back(rec.uid, target);
+      moves.emplace_back(uid, target);
       --planned[i];
       ++planned[target];
     }
   }
   size_t moved = 0;
   for (const auto& [uid, target] : moves) {
-    auto it = records_.find(uid);
-    if (it == records_.end()) {
-      continue;
-    }
-    ClusterLip id{it->second.replica, it->second.lip, uid};
-    if (Migrate(id, target).ok()) {
+    const LipRecord& rec = records_.at(uid);
+    if (Migrate(ClusterLip{rec.replica, rec.lip, uid}, target).ok()) {
       ++moved;
     }
   }
@@ -1182,7 +1135,6 @@ size_t SymphonyCluster::SharePrefixes() {
       // import costs more than one recompute prefill isn't worth sharing.
       if (Replayer::Choose(*cost_model_, info.length) !=
           RecoveryMode::kImportSnapshot) {
-        ++stats_.warm_skips_cost;
         continue;
       }
       OpenOptions open;
@@ -1223,17 +1175,15 @@ size_t SymphonyCluster::SharePrefixes() {
             slots_[j].server->kvfs().Exists(info.path)) {
           continue;
         }
+        // A corruption window abandons the import: the replica falls back
+        // to recomputing the prefix when it needs it.
         StatusOr<FetchResult> fetch = store_->Fetch(j, published.key);
         if (!fetch.ok()) {
-          // Corruption window: the import is abandoned — the replica falls
-          // back to recomputing the prefix when it needs it.
-          ++stats_.warm_corrupt_fallbacks;
           continue;
         }
         StatusOr<std::vector<TokenRecord>> records =
             ParseTokenRecords(fetch->streams[0].second);
         if (!records.ok()) {
-          ++stats_.warm_corrupt_fallbacks;
           continue;
         }
         auto import = std::make_shared<KvFileSnapshot>();
@@ -1307,7 +1257,6 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   };
   for (size_t i = 0; i < slots_.size(); ++i) {
     snap.lips_per_replica.push_back(slots_[i].launched);
-    snap.total_throughput_busy += slots_[i].server->device().Utilization();
     if (replica_dead(i)) {
       ++snap.replicas_dead;
     }
@@ -1338,16 +1287,8 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
       row.epoch = ctrl_->Epoch(i);
       row.heartbeat_age = ctrl_->HeartbeatAge(i);
       row.fenced = fabric_->replica_fenced(i);
-      if (!options_.enable_recovery) {
-        row.lips_hosted = LiveLips(i);
-      }
-    }
-    if (options_.enable_recovery) {
-      for (const auto& entry : records_) {
-        if (!entry.second.done) {
-          ++snap.liveness[entry.second.replica].lips_hosted;
-        }
-      }
+      row.lips_hosted =
+          options_.enable_recovery ? slots_[i].lips.size() : LiveLips(i);
     }
   }
   return snap;

@@ -13,11 +13,12 @@
 //                       named KV files.
 //
 // Fault tolerance & live migration (src/recovery): with enable_recovery the
-// cluster journals every LIP's syscalls. KillReplica(i) halts a replica and
-// replays its live LIPs on a survivor; Migrate moves one LIP between live
-// replicas; Rebalance migrates LIPs off overloaded replicas. Replayed LIPs
-// fast-forward deterministically and produce bit-identical output (see
-// journal.h for the determinism contract).
+// cluster journals every LIP's syscalls, launched or submitted (one private
+// Place starts every LIP). KillReplica(i) halts a replica, replays its live
+// LIPs on a survivor and re-submits its queued admissions; Migrate moves one
+// LIP between live replicas; Rebalance migrates LIPs off overloaded
+// replicas. Replayed LIPs fast-forward deterministically and produce
+// bit-identical output (see journal.h for the determinism contract).
 //
 // Replica slots: each replica index is one ReplicaSlot holding its current
 // server incarnation, role, launch count and ONE lifecycle state — kLive,
@@ -42,6 +43,7 @@
 #define SRC_SERVE_CLUSTER_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -85,8 +87,8 @@ struct ClusterOptions {
   // per-replica overload bound used by Rebalance's default policy.
   double load_factor = 1.25;
   ServerOptions server;
-  // Checkpoint/restore: journal every launched LIP so it survives
-  // KillReplica and can be moved by Migrate/Rebalance.
+  // Checkpoint/restore: journal every LIP, launched or submitted, so it
+  // survives KillReplica and can be moved by Migrate/Rebalance.
   bool enable_recovery = false;
   // How a recovered LIP's KV cache is rebuilt (kAuto: cost-model choice).
   RecoveryMode recovery_mode = RecoveryMode::kAuto;
@@ -114,9 +116,6 @@ struct ClusterOptions {
   // anyway — the Replayer cost model has the final say per file).
   uint64_t share_min_opens = 2;
   uint64_t share_min_tokens = 64;
-  // Cluster admission tier: Submit() tries other live replicas (ascending
-  // load) when the routed replica rejects, before shedding.
-  bool reroute_on_reject = true;
   // ---- Prefill/decode disaggregation -----------------------------------
   // Per-replica roles; replicas beyond the vector's end default to kUnified
   // (elastic scale-out picks the hotter pool's role, see ControlAddReplica).
@@ -170,7 +169,10 @@ class SymphonyCluster : private ClusterControl {
   // other policies; an empty key falls back to least-loaded).
   ClusterLip Launch(std::string name, const std::string& affinity_key,
                     LipProgram program,
-                    std::function<void(LipId)> on_exit = nullptr);
+                    std::function<void(LipId)> on_exit = nullptr) {
+    return Launch(std::move(name), affinity_key, 0, std::move(program),
+                  std::move(on_exit));
+  }
 
   // Launch with a prefill-size hint: how many fresh context tokens the LIP
   // will prefill up front (0 = unknown/small). With prefill-role replicas
@@ -185,11 +187,14 @@ class SymphonyCluster : private ClusterControl {
   // routed replica's Submit rejects (kUnavailable + retry_after), the other
   // live replicas are tried in ascending live-LIP order before the request
   // is shed. The returned status/retry_after on a shed is the minimum
-  // backpressure hint across all replicas.
+  // backpressure hint across all replicas. Admitted LIPs start through
+  // Launch's placement path, at once or when the replica's queue releases
+  // them, and a dying replica's queue is re-submitted (DESIGN.md 19).
   struct ClusterAdmitResult {
     SymphonyServer::AdmitResult result;
     size_t replica = 0;     // Where it was admitted/queued (or last tried).
     bool rerouted = false;  // Admitted somewhere other than the routed pick.
+    uint64_t uid = 0;  // Launched at once with recovery on; else 0.
   };
   ClusterAdmitResult Submit(SymphonyServer::LaunchSpec spec,
                             const std::string& affinity_key = "");
@@ -301,8 +306,7 @@ class SymphonyCluster : private ClusterControl {
   struct ClusterStats {
     uint64_t failovers = 0;    // LIPs replayed because their replica died.
     uint64_t migrations = 0;   // Migrate/Rebalance moves.
-    uint64_t overflow_events = 0;      // kAffinityBounded hot-key overflows.
-    uint64_t overflow_rebalances = 0;  // Rebalances those overflows triggered.
+    uint64_t overflow_rebalances = 0;  // Rebalances hot-key overflows ran.
     // Snapshot store consumers.
     uint64_t checkpoints = 0;               // Journal folds into the store.
     uint64_t checkpoint_entries_folded = 0; // Entries truncated by folds.
@@ -313,11 +317,10 @@ class SymphonyCluster : private ClusterControl {
     uint64_t prefix_publishes = 0;      // Hot files published by sharing.
     uint64_t warm_imports = 0;          // Files warm-imported on a replica.
     uint64_t warm_import_tokens = 0;
-    uint64_t warm_skips_cost = 0;       // Sharing skipped: recompute cheaper.
-    uint64_t warm_corrupt_fallbacks = 0; // Imports abandoned to recompute.
     // Cluster admission tier.
     uint64_t submit_reroutes = 0;       // Rejections salvaged elsewhere.
-    uint64_t submit_sheds = 0;          // Rejected by every live replica.
+    uint64_t submit_sheds = 0;          // Rejected by every live replica
+                                        // (or orphaned in a dead one's queue).
     // Prefill/decode disaggregation.
     uint64_t disagg_prefill_routes = 0;  // Launches sent to the prefill pool.
     uint64_t disagg_handoffs = 0;        // Prefill->decode migrations shipped.
@@ -329,7 +332,6 @@ class SymphonyCluster : private ClusterControl {
   // (ipc_*) and the topology's (net_*) come whole from their owners' stats
   // structs; the fields below are only what the snapshot sums or gathers.
   struct ClusterSnapshot : ClusterStats, IpcFabricStats, TopologyStats {
-    double total_throughput_busy = 0.0;  // Sum of device busy fractions.
     // Work counters, summed over every server incarnation.
     uint64_t batches = 0;
     uint64_t lips_completed = 0;
@@ -375,7 +377,6 @@ class SymphonyCluster : private ClusterControl {
   // drops its program, journal and on_exit and keeps only what Done, Output
   // and Locate read.
   struct LipRecord {
-    uint64_t uid = 0;
     std::string name;
     LipProgram program;  // LipProgram is copyable: relaunch re-invokes it.
     std::function<void(LipId)> user_on_exit;
@@ -405,6 +406,10 @@ class SymphonyCluster : private ClusterControl {
     // permanent crash, a manual kill or a detach.
     SimTime heal_at = 0;
     uint64_t launched = 0;  // Launches placed on the slot, every incarnation.
+    // Undone LIPs whose record names this slot (hosted, stranded, or with a
+    // journal in flight from here): Place inserts, StartReplay moves, the
+    // exit erases. Empty without recovery, which keeps no records.
+    std::set<uint64_t> lips;
   };
 
   // ---- ClusterControl (src/ctrl) ---------------------------------------
@@ -424,11 +429,21 @@ class SymphonyCluster : private ClusterControl {
   // Builds and wires the server of slot `index`: the cluster's per-replica
   // seed decorrelation, its scheduler feeding queue_waits_ms_,
   // configure_replica, the fabric (attached, or revived after the old
-  // incarnation is parked on readmission), backpressure and the disagg
-  // hook. The constructor, readmission and scale-out all build through it.
+  // incarnation is parked on readmission), backpressure, the launcher that
+  // routes its admissions through Place, and the disagg hook. The
+  // constructor, readmission and scale-out all build through it.
   void BuildReplica(size_t index);
+  // Starts a LIP on `replica`: the only code that does. Counts the launch
+  // and, with recovery on, creates its record, journal, uid-derived seed
+  // and checkpoint hook; then kicks the control plane.
+  ClusterLip Place(size_t replica, std::string name, LipProgram program,
+                   std::function<void(LipId)> on_exit);
+  // Re-submits what waited in slot `index`'s admission queue (the slot just
+  // died or started draining); sheds it when no replica is placeable.
+  void ResubmitQueued(size_t index);
   // Replica `index` accepts new placements (live and not halted).
   bool Placeable(size_t index) const;
+  bool AnyPlaceable() const;
   // Live LIPs on slot `index`'s current incarnation.
   size_t LiveLips(size_t index) const;
   // Routing should avoid `index` (control plane suspects it is failing).
@@ -438,6 +453,9 @@ class SymphonyCluster : private ClusterControl {
   // LIPs stranded on dead replicas with no failover in flight (a failover
   // that found no placeable survivor leaves them behind), sorted by uid.
   std::vector<uint64_t> StrandedLips() const;
+  // Slot `index`'s undone LIPs that run on its current incarnation (no
+  // journal in flight, not finished with the exit still pending), by uid.
+  std::vector<uint64_t> HostedLips(size_t index) const;
   // Completion chain for manual drains without a control plane.
   void PollDrain(size_t index);
 
@@ -466,19 +484,24 @@ class SymphonyCluster : private ClusterControl {
   // Runs an immediate Rebalance if recent overflows crossed the threshold.
   void MaybeShedOnOverflow();
   std::function<void(LipId)> MakeOnExit(uint64_t uid);
-  // Ships `rec`'s journal to `target` (delta or full) and replays it there
-  // after the shipped bytes' interconnect time; updates placement when the
-  // replay actually starts.
-  void ReplayOnto(LipRecord& rec, size_t target);
+  // Ships LIP `uid`'s journal to `target` (delta or full) and replays it
+  // there after the shipped bytes' interconnect time; updates placement when
+  // the replay actually starts.
+  void ReplayOnto(uint64_t uid, size_t target);
   // Rehydrates + schedules the deferred replay; re-tries itself while the
   // checkpoint fetch hits a corruption window.
   void ShipJournal(uint64_t uid, size_t target,
                    std::shared_ptr<SyscallJournal> journal);
   void StartReplay(uint64_t uid, size_t target,
                    std::shared_ptr<SyscallJournal> journal);
+  // A trace instant at the current time, when tracing is on.
+  void Instant(const char* track, const std::string& name) const;
   // Installs the journal's store fold hook for its current host replica.
   void InstallCheckpointHook(const std::shared_ptr<SyscallJournal>& journal,
                              size_t replica);
+  // Folds `journal` into the store from `replica` (skipped on a corruption
+  // window).
+  void Checkpoint(SyscallJournal& journal, size_t replica);
 
   Simulator* sim_;
   ClusterOptions options_;

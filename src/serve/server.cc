@@ -1,6 +1,7 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/common/hash.h"
@@ -258,25 +259,19 @@ Status SymphonyServer::ImportNamedSnapshot(const KvFileSnapshot& snapshot) {
 }
 
 SymphonyServer::AdmitResult SymphonyServer::Submit(LaunchSpec spec) {
-  AdmitResult result;
-  if (!options_.admission.enabled) {
-    SimTime abs =
-        spec.deadline > 0 ? sim_->now() + spec.deadline : SimTime{0};
-    result.lip = LaunchAdmitted(std::move(spec), abs);
-    result.status = Status::Ok();
-    return result;
+  AdmitResult result;  // OK unless shed below.
+  const AdmissionOptions& admission = options_.admission;
+  SimTime expire = spec.deadline > 0 ? sim_->now() + spec.deadline : SimTime{0};
+  if (admission.enabled) {
+    ++admission_stats_.submitted;
   }
-  ++admission_stats_.submitted;
-  if (live_admitted_ < options_.admission.max_live_lips) {
-    SimTime abs =
-        spec.deadline > 0 ? sim_->now() + spec.deadline : SimTime{0};
-    result.lip = LaunchAdmitted(std::move(spec), abs);
-    result.status = Status::Ok();
+  if (!admission.enabled || live_admitted_ < admission.max_live_lips) {
+    result.lip = LaunchAdmitted(std::move(spec), expire);
     return result;
   }
   size_t depth = admission_queue_depth();
   SimDuration projected = ProjectedQueueDelay(depth);
-  if (depth >= options_.admission.max_queue) {
+  if (depth >= admission.max_queue) {
     ++admission_stats_.rejected_full;
     result.status = UnavailableError("admission queue full");
     result.retry_after = projected;
@@ -293,13 +288,8 @@ SymphonyServer::AdmitResult SymphonyServer::Submit(LaunchSpec spec) {
     return result;
   }
   uint32_t priority = std::min(spec.priority, kPriorityLevels - 1);
-  QueuedLaunch entry;
-  entry.enqueued = sim_->now();
-  entry.expire = spec.deadline > 0 ? sim_->now() + spec.deadline : SimTime{0};
-  entry.spec = std::move(spec);
-  admission_queue_[priority].push_back(std::move(entry));
+  admission_queue_[priority].push_back(QueuedLaunch{std::move(spec), expire});
   ++admission_stats_.queued;
-  result.status = Status::Ok();
   result.queued = true;
   return result;
 }
@@ -329,8 +319,10 @@ LipId SymphonyServer::LaunchAdmitted(LaunchSpec spec, SimTime abs_deadline) {
       AdmitFromQueue();
     }
   };
-  LipId lip = runtime_->Launch(std::move(spec.name), std::move(spec.program),
-                               std::move(on_exit));
+  LipId lip = launcher_ ? launcher_(std::move(spec.name),
+                                   std::move(spec.program), std::move(on_exit))
+                        : Launch(std::move(spec.name), std::move(spec.program),
+                                 std::move(on_exit));
   if (spec.has_quota) {
     runtime_->SetQuota(lip, spec.quota);
   }
@@ -340,33 +332,43 @@ LipId SymphonyServer::LaunchAdmitted(LaunchSpec spec, SimTime abs_deadline) {
   return lip;
 }
 
-void SymphonyServer::AdmitFromQueue() {
-  while (live_admitted_ < options_.admission.max_live_lips) {
-    bool found = false;
-    QueuedLaunch item;
-    for (auto& queue : admission_queue_) {
-      while (!queue.empty()) {
-        if (queue.front().expire > 0 && sim_->now() >= queue.front().expire) {
-          // Its deadline passed while it waited: launching now would only
-          // burn decode steps on a guaranteed-late answer.
-          ++admission_stats_.shed_expired;
-          queue.pop_front();
-          continue;
-        }
-        item = std::move(queue.front());
-        queue.pop_front();
-        found = true;
-        break;
+std::optional<SymphonyServer::QueuedLaunch> SymphonyServer::PopQueued() {
+  for (auto& queue : admission_queue_) {
+    while (!queue.empty()) {
+      QueuedLaunch item = std::move(queue.front());
+      queue.pop_front();
+      if (item.expire == 0 || sim_->now() < item.expire) {
+        return item;
       }
-      if (found) {
-        break;
-      }
+      // Its deadline passed while it waited: launching now would only burn
+      // decode steps on a guaranteed-late answer.
+      ++admission_stats_.shed_expired;
     }
-    if (!found) {
+  }
+  return std::nullopt;
+}
+
+void SymphonyServer::AdmitFromQueue() {
+  // A halted replica's queue waits for the cluster to take it (TakeQueued).
+  while (!runtime_->halted() &&
+         live_admitted_ < options_.admission.max_live_lips) {
+    std::optional<QueuedLaunch> item = PopQueued();
+    if (!item) {
       return;
     }
-    (void)LaunchAdmitted(std::move(item.spec), item.expire);
+    (void)LaunchAdmitted(std::move(item->spec), item->expire);
   }
+}
+
+std::vector<SymphonyServer::LaunchSpec> SymphonyServer::TakeQueued() {
+  std::vector<LaunchSpec> specs;
+  while (std::optional<QueuedLaunch> item = PopQueued()) {
+    if (item->expire > 0) {
+      item->spec.deadline = item->expire - sim_->now();
+    }
+    specs.push_back(std::move(item->spec));
+  }
+  return specs;
 }
 
 SimDuration SymphonyServer::ProjectedQueueDelay(size_t depth) const {

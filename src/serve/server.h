@@ -11,7 +11,9 @@
 #include <array>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/faults/fault_plan.h"
 #include "src/gpu/device.h"
@@ -172,6 +174,17 @@ class SymphonyServer {
   // are shed at dequeue (their on_exit never fires).
   AdmitResult Submit(LaunchSpec spec);
 
+  // How Submit starts what it admits (unset: Launch). A cluster installs its
+  // placement path, so a replica's admissions are journaled like Launches.
+  using Launcher = std::function<LipId(std::string, LipProgram,
+                                       std::function<void(LipId)>)>;
+  void set_launcher(Launcher launcher) { launcher_ = std::move(launcher); }
+
+  // Empties the admission queue for re-admission elsewhere (the replica died
+  // or is draining), in dequeue order, each deadline rebased to the time
+  // left; entries already past it are shed (shed_expired).
+  std::vector<LaunchSpec> TakeQueued();
+
   // Extra delay folded into ProjectedQueueDelay (deadline-aware rejection
   // and retry_after hints). The cluster wires this to the IPC fabric's
   // credit backpressure (IpcFabric::BackpressureDelay): a replica whose
@@ -215,12 +228,14 @@ class SymphonyServer {
 
   struct QueuedLaunch {
     LaunchSpec spec;
-    SimTime enqueued = 0;
     SimTime expire = 0;  // Absolute deadline; 0 = never expires.
   };
 
   // Launches an admission-tracked LIP with an absolute deadline (0 = none).
   LipId LaunchAdmitted(LaunchSpec spec, SimTime abs_deadline);
+  // The next queued launch, highest priority first and FIFO within a class;
+  // entries whose deadline passed while they waited are shed on the way.
+  std::optional<QueuedLaunch> PopQueued();
   // Fills free run slots from the wait queues.
   void AdmitFromQueue();
   // Projected wait for a request joining behind `depth` queued entries.
@@ -246,6 +261,7 @@ class SymphonyServer {
   double service_ewma_s_ = 0.0;  // 0 = no completions yet; use the prior.
   AdmissionStats admission_stats_;
   std::function<SimDuration()> backpressure_hook_;
+  Launcher launcher_;
 };
 
 }  // namespace symphony

@@ -211,21 +211,55 @@ TEST(ClusterAdmissionTest, ShedsOnlyWhenEveryReplicaRejects) {
   sim.Run();
 }
 
-TEST(ClusterAdmissionTest, RerouteDisabledShedsAtTheRoutedReplica) {
-  Simulator sim;
-  ClusterOptions options = TinyCluster(2, RoutingPolicy::kCacheAffinity);
-  options.server.admission.enabled = true;
-  options.server.admission.max_live_lips = 1;
-  options.server.admission.max_queue = 0;
-  options.reroute_on_reject = false;
-  SymphonyCluster cluster(&sim, options);
-  ASSERT_TRUE(cluster.Submit(SleeperSpec("a"), "hot-key").result.status.ok());
-  SymphonyCluster::ClusterAdmitResult second =
-      cluster.Submit(SleeperSpec("b"), "hot-key");
-  EXPECT_FALSE(second.result.status.ok());
-  EXPECT_FALSE(second.rerouted);
-  EXPECT_EQ(cluster.Snapshot().submit_sheds, 1u);
-  sim.Run();
+// A dead replica's admission queue is re-admitted on the survivor, not
+// dropped, whether the replica is killed (with or without the control plane)
+// or crashes silently and is declared dead: with recovery the running LIP
+// fails over too and all three exit; without it only the running one is
+// lost. An entry whose deadline passed while it waited is shed
+// (shed_expired), not re-admitted. A crashed replica's queue keeps the
+// control loops running until the failover takes it.
+TEST(ClusterAdmissionTest, QueuedLipsOfADeadReplicaAreReadmitted) {
+  enum class Fault { kKill, kKillWithCtrl, kCrash };
+  for (bool recovery : {true, false}) {
+    for (Fault fault : {Fault::kKill, Fault::kKillWithCtrl, Fault::kCrash}) {
+      Simulator sim;
+      ClusterOptions options = TinyCluster(2, RoutingPolicy::kCacheAffinity);
+      options.enable_recovery = recovery;
+      options.ctrl.enabled = fault != Fault::kKill;
+      options.server.admission.enabled = true;
+      options.server.admission.max_live_lips = 1;
+      // Small enough that a 1 ms deadline queues instead of being rejected.
+      options.server.admission.initial_service_estimate = Micros(10);
+      SymphonyCluster cluster(&sim, options);
+      int exits = 0;
+      std::vector<SymphonyCluster::ClusterAdmitResult> admits;
+      for (int i = 0; i < 4; ++i) {
+        SymphonyServer::LaunchSpec spec = SleeperSpec("s" + std::to_string(i));
+        spec.on_exit = [&exits](LipId) { ++exits; };
+        if (i == 3) {
+          spec.deadline = Millis(1);
+        }
+        admits.push_back(cluster.Submit(std::move(spec), "hot-key"));
+        ASSERT_TRUE(admits.back().result.status.ok());
+        EXPECT_EQ(admits.back().replica, admits[0].replica);
+        EXPECT_EQ(admits.back().result.queued, i > 0);
+      }
+      size_t routed = admits[0].replica;
+      sim.ScheduleAt(Millis(5), [&cluster, fault, routed] {
+        EXPECT_TRUE((fault == Fault::kCrash ? cluster.CrashReplica(routed)
+                                            : cluster.KillReplica(routed))
+                        .ok());
+      });
+      sim.Run();
+      std::string where = "recovery=" + std::to_string(recovery) +
+                          " fault=" + std::to_string(static_cast<int>(fault));
+      EXPECT_EQ(exits, recovery ? 3 : 2) << where;
+      EXPECT_EQ(cluster.replica(routed).admission_stats().shed_expired, 1u)
+          << where;
+      EXPECT_EQ(cluster.replica(1 - routed).admission_stats().admitted, 2u)
+          << where;
+    }
+  }
 }
 
 // ---- Cross-replica prefix sharing (src/store) ---------------------------

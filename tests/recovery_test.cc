@@ -7,6 +7,7 @@
 // all recovery modes.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -718,6 +719,310 @@ TEST(RecoveryTest, MultiThreadReplayNeverServesLiveEntries) {
     }
   }
 }
+
+// ---- Exactly-once tool calls: handler runs per argument --------------------
+
+// An echo tool that counts its handler's runs per argument. Replay serves
+// journaled results without running the handler, so only a call in flight
+// at a kill (not yet journaled) may run a second time.
+ToolSpec CountingEcho(std::map<std::string, int>* runs) {
+  ToolSpec spec;
+  spec.name = "count";
+  spec.description = "echo that counts its runs per argument";
+  spec.handler = [runs](const std::string& args, Rng&) {
+    ++(*runs)[args];
+    ToolInvocation out;
+    out.latency = Micros(100);
+    out.output = "v=" + args;
+    return out;
+  };
+  return spec;
+}
+
+// Handler runs beyond the first, summed over arguments; each argument may
+// run at most twice.
+int ExtraRuns(const std::map<std::string, int>& runs) {
+  int extra = 0;
+  for (const auto& [args, n] : runs) {
+    EXPECT_LE(n, 2) << args;
+    extra += n - 1;
+  }
+  return extra;
+}
+
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// ---- No checkpoint fold while a replay holds the journal -----------------
+
+// The root thread makes `calls` tool calls and emits each result; a worker
+// alternates a one-token pred with a tool call for `turns` turns and emits
+// nothing, so only the root emits (journal.h leaves the emit order of
+// unsynchronized threads outside bit-identity). Every call has its own
+// argument.
+LipProgram MakeRootAndToolWorker(int calls, int turns) {
+  return [calls, turns](LipContext& ctx) -> Task {
+    ThreadId worker = ctx.spawn([turns](LipContext& c) -> Task {
+      KvHandle kv = *c.kv_tmp();
+      TokenId next = 5;
+      for (int i = 0; i < turns; ++i) {
+        StatusOr<std::vector<Distribution>> d = co_await c.pred1(kv, next);
+        if (!d.ok()) {
+          co_return;
+        }
+        next = d->back().Argmax();
+        (void)co_await c.call_tool("count", "w" + std::to_string(i));
+      }
+    });
+    for (int i = 0; i < calls; ++i) {
+      StatusOr<std::string> out =
+          co_await ctx.call_tool("count", "r" + std::to_string(i));
+      ctx.emit((out.ok() ? *out : out.status().ToString()) + ",");
+    }
+    co_await ctx.join(worker);
+  };
+}
+
+struct HeldRun {
+  std::string output;
+  SimTime finish = 0;
+  std::map<std::string, int> runs;  // Handler runs per tool argument.
+  size_t replays_begun = 0;         // "restore:" instants.
+  size_t replays_finished = 0;      // "replay:" spans (FinishReplay).
+};
+
+HeldRun RunRootAndToolWorker(int calls, int turns,
+                             std::optional<SimTime> kill_at) {
+  ClusterOptions options = RecoveryCluster(3, RecoveryMode::kRecompute);
+  options.checkpoint_journals = true;
+  options.checkpoint_interval = kCheckpointInterval;
+  TraceRecorder trace;
+  options.server.trace = &trace;
+  Simulator sim;
+  HeldRun run;
+  SymphonyCluster cluster(&sim, options);
+  for (size_t i = 0; i < cluster.replica_count(); ++i) {
+    EXPECT_TRUE(
+        cluster.replica(i).tools().Register(CountingEcho(&run.runs)).ok());
+  }
+  SymphonyCluster::ClusterLip id =
+      cluster.Launch("held", "", MakeRootAndToolWorker(calls, turns));
+  if (kill_at.has_value()) {
+    sim.ScheduleAt(*kill_at,
+                   [&cluster, id] { (void)cluster.KillReplica(id.replica); });
+  }
+  sim.Run();
+  EXPECT_TRUE(cluster.Done(id));
+  run.output = cluster.Output(id);
+  run.finish = sim.now();
+  std::string json = trace.ToChromeJson();
+  run.replays_begun = CountOf(json, "\"name\":\"restore:held@");
+  run.replays_finished = CountOf(json, "\"name\":\"replay:held\"");
+  return run;
+}
+
+// A checkpoint fold during a multi-threaded replay truncated entries that
+// another thread had not replayed yet; that thread then re-ran its
+// journaled tool calls live (up to 23 extra handler runs) and its replay
+// never finished. Each thread has at most one call in flight at the kill,
+// so at most two arguments may run twice. The base seeds are the three
+// sizes the defect was measured at, killed at k/12 of the unkilled finish;
+// each stress seed draws a size and three kill points.
+class ReplayHoldSweepTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReplayHoldSweepTest, CheckpointedThreadsRunEachToolCallAtMostOnceMore) {
+  uint64_t seed = GetParam();
+  int calls = 0;
+  int turns = 0;
+  std::vector<double> kill_fracs;
+  if (seed < 3) {
+    constexpr int kSizes[3][2] = {{10, 10}, {30, 20}, {60, 40}};
+    calls = kSizes[seed][0];
+    turns = kSizes[seed][1];
+    for (int k = 1; k <= 11; ++k) {
+      kill_fracs.push_back(k / 12.0);
+    }
+  } else {
+    Rng rng(seed);
+    calls = 5 + static_cast<int>(rng.NextU64() % 56);
+    turns = 5 + static_cast<int>(rng.NextU64() % 36);
+    for (int k = 0; k < 3; ++k) {
+      kill_fracs.push_back(0.05 + 0.9 * rng.NextDouble());
+    }
+  }
+  HeldRun baseline = RunRootAndToolWorker(calls, turns, std::nullopt);
+  ASSERT_EQ(baseline.runs.size(), static_cast<size_t>(calls + turns));
+  EXPECT_EQ(ExtraRuns(baseline.runs), 0);
+  for (double frac : kill_fracs) {
+    SimTime kill_at =
+        static_cast<SimTime>(frac * static_cast<double>(baseline.finish));
+    HeldRun killed = RunRootAndToolWorker(calls, turns, kill_at);
+    EXPECT_EQ(killed.output, baseline.output);
+    EXPECT_EQ(killed.runs.size(), baseline.runs.size());
+    EXPECT_LE(ExtraRuns(killed.runs), 2)
+        << "calls=" << calls << " turns=" << turns << " kill_frac=" << frac;
+    EXPECT_EQ(killed.replays_begun, 1u);
+    EXPECT_EQ(killed.replays_finished, killed.replays_begun)
+        << "calls=" << calls << " turns=" << turns << " kill_frac=" << frac;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplayHoldSweepTest,
+                         ::testing::ValuesIn(StressSeeds({0, 1, 2}, 0x401D)));
+
+// ---- LIPs admitted through Submit are journaled --------------------------
+
+// A tool agent whose every call has its own argument (its name and turn).
+LipProgram MakeCountingAgent(std::string name, int turns) {
+  return [name, turns](LipContext& ctx) -> Task {
+    KvHandle kv = *ctx.kv_tmp();
+    std::vector<TokenId> prompt = ctx.tokenizer().Encode("w1 w2 w3");
+    StatusOr<std::vector<Distribution>> dists = co_await ctx.pred(kv, prompt);
+    if (!dists.ok()) {
+      co_return;
+    }
+    TokenId next = dists->back().Sample(ctx.uniform(), 0.8);
+    for (int turn = 0; turn < turns; ++turn) {
+      for (int i = 0; i < 4; ++i) {
+        ctx.emit(ctx.tokenizer().TokenToString(next) + " ");
+        StatusOr<std::vector<Distribution>> d = co_await ctx.pred1(kv, next);
+        if (!d.ok()) {
+          co_return;
+        }
+        next = d->back().Sample(ctx.uniform(), 0.8);
+      }
+      StatusOr<std::string> out =
+          co_await ctx.call_tool("count", name + "." + std::to_string(turn));
+      if (out.ok()) {
+        ctx.emit("[" + *out + "]");
+      }
+    }
+  };
+}
+
+enum class SubmitFault { kNone, kKill, kDrain, kCrash };
+
+struct SubmitRun {
+  SimTime finish = 0;
+  std::vector<std::string> immediate;  // Outputs of the LIPs launched at once.
+  std::map<std::string, int> exits;    // on_exit calls per LIP.
+  std::map<std::string, int> runs;     // Handler runs per tool argument.
+  uint64_t failovers = 0;
+  uint64_t divergences = 0;
+};
+
+constexpr int kSubmitted = 6;
+
+// Submits kSubmitted agents under one affinity key to a 2-replica cluster
+// whose admission control runs 2 at once and queues the rest, then kills,
+// drains or silently crashes (control plane on) the routed replica at
+// `fault_at`.
+SubmitRun RunSubmitted(uint64_t seed, SubmitFault fault, SimTime fault_at) {
+  Simulator sim;
+  ClusterOptions options = RecoveryCluster(seed, RecoveryMode::kAuto);
+  options.routing = RoutingPolicy::kCacheAffinity;
+  options.server.admission.enabled = true;
+  options.server.admission.max_live_lips = 2;
+  if (fault == SubmitFault::kCrash) {
+    options.ctrl.enabled = true;
+    options.ctrl.heartbeat_period = Millis(2);
+    options.ctrl.suspect_after = Millis(4);
+    options.ctrl.lease = Millis(7);
+    options.ctrl.declare_dead_after = Millis(10);
+    options.ctrl.sweep_period = Millis(2);
+  }
+  SubmitRun run;
+  options.configure_replica = [&run](SymphonyServer& server, size_t) {
+    ASSERT_TRUE(server.tools().Register(CountingEcho(&run.runs)).ok());
+  };
+  SymphonyCluster cluster(&sim, options);
+  std::vector<SymphonyCluster::ClusterAdmitResult> admits;
+  for (int i = 0; i < kSubmitted; ++i) {
+    std::string name = "s" + std::to_string(i);
+    SymphonyServer::LaunchSpec spec;
+    spec.name = name;
+    spec.program = MakeCountingAgent(name, 2 + i % 3);
+    spec.on_exit = [&run, name](LipId) { ++run.exits[name]; };
+    admits.push_back(cluster.Submit(std::move(spec), "hot"));
+    EXPECT_TRUE(admits.back().result.status.ok());
+    EXPECT_EQ(admits.back().result.queued, i >= 2);
+  }
+  size_t routed = admits[0].replica;
+  sim.ScheduleAt(fault_at, [&cluster, fault, routed] {
+    switch (fault) {
+      case SubmitFault::kNone:
+        break;
+      case SubmitFault::kKill:
+        EXPECT_TRUE(cluster.KillReplica(routed).ok());
+        break;
+      case SubmitFault::kDrain:
+        EXPECT_TRUE(cluster.DrainReplica(routed).ok());
+        break;
+      case SubmitFault::kCrash:
+        EXPECT_TRUE(cluster.CrashReplica(routed).ok());
+        break;
+    }
+  });
+  sim.Run();
+  for (const SymphonyCluster::ClusterAdmitResult& admit : admits) {
+    if (!admit.result.queued) {
+      EXPECT_NE(admit.uid, 0u);
+      run.immediate.push_back(cluster.Output(
+          SymphonyCluster::ClusterLip{admit.replica, admit.result.lip,
+                                      admit.uid}));
+    }
+  }
+  run.finish = sim.now();
+  SymphonyCluster::ClusterSnapshot snap = cluster.Snapshot();
+  run.failovers = snap.failovers;
+  run.divergences = snap.replay_divergences;
+  return run;
+}
+
+// Every LIP admitted through Submit, at once or from the admission queue,
+// is journaled: a kill, a drain or a detected crash of its replica replays
+// it elsewhere, a LIP still queued there is re-admitted, and each exits
+// exactly once. The LIPs launched at once keep their uids (and uid-derived
+// seeds), so their outputs equal the unfaulted run's. At most one call per
+// LIP running on the faulted replica (2) is in flight at the fault.
+class SubmitRecoveryTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SubmitRecoveryTest, SubmittedLipsSurviveKillDrainAndCrash) {
+  uint64_t seed = GetParam();
+  SubmitRun baseline = RunSubmitted(seed, SubmitFault::kNone, 0);
+  ASSERT_EQ(baseline.exits.size(), static_cast<size_t>(kSubmitted));
+  ASSERT_EQ(baseline.immediate.size(), 2u);
+  EXPECT_EQ(ExtraRuns(baseline.runs), 0);
+  for (SubmitFault fault :
+       {SubmitFault::kKill, SubmitFault::kDrain, SubmitFault::kCrash}) {
+    for (double frac : {0.15, 0.45, 0.75}) {
+      SimTime fault_at =
+          static_cast<SimTime>(frac * static_cast<double>(baseline.finish));
+      SubmitRun run = RunSubmitted(seed, fault, fault_at);
+      std::string where = "fault=" + std::to_string(static_cast<int>(fault)) +
+                          " frac=" + std::to_string(frac);
+      for (int i = 0; i < kSubmitted; ++i) {
+        EXPECT_EQ(run.exits["s" + std::to_string(i)], 1) << where << " s" << i;
+      }
+      EXPECT_EQ(run.immediate, baseline.immediate) << where;
+      EXPECT_EQ(run.runs.size(), baseline.runs.size()) << where;
+      EXPECT_LE(ExtraRuns(run.runs), 2) << where;
+      EXPECT_EQ(run.divergences, 0u) << where;
+      if (fault != SubmitFault::kDrain) {
+        EXPECT_GT(run.failovers, 0u) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SubmitRecoveryTest,
+                         ::testing::ValuesIn(StressSeeds({1, 2, 3}, 0x5B17)));
 
 }  // namespace
 }  // namespace symphony
