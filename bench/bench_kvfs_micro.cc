@@ -22,7 +22,22 @@ KvfsOptions BigOptions() {
   return o;
 }
 
+// The records a pred writes for n prompt tokens: positions 0..n-1 and each
+// state the Model::Advance of the one before.
 std::vector<TokenRecord> MakeRecords(size_t n) {
+  std::vector<TokenRecord> recs(n);
+  HiddenState state = 0x5eed;
+  for (size_t i = 0; i < n; ++i) {
+    TokenId token = static_cast<TokenId>(260 + (i % 1000));
+    int32_t position = static_cast<int32_t>(i);
+    state = Model::Advance(state, token, position);
+    recs[i] = TokenRecord{token, position, state};
+  }
+  return recs;
+}
+
+// Records whose states do not chain (imported or synthetic records).
+std::vector<TokenRecord> MakeUnchainedRecords(size_t n) {
   std::vector<TokenRecord> recs(n);
   for (size_t i = 0; i < n; ++i) {
     recs[i] = TokenRecord{static_cast<TokenId>(260 + (i % 1000)),
@@ -44,9 +59,22 @@ void BM_Append(benchmark::State& state) {
 }
 BENCHMARK(BM_Append)->Arg(128)->Arg(1024)->Arg(8192);
 
+void BM_AppendUnchained(benchmark::State& state) {
+  const size_t tokens = static_cast<size_t>(state.range(0));
+  std::vector<TokenRecord> recs = MakeUnchainedRecords(tokens);
+  for (auto _ : state) {
+    Kvfs fs(BigOptions());
+    KvHandle h = *fs.CreateAnonymous(kAdminLip);
+    benchmark::DoNotOptimize(fs.Append(h, recs));
+    (void)fs.Close(h);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * tokens));
+}
+BENCHMARK(BM_AppendUnchained)->Arg(3000);
+
 // Append by a non-admin owner while a page-quota hook is installed, so every
-// new page is checked against the owner's quota: the path a pred's appends
-// take in the serving stack.
+// new page is checked against the owner's quota, as a LIP's appends are in
+// the serving stack.
 void BM_AppendOwned(benchmark::State& state) {
   constexpr LipId kOwner = 10;
   const size_t tokens = static_cast<size_t>(state.range(0));
@@ -81,8 +109,8 @@ void BM_ForkThenDivergentAppend(benchmark::State& state) {
   Kvfs fs(BigOptions());
   KvHandle base = *fs.CreateAnonymous(kAdminLip);
   (void)fs.Append(base, MakeRecords(tokens));
-  std::vector<TokenRecord> tail = MakeRecords(1);
-  tail[0].position = static_cast<int32_t>(tokens);
+  std::vector<TokenRecord> tail = MakeRecords(tokens + 1);
+  tail.erase(tail.begin(), tail.end() - 1);  // Continues the base's chain.
   for (auto _ : state) {
     KvHandle fork = *fs.Fork(base, kAdminLip);
     benchmark::DoNotOptimize(fs.Append(fork, tail));  // Triggers one COW.

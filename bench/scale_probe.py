@@ -8,7 +8,8 @@ each (peak RSS is a high-water mark, so points cannot share a process), and
 prints every row. Then it prints the RSS growth per finished request between
 the two 4-replica rows: memory that a finished request leaves behind. The
 default binary is build/bench/bench_cluster_scaling. Exits nonzero when a
-run fails.
+run fails or when the 1,000-replica row peaks above
+MAX_PEAK_RSS_MB_1000_REPLICAS.
 """
 
 import json
@@ -17,6 +18,15 @@ import sys
 
 # (replicas, requests per replica)
 POINTS = ((4, 2500), (4, 10000), (64, 40), (256, 40), (1000, 40))
+
+# Ceiling on the `--scale 1000 40` row's peak RSS. That row is dominated by
+# live simulated KV (about 14 active 3,000-token documents per replica), whose
+# pages store their definition (76 bytes of page data per 16 tokens) in fixed
+# slabs; it peaked at 367 MB on a 4-vCPU x86 host, and at 1,197 MB while every
+# page held 16 whole records in vectors that doubled. The ceiling is about
+# 1.25x the measured peak: a change that stores whole records again, or grows
+# page storage by doubling, trips it.
+MAX_PEAK_RSS_MB_1000_REPLICAS = 460.0
 
 
 def run(binary, replicas, requests):
@@ -42,6 +52,11 @@ def main():
     print("JSON " + json.dumps({"bench": "cluster_scaling",
                                 "row": "kb_per_finished_request",
                                 "value": round(kb_per_request, 3)}))
+    fleet = rows[-1]
+    if fleet["peak_rss_mb"] > MAX_PEAK_RSS_MB_1000_REPLICAS:
+        print(f"FAIL: --scale 1000 40 peaked at {fleet['peak_rss_mb']:.1f} MB, above "
+              f"the {MAX_PEAK_RSS_MB_1000_REPLICAS:.0f} MB ceiling")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ KvFileData::KvFileData(KvFileData&& other) noexcept
     : pool_(other.pool_),
       pages_(std::move(other.pages_)),
       length_(other.length_),
-      resident_epoch_(other.resident_epoch_) {
+      tail_state_(other.tail_state_),
+      resident_epoch_(other.resident_epoch_),
+      page_ref_observer_(std::move(other.page_ref_observer_)) {
   other.pages_.clear();
   other.length_ = 0;
 }
@@ -21,7 +23,9 @@ KvFileData& KvFileData::operator=(KvFileData&& other) noexcept {
     pool_ = other.pool_;
     pages_ = std::move(other.pages_);
     length_ = other.length_;
+    tail_state_ = other.tail_state_;
     resident_epoch_ = other.resident_epoch_;
+    page_ref_observer_ = std::move(other.page_ref_observer_);
     other.pages_.clear();
     other.length_ = 0;
   }
@@ -35,7 +39,8 @@ Status KvFileData::MakeExclusive(size_t page_index) {
   return Status::Ok();
 }
 
-StatusOr<size_t> KvFileData::AppendRun(std::span<const TokenRecord> records, Tier tier) {
+StatusOr<size_t> KvFileData::AppendRun(std::span<const TokenRecord> records, Tier tier,
+                                       bool derived_states) {
   if (records.empty()) {
     return size_t{0};
   }
@@ -47,13 +52,11 @@ StatusOr<size_t> KvFileData::AppendRun(std::span<const TokenRecord> records, Tie
   } else {
     SYMPHONY_RETURN_IF_ERROR(MakeExclusive(pages_.size() - 1));
   }
-  uint32_t n = static_cast<uint32_t>(
-      std::min<size_t>(records.size(), kPageTokens - offset));
-  PageId tail = pages_.back();
-  std::copy_n(records.begin(), n, pool_->MutableRecords(tail) + offset);
-  pool_->set_used(tail, offset + n);
+  size_t n = std::min<size_t>(records.size(), kPageTokens - offset);
+  pool_->Write(pages_.back(), offset, records.first(n), tail_state_, derived_states);
+  tail_state_ = records[n - 1].state;
   length_ += n;
-  return size_t{n};
+  return n;
 }
 
 Status KvFileData::Append(const TokenRecord& record, Tier tier) {
@@ -64,16 +67,30 @@ StatusOr<TokenRecord> KvFileData::At(uint64_t index) const {
   if (index >= length_) {
     return OutOfRangeError("token index beyond file length");
   }
-  PageId page = pages_[index / kPageTokens];
-  return pool_->Records(page)[index % kPageTokens];
+  return pool_->ReadRecord(pages_[index / kPageTokens],
+                           static_cast<uint32_t>(index % kPageTokens));
+}
+
+void KvFileData::ReadPage(size_t page_index, std::span<TokenRecord> out) const {
+  assert(page_index * kPageTokens + out.size() <= length_);
+  pool_->ReadRecords(pages_[page_index], out);
+}
+
+std::vector<TokenRecord> KvFileData::Records() const {
+  std::vector<TokenRecord> records(length_);
+  for (size_t page = 0; page < pages_.size(); ++page) {
+    size_t begin = page * kPageTokens;
+    ReadPage(page, std::span(records).subspan(begin, std::min<uint64_t>(kPageTokens,
+                                                                         length_ - begin)));
+  }
+  return records;
 }
 
 StatusOr<HiddenState> KvFileData::TailState() const {
   if (length_ == 0) {
     return FailedPreconditionError("empty kv file has no tail state");
   }
-  SYMPHONY_ASSIGN_OR_RETURN(TokenRecord rec, At(length_ - 1));
-  return rec.state;
+  return tail_state_;
 }
 
 Status KvFileData::Truncate(uint64_t new_length) {
@@ -92,6 +109,11 @@ Status KvFileData::Truncate(uint64_t new_length) {
   }
   NotifyDelta(dropped);
   length_ = new_length;
+  if (new_length > 0) {
+    tail_state_ = pool_->ReadRecord(pages_.back(),
+                                    static_cast<uint32_t>((new_length - 1) % kPageTokens))
+                      .state;
+  }
   uint32_t tail_used = static_cast<uint32_t>(new_length % kPageTokens);
   if (tail_used != 0 && !pages_.empty()) {
     // Shrinking `used` on a shared page would corrupt siblings: COW first.
@@ -110,6 +132,7 @@ Status KvFileData::CloneFrom(const KvFileData& other) {
   }
   pages_ = other.pages_;
   length_ = other.length_;
+  tail_state_ = other.tail_state_;
   resident_epoch_ = kNoEpoch;
   for (PageId page : pages_) {
     pool_->Ref(page);

@@ -2,6 +2,11 @@
 // refcounted pages. KvFileData is the in-"kernel" representation; LIPs only
 // see KvHandles through the Kvfs API.
 //
+// A page stores its definition (PagePool): records are written a page run at
+// a time and read back by value, derived from the page's first record. The
+// file keeps its tail state, so TailState() and the chain check of the next
+// append derive nothing.
+//
 // Sharing model: Fork() snapshots the page list and bumps refcounts (O(pages),
 // no tensor copies). Any mutation of a shared page (append into a partial
 // tail page, truncate) first goes through copy-on-write.
@@ -41,15 +46,24 @@ class KvFileData {
   // partial tail page (made exclusive first) or, when the file ends on a page
   // boundary, into one fresh page allocated in `tier`. Returns how many
   // records it wrote, which is 0 only for an empty span. On error nothing is
-  // written. `records` must never point into pool storage: the allocation may
-  // grow it and leave the span dangling.
-  StatusOr<size_t> AppendRun(std::span<const TokenRecord> records, Tier tier = Tier::kGpu);
+  // written. `derived_states` says each state is Model::Advance of the one
+  // before, from this file's tail state (PagePool::Write).
+  StatusOr<size_t> AppendRun(std::span<const TokenRecord> records, Tier tier = Tier::kGpu,
+                             bool derived_states = false);
 
   // Appends one record (a one-record AppendRun).
   Status Append(const TokenRecord& record, Tier tier = Tier::kGpu);
 
-  // Random access. Index must be < length().
+  // Random access. Index must be < length(). Derives the record from its
+  // page's first one: up to 15 Model::Advance calls.
   StatusOr<TokenRecord> At(uint64_t index) const;
+
+  // The first out.size() of the file's records in page `page_index`, each
+  // derived once.
+  void ReadPage(size_t page_index, std::span<TokenRecord> out) const;
+
+  // Every record of the file, each derived once.
+  std::vector<TokenRecord> Records() const;
 
   // Hidden state after the last token. Fails on an empty file (the caller
   // supplies the model's initial state in that case).
@@ -96,6 +110,8 @@ class KvFileData {
   PagePool* pool_;
   std::vector<PageId> pages_;
   uint64_t length_ = 0;
+  // State of record length_ - 1; meaningful while length_ > 0.
+  HiddenState tail_state_ = 0;
   uint64_t resident_epoch_ = kNoEpoch;
   std::function<void(int64_t)> page_ref_observer_;
 };

@@ -1,6 +1,7 @@
 #include "src/kvfs/kvfs.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 namespace symphony {
@@ -130,6 +131,19 @@ StatusOr<const Kvfs::HandleEntry*> Kvfs::ResolveHandle(KvHandle handle) const {
     return InvalidArgumentError("stale kv handle");
   }
   return &entry;
+}
+
+StatusOr<Kvfs::FileEntry*> Kvfs::WritableFile(KvHandle handle, const char* denial) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
+  if (!entry->can_write) {
+    ++stats_.acl_denials;
+    return PermissionDeniedError(denial);
+  }
+  FileEntry& file = files_[entry->file];
+  if (file.lock_holder != kNoLip && file.lock_holder != entry->requester) {
+    return FailedPreconditionError("file locked by another lip");
+  }
+  return &file;
 }
 
 StatusOr<KvHandle> Kvfs::Open(std::string_view path, const OpenOptions& options) {
@@ -320,17 +334,33 @@ StatusOr<KvHandle> Kvfs::Extract(KvHandle source, std::span<const uint64_t> indi
     ReclaimIfOrphaned(id);
     return st;
   };
-  // One record per call: a span into the source's pages could dangle once
-  // an append allocates.
-  for (uint64_t index : indices) {
-    StatusOr<TokenRecord> rec = files_[src_id].data->At(index);
-    if (!rec.ok()) {
-      return abort_build(rec.status());
+  // Each source page is derived once, up to its last index. An index past
+  // the end fails the extract after the records before it are appended, as
+  // an append per index would.
+  const KvFileData& src_data = *files_[src_id].data;
+  const uint64_t src_length = src_data.length();
+  std::vector<TokenRecord> records;
+  records.reserve(indices.size());
+  std::array<TokenRecord, kPageTokens> page_records;
+  size_t i = 0;
+  while (i < indices.size() && indices[i] < src_length) {
+    const uint64_t page = indices[i] / kPageTokens;
+    size_t end = i + 1;
+    while (end < indices.size() && indices[end] < src_length &&
+           indices[end] / kPageTokens == page) {
+      ++end;
     }
-    Status st = AppendRecords(files_[id], std::span(&*rec, 1), Tier::kGpu);
-    if (!st.ok()) {
-      return abort_build(st);
+    src_data.ReadPage(page, std::span(page_records).first(indices[end - 1] % kPageTokens + 1));
+    for (; i < end; ++i) {
+      records.push_back(page_records[indices[i] % kPageTokens]);
     }
+  }
+  Status st = AppendRecords(files_[id], records, Tier::kGpu);
+  if (!st.ok()) {
+    return abort_build(st);
+  }
+  if (i < indices.size()) {
+    return abort_build(OutOfRangeError("token index beyond file length"));
   }
   files_[src_id].last_access = Now();
   --files_[id].open_count;
@@ -370,17 +400,9 @@ StatusOr<KvHandle> Kvfs::Merge(std::span<const KvHandle> sources, LipId requeste
     return st;
   };
   for (FileId src_id : src_ids) {
-    uint64_t len = files_[src_id].data->length();
-    // One record per call, as in Extract.
-    for (uint64_t i = 0; i < len; ++i) {
-      StatusOr<TokenRecord> rec = files_[src_id].data->At(i);
-      if (!rec.ok()) {
-        return abort_build(rec.status());
-      }
-      Status st = AppendRecords(files_[id], std::span(&*rec, 1), Tier::kGpu);
-      if (!st.ok()) {
-        return abort_build(st);
-      }
+    Status st = AppendRecords(files_[id], files_[src_id].data->Records(), Tier::kGpu);
+    if (!st.ok()) {
+      return abort_build(st);
     }
     files_[src_id].last_access = Now();
   }
@@ -390,12 +412,12 @@ StatusOr<KvHandle> Kvfs::Merge(std::span<const KvHandle> sources, LipId requeste
 }
 
 Status Kvfs::AppendRecords(FileEntry& file, std::span<const TokenRecord> records,
-                           Tier tier) {
+                           Tier tier, bool derived_states) {
   KvFileData& data = *file.data;
   const uint64_t original_length = data.length();
   Status st;
   while (!records.empty()) {
-    StatusOr<size_t> written = data.AppendRun(records, tier);
+    StatusOr<size_t> written = data.AppendRun(records, tier, derived_states);
     if (!written.ok()) {
       if (tier == Tier::kGpu &&
           written.status().code() == StatusCode::kResourceExhausted &&
@@ -421,17 +443,26 @@ Status Kvfs::AppendRecords(FileEntry& file, std::span<const TokenRecord> records
 }
 
 Status Kvfs::Append(KvHandle handle, std::span<const TokenRecord> records) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  if (!entry->can_write) {
-    ++stats_.acl_denials;
-    return PermissionDeniedError("append on read-only handle");
+  SYMPHONY_ASSIGN_OR_RETURN(FileEntry * file, WritableFile(handle, "append on read-only handle"));
+  SYMPHONY_RETURN_IF_ERROR(AppendRecords(*file, records, Tier::kGpu));
+  file->last_access = Now();
+  return Status::Ok();
+}
+
+Status Kvfs::AppendTokens(KvHandle handle, std::span<const TokenId> tokens,
+                          std::span<const int32_t> positions, HiddenState initial,
+                          std::span<HiddenState> states) {
+  assert(positions.size() == tokens.size() && states.size() == tokens.size());
+  SYMPHONY_ASSIGN_OR_RETURN(FileEntry * file, WritableFile(handle, "append on read-only handle"));
+  HiddenState state = file->data->empty() ? initial : *file->data->TailState();
+  std::vector<TokenRecord> records(tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    state = Model::Advance(state, tokens[i], positions[i]);
+    records[i] = TokenRecord{tokens[i], positions[i], state};
+    states[i] = state;
   }
-  FileEntry& file = files_[entry->file];
-  if (file.lock_holder != kNoLip && file.lock_holder != entry->requester) {
-    return FailedPreconditionError("file locked by another lip");
-  }
-  SYMPHONY_RETURN_IF_ERROR(AppendRecords(file, records, Tier::kGpu));
-  file.last_access = Now();
+  SYMPHONY_RETURN_IF_ERROR(AppendRecords(*file, records, Tier::kGpu, /*derived_states=*/true));
+  file->last_access = Now();
   return Status::Ok();
 }
 
@@ -444,12 +475,7 @@ StatusOr<KvFileSnapshot> Kvfs::ExportSnapshot(KvHandle handle) const {
   KvFileSnapshot snapshot;
   snapshot.path = file.unlinked ? std::string() : file.path;
   snapshot.mode = file.mode;
-  uint64_t length = file.data->length();
-  snapshot.records.reserve(length);
-  for (uint64_t i = 0; i < length; ++i) {
-    SYMPHONY_ASSIGN_OR_RETURN(TokenRecord rec, file.data->At(i));
-    snapshot.records.push_back(rec);
-  }
+  snapshot.records = file.data->Records();
   ++stats_.snapshot_exports;
   return snapshot;
 }
@@ -470,18 +496,10 @@ StatusOr<KvHandle> Kvfs::ImportSnapshot(const KvFileSnapshot& snapshot,
 
 Status Kvfs::ImportRecords(KvHandle handle,
                            std::span<const TokenRecord> records, Tier tier) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  if (!entry->can_write) {
-    ++stats_.acl_denials;
-    return PermissionDeniedError("import on read-only handle");
-  }
-  FileEntry& file = files_[entry->file];
-  if (file.lock_holder != kNoLip && file.lock_holder != entry->requester) {
-    return FailedPreconditionError("file locked by another lip");
-  }
-  SYMPHONY_RETURN_IF_ERROR(AppendRecords(file, records, tier));
+  SYMPHONY_ASSIGN_OR_RETURN(FileEntry * file, WritableFile(handle, "import on read-only handle"));
+  SYMPHONY_RETURN_IF_ERROR(AppendRecords(*file, records, tier));
   stats_.imported_tokens += records.size();
-  file.last_access = Now();
+  file->last_access = Now();
   return Status::Ok();
 }
 
@@ -507,17 +525,9 @@ StatusOr<HiddenState> Kvfs::TailState(KvHandle handle) const {
 }
 
 Status Kvfs::Truncate(KvHandle handle, uint64_t new_length) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  if (!entry->can_write) {
-    ++stats_.acl_denials;
-    return PermissionDeniedError("truncate on read-only handle");
-  }
-  FileEntry& file = files_[entry->file];
-  if (file.lock_holder != kNoLip && file.lock_holder != entry->requester) {
-    return FailedPreconditionError("file locked by another lip");
-  }
-  file.last_access = Now();
-  return file.data->Truncate(new_length);
+  SYMPHONY_ASSIGN_OR_RETURN(FileEntry * file, WritableFile(handle, "truncate on read-only handle"));
+  file->last_access = Now();
+  return file->data->Truncate(new_length);
 }
 
 Status Kvfs::Lock(KvHandle handle) {

@@ -148,6 +148,15 @@ class Kvfs {
 
   Status Append(KvHandle handle, std::span<const TokenRecord> records);
 
+  // pred's append: one record per token, whose state is Model::Advance of
+  // the state before, starting from the file's tail state (`initial` when
+  // the file is empty). Writes each state to `states` (as many as tokens).
+  // Atomic like Append. Each token is advanced once, here, so the chain
+  // check of its page has no state to verify.
+  Status AppendTokens(KvHandle handle, std::span<const TokenId> tokens,
+                      std::span<const int32_t> positions, HiddenState initial,
+                      std::span<HiddenState> states);
+
   // ---- Snapshot export/import (checkpoint/restore, src/recovery) -------
 
   // Copies the file's logical contents into a portable snapshot.
@@ -252,6 +261,9 @@ class Kvfs {
   void ReclaimIfOrphaned(FileId id);
   StatusOr<HandleEntry*> ResolveHandle(KvHandle handle);
   StatusOr<const HandleEntry*> ResolveHandle(KvHandle handle) const;
+  // The file behind a writable handle whose file no other LIP has locked;
+  // counts an ACL denial (`denial` is its message) for a read-only handle.
+  StatusOr<FileEntry*> WritableFile(KvHandle handle, const char* denial);
   FileEntry& File(FileId id) { return files_[id]; }
   const FileEntry& File(FileId id) const { return files_[id]; }
   StatusOr<KvHandle> MakeHandle(FileId file, LipId requester, bool read, bool write);
@@ -263,8 +275,9 @@ class Kvfs {
   // page quota; once per run is exact, because the owner's page references
   // change only when the run starts a page or an eviction frees one, and both
   // happen before the check. Any error rolls the file back to its original
-  // length. `records` must not point into pool storage.
-  Status AppendRecords(FileEntry& file, std::span<const TokenRecord> records, Tier tier);
+  // length. `derived_states` as in KvFileData::AppendRun.
+  Status AppendRecords(FileEntry& file, std::span<const TokenRecord> records, Tier tier,
+                       bool derived_states = false);
   // Evicts one eligible file; returns false if none eligible.
   bool EvictOne();
   // True when `owner` is at/over its page quota (admin is exempt).

@@ -8,12 +8,6 @@ HiddenState Model::InitialState() const {
   return Mix64(config_.family_seed ^ 0x5ee0dULL);
 }
 
-HiddenState Model::Advance(HiddenState state, TokenId token, int32_t position) const {
-  uint64_t ingredient = static_cast<uint64_t>(static_cast<uint32_t>(token)) |
-                        (static_cast<uint64_t>(static_cast<uint32_t>(position)) << 32);
-  return HashCombine(state, ingredient);
-}
-
 Distribution Model::Predict(HiddenState state) const {
   return Distribution(state, &config_);
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/status.h"
 #include "src/model/distribution.h"
 #include "src/model/model_config.h"
@@ -33,7 +34,13 @@ class Model {
   // Consumes one (token, position) pair. Positions are absolute context
   // indices, as in the paper's pred(kv, tokens, positions) signature; the
   // same token at a different position yields a different state (RoPE-like).
-  HiddenState Advance(HiddenState state, TokenId token, int32_t position) const;
+  // The family seed enters only InitialState, so this is a pure function of
+  // its arguments: KVFS re-derives a page's records with it.
+  static HiddenState Advance(HiddenState state, TokenId token, int32_t position) {
+    uint64_t ingredient = static_cast<uint64_t>(static_cast<uint32_t>(token)) |
+                          (static_cast<uint64_t>(static_cast<uint32_t>(position)) << 32);
+    return HashCombine(state, ingredient);
+  }
 
   // Next-token distribution given the state *after* the last consumed token.
   Distribution Predict(HiddenState state) const;

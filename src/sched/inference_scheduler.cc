@@ -6,6 +6,7 @@
 #include <deque>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -412,31 +413,13 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
     return;
   }
 
-  HiddenState state;
-  if (*length == 0) {
-    state = model_->InitialState();
-  } else {
-    StatusOr<HiddenState> tail = kvfs_->TailState(request.kv);
-    if (!tail.ok()) {
-      ++stats_.failed;
-      request.complete(PredResult{tail.status(), {}});
-      return;
-    }
-    state = *tail;
-  }
-
+  // KVFS advances each token from the file's tail state (the model's initial
+  // state for an empty file) as it stores it, and hands back the states.
   take = std::min<uint64_t>(take, request.tokens.size());
-  std::vector<TokenRecord> records;
-  records.reserve(take);
-  std::vector<Distribution> dists;
-  dists.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    state = model_->Advance(state, request.tokens[i], request.positions[i]);
-    records.push_back(TokenRecord{request.tokens[i], request.positions[i], state});
-    dists.push_back(model_->Predict(state));
-  }
-
-  Status append = kvfs_->Append(request.kv, records);
+  std::vector<HiddenState> states(take);
+  Status append = kvfs_->AppendTokens(request.kv, std::span(request.tokens).first(take),
+                                      std::span(request.positions).first(take),
+                                      model_->InitialState(), states);
   if (!append.ok()) {
     if (append.code() == StatusCode::kResourceExhausted) {
       // The whole remaining request (this chunk included) bounces; the next
@@ -447,6 +430,11 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
     ++stats_.failed;
     request.complete(PredResult{append, {}});
     return;
+  }
+  std::vector<Distribution> dists;
+  dists.reserve(take);
+  for (HiddenState state : states) {
+    dists.push_back(model_->Predict(state));
   }
 
   if (take < request.tokens.size()) {

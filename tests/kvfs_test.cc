@@ -3,6 +3,8 @@
 // extract, merge, eviction, residency).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,7 +66,7 @@ TEST(PagePoolTest, EnsureExclusiveNoCopyWhenUnshared) {
 TEST(PagePoolTest, EnsureExclusiveCopiesWhenShared) {
   PagePool pool(4, 0);
   PageId p = *pool.Allocate(Tier::kGpu);
-  pool.MutableRecords(p)[0] = Rec(100, 0);
+  pool.Write(p, 0, std::array{Rec(100, 0)}, /*prev=*/0);
   pool.set_used(p, 1);
   pool.Ref(p);
   StatusOr<PageId> q = pool.EnsureExclusive(p);
@@ -73,7 +75,7 @@ TEST(PagePoolTest, EnsureExclusiveCopiesWhenShared) {
   EXPECT_EQ(pool.stats().cow_copies, 1u);
   EXPECT_EQ(pool.refcount(p), 1u);
   EXPECT_EQ(pool.refcount(*q), 1u);
-  EXPECT_EQ(pool.Records(*q)[0].token, 100);
+  EXPECT_EQ(pool.ReadRecord(*q, 0).token, 100);
   EXPECT_EQ(pool.used(*q), 1u);
 }
 
@@ -653,6 +655,43 @@ TEST_F(KvfsTest, AppendIsAtomicOnMidSpanFailure) {
   EXPECT_EQ(fs.pool().stats().gpu_pages_used, 1u);
 }
 
+// Growing the file table moves every file; each file's page-ref observer must
+// move with it, or its owner's count freezes at the value it had before.
+TEST_F(KvfsTest, OwnerPageRefsSurviveFileTableGrowth) {
+  Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/64, /*host_pages=*/0));
+  KvHandle h = *fs.CreateAnonymous(kAlice);
+  ASSERT_TRUE(fs.Append(h, MakeRecords(32)).ok());  // 2 pages.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(fs.CreateAnonymous(kBob).ok());
+  }
+  ASSERT_TRUE(fs.Append(h, MakeRecords(16, 500)).ok());  // A 3rd page.
+  EXPECT_EQ(fs.OwnerPageRefs(kAlice), 3u);
+  ASSERT_TRUE(fs.Close(h).ok());
+  EXPECT_EQ(fs.OwnerPageRefs(kAlice), 0u);
+  fs.set_page_quota_hook([](LipId owner) -> uint64_t {
+    return owner == kAlice ? 2 : UINT64_MAX;
+  });
+  KvHandle next = *fs.CreateAnonymous(kAlice);
+  EXPECT_TRUE(fs.Append(next, MakeRecords(32)).ok());
+  EXPECT_EQ(fs.OwnerPageRefs(kAlice), 2u);
+}
+
+TEST_F(KvfsTest, PageQuotaHoldsAcrossFileTableGrowth) {
+  Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/64, /*host_pages=*/0));
+  fs.set_page_quota_hook([](LipId owner) -> uint64_t {
+    return owner == kAlice ? 2 : UINT64_MAX;
+  });
+  KvHandle h = *fs.CreateAnonymous(kAlice);
+  ASSERT_TRUE(fs.Append(h, MakeRecords(16)).ok());  // 1 page.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(fs.CreateAnonymous(kBob).ok());
+  }
+  EXPECT_EQ(fs.Append(h, MakeRecords(80, 500)).code(), StatusCode::kQuotaExceeded);
+  EXPECT_EQ(*fs.Length(h), 16u);
+  EXPECT_EQ(fs.OwnerPageRefs(kAlice), 1u);
+  EXPECT_EQ(fs.pool().stats().gpu_pages_used, 1u);
+}
+
 TEST_F(KvfsTest, RestoreAfterInLoopEvictionRestoresSharedPage) {
   // The fork shares both of /doc's pages. Restoring the first page makes the
   // closed /doc eligible and least recently used, so making room for the
@@ -683,6 +722,182 @@ TEST_F(KvfsTest, RestoreAfterInLoopEvictionRestoresSharedPage) {
   EXPECT_EQ(fs.stats().restored_pages, restored + 1);
 }
 
+// ---------- Page forms ----------
+
+// `n` records that continue a chain whose last state is `state`, from
+// `position` on, as a pred writes them.
+std::vector<TokenRecord> Chain(size_t n, int32_t position, HiddenState state,
+                               TokenId token_base = 400) {
+  std::vector<TokenRecord> recs(n);
+  for (size_t i = 0; i < n; ++i) {
+    TokenId token = token_base + static_cast<TokenId>(i % 97);
+    state = Model::Advance(state, token, position);
+    recs[i] = TokenRecord{token, position++, state};
+  }
+  return recs;
+}
+
+std::vector<TokenRecord> Concat(std::vector<TokenRecord> a, const std::vector<TokenRecord>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+void ExpectSameRecord(const TokenRecord& got, const TokenRecord& want, size_t index) {
+  EXPECT_EQ(got.token, want.token) << "index " << index;
+  EXPECT_EQ(got.position, want.position) << "index " << index;
+  EXPECT_EQ(got.state, want.state) << "index " << index;
+}
+
+// Reads the file back through At, TailState and ExportSnapshot.
+void ExpectRecords(Kvfs& fs, KvHandle handle, const std::vector<TokenRecord>& want) {
+  ASSERT_EQ(*fs.Length(handle), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectSameRecord(*fs.Read(handle, i), want[i], i);
+  }
+  if (!want.empty()) {
+    EXPECT_EQ(*fs.TailState(handle), want.back().state);
+  }
+  StatusOr<KvFileSnapshot> snapshot = fs.ExportSnapshot(handle);
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(snapshot->records.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectSameRecord(snapshot->records[i], want[i], i);
+  }
+}
+
+constexpr HiddenState kSeedState = 0x5eed;
+
+TEST_F(KvfsTest, ChainedPrefillLeavesEveryPageCompact) {
+  Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/256));
+  KvHandle h = *fs.CreateAnonymous(kAlice);
+  std::vector<TokenRecord> doc = Chain(3000, 0, kSeedState);
+  ASSERT_TRUE(fs.Append(h, doc).ok());
+  EXPECT_EQ(fs.pool().stats().gpu_pages_used, 188u);
+  EXPECT_EQ(fs.pool().stats().explicit_pages, 0u);
+  ExpectRecords(fs, h, doc);
+}
+
+TEST_F(KvfsTest, ExtractAndMergeOfBrokenChainsAreExplicit) {
+  Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/64));
+  KvHandle a = *fs.CreateAnonymous(kAlice);
+  KvHandle b = *fs.CreateAnonymous(kAlice);
+  std::vector<TokenRecord> ra = Chain(40, 0, kSeedState);
+  std::vector<TokenRecord> rb = Chain(20, 0, kSeedState + 1, 900);
+  ASSERT_TRUE(fs.Append(a, ra).ok());
+  ASSERT_TRUE(fs.Append(b, rb).ok());
+  ASSERT_EQ(fs.pool().stats().explicit_pages, 0u);
+
+  std::vector<uint64_t> indices;
+  std::vector<TokenRecord> picked;
+  for (uint64_t i = 0; i < ra.size(); i += 3) {
+    indices.push_back(i);
+    picked.push_back(ra[i]);
+  }
+  KvHandle extracted = *fs.Extract(a, indices, kAlice);
+  EXPECT_EQ(fs.pool().stats().explicit_pages, 1u);  // 14 records: one page.
+  ExpectRecords(fs, extracted, picked);
+
+  KvHandle merged = *fs.Merge(std::vector<KvHandle>{a, b}, kAlice);
+  // Pages 0-1 and the head of page 2 copy /a's chain; /b's records restart at
+  // position 0 in the middle of page 2, and page 3 starts with /b's 9th.
+  EXPECT_EQ(fs.pool().stats().explicit_pages, 2u);
+  ExpectRecords(fs, merged, Concat(ra, rb));
+  ExpectRecords(fs, a, ra);
+  ExpectRecords(fs, b, rb);
+}
+
+// A break at offset k of a page makes it explicit, with records 0..k-1
+// derived from the page's first record. Odd k skip a position, even k store
+// a foreign state; the records after the break chain from it.
+TEST_F(KvfsTest, ChainBreakAtEveryPageOffset) {
+  for (uint32_t k = 1; k < kPageTokens; ++k) {
+    for (bool one_run : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " one_run=" << one_run);
+      Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/8));
+      KvHandle h = *fs.CreateAnonymous(kAlice);
+      std::vector<TokenRecord> head = Chain(16 + k, 0, kSeedState);
+      const TokenRecord& last = head.back();
+      std::vector<TokenRecord> tail =
+          k % 2 == 1 ? Chain(20, last.position + 2, last.state)
+                     : Chain(20, last.position + 1, last.state ^ 0xf00d);
+      std::vector<TokenRecord> all = Concat(head, tail);
+      if (one_run) {
+        // Records 16..16+k-1 of the run are stored compactly before the break.
+        ASSERT_TRUE(fs.Append(h, all).ok());
+      } else {
+        ASSERT_TRUE(fs.Append(h, head).ok());
+        ASSERT_EQ(fs.pool().stats().explicit_pages, 0u);
+        ASSERT_TRUE(fs.Append(h, tail).ok());
+      }
+      EXPECT_EQ(fs.pool().stats().explicit_pages, 1u);
+      ExpectRecords(fs, h, all);
+    }
+  }
+}
+
+TEST_F(KvfsTest, TruncateIntoCompactPageThenAppend) {
+  Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/8));
+  KvHandle h = *fs.CreateAnonymous(kAlice);
+  std::vector<TokenRecord> recs = Chain(40, 0, kSeedState);
+  ASSERT_TRUE(fs.Append(h, recs).ok());
+  ASSERT_TRUE(fs.Truncate(h, 21).ok());
+  recs.resize(21);
+  ExpectRecords(fs, h, recs);
+  // Continues record 20's chain with other tokens than the truncated ones.
+  std::vector<TokenRecord> more = Chain(7, 21, recs.back().state, 700);
+  ASSERT_TRUE(fs.Append(h, more).ok());
+  recs = Concat(recs, more);
+  EXPECT_EQ(fs.pool().stats().explicit_pages, 0u);
+  ExpectRecords(fs, h, recs);
+  std::vector<TokenRecord> foreign = Chain(3, 28, recs.back().state ^ 1);
+  ASSERT_TRUE(fs.Append(h, foreign).ok());
+  EXPECT_EQ(fs.pool().stats().explicit_pages, 1u);
+  ExpectRecords(fs, h, Concat(recs, foreign));
+}
+
+TEST_F(KvfsTest, ForkSharesCompactTailThenBothSidesDiverge) {
+  Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/8));
+  KvHandle base = *fs.CreateAnonymous(kAlice);
+  std::vector<TokenRecord> prefix = Chain(20, 0, kSeedState);
+  ASSERT_TRUE(fs.Append(base, prefix).ok());
+  KvHandle fork = *fs.Fork(base, kAlice);
+  std::vector<TokenRecord> mine = Chain(5, 20, prefix.back().state, 500);
+  std::vector<TokenRecord> theirs = Chain(5, 20, prefix.back().state, 600);
+  ASSERT_TRUE(fs.Append(fork, theirs).ok());
+  ASSERT_TRUE(fs.Append(base, mine).ok());
+  EXPECT_EQ(fs.pool().stats().cow_copies, 1u);
+  EXPECT_EQ(fs.pool().stats().gpu_pages_used, 3u);
+  EXPECT_EQ(fs.pool().stats().explicit_pages, 0u);
+  ExpectRecords(fs, base, Concat(prefix, mine));
+  ExpectRecords(fs, fork, Concat(prefix, theirs));
+}
+
+// Pool storage grows a slab at a time (64 pages; 16 explicit pages); growing
+// must leave every earlier page where it was.
+TEST_F(KvfsTest, AppendsAcrossSlabBoundariesKeepEarlierPages) {
+  Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/512));
+  KvHandle chained = *fs.CreateAnonymous(kAlice);
+  KvHandle unchained = *fs.CreateAnonymous(kAlice);
+  std::vector<TokenRecord> want_chained;
+  std::vector<TokenRecord> want_unchained;
+  for (int round = 0; round < 10; ++round) {
+    HiddenState state = want_chained.empty() ? kSeedState : want_chained.back().state;
+    std::vector<TokenRecord> more = Chain(150, static_cast<int32_t>(want_chained.size()), state);
+    ASSERT_TRUE(fs.Append(chained, more).ok());
+    want_chained = Concat(want_chained, more);
+    std::vector<TokenRecord> junk;
+    for (int i = 0; i < 40; ++i) {
+      junk.push_back(Rec(300 + round * 40 + i, round * 40 + i));
+    }
+    ASSERT_TRUE(fs.Append(unchained, junk).ok());
+    want_unchained = Concat(want_unchained, junk);
+  }
+  EXPECT_EQ(fs.pool().stats().gpu_pages_used, 94u + 25u);
+  EXPECT_EQ(fs.pool().stats().explicit_pages, 25u);
+  ExpectRecords(fs, chained, want_chained);
+  ExpectRecords(fs, unchained, want_unchained);
+}
+
 // ---------- Digest sweep ----------
 
 std::vector<TokenRecord> RandomRecords(Rng& rng, uint64_t n) {
@@ -694,16 +909,21 @@ std::vector<TokenRecord> RandomRecords(Rng& rng, uint64_t n) {
   return recs;
 }
 
+// What one append or import of the sweep writes: the file (drawn by `pick`)
+// and its records.
+struct SweepWrite {
+  KvHandle handle;
+  std::vector<TokenRecord> records;
+};
+using SweepWriter = std::function<SweepWrite(Rng& rng, const Kvfs& fs,
+                                             const std::function<KvHandle()>& pick)>;
+
 // Seeded random operations on a KVFS with a tight GPU budget, under both
-// eviction modes and a page quota that caps two of the four owners. Every
-// status code, every pool and KVFS counter and the pending transfer bytes
-// after each op, and every live file's metadata and records at the end fold
-// into one hash. kDigest was recorded when each appended token was its own
-// append, quota check and eviction retry, and each restore checked every
-// page's tier; appending page runs and skipping resident files must give the
-// same bits.
-TEST(KvfsDigestTest, MatchesParent) {
-  constexpr uint64_t kDigest = 0x48ccfce97ffe2bbbULL;
+// eviction modes and a page quota that caps two of the four owners, with
+// `write` choosing what each append and import writes. Every status code,
+// every pool and KVFS counter and the pending transfer bytes after each op,
+// and every live file's metadata and records at the end fold into one hash.
+uint64_t KvfsSweepDigest(const SweepWriter& write) {
   constexpr uint64_t kSeeds = 64;
   constexpr int kOps = 300;
   constexpr size_t kMaxOpen = 6;
@@ -732,7 +952,7 @@ TEST(KvfsDigestTest, MatchesParent) {
     auto owner = [&rng] { return static_cast<LipId>(10 + rng.NextBounded(4)); };
     auto path = [&rng] { return "/f" + std::to_string(rng.NextBounded(12)); };
     std::vector<KvHandle> open;
-    auto any_open = [&] { return open[rng.NextBounded(open.size())]; };
+    std::function<KvHandle()> any_open = [&] { return open[rng.NextBounded(open.size())]; };
     auto keep = [&](const StatusOr<KvHandle>& handle) {
       fold_status(handle.status());
       if (handle.ok()) {
@@ -761,9 +981,11 @@ TEST(KvfsDigestTest, MatchesParent) {
           keep(fs.CreateAnonymous(owner()));
           break;
         case 2:
-        case 3:
-          fold_status(fs.Append(any_open(), RandomRecords(rng, 1 + rng.NextBounded(40))));
+        case 3: {
+          SweepWrite w = write(rng, fs, any_open);
+          fold_status(fs.Append(w.handle, w.records));
           break;
+        }
         case 4:
           keep(fs.Fork(any_open(), rng.NextBounded(3) == 0 ? kNoLip : owner()));
           break;
@@ -784,8 +1006,8 @@ TEST(KvfsDigestTest, MatchesParent) {
           break;
         case 10: {
           Tier tier = rng.NextBounded(2) == 0 ? Tier::kGpu : Tier::kHost;
-          fold_status(fs.ImportRecords(any_open(), RandomRecords(rng, 1 + rng.NextBounded(40)),
-                                       tier));
+          SweepWrite w = write(rng, fs, any_open);
+          fold_status(fs.ImportRecords(w.handle, w.records, tier));
           break;
         }
         case 11: {
@@ -851,9 +1073,70 @@ TEST(KvfsDigestTest, MatchesParent) {
       fold(Fnv1a(name));
       KvHandle handle = *fs.Open(name, OpenOptions{.requester = kAdminLip});
       fold_file(**fs.FileData(handle));
-      ASSERT_TRUE(fs.Close(handle).ok());
+      EXPECT_TRUE(fs.Close(handle).ok());
     }
   }
+  return h;
+}
+
+// Appends and imports write random records, whose positions and states never
+// chain. kDigest was recorded when each appended token was its own append,
+// quota check and eviction retry, and each restore checked every page's tier;
+// appending page runs and skipping resident files gave the same bits. It was
+// re-recorded once, when a file's page-ref observer began to survive a move of
+// the file table: the quota decisions for owners 12 and 13 had read stale
+// counts.
+TEST(KvfsDigestTest, MatchesParent) {
+  constexpr uint64_t kDigest = 0x77a2bef89aec24b8ULL;
+  uint64_t h = KvfsSweepDigest([](Rng& rng, const Kvfs&, const std::function<KvHandle()>& pick) {
+    std::vector<TokenRecord> records = RandomRecords(rng, 1 + rng.NextBounded(40));
+    return SweepWrite{pick(), std::move(records)};
+  });
+  EXPECT_EQ(h, kDigest);
+}
+
+// The state a chained sweep gives the first record of an empty file.
+constexpr HiddenState kChainSeed = 0x5eedc4a1ULL;
+
+// Appends and imports continue the target file's chain, as a pred does:
+// positions from its length, states by Model::Advance from its tail state.
+// One write in eight breaks the chain: it skips a position, gives its first
+// record a foreign state, or gives a foreign state to a record in the middle
+// of the run (the later records chain from the foreign state). kDigest was
+// recorded before KVFS pages began to store chained records by their
+// definition.
+TEST(KvfsDigestTest, ChainedMatchesParent) {
+  constexpr uint64_t kDigest = 0x64edcb402c395b59ULL;
+  uint64_t h = KvfsSweepDigest([](Rng& rng, const Kvfs& fs,
+                                  const std::function<KvHandle()>& pick) {
+    KvHandle handle = pick();
+    uint64_t length = *fs.Length(handle);
+    HiddenState state = length == 0 ? kChainSeed : *fs.TailState(handle);
+    uint64_t n = 1 + rng.NextBounded(40);
+    uint64_t kind = rng.NextBounded(8);  // 0, 1 and 2 break the chain.
+    uint64_t at = n;                     // The record that breaks it.
+    if (kind == 0) {
+      at = rng.NextBounded(n);
+    } else if (kind == 1) {
+      at = 0;
+    } else if (kind == 2) {
+      at = n == 1 ? 0 : 1 + rng.NextBounded(n - 1);
+    }
+    int32_t position = static_cast<int32_t>(length);
+    std::vector<TokenRecord> records(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      TokenId token = static_cast<TokenId>(rng.NextBounded(32000));
+      if (i == at && kind == 0) {
+        ++position;
+      }
+      state = Model::Advance(state, token, position);
+      if (i == at && kind != 0) {
+        state = rng.NextU64();
+      }
+      records[i] = TokenRecord{token, position++, state};
+    }
+    return SweepWrite{handle, std::move(records)};
+  });
   EXPECT_EQ(h, kDigest);
 }
 
