@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -205,28 +206,19 @@ void PromptServer::CompleteStepForSeqs(const std::vector<Sequence*>& step_seqs,
       fed.push_back(seq->next_decode_token);
     }
 
-    // Advance model state and append KV records.
+    // Append the fed tokens at the file's next positions; KVFS advances each
+    // token once from the file's tail state and hands back the states.
     StatusOr<uint64_t> length = kvfs_->Length(seq->kv);
     if (!length.ok()) {
       FinishSequence(*seq, length.status());
       finished.push_back(seq);
       continue;
     }
-    HiddenState state;
-    if (*length == 0) {
-      state = model_.InitialState();
-    } else {
-      state = *kvfs_->TailState(seq->kv);
-    }
-    std::vector<TokenRecord> records;
-    records.reserve(fed.size());
-    int32_t pos = static_cast<int32_t>(*length);
-    for (TokenId t : fed) {
-      state = model_.Advance(state, t, pos);
-      records.push_back(TokenRecord{t, pos, state});
-      ++pos;
-    }
-    Status append = kvfs_->Append(seq->kv, records);
+    std::vector<int32_t> positions(fed.size());
+    std::iota(positions.begin(), positions.end(), static_cast<int32_t>(*length));
+    std::vector<HiddenState> states(fed.size());
+    Status append = kvfs_->AppendTokens(seq->kv, fed, positions,
+                                        model_.InitialState(), states);
     if (!append.ok()) {
       FinishSequence(*seq, append);
       finished.push_back(seq);
@@ -244,7 +236,7 @@ void PromptServer::CompleteStepForSeqs(const std::vector<Sequence*>& step_seqs,
 
     // Sample the next token greedily from the distribution after the last
     // fed token.
-    TokenId sampled = model_.Predict(state).Argmax();
+    TokenId sampled = model_.Predict(states.back()).Argmax();
     if (seq->first_token_time == 0) {
       seq->first_token_time = sim_->now();
     }
