@@ -1,17 +1,22 @@
 // Microbenchmarks for the simulator core and recovery path (google-benchmark).
 //
 // Measures the real (host CPU) cost of the layers every simulated second
-// leans on: event schedule and dispatch, a journal checkpoint into the
+// leans on: event schedule and dispatch (a one-shot heap fill and drain, and
+// a steady heap of 5,000 pending events), a greedy read of the next token
+// (`Distribution::Argmax`, once per pred), a journal checkpoint into the
 // snapshot store, the live-suffix size a delta migration ships, and one
 // topology transfer. The journal rows use a journal shaped like the first
 // checkpoint of a perfbench `agents` LIP, which is what every one of that
 // workload's checkpoints is.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/model/cost_model.h"
+#include "src/model/distribution.h"
 #include "src/model/model_config.h"
 #include "src/net/topology.h"
 #include "src/recovery/journal.h"
@@ -37,6 +42,60 @@ void BM_ScheduleDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_ScheduleDispatch)->Arg(100000);
+
+// A busy simulator's steady state: `range(0)` events pending, and each one,
+// when it runs, schedules its chain's successor 2 us later, as the runtime's
+// Ready does. Seven chains in eight capture 16 bytes, which std::function
+// keeps in its local buffer; every eighth captures 48 bytes, which it
+// allocates. One iteration dispatches one event.
+struct SteadyChains {
+  void Next(uint64_t chain, SimDuration delay) {
+    if (chain % 8 != 0) {
+      sim.ScheduleAfter(delay, [this, chain] { Fire(chain); });
+    } else {
+      std::array<uint64_t, 5> padded{chain};
+      sim.ScheduleAfter(delay, [this, padded] { Fire(padded[0]); });
+    }
+  }
+  void Fire(uint64_t chain) {
+    ++fired;
+    Next(chain, Micros(2));
+  }
+
+  Simulator sim;
+  uint64_t fired = 0;
+};
+
+void BM_DispatchSteady(benchmark::State& state) {
+  SteadyChains chains;
+  for (int64_t c = 0; c < state.range(0); ++c) {
+    chains.Next(static_cast<uint64_t>(c), c % 2000);
+  }
+  for (auto _ : state) {
+    chains.sim.Step();
+  }
+  benchmark::DoNotOptimize(chains.fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DispatchSteady)->Arg(5000);
+
+// The greedy read a LIP makes of the last distribution of each pred.
+void BM_Argmax(benchmark::State& state) {
+  const ModelConfig config = ModelConfig::Llama13B();
+  std::vector<Distribution> dists;
+  for (uint64_t i = 0; i < 4096; ++i) {
+    dists.emplace_back(Mix64(i + 1), &config);
+  }
+  for (auto _ : state) {
+    uint64_t sum = 0;
+    for (const Distribution& d : dists) {
+      sum += static_cast<uint64_t>(d.Argmax());
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(dists.size()));
+}
+BENCHMARK(BM_Argmax);
 
 JournalEntry Pred(uint32_t first, size_t tokens) {
   JournalEntry entry;

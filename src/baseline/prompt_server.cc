@@ -11,6 +11,9 @@ namespace symphony {
 
 namespace {
 
+// Most prompt tokens a sequence prefills in one step.
+constexpr uint64_t kPrefillChunk = 2048;
+
 KvfsOptions BaselineKvfsOptions(const BaselineOptions& options, Simulator* sim,
                                 const CostModel& cost) {
   KvfsOptions kv;
@@ -168,7 +171,7 @@ void PromptServer::LaunchStep() {
     }
     uint64_t n;
     if (seq->Prefilling()) {
-      n = std::min<uint64_t>(options_.prefill_chunk,
+      n = std::min<uint64_t>(kPrefillChunk,
                              seq->request.prompt.size() - seq->prefill_done);
     } else {
       n = 1;

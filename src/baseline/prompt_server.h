@@ -57,7 +57,6 @@ struct BaselineOptions {
   ModelConfig model = ModelConfig::Llama13B();
   HardwareConfig hardware = HardwareConfig::A100();
   size_t max_active = 16;        // Continuous-batching slots.
-  uint64_t prefill_chunk = 2048; // Max prompt tokens prefetched per step.
   bool prefix_cache = false;     // vLLM-style automatic prefix caching.
   size_t max_queue = 100000;
 };

@@ -8,6 +8,9 @@ namespace symphony {
 
 namespace {
 
+// Candidates considered per beam per step (<= Distribution::kNumCandidates).
+constexpr int kExpandPerBeam = 4;
+
 struct Beam {
   KvHandle kv;
   // Distribution after the beam's last token; optional only so Beam is
@@ -28,8 +31,8 @@ struct Expansion {
 ValueTask<BeamResult> BeamSearch(LipContext& ctx, KvHandle prompt_kv,
                                  Distribution seed_dist, BeamOptions options) {
   BeamResult failure;
-  if (options.width < 1 || options.expand_per_beam < 1) {
-    failure.status = InvalidArgumentError("beam width/expansion must be >= 1");
+  if (options.width < 1) {
+    failure.status = InvalidArgumentError("beam width must be >= 1");
     co_return failure;
   }
 
@@ -56,8 +59,7 @@ ValueTask<BeamResult> BeamSearch(LipContext& ctx, KvHandle prompt_kv,
     std::vector<Expansion> expansions;
     for (size_t b = 0; b < beams.size(); ++b) {
       std::vector<TokenId> cands = beams[b].dist->TopCandidates();
-      int take = std::min<int>(options.expand_per_beam,
-                               static_cast<int>(cands.size()));
+      int take = std::min<int>(kExpandPerBeam, static_cast<int>(cands.size()));
       for (int j = 0; j < take; ++j) {
         expansions.push_back(Expansion{
             b, cands[static_cast<size_t>(j)],

@@ -19,8 +19,6 @@ namespace symphony {
 struct BeamOptions {
   int width = 4;
   int max_steps = 16;
-  // Candidates considered per beam per step (<= Distribution::kNumCandidates).
-  int expand_per_beam = 4;
 };
 
 struct BeamResult {

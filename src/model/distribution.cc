@@ -16,45 +16,49 @@ constexpr uint64_t kTailSalt = 0x7a11aa55deadbeefULL;
 
 }  // namespace
 
-Distribution::Entries Distribution::Candidates() const {
+Distribution::Tokens Distribution::DrawTokens(int count) const {
   const uint32_t vocab = config_->vocab_size;
   assert(vocab > kNumCandidates * 2u);
 
   // Draw distinct candidate tokens from the *family* seed so sibling models
   // (target and draft) agree on the candidate set.
-  uint64_t family_state = state_ ^ Mix64(config_->family_seed ^ kCandidateSalt);
-  bool eos_boost =
-      (Mix64(state_ ^ kEosSalt) % 1000) < config_->eos_bias_permille;
-
-  std::array<TokenId, kNumCandidates> tokens;
+  Tokens tokens{};
   int filled = 0;
-  uint64_t probe = family_state;
-  while (filled < kNumCandidates) {
+  uint64_t probe = state_ ^ Mix64(config_->family_seed ^ kCandidateSalt);
+  while (filled < count) {
     probe = Mix64(probe + 0x9e3779b97f4a7c15ULL);
     TokenId t = static_cast<TokenId>(probe % vocab);
-    bool duplicate = false;
-    for (int i = 0; i < filled; ++i) {
-      if (tokens[static_cast<size_t>(i)] == t) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      tokens[static_cast<size_t>(filled++)] = t;
+    auto drawn = tokens.begin() + filled;
+    if (std::find(tokens.begin(), drawn, t) == drawn) {
+      *drawn = t;
+      ++filled;
     }
   }
-  if (eos_boost) {
+  return tokens;
+}
+
+bool Distribution::EosBoosted() const {
+  return (Mix64(state_ ^ kEosSalt) % 1000) < config_->eos_bias_permille;
+}
+
+double Distribution::RankScore(int j) const {
+  double jitter = 0.0;
+  if (config_->score_jitter > 0.0) {
+    uint64_t h = Mix64(state_ ^ config_->jitter_seed ^
+                       (static_cast<uint64_t>(j) * 0x9e3779b97f4a7c15ULL));
+    jitter = (static_cast<double>(h >> 11) * 0x1.0p-53 - 0.5) * config_->score_jitter;
+  }
+  return -kScoreDecay * j + jitter;
+}
+
+Distribution::Entries Distribution::Candidates() const {
+  Tokens tokens = DrawTokens(kNumCandidates);
+  if (EosBoosted()) {
     // Promote EOS into rank 0 (replacing whatever was there, unless EOS is
     // already a candidate — then swap it up).
-    int existing = -1;
-    for (int i = 0; i < kNumCandidates; ++i) {
-      if (tokens[static_cast<size_t>(i)] == kEosToken) {
-        existing = i;
-        break;
-      }
-    }
-    if (existing >= 0) {
-      std::swap(tokens[0], tokens[static_cast<size_t>(existing)]);
+    auto existing = std::find(tokens.begin(), tokens.end(), kEosToken);
+    if (existing != tokens.end()) {
+      std::iter_swap(tokens.begin(), existing);
     } else {
       tokens[0] = kEosToken;
     }
@@ -62,19 +66,16 @@ Distribution::Entries Distribution::Candidates() const {
 
   // Score by rank with model-specific jitter, then sort descending so that
   // entries[0] is the argmax for THIS model (family members may disagree).
+  // The insertion sort is stable: equal scores keep rank order.
   Entries entries{};
   for (int j = 0; j < kNumCandidates; ++j) {
-    double jitter = 0.0;
-    if (config_->score_jitter > 0.0) {
-      uint64_t h = Mix64(state_ ^ config_->jitter_seed ^
-                         (static_cast<uint64_t>(j) * 0x9e3779b97f4a7c15ULL));
-      jitter = (static_cast<double>(h >> 11) * 0x1.0p-53 - 0.5) * config_->score_jitter;
+    const Entry entry{tokens[static_cast<size_t>(j)], RankScore(j)};
+    size_t k = static_cast<size_t>(j);
+    for (; k > 0 && entries[k - 1].score < entry.score; --k) {
+      entries[k] = entries[k - 1];
     }
-    entries[static_cast<size_t>(j)] =
-        Entry{tokens[static_cast<size_t>(j)], -kScoreDecay * j + jitter};
+    entries[k] = entry;
   }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.score > b.score; });
   return entries;
 }
 
@@ -88,7 +89,34 @@ double Distribution::TailMass(double temperature) const {
   return tail_count * std::exp(kFloorScore / temperature);
 }
 
-TokenId Distribution::Argmax() const { return Candidates()[0].token; }
+TokenId Distribution::Argmax() const {
+  // Rank j's jitter is (u - 0.5) * score_jitter with u < 1, so its score is
+  // at most -j * kScoreDecay + score_jitter / 2, and ties go to the lower
+  // rank. The scan stops at the first rank whose best case cannot beat the
+  // best score so far; every later rank's best case is lower still.
+  const double half_spread =
+      config_->score_jitter > 0.0 ? 0.5 * config_->score_jitter : 0.0;
+  int winner = 0;
+  double best = RankScore(0);
+  for (int j = 1; j < kNumCandidates && -kScoreDecay * j + half_spread > best; ++j) {
+    double score = RankScore(j);
+    if (score > best) {
+      best = score;
+      winner = j;
+    }
+  }
+  const Tokens tokens = DrawTokens(winner + 1);
+  const TokenId drawn = tokens[static_cast<size_t>(winner)];
+  if (!EosBoosted()) {
+    return drawn;
+  }
+  // The boost puts EOS at rank 0 and, when EOS was drawn at another rank,
+  // rank 0's token there.
+  if (winner == 0) {
+    return kEosToken;
+  }
+  return drawn == kEosToken ? tokens[0] : drawn;
+}
 
 double Distribution::Prob(TokenId token) const {
   double z = TailMass(1.0);

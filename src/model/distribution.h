@@ -12,8 +12,12 @@
 // tests and constrained decoding over small vocabularies.
 //
 // A Distribution holds only that definition: the state and a pointer to the
-// model config, 16 bytes. Every accessor re-derives the sorted candidate
-// table (draw, EOS boost, jitter, stable sort) once per call, so a
+// model config, 16 bytes. Every accessor but Argmax re-derives the sorted
+// candidate table (draw, EOS boost, jitter, stable sort) once per call; the
+// table is a fixed array sorted in place, so deriving it never allocates.
+// Argmax derives one rank instead: it scans rank jitters only until no later
+// rank can win, draws candidate tokens only up to the winner and applies the
+// EOS boost to that one token, and always equals TopCandidates()[0]. A
 // distribution nobody reads costs nothing. That is the common case: pred
 // returns one distribution per input token and a LIP usually reads only the
 // last, so a 3,000-token prefill returns 2,999 that are never read. A caller
@@ -88,9 +92,17 @@ class Distribution {
     double score;  // Pre-temperature score.
   };
   using Entries = std::array<Entry, kNumCandidates>;
+  using Tokens = std::array<TokenId, kNumCandidates>;
 
   // The candidate table, sorted by descending score.
   Entries Candidates() const;
+  // The first `count` candidate tokens in rank order, before the EOS boost;
+  // later entries are 0.
+  Tokens DrawTokens(int count) const;
+  // Whether this state promotes EOS to rank 0.
+  bool EosBoosted() const;
+  // Rank j's pre-temperature score: -j * kScoreDecay plus the model's jitter.
+  double RankScore(int j) const;
   TokenId GreedyMaskedOver(const Entries& entries,
                            const std::function<bool(TokenId)>& allowed) const;
   double TailMass(double temperature) const;  // Total non-candidate weight.

@@ -287,8 +287,11 @@ void InferenceScheduler::LaunchBatch() {
     PredRequest request;
     uint64_t take;  // New tokens of this request executed by this batch.
   };
+  const size_t max_picks = std::min(queue_.size(), options_.max_batch_requests);
   auto batch = std::make_shared<std::vector<BatchEntry>>();
+  batch->reserve(max_picks);
   std::vector<WorkItem> items;
+  items.reserve(max_picks);
   // Picks are moved out as they are made and their slots removed after the
   // loop (completion callbacks never reenter the scheduler synchronously).
   BatchPicker picker(*this);
@@ -476,10 +479,10 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
     // ahead of this one's — one result, bit-identical to unchunked.
     result.dists = std::move(*request.chunk_dists);
     request.chunk_dists.reset();
+    result.dists.insert(result.dists.end(), dists.begin(), dists.end());
+  } else {
+    result.dists = std::move(dists);
   }
-  result.dists.insert(result.dists.end(),
-                      std::make_move_iterator(dists.begin()),
-                      std::make_move_iterator(dists.end()));
   uint64_t pred_tokens = request.chunk_done + take;
   uint64_t context_after = *length + take;
   LipId lip = request.lip;

@@ -10,15 +10,28 @@ void Simulator::ScheduleAt(SimTime when, EventFn fn) {
   if (when < now_) {
     when = now_;
   }
-  queue_.push(Event{when, next_seq_++, std::move(fn)});
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  queue_.push(Key{when, next_seq_++, slot});
 }
 
 void Simulator::DispatchNext() {
-  Event event = std::move(const_cast<Event&>(queue_.top()));
+  const Key key = queue_.top();
   queue_.pop();
-  now_ = event.when;
-  frontier_ = Stamp{event.when, event.seq};
-  event.fn();
+  now_ = key.when;
+  frontier_ = Stamp{key.when, key.seq};
+  // Out of the slot before it runs: the callback may reuse the slot or grow
+  // slots_, and its captures die with `fn`.
+  EventFn fn = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
+  fn();
 }
 
 uint64_t Simulator::Run() {

@@ -5,6 +5,14 @@
 // events in (time, insertion order) until the queue drains or a deadline is
 // hit. Ties break by insertion order, which makes runs fully deterministic.
 //
+// Keys and slots. The heap orders trivially copyable 24-byte keys (time,
+// insertion number, slot index); each callback waits in a slot of a vector
+// that a free list recycles, so a sift moves keys and never a
+// std::function. A callback leaves its slot before it runs: dispatch moves
+// it out and frees the slot, so the callback may schedule events that take
+// that slot or grow the vector, and its captures are released when it
+// returns. Nothing may hold a reference into the slots across a dispatch.
+//
 // Stamps. An event whose only effect is a state update need not be
 // scheduled at all. StampAt(when) returns the place such an event would
 // take in the (time, insertion order) sequence; it uses up an insertion
@@ -25,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -78,13 +87,14 @@ class Simulator {
   bool empty() const { return queue_.empty(); }
 
  private:
-  struct Event {
+  struct Key {
     SimTime when;
-    uint64_t seq;  // Tie-break: FIFO among same-time events.
-    EventFn fn;
+    uint64_t seq;   // Tie-break: FIFO among same-time events.
+    uint32_t slot;  // Index of the callback in slots_.
   };
+  static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) == 24);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
       }
@@ -100,7 +110,10 @@ class Simulator {
   // Everything ordered before this has been dispatched: the running (or
   // last dispatched) event, or a RunUntil deadline past it.
   Stamp frontier_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::priority_queue<Key, std::vector<Key>, Later> queue_;
+  // Pending callbacks by slot; a slot on free_slots_ holds none.
+  std::vector<EventFn> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace symphony

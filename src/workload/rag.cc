@@ -66,9 +66,9 @@ RagCorpus::RagCorpus(const RagConfig& config, uint32_t vocab_size)
     : seed_(config.seed),
       query_tokens_(config.query_tokens),
       vocab_size_(vocab_size) {
-  instruction_.reserve(config.instruction_tokens);
+  instruction_.reserve(kInstructionTokens);
   uint64_t ih = Mix64(seed_ ^ 0x1257ac710ULL);
-  for (uint32_t i = 0; i < config.instruction_tokens; ++i) {
+  for (uint32_t i = 0; i < kInstructionTokens; ++i) {
     ih = Mix64(ih + i + 1);
     instruction_.push_back(WordTokenFromHash(ih, vocab_size_));
   }

@@ -44,7 +44,6 @@ enum class PromptLayout {
 struct RagConfig {
   size_t num_docs = 100;
   uint32_t doc_tokens = 3000;
-  uint32_t instruction_tokens = 16;  // Shared preamble (chat layout only).
   uint32_t query_tokens = 24;
   uint32_t answer_tokens = 32;
   PromptLayout baseline_layout = PromptLayout::kQueryFirst;
@@ -68,6 +67,9 @@ struct RagConfig {
 // functions of (seed, topic, request id).
 class RagCorpus {
  public:
+  // Length of the shared preamble that opens every chat-layout prompt.
+  static constexpr uint32_t kInstructionTokens = 16;
+
   RagCorpus(const RagConfig& config, uint32_t vocab_size);
 
   size_t num_docs() const { return docs_.size(); }

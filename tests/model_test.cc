@@ -289,6 +289,94 @@ TEST_F(DistributionTest, AccessorDigestMatchesParent) {
   EXPECT_EQ(h, kDigest);
 }
 
+// Argmax derives only the winning rank; it must name the token the sorted
+// candidate table puts first, for every state. Each config runs 20,000
+// random states. Two zero-jitter twins of the config (same family and
+// vocabulary, so the same draws) list the candidates in draw order, with and
+// without the EOS boost. They show the rank each winner was drawn at and
+// whether the state was boosted, so each variant is checked to reach the
+// case it exists for.
+TEST_F(DistributionTest, ArgmaxMatchesTopCandidate) {
+  constexpr int kStates = 20000;
+  struct Variant {
+    const char* name;
+    ModelConfig config;
+    int min_past_rank_2 = 0;  // Winners drawn past rank 2.
+    int min_boosted = 0;      // States whose boost moved a token.
+    int min_eos_swaps = 0;    // Boosted states whose winner was drawn as EOS.
+    int min_last_rank = 0;    // Winners drawn at the last rank.
+  };
+  auto tiny = [](auto change) {
+    ModelConfig config = ModelConfig::Tiny();
+    change(config);
+    return config;
+  };
+  const Variant variants[] = {
+      {"tiny", ModelConfig::Tiny()},
+      {"llama13b", ModelConfig::Llama13B()},
+      {"llama1b_draft", ModelConfig::Llama1BDraft()},
+      {"no_jitter", tiny([](ModelConfig& c) { c.score_jitter = 0.0; })},
+      {"wide_jitter", tiny([](ModelConfig& c) { c.score_jitter = 3.0; }),
+       kStates / 20},
+      // Jitter that dwarfs the rank decay, so even the last rank wins.
+      {"flat_jitter", tiny([](ModelConfig& c) { c.score_jitter = 40.0; }),
+       kStates / 2, 0, 0, kStates / 100},
+      // A state whose rank 0 was drawn as EOS is boosted to itself.
+      {"always_eos", tiny([](ModelConfig& c) { c.eos_bias_permille = 1000; }), 0,
+       kStates * 9 / 10},
+      // EOS is one of 16 candidates in 40 tokens, so it is often drawn at the
+      // rank that wins, and the boost swaps rank 0's token there.
+      {"vocab40", tiny([](ModelConfig& c) {
+         c.vocab_size = 40;
+         c.score_jitter = 3.0;
+         c.eos_bias_permille = 1000;
+       }),
+       kStates / 20, kStates / 2, 50},
+  };
+  for (const Variant& v : variants) {
+    ModelConfig boosted_order = v.config;
+    boosted_order.score_jitter = 0.0;
+    ModelConfig drawn_order = boosted_order;
+    drawn_order.eos_bias_permille = 0;
+    int mismatches = 0;
+    int past_rank_0 = 0;
+    int past_rank_2 = 0;
+    int boosted = 0;
+    int eos_swaps = 0;
+    int last_rank = 0;
+    for (int i = 0; i < kStates; ++i) {
+      const HiddenState s = Mix64(0xa59a5ULL + static_cast<uint64_t>(i));
+      const Distribution d(s, &v.config);
+      const TokenId argmax = d.Argmax();
+      const TokenId top = d.TopCandidates()[0];
+      if (argmax != top && ++mismatches <= 5) {
+        ADD_FAILURE() << v.name << " state " << i << ": Argmax " << argmax
+                      << ", TopCandidates()[0] " << top;
+      }
+      const std::vector<TokenId> ranks = Distribution(s, &boosted_order).TopCandidates();
+      const std::vector<TokenId> drawn = Distribution(s, &drawn_order).TopCandidates();
+      const size_t winner = static_cast<size_t>(
+          std::find(ranks.begin(), ranks.end(), top) - ranks.begin());
+      ASSERT_LT(winner, ranks.size()) << v.name;
+      past_rank_0 += winner > 0;
+      past_rank_2 += winner > 2;
+      last_rank += winner + 1 == ranks.size();
+      if (ranks != drawn) {
+        ++boosted;
+        eos_swaps += winner > 0 && drawn[winner] == kEosToken;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << v.name;
+    if (v.config.score_jitter == 0.0) {
+      EXPECT_EQ(past_rank_0, 0) << v.name;
+    }
+    EXPECT_GE(past_rank_2, v.min_past_rank_2) << v.name;
+    EXPECT_GE(boosted, v.min_boosted) << v.name;
+    EXPECT_GE(eos_swaps, v.min_eos_swaps) << v.name;
+    EXPECT_GE(last_rank, v.min_last_rank) << v.name;
+  }
+}
+
 class CostModelTest : public ::testing::Test {
  protected:
   CostModel cost_{ModelConfig::Llama13B()};

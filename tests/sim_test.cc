@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
+#include <numeric>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -11,6 +13,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
+#include "tests/stress_seeds.h"
 
 namespace symphony {
 namespace {
@@ -159,6 +162,97 @@ TEST(SimulatorTest, StampsAgreeWithDispatchOrder) {
   EXPECT_GT(pairs.size(), 100u);
   EXPECT_GT(same_instant_before, 0u);
   EXPECT_GT(same_instant_after, 0u);
+}
+
+// One seeded run of DispatchOrderMatchesReference: `operations` counts the
+// loop's own operations and the events that events spawn. The loop
+// schedules at past (clamped), present and future times on a coarse grid,
+// so many events tie, and steps or runs to a deadline; a dispatched event may schedule more at now() or
+// 1 us later, behind every event already pending at that time. Each event
+// captures a shared_ptr that the test also holds: once its callback has run,
+// the simulator must hold no copy of it.
+void DispatchOrderSweep(uint64_t seed, int operations) {
+  Rng rng(seed);
+  Simulator sim;
+  std::vector<SimTime> due;                 // By event id: clamped time.
+  std::vector<std::shared_ptr<int>> lives;  // By event id: its capture.
+  std::vector<size_t> dispatched;
+  int released_late = 0;
+  auto check_released = [&] {
+    if (!dispatched.empty() && lives[dispatched.back()].use_count() != 1) {
+      ++released_late;
+    }
+  };
+  std::function<void(SimTime)> schedule = [&](SimTime when) {
+    const size_t id = due.size();
+    due.push_back(std::max(when, sim.now()));
+    lives.push_back(std::make_shared<int>(0));
+    sim.ScheduleAt(when, [&, id, life = lives.back()] {
+      check_released();
+      EXPECT_EQ(sim.now(), due[id]) << "seed " << seed << " event " << id;
+      dispatched.push_back(id);
+      for (uint64_t k = rng.NextBounded(8); k > 4 && operations > 0; --k) {
+        --operations;
+        schedule(sim.now() + Micros(1) * static_cast<int64_t>(rng.NextBounded(2)));
+      }
+      EXPECT_EQ(*life, 0);
+    });
+  };
+  while (operations > 0) {
+    --operations;
+    const uint64_t op = rng.NextBounded(8);
+    if (op < 4) {
+      // Past (clamped to now), present or future.
+      schedule(sim.now() + Micros(1) * (static_cast<int64_t>(rng.NextBounded(6)) - 1));
+    } else if (op < 7) {
+      sim.Step();
+    } else {
+      sim.RunUntil(sim.now() + Micros(1) * static_cast<int64_t>(rng.NextBounded(3)));
+    }
+    check_released();
+  }
+  sim.Run();
+  check_released();
+  EXPECT_EQ(released_late, 0) << "seed " << seed;
+
+  std::vector<size_t> reference(due.size());
+  std::iota(reference.begin(), reference.end(), size_t{0});
+  std::stable_sort(reference.begin(), reference.end(),
+                   [&](size_t a, size_t b) { return due[a] < due[b]; });
+  ASSERT_EQ(dispatched.size(), reference.size()) << "seed " << seed;
+  auto diverged = std::mismatch(dispatched.begin(), dispatched.end(), reference.begin());
+  EXPECT_TRUE(diverged.first == dispatched.end())
+      << "seed " << seed << ": dispatch " << (diverged.first - dispatched.begin())
+      << " ran event " << *diverged.first << ", the reference runs "
+      << *diverged.second;
+  EXPECT_EQ(std::count_if(lives.begin(), lives.end(),
+                          [](const std::shared_ptr<int>& life) { return life.use_count() != 1; }),
+            0)
+      << "seed " << seed;
+}
+
+// The heap orders keys and each callback waits in a recycled slot; the
+// dispatch order must still be (clamped time, insertion order), and a
+// callback's captures must be released once it has run, or when a
+// simulator with pending events is destroyed.
+TEST(SimulatorTest, DispatchOrderMatchesReference) {
+  for (uint64_t seed : StressSeeds({1, 2, 3, 4}, 0x5D)) {
+    DispatchOrderSweep(seed, 30000);
+  }
+
+  auto life = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    for (int i = 0; i < 64; ++i) {
+      sim.ScheduleAt(Micros(i % 8), [life, &sim, i] {
+        sim.ScheduleAfter(Micros(i % 3), [life] {});
+      });
+    }
+    sim.RunUntil(Micros(3));
+    EXPECT_FALSE(sim.empty());
+    EXPECT_GT(life.use_count(), 1);
+  }
+  EXPECT_EQ(life.use_count(), 1);
 }
 
 TEST(OnlineStatsTest, MeanVarianceMinMax) {

@@ -54,14 +54,14 @@ TEST(RagCorpusTest, QueryFirstPromptStartsWithSharedInstruction) {
   RagCorpus corpus(config, 32000);
   std::vector<TokenId> a = corpus.MakePrompt(1, 7, PromptLayout::kQueryFirst);
   std::vector<TokenId> b = corpus.MakePrompt(2, 8, PromptLayout::kQueryFirst);
-  EXPECT_EQ(a.size(), config.instruction_tokens + config.query_tokens +
+  EXPECT_EQ(a.size(), RagCorpus::kInstructionTokens + config.query_tokens +
                           config.doc_tokens);
   // Shared instruction prefix, divergent afterwards.
-  for (uint32_t i = 0; i < config.instruction_tokens; ++i) {
+  for (uint32_t i = 0; i < RagCorpus::kInstructionTokens; ++i) {
     EXPECT_EQ(a[i], b[i]);
   }
-  EXPECT_NE(std::vector<TokenId>(a.begin() + config.instruction_tokens, a.end()),
-            std::vector<TokenId>(b.begin() + config.instruction_tokens, b.end()));
+  EXPECT_NE(std::vector<TokenId>(a.begin() + RagCorpus::kInstructionTokens, a.end()),
+            std::vector<TokenId>(b.begin() + RagCorpus::kInstructionTokens, b.end()));
 }
 
 class RagDriverTest : public ::testing::Test {
