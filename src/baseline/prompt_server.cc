@@ -183,7 +183,7 @@ void PromptServer::LaunchStep() {
 
   uint64_t transfer_bytes = kvfs_->TakePendingTransferBytes();
   ++stats_.steps;
-  device_->Execute(std::move(items), transfer_bytes,
+  device_->Execute(items, transfer_bytes,
                    [this, step_seqs = std::move(step_seqs),
                     counts = std::move(counts)]() mutable {
                      CompleteStepForSeqs(step_seqs, counts);
@@ -194,6 +194,7 @@ void PromptServer::LaunchStep() {
 void PromptServer::CompleteStepForSeqs(const std::vector<Sequence*>& step_seqs,
                                        const std::vector<uint64_t>& counts) {
   std::vector<Sequence*> finished;
+  std::vector<Distribution> dists;
   for (size_t i = 0; i < step_seqs.size(); ++i) {
     Sequence* seq = step_seqs[i];
     uint64_t n = counts[i];
@@ -210,7 +211,7 @@ void PromptServer::CompleteStepForSeqs(const std::vector<Sequence*>& step_seqs,
     }
 
     // Append the fed tokens at the file's next positions; KVFS advances each
-    // token once from the file's tail state and hands back the states.
+    // token once from the file's tail state and appends its distribution.
     StatusOr<uint64_t> length = kvfs_->Length(seq->kv);
     if (!length.ok()) {
       FinishSequence(*seq, length.status());
@@ -219,9 +220,8 @@ void PromptServer::CompleteStepForSeqs(const std::vector<Sequence*>& step_seqs,
     }
     std::vector<int32_t> positions(fed.size());
     std::iota(positions.begin(), positions.end(), static_cast<int32_t>(*length));
-    std::vector<HiddenState> states(fed.size());
-    Status append = kvfs_->AppendTokens(seq->kv, fed, positions,
-                                        model_.InitialState(), states);
+    dists.clear();
+    Status append = kvfs_->AppendTokens(seq->kv, fed, positions, model_, dists);
     if (!append.ok()) {
       FinishSequence(*seq, append);
       finished.push_back(seq);
@@ -239,7 +239,7 @@ void PromptServer::CompleteStepForSeqs(const std::vector<Sequence*>& step_seqs,
 
     // Sample the next token greedily from the distribution after the last
     // fed token.
-    TokenId sampled = model_.Predict(states.back()).Argmax();
+    TokenId sampled = dists.back().Argmax();
     if (seq->first_token_time == 0) {
       seq->first_token_time = sim_->now();
     }

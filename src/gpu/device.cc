@@ -16,7 +16,7 @@ SimDuration Device::EstimateTime(std::span<const WorkItem> items,
   return std::max(compute, cost_.TransferTime(transfer_bytes));
 }
 
-SimTime Device::Execute(std::vector<WorkItem> items, uint64_t transfer_bytes,
+SimTime Device::Execute(std::span<const WorkItem> items, uint64_t transfer_bytes,
                         std::function<void()> done) {
   assert(!busy_ && "device already executing a batch");
   assert(!items.empty());
@@ -54,9 +54,12 @@ SimTime Device::Execute(std::vector<WorkItem> items, uint64_t transfer_bytes,
   }
 
   SimTime completion = sim_->now() + elapsed;
-  sim_->ScheduleAt(completion, [this, done = std::move(done)] {
+  done_ = std::move(done);
+  sim_->ScheduleAt(completion, [this] {
     busy_ = false;
-    done();
+    // Out of the member first: the callback may start the next batch.
+    std::function<void()> callback = std::move(done_);
+    callback();
   });
   return completion;
 }

@@ -10,8 +10,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "src/model/cost_model.h"
 #include "src/sim/event_queue.h"
@@ -41,9 +41,12 @@ class Device {
   const CostModel& cost_model() const { return cost_; }
 
   // Starts executing `items` after transferring `transfer_bytes` over PCIe.
-  // `done` fires in virtual time when the batch completes. The device must
-  // be idle. Returns the predicted completion time.
-  SimTime Execute(std::vector<WorkItem> items, uint64_t transfer_bytes,
+  // `items` is read only during the call. `done` fires in virtual time when
+  // the batch completes; the device holds it until then, since it runs one
+  // batch at a time, so the completion event captures only the device. The
+  // device is idle again when `done` runs, and `done` may call Execute. The
+  // device must be idle. Returns the predicted completion time.
+  SimTime Execute(std::span<const WorkItem> items, uint64_t transfer_bytes,
                   std::function<void()> done);
 
   // Predicted execution time for a hypothetical batch (for batch policies).
@@ -67,6 +70,8 @@ class Device {
   Simulator* sim_;
   CostModel cost_;
   bool busy_ = false;
+  // The running batch's completion callback.
+  std::function<void()> done_;
   DeviceStats stats_;
   OnlineStats batch_sizes_;
   TraceRecorder* trace_ = nullptr;

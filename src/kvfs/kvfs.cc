@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstddef>
 
 namespace symphony {
 
@@ -411,35 +412,40 @@ StatusOr<KvHandle> Kvfs::Merge(std::span<const KvHandle> sources, LipId requeste
   return MakeHandle(id, owner, /*read=*/true, /*write=*/true);
 }
 
-Status Kvfs::AppendRecords(FileEntry& file, std::span<const TokenRecord> records,
-                           Tier tier, bool derived_states) {
-  KvFileData& data = *file.data;
-  const uint64_t original_length = data.length();
-  Status st;
-  while (!records.empty()) {
-    StatusOr<size_t> written = data.AppendRun(records, tier, derived_states);
+StatusOr<size_t> Kvfs::AppendRun(FileEntry& file, std::span<const TokenRecord> records,
+                                 Tier tier, bool derived_states) {
+  while (true) {
+    StatusOr<size_t> written = file.data->AppendRun(records, tier, derived_states);
     if (!written.ok()) {
       if (tier == Tier::kGpu &&
           written.status().code() == StatusCode::kResourceExhausted &&
           options_.eviction != EvictionMode::kNone && EvictOne()) {
         continue;
       }
-      st = written.status();
-      break;
+      return written.status();
     }
     if (OverPageQuota(file.owner)) {
       // The quota is a hard per-tenant cap (§6).
-      st = QuotaExceededError("kv page quota exceeded for lip " +
-                              std::to_string(file.owner));
-      break;
+      return QuotaExceededError("kv page quota exceeded for lip " +
+                                std::to_string(file.owner));
+    }
+    return written;
+  }
+}
+
+Status Kvfs::AppendRecords(FileEntry& file, std::span<const TokenRecord> records,
+                           Tier tier) {
+  const uint64_t original_length = file.data->length();
+  while (!records.empty()) {
+    StatusOr<size_t> written = AppendRun(file, records, tier, /*derived_states=*/false);
+    if (!written.ok()) {
+      // Appends are atomic: roll back the partial span.
+      (void)file.data->Truncate(original_length);
+      return written.status();
     }
     records = records.subspan(*written);
   }
-  if (!st.ok()) {
-    // Appends are atomic: roll back the partial span.
-    (void)data.Truncate(original_length);
-  }
-  return st;
+  return Status::Ok();
 }
 
 Status Kvfs::Append(KvHandle handle, std::span<const TokenRecord> records) {
@@ -450,18 +456,37 @@ Status Kvfs::Append(KvHandle handle, std::span<const TokenRecord> records) {
 }
 
 Status Kvfs::AppendTokens(KvHandle handle, std::span<const TokenId> tokens,
-                          std::span<const int32_t> positions, HiddenState initial,
-                          std::span<HiddenState> states) {
-  assert(positions.size() == tokens.size() && states.size() == tokens.size());
+                          std::span<const int32_t> positions, const Model& model,
+                          std::vector<Distribution>& dists) {
+  assert(positions.size() == tokens.size());
   SYMPHONY_ASSIGN_OR_RETURN(FileEntry * file, WritableFile(handle, "append on read-only handle"));
-  HiddenState state = file->data->empty() ? initial : *file->data->TailState();
-  std::vector<TokenRecord> records(tokens.size());
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    state = Model::Advance(state, tokens[i], positions[i]);
-    records[i] = TokenRecord{tokens[i], positions[i], state};
-    states[i] = state;
+  KvFileData& data = *file->data;
+  const uint64_t original_length = data.length();
+  const size_t original_dists = dists.size();
+  if (dists.empty()) {
+    dists.reserve(tokens.size());  // A result: one allocation. A bank grows.
   }
-  SYMPHONY_RETURN_IF_ERROR(AppendRecords(*file, records, Tier::kGpu, /*derived_states=*/true));
+  HiddenState state = data.empty() ? model.InitialState() : *data.TailState();
+  std::array<TokenRecord, kPageTokens> run;
+  while (!tokens.empty()) {
+    // Stage the records that fill the file's tail page.
+    size_t n = std::min<size_t>(tokens.size(), kPageTokens - data.length() % kPageTokens);
+    for (size_t i = 0; i < n; ++i) {
+      state = Model::Advance(state, tokens[i], positions[i]);
+      run[i] = TokenRecord{tokens[i], positions[i], state};
+      dists.push_back(model.Predict(state));
+    }
+    StatusOr<size_t> written = AppendRun(*file, std::span(run).first(n), Tier::kGpu,
+                                         /*derived_states=*/true);
+    if (!written.ok()) {
+      (void)data.Truncate(original_length);
+      dists.erase(dists.begin() + static_cast<ptrdiff_t>(original_dists), dists.end());
+      return written.status();
+    }
+    assert(*written == n);
+    tokens = tokens.subspan(n);
+    positions = positions.subspan(n);
+  }
   file->last_access = Now();
   return Status::Ok();
 }

@@ -27,6 +27,7 @@
 #include "src/kvfs/kv_file.h"
 #include "src/kvfs/page_pool.h"
 #include "src/kvfs/types.h"
+#include "src/model/model.h"
 #include "src/sim/time.h"
 
 namespace symphony {
@@ -149,13 +150,16 @@ class Kvfs {
   Status Append(KvHandle handle, std::span<const TokenRecord> records);
 
   // pred's append: one record per token, whose state is Model::Advance of
-  // the state before, starting from the file's tail state (`initial` when
-  // the file is empty). Writes each state to `states` (as many as tokens).
-  // Atomic like Append. Each token is advanced once, here, so the chain
-  // check of its page has no state to verify.
+  // the state before, starting from the file's tail state (the model's
+  // initial state when the file is empty). Appends each token's
+  // distribution, `model.Predict` of its state, to `dists`. Records are
+  // staged one page run at a time on the stack. Atomic like Append: any
+  // error truncates both the file and `dists` back to their lengths on
+  // entry. Each token is advanced once, here, so the chain check of its
+  // page has no state to verify.
   Status AppendTokens(KvHandle handle, std::span<const TokenId> tokens,
-                      std::span<const int32_t> positions, HiddenState initial,
-                      std::span<HiddenState> states);
+                      std::span<const int32_t> positions, const Model& model,
+                      std::vector<Distribution>& dists);
 
   // ---- Snapshot export/import (checkpoint/restore, src/recovery) -------
 
@@ -269,15 +273,19 @@ class Kvfs {
   StatusOr<KvHandle> MakeHandle(FileId file, LipId requester, bool read, bool write);
   bool MayRead(const FileEntry& file, LipId requester) const;
   bool MayWrite(const FileEntry& file, LipId requester) const;
-  // Appends `records` to `file` one page run at a time (KvFileData::AppendRun)
-  // with pages in `tier`. A GPU run that fails with kResourceExhausted evicts
-  // one file and retries. Each written run is checked against the owner's
-  // page quota; once per run is exact, because the owner's page references
-  // change only when the run starts a page or an eviction frees one, and both
-  // happen before the check. Any error rolls the file back to its original
-  // length. `derived_states` as in KvFileData::AppendRun.
-  Status AppendRecords(FileEntry& file, std::span<const TokenRecord> records, Tier tier,
-                       bool derived_states = false);
+  // Appends the longest prefix of `records` that fits in one page
+  // (KvFileData::AppendRun) with pages in `tier`, and returns how many it
+  // wrote. A GPU run that fails with kResourceExhausted evicts one file and
+  // retries. The written run is checked against the owner's page quota;
+  // once per run is exact, because the owner's page references change only
+  // when the run starts a page or an eviction frees one, and both happen
+  // before the check. The caller rolls the file back on error.
+  // `derived_states` as in KvFileData::AppendRun.
+  StatusOr<size_t> AppendRun(FileEntry& file, std::span<const TokenRecord> records, Tier tier,
+                             bool derived_states);
+  // Appends `records` to `file` one page run at a time; any error rolls the
+  // file back to its original length.
+  Status AppendRecords(FileEntry& file, std::span<const TokenRecord> records, Tier tier);
   // Evicts one eligible file; returns false if none eligible.
   bool EvictOne();
   // True when `owner` is at/over its page quota (admin is exempt).

@@ -78,10 +78,11 @@ void InferenceScheduler::Submit(PredRequest request) {
 // Accept()s count toward the batch caps and the one-prefill top-up, so a
 // pick LaunchBatch drops (failed validation or KV restore) leaves room for
 // the next. Both MaybeLaunch's prospective profile and LaunchBatch drive
-// it. Requests pushed onto the queue while it walks are never picked.
+// it, one walk at a time: the walk clears and reuses the scheduler's pick
+// mask. Requests pushed onto the queue while it walks are never picked.
 class InferenceScheduler::BatchPicker {
  public:
-  explicit BatchPicker(const InferenceScheduler& scheduler);
+  explicit BatchPicker(InferenceScheduler& scheduler);
   // Queue index of the next pick, or kNoPick once the batch is complete.
   size_t Next();
   // Counts the last pick, `take` new tokens, into the batch.
@@ -94,8 +95,8 @@ class InferenceScheduler::BatchPicker {
   bool Picked(size_t i) const { return i < picked_.size() && picked_[i] != 0; }
 
   const InferenceScheduler& scheduler_;
-  const size_t limit_;        // Queue size when the walk began.
-  std::vector<char> picked_;  // Pick mask over [0, deepest pick].
+  const size_t limit_;         // Queue size when the walk began.
+  std::vector<char>& picked_;  // Pick mask over [0, deepest pick].
   size_t picks_ = 0;
   size_t front_ = 0;          // Every index below it is picked.
   size_t decode_front_ = 0;   // Below it, picked or not a decode.
@@ -108,6 +109,11 @@ class InferenceScheduler::BatchPicker {
 };
 
 void InferenceScheduler::MaybeLaunch() {
+  if (launching_) {
+    // A pred failed during LaunchBatch's walk submitted again. The queue is
+    // looked at again when the batch completes, or at once if it is empty.
+    return;
+  }
   bool ready = !device_->busy() && !queue_.empty();
   if (ready && sim_->now() < next_launch_time_ &&
       recheck_at_ == next_launch_time_) {
@@ -125,25 +131,11 @@ void InferenceScheduler::MaybeLaunch() {
     return;
   }
 
-  // Profile the batch LaunchBatch would form, picked the same way, so
-  // est_batch_time describes the batch that actually launches. Nothing is
-  // validated here, so every pick counts.
-  std::vector<WorkItem> items;
-  items.reserve(std::min(queue_.size(), options_.max_batch_requests));
-  BatchPicker picker(*this);
-  for (size_t pick = picker.Next(); pick != kNoPick; pick = picker.Next()) {
-    const PredRequest& request = queue_[pick];
-    uint64_t take = ChunkTake(request);
-    StatusOr<uint64_t> length = kvfs_->Length(request.kv);
-    items.push_back(WorkItem{take, length.ok() ? *length : 0});
-    picker.Accept(take);
-  }
-
   BatchPolicyInput input;
   input.queue_size = queue_.size();
   input.oldest_wait = sim_->now() - queue_.front().submit_time;
   input.arrival_rate_per_sec = rate_per_sec_;
-  input.est_batch_time = device_->EstimateTime(items, 0);
+  input.est_batch_time = EstimateBatchTime();
   input.max_batch = options_.max_batch_requests;
 
   BatchDecision decision = policy_->ShouldLaunch(input);
@@ -153,6 +145,22 @@ void InferenceScheduler::MaybeLaunch() {
   }
   SimDuration delay = std::max<SimDuration>(decision.recheck_after, Micros(10));
   ArmRecheck(sim_->now() + delay);
+}
+
+// Profiles the batch LaunchBatch would form, so est_batch_time describes the
+// batch that actually launches. Nothing is validated here, so every pick
+// counts. The walk ends when this returns, before LaunchBatch's begins.
+SimDuration InferenceScheduler::EstimateBatchTime() {
+  items_.clear();
+  BatchPicker picker(*this);
+  for (size_t pick = picker.Next(); pick != kNoPick; pick = picker.Next()) {
+    const PredRequest& request = queue_[pick];
+    uint64_t take = ChunkTake(request);
+    StatusOr<uint64_t> length = kvfs_->Length(request.kv);
+    items_.push_back(WorkItem{take, length.ok() ? *length : 0});
+    picker.Accept(take);
+  }
+  return device_->EstimateTime(items_, 0);
 }
 
 void InferenceScheduler::ArmRecheck(SimTime when) {
@@ -165,10 +173,13 @@ void InferenceScheduler::ArmRecheck(SimTime when) {
   });
 }
 
-InferenceScheduler::BatchPicker::BatchPicker(const InferenceScheduler& scheduler)
+InferenceScheduler::BatchPicker::BatchPicker(InferenceScheduler& scheduler)
     : scheduler_(scheduler),
       limit_(scheduler.queue_.size()),
-      decode_phase_(scheduler.options_.decode_priority) {}
+      picked_(scheduler.picked_),
+      decode_phase_(scheduler.options_.decode_priority) {
+  picked_.clear();
+}
 
 size_t InferenceScheduler::BatchPicker::Next() {
   const InferenceSchedulerOptions& options = scheduler_.options_;
@@ -283,17 +294,12 @@ void InferenceScheduler::RecordQueueWait(const PredRequest& request) {
 }
 
 void InferenceScheduler::LaunchBatch() {
-  struct BatchEntry {
-    PredRequest request;
-    uint64_t take;  // New tokens of this request executed by this batch.
-  };
-  const size_t max_picks = std::min(queue_.size(), options_.max_batch_requests);
-  auto batch = std::make_shared<std::vector<BatchEntry>>();
-  batch->reserve(max_picks);
-  std::vector<WorkItem> items;
-  items.reserve(max_picks);
+  assert(batch_.empty() && "a batch is already in flight");
+  items_.clear();
   // Picks are moved out as they are made and their slots removed after the
-  // loop (completion callbacks never reenter the scheduler synchronously).
+  // loop. A request failed here completes synchronously, and a Submit from
+  // its callback only queues until the walk is over.
+  launching_ = true;
   BatchPicker picker(*this);
   for (size_t pick = picker.Next(); pick != kNoPick; pick = picker.Next()) {
     bool decode = IsDecode(queue_[pick]);
@@ -332,13 +338,14 @@ void InferenceScheduler::LaunchBatch() {
     } else {
       stats_.prefill_tokens_batched += take;
     }
-    items.push_back(WorkItem{take, *context});
-    batch->push_back(BatchEntry{std::move(request), take});
+    items_.push_back(WorkItem{take, *context});
+    batch_.push_back(BatchEntry{std::move(request), take, *context});
     picker.Accept(take);
   }
+  launching_ = false;
   picker.RemovePicks(queue_);
 
-  if (batch->empty()) {
+  if (batch_.empty()) {
     // Everything in this round failed validation; look again.
     MaybeLaunch();
     return;
@@ -346,13 +353,19 @@ void InferenceScheduler::LaunchBatch() {
 
   uint64_t transfer_bytes = kvfs_->TakePendingTransferBytes();
   ++stats_.batches;
-  device_->Execute(std::move(items), transfer_bytes, [this, batch] {
-    next_launch_time_ = sim_->now() + kFormationDelay;
-    for (BatchEntry& entry : *batch) {
-      CompleteRequest(entry.request, entry.take);
-    }
-    MaybeLaunch();
-  });
+  device_->Execute(items_, transfer_bytes, [this] { CompleteBatch(); });
+}
+
+void InferenceScheduler::CompleteBatch() {
+  // Opens the formation window before any completion runs: a completion that
+  // Submits synchronously only queues, so batch_ stays as it is until every
+  // entry has completed.
+  next_launch_time_ = sim_->now() + kFormationDelay;
+  for (BatchEntry& entry : batch_) {
+    CompleteRequest(entry);
+  }
+  batch_.clear();
+  MaybeLaunch();
 }
 
 void InferenceScheduler::CancelLip(LipId lip) {
@@ -406,23 +419,35 @@ bool InferenceScheduler::RequeueForMemory(PredRequest& request, const Status& wh
   return true;
 }
 
-void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
-  // Re-validate: another LIP may have appended to a shared file while this
-  // batch was executing.
-  StatusOr<uint64_t> length = Validate(request);
-  if (!length.ok()) {
-    ++stats_.failed;
-    request.complete(PredResult{length.status(), {}});
-    return;
+void InferenceScheduler::CompleteRequest(BatchEntry& entry) {
+  PredRequest& request = entry.request;
+  // Re-validate: another LIP may have appended to a shared file (or the file
+  // may have been closed) while this batch was executing. The launch checked
+  // the positions against entry.length, so an unchanged length passes;
+  // Validate runs only to report a mismatch.
+  uint64_t length = entry.length;
+  StatusOr<uint64_t> now_length = kvfs_->Length(request.kv);
+  if (!now_length.ok() || *now_length != length) {
+    StatusOr<uint64_t> valid = Validate(request);
+    if (!valid.ok()) {
+      ++stats_.failed;
+      request.complete(PredResult{valid.status(), {}});
+      return;
+    }
+    length = *valid;
   }
 
   // KVFS advances each token from the file's tail state (the model's initial
-  // state for an empty file) as it stores it, and hands back the states.
-  take = std::min<uint64_t>(take, request.tokens.size());
-  std::vector<HiddenState> states(take);
+  // state for an empty file) as it stores it, and appends the token's
+  // distribution: onto the chunk bank of a split prefill, otherwise onto the
+  // result. On error it leaves both as they were.
+  uint64_t take = std::min<uint64_t>(entry.take, request.tokens.size());
+  PredResult result;
+  std::vector<Distribution>& dists =
+      request.chunk_dists != nullptr ? *request.chunk_dists : result.dists;
   Status append = kvfs_->AppendTokens(request.kv, std::span(request.tokens).first(take),
-                                      std::span(request.positions).first(take),
-                                      model_->InitialState(), states);
+                                      std::span(request.positions).first(take), *model_,
+                                      dists);
   if (!append.ok()) {
     if (append.code() == StatusCode::kResourceExhausted) {
       // The whole remaining request (this chunk included) bounces; the next
@@ -434,11 +459,6 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
     request.complete(PredResult{append, {}});
     return;
   }
-  std::vector<Distribution> dists;
-  dists.reserve(take);
-  for (HiddenState state : states) {
-    dists.push_back(model_->Predict(state));
-  }
 
   if (take < request.tokens.size()) {
     // A prefill chunk: bank its distributions and re-queue the remainder as
@@ -449,10 +469,9 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
     // unchunked would; decode-priority packing reorders around it anyway.
     if (request.chunk_dists == nullptr) {
       ++stats_.prefills_chunked;
-      request.chunk_dists = std::make_shared<std::vector<Distribution>>();
+      request.chunk_dists =
+          std::make_shared<std::vector<Distribution>>(std::move(result.dists));
     }
-    request.chunk_dists->insert(request.chunk_dists->end(), dists.begin(),
-                                dists.end());
     request.chunk_done += take;
     request.tokens.erase(request.tokens.begin(),
                          request.tokens.begin() + static_cast<ptrdiff_t>(take));
@@ -472,19 +491,15 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
   }
 
   ++stats_.completed;
-  PredResult result;
   result.status = Status::Ok();
   if (request.chunk_dists != nullptr) {
-    // Final chunk: deliver the banked distributions of every earlier chunk
-    // ahead of this one's — one result, bit-identical to unchunked.
+    // Final chunk: the bank holds every chunk's distributions in order, this
+    // one's last — one result, bit-identical to unchunked.
     result.dists = std::move(*request.chunk_dists);
     request.chunk_dists.reset();
-    result.dists.insert(result.dists.end(), dists.begin(), dists.end());
-  } else {
-    result.dists = std::move(dists);
   }
   uint64_t pred_tokens = request.chunk_done + take;
-  uint64_t context_after = *length + take;
+  uint64_t context_after = length + take;
   LipId lip = request.lip;
   request.complete(std::move(result));
   if (prefill_complete_hook_ != nullptr &&

@@ -3,9 +3,21 @@
 // Aggregates pred system calls from all LIP threads into GPU batches. On
 // launch it validates each request (handle rights, strict position
 // continuation), restores KV residency (charging PCIe traffic), and sizes the
-// work; at batch completion it re-validates, materializes new TokenRecords
-// into the KV files, and delivers next-token distributions to the blocked
-// threads. Batch timing is delegated to a pluggable BatchPolicy.
+// work; at batch completion it re-validates with one compare of the file's
+// length against the length the launch validated, and KVFS appends the new
+// TokenRecords and each token's next-token distribution straight onto the
+// result the blocked thread receives (or a split prefill's chunk bank).
+// Batch timing is delegated to a pluggable BatchPolicy.
+//
+// One batch in flight. A device runs one batch at a time and MaybeLaunch
+// launches only on an idle device, so the in-flight batch, its work items
+// and the pick mask are members reused from batch to batch, and a pred
+// allocates only its result. A completion may Submit synchronously: the
+// formation window that completion opens keeps MaybeLaunch from launching,
+// and nothing may launch a batch inside the completion loop; a pred that
+// fails during the launch's walk completes there, and a Submit from its
+// callback waits until the walk is over. The profile's pick walk ends
+// before the launch's begins.
 //
 // Planning cost. Forming a batch costs O(scan horizon), not O(queue): the
 // horizon is the deepest queue position the pick order reaches. Under kFifo
@@ -147,8 +159,19 @@ class InferenceScheduler : public PredService {
   // Walks the queue in pick order for one batch (see the .cc).
   class BatchPicker;
 
+  // A pred on the device.
+  struct BatchEntry {
+    PredRequest request;
+    uint64_t take;    // New tokens of this request executed by this batch.
+    uint64_t length;  // The file length its launch validated.
+  };
+
   void MaybeLaunch();
+  // Device time of the batch LaunchBatch would form now, picked the same way.
+  SimDuration EstimateBatchTime();
   void LaunchBatch();
+  // The device finished batch_: completes every entry, then looks for work.
+  void CompleteBatch();
   // Schedules MaybeLaunch at `when`; superseded if the generation moves on.
   void ArmRecheck(SimTime when);
   bool IsDecode(const PredRequest& request) const;
@@ -157,10 +180,10 @@ class InferenceScheduler : public PredService {
   // Samples the queue wait for the original request (not for continuations
   // of an already-launched chunked prefill).
   void RecordQueueWait(const PredRequest& request);
-  // Materializes the first `take` tokens of the request; when take is short
-  // of the full request (a prefill chunk), re-queues the remainder as a
-  // continuation instead of completing.
-  void CompleteRequest(PredRequest& request, uint64_t take);
+  // Materializes the entry's `take` tokens; when take is short of the full
+  // request (a prefill chunk), re-queues the remainder as a continuation
+  // instead of completing.
+  void CompleteRequest(BatchEntry& entry);
   // Requeues a memory-starved request after a backoff; returns false (and
   // fails the request) once the retry budget is exhausted.
   bool RequeueForMemory(PredRequest& request, const Status& why);
@@ -175,6 +198,14 @@ class InferenceScheduler : public PredService {
   InferenceSchedulerOptions options_;
 
   std::deque<PredRequest> queue_;
+  // The batch on the device; empty while the device is idle.
+  std::vector<BatchEntry> batch_;
+  // Work items of the batch being profiled or launched.
+  std::vector<WorkItem> items_;
+  // BatchPicker's pick mask over [0, deepest pick] of the current walk.
+  std::vector<char> picked_;
+  // True while LaunchBatch walks the queue (MaybeLaunch then only queues).
+  bool launching_ = false;
   // LIPs cancelled by CancelLip whose in-flight memory-retry events must
   // complete with an error instead of requeueing.
   std::unordered_set<LipId> cancelled_lips_;

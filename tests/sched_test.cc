@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -22,6 +24,27 @@
 #include "src/sched/inference_scheduler.h"
 #include "src/sim/event_queue.h"
 #include "tests/stress_seeds.h"
+
+// Heap allocations made while an AllocationWindow is open (see
+// PredAllocationTest). Single-threaded, like every test here. The
+// replacements stay out of line, so no call site sees malloc() or free()
+// meet a new- or delete-expression.
+namespace {
+bool g_count_allocations = false;
+uint64_t g_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocations) {
+    ++g_allocations;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace symphony {
 namespace {
@@ -824,6 +847,352 @@ TEST(RecheckTest, SubmitDuringSizeTimeoutWaitSupersedesPendingRecheck) {
   ASSERT_EQ(waits.size(), 2u);
   EXPECT_DOUBLE_EQ(waits[0], ToMillis(Millis(1) + Micros(50) - 1));
   EXPECT_DOUBLE_EQ(waits[1], ToMillis(Micros(50)));
+}
+
+// ---------------------------------------------------------------------------
+// The batch the scheduler owns: one in flight, its entries completed in pick
+// order, and a pred that allocates only its result.
+// ---------------------------------------------------------------------------
+
+// The states Model::Advance gives `tokens` appended to a file whose last
+// state is `state` (the model's initial state for an empty file).
+std::vector<uint64_t> AdvanceStates(HiddenState state, const std::vector<TokenId>& tokens,
+                                    int32_t first_position) {
+  std::vector<uint64_t> states;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    state = Model::Advance(state, tokens[i], first_position + static_cast<int32_t>(i));
+    states.push_back(state);
+  }
+  return states;
+}
+
+std::vector<uint64_t> DistStates(const std::vector<Distribution>& dists) {
+  std::vector<uint64_t> states;
+  for (const Distribution& d : dists) {
+    states.push_back(d.state());
+  }
+  return states;
+}
+
+TEST(BatchCompletionTest, SecondPredOnASharedFileFailsItsCompletionCheck) {
+  // Two LIPs continue one public file from the same length L. Both pass the
+  // launch's validation and ride one batch; the first appends, so the
+  // second's completion finds the file at L + 3 and fails as Validate does.
+  Simulator sim;
+  Model model(ModelConfig::Tiny());
+  Kvfs kvfs(KvfsOptions{});
+  Device device(&sim, CostModel(ModelConfig::Tiny()));
+  InferenceScheduler scheduler(
+      &sim, &kvfs, &model, &device,
+      std::make_unique<SizeTimeoutPolicy>(/*target_size=*/2, Millis(1)));
+  KvHandle owner = *kvfs.Open("/shared", OpenOptions{.requester = 2, .write = true,
+                                                     .create = true,
+                                                     .create_mode = kModePublic});
+  KvHandle other = *kvfs.Open("/shared", OpenOptions{.requester = 3, .write = true});
+  const std::vector<TokenId> prefix = {260, 261, 262, 263, 264};
+  std::vector<int32_t> prefix_positions(prefix.size());
+  std::iota(prefix_positions.begin(), prefix_positions.end(), 0);
+  std::vector<Distribution> prefix_dists;
+  ASSERT_TRUE(kvfs.AppendTokens(owner, prefix, prefix_positions, model, prefix_dists).ok());
+  const int32_t length = static_cast<int32_t>(prefix.size());
+
+  const std::vector<TokenId> first = {270, 271, 272};
+  std::vector<PredResult> results(2);
+  scheduler.Submit(MakePred(1, 2, owner, first, length, 0,
+                            [&](PredResult r) { results[0] = std::move(r); }));
+  scheduler.Submit(MakePred(2, 3, other, {280, 281}, length, 0,
+                            [&](PredResult r) { results[1] = std::move(r); }));
+  sim.Run();
+
+  EXPECT_EQ(scheduler.stats().batches, 1u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status;
+  EXPECT_EQ(DistStates(results[0].dists),
+            AdvanceStates(prefix_dists.back().state(), first, length));
+  EXPECT_EQ(results[1].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(results[1].status.message(),
+            "pred positions must continue the kv file (expected 8, got 5)");
+  EXPECT_TRUE(results[1].dists.empty());
+  // The file holds the prefix and the first pred's tokens, nothing more.
+  EXPECT_EQ(*kvfs.Length(owner), 8u);
+  EXPECT_EQ(*kvfs.TailState(owner), AdvanceStates(prefix_dists.back().state(), first,
+                                                  length).back());
+  EXPECT_EQ(scheduler.stats().completed, 1u);
+  EXPECT_EQ(scheduler.stats().failed, 1u);
+}
+
+TEST(BatchCompletionTest, CompletionMaySubmitBeforeItReturns) {
+  // bench_sched_micro's rig: the first of three batched completions empties
+  // its file and submits again before returning. The other two must still
+  // complete from the batch in flight, and the resubmitted pred must wait
+  // for a batch of its own, although the eager policy would launch it at
+  // once on the idle device.
+  Simulator sim;
+  Model model(ModelConfig::Tiny());
+  Kvfs kvfs(KvfsOptions{});
+  Device device(&sim, CostModel(ModelConfig::Tiny()));
+  InferenceScheduler scheduler(&sim, &kvfs, &model, &device,
+                               std::make_unique<EagerPolicy>());
+  // Preds 0-2 queue behind a warm-up pred, so they launch as one batch.
+  std::vector<std::vector<TokenId>> tokens = {{260, 261}, {262}, {263, 264, 265}, {266, 267}};
+  std::vector<KvHandle> files;
+  for (LipId lip = 2; lip <= 4; ++lip) {
+    files.push_back(*kvfs.CreateAnonymous(lip));
+  }
+  std::vector<int> completions(tokens.size(), 0);
+  std::vector<SimTime> completed_at(tokens.size(), -1);
+  auto check = [&](size_t id, const PredResult& r) {
+    ++completions[id];
+    completed_at[id] = sim.now();
+    ASSERT_TRUE(r.status.ok()) << "pred " << id << ": " << r.status;
+    std::vector<uint64_t> expected = AdvanceStates(model.InitialState(), tokens[id], 0);
+    EXPECT_EQ(DistStates(r.dists), expected) << "pred " << id;
+    KvHandle kv = files[id == 3 ? 0 : id];  // Pred 3 reuses pred 0's file.
+    EXPECT_EQ(*kvfs.Length(kv), tokens[id].size()) << "pred " << id;
+    EXPECT_EQ(*kvfs.TailState(kv), expected.back()) << "pred " << id;
+  };
+  scheduler.Submit(MakePred(9, 9, *kvfs.CreateAnonymous(9), {270}, 0, 0, [](PredResult r) {
+    EXPECT_TRUE(r.status.ok()) << r.status;
+  }));
+  sim.ScheduleAt(1, [&] {
+    for (size_t id = 0; id < 3; ++id) {
+      scheduler.Submit(MakePred(
+          id, static_cast<LipId>(2 + id), files[id], tokens[id], 0, sim.now(),
+          [&, id](PredResult r) {
+            check(id, r);
+            if (id == 0) {
+              ASSERT_TRUE(kvfs.Truncate(files[0], 0).ok());
+              scheduler.Submit(MakePred(3, 2, files[0], tokens[3], 0, sim.now(),
+                                        [&](PredResult again) { check(3, again); }));
+            }
+          }));
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(completions, std::vector<int>(tokens.size(), 1));
+  EXPECT_EQ(scheduler.stats().batches, 3u);
+  EXPECT_EQ(scheduler.stats().completed, 5u);
+  EXPECT_EQ(device.stats().new_tokens, 9u);
+  EXPECT_EQ(completed_at[1], completed_at[0]);
+  EXPECT_EQ(completed_at[2], completed_at[0]);
+  EXPECT_GT(completed_at[3], completed_at[0]);
+}
+
+TEST(BatchCompletionTest, PredFailedAtLaunchMaySubmitBeforeItReturns) {
+  // Pred 0 does not continue its file, so the launch's walk fails it and
+  // completes it on the spot; its callback submits a valid pred at once,
+  // while the walk still holds preds 1 and 2 and the device is idle. That
+  // pred must wait for the next batch, and every pred completes once.
+  Simulator sim;
+  Model model(ModelConfig::Tiny());
+  Kvfs kvfs(KvfsOptions{});
+  Device device(&sim, CostModel(ModelConfig::Tiny()));
+  InferenceScheduler scheduler(
+      &sim, &kvfs, &model, &device,
+      std::make_unique<SizeTimeoutPolicy>(/*target_size=*/3, Millis(1)));
+  std::vector<KvHandle> files;
+  for (LipId lip = 2; lip <= 4; ++lip) {
+    files.push_back(*kvfs.CreateAnonymous(lip));
+  }
+  std::vector<Status> statuses(4);
+  std::vector<int> completions(4, 0);
+  auto record = [&](size_t id) {
+    return [&, id](PredResult r) {
+      ++completions[id];
+      statuses[id] = r.status;
+    };
+  };
+  scheduler.Submit(MakePred(0, 2, files[0], {260}, /*first_position=*/5, 0,
+                            [&](PredResult r) {
+                              record(0)(std::move(r));
+                              scheduler.Submit(
+                                  MakePred(3, 2, files[0], {261}, 0, sim.now(), record(3)));
+                            }));
+  scheduler.Submit(MakePred(1, 3, files[1], {262}, 0, 0, record(1)));
+  scheduler.Submit(MakePred(2, 4, files[2], {263}, 0, 0, record(2)));
+  sim.Run();
+  EXPECT_EQ(completions, std::vector<int>(4, 1));
+  EXPECT_EQ(statuses[0].code(), StatusCode::kInvalidArgument);
+  for (size_t id = 1; id < 4; ++id) {
+    EXPECT_TRUE(statuses[id].ok()) << "pred " << id << ": " << statuses[id];
+  }
+  EXPECT_EQ(scheduler.stats().batches, 2u);
+  EXPECT_EQ(*kvfs.Length(files[0]), 1u);
+}
+
+TEST(BatchCompletionTest, BouncedChunkLeavesItsBankAsItWas) {
+  // A 64-token prefill runs in 24-token chunks with decode priority. While
+  // its second chunk executes, a decode in the same batch (picked first)
+  // takes the last free GPU page, so the chunk's append writes its first
+  // run, then finds no page for the second: KVFS rolls the file and the
+  // chunk bank back, and the request bounces. The decode's LIP closes its
+  // file 1 ms later and the retry succeeds. The prefill's distributions,
+  // tail state and length must equal an unchunked run without pressure.
+  const std::vector<TokenId> prompt = [] {
+    std::vector<TokenId> out(64);
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<TokenId>(1 + (i * 37) % 299);
+    }
+    return out;
+  }();
+  struct Outcome {
+    std::vector<uint64_t> dist_states;
+    HiddenState tail = 0;
+    uint64_t length = 0;
+    InferenceSchedulerStats stats;
+  };
+  auto run = [&](bool pressured) {
+    Simulator sim;
+    Model model(ModelConfig::Tiny());
+    KvfsOptions kv_options;
+    // Pressured: the prefill's first two pages and the decode's two fill
+    // all four during the second chunk; the prefill ends holding all four.
+    kv_options.gpu_page_budget = pressured ? 4 : 256;
+    kv_options.eviction = EvictionMode::kNone;
+    Kvfs kvfs(kv_options);
+    Device device(&sim, CostModel(ModelConfig::Tiny()));
+    InferenceSchedulerOptions options;
+    if (pressured) {
+      options.prefill_chunk_tokens = 24;
+      options.decode_priority = true;
+    }
+    InferenceScheduler scheduler(&sim, &kvfs, &model, &device,
+                                 std::make_unique<EagerPolicy>(), options);
+    Outcome outcome;
+    KvHandle prefill_kv = *kvfs.CreateAnonymous(2);
+    scheduler.Submit(MakePred(1, 2, prefill_kv, prompt, 0, 0, [&](PredResult r) {
+      ASSERT_TRUE(r.status.ok()) << r.status;
+      outcome.dist_states = DistStates(r.dists);
+      outcome.length = *kvfs.Length(prefill_kv);
+      outcome.tail = *kvfs.TailState(prefill_kv);
+    }));
+    if (pressured) {
+      // One full page, so the decode's token needs a fresh one. It arrives
+      // while the first chunk executes and joins the second chunk's batch.
+      KvHandle decode_kv = *kvfs.CreateAnonymous(3);
+      std::vector<TokenId> page(kPageTokens, 290);
+      std::vector<int32_t> positions(kPageTokens);
+      std::iota(positions.begin(), positions.end(), 0);
+      std::vector<Distribution> unused;
+      EXPECT_TRUE(kvfs.AppendTokens(decode_kv, page, positions, model, unused).ok());
+      sim.ScheduleAt(1, [&, decode_kv] {
+        scheduler.Submit(MakePred(2, 3, decode_kv, {291}, kPageTokens, sim.now(),
+                                  [&, decode_kv](PredResult r) {
+                                    EXPECT_TRUE(r.status.ok()) << r.status;
+                                    EXPECT_EQ(kvfs.pool().gpu_pages_free(), 0u);
+                                    sim.ScheduleAfter(Millis(1), [&, decode_kv] {
+                                      EXPECT_TRUE(kvfs.Close(decode_kv).ok());
+                                    });
+                                  }));
+      });
+    }
+    sim.Run();
+    outcome.stats = scheduler.stats();
+    return outcome;
+  };
+  Outcome baseline = run(false);
+  Outcome pressured = run(true);
+  ASSERT_EQ(baseline.dist_states.size(), prompt.size());
+  EXPECT_EQ(pressured.dist_states, baseline.dist_states);
+  EXPECT_EQ(pressured.tail, baseline.tail);
+  EXPECT_EQ(pressured.length, baseline.length);
+  EXPECT_GE(pressured.stats.memory_requeues, 1u);
+  EXPECT_EQ(pressured.stats.prefills_chunked, 1u);
+  EXPECT_EQ(pressured.stats.failed, 0u);
+}
+
+// Counts the heap allocations made while it is alive.
+class AllocationWindow {
+ public:
+  AllocationWindow() : start_(g_allocations) { g_count_allocations = true; }
+  ~AllocationWindow() { g_count_allocations = false; }
+  uint64_t count() const { return g_allocations - start_; }
+
+ private:
+  uint64_t start_;
+};
+
+// Clients in a closed loop, each with its own file: a completed 1-token
+// pred resubmits the next one from inside its completion, continuing the
+// file, which goes back to one token every four pages so the page pool and
+// the file's page list stop growing after warm-up.
+class ClosedLoopRig {
+ public:
+  explicit ClosedLoopRig(size_t clients)
+      : model_(ModelConfig::Tiny()),
+        kvfs_(KvfsOptions{}),
+        device_(&sim_, CostModel(ModelConfig::Tiny())),
+        scheduler_(&sim_, &kvfs_, &model_, &device_, std::make_unique<EagerPolicy>()) {
+    for (size_t c = 0; c < clients; ++c) {
+      files_.push_back(*kvfs_.CreateAnonymous(static_cast<LipId>(2 + c)));
+    }
+    for (size_t c = 0; c < clients; ++c) {
+      Submit(c);
+    }
+  }
+
+  // Runs until `preds` more preds have completed.
+  void Complete(uint64_t preds) {
+    const uint64_t target = scheduler_.stats().completed + preds;
+    while (scheduler_.stats().completed < target && sim_.Step()) {
+    }
+  }
+  uint64_t completed() const { return scheduler_.stats().completed; }
+
+ private:
+  void Submit(size_t c) {
+    KvHandle kv = files_[c];
+    uint64_t length = *kvfs_.Length(kv);
+    if (length == 4 * kPageTokens) {
+      (void)kvfs_.Truncate(kv, 1);
+      length = 1;
+    }
+    PredRequest request;
+    request.lip = static_cast<LipId>(2 + c);
+    request.kv = kv;
+    request.tokens = {260};                                 // Allocation 1.
+    request.positions = {static_cast<int32_t>(length)};     // Allocation 2.
+    request.submit_time = sim_.now();
+    // Small enough for std::function's inline buffer.
+    request.complete = [this, c](PredResult result) {
+      EXPECT_TRUE(result.status.ok()) << result.status;
+      EXPECT_EQ(result.dists.size(), 1u);
+      Submit(c);
+    };
+    scheduler_.Submit(std::move(request));
+  }
+
+  Simulator sim_;
+  Model model_;
+  Kvfs kvfs_;
+  Device device_;
+  InferenceScheduler scheduler_;
+  std::vector<KvHandle> files_;
+};
+
+TEST(PredAllocationTest, APredAllocatesItsRequestAndItsResult) {
+  // Per pred: the rig's tokens and positions vectors (2), the result's
+  // distribution vector (1), and std::deque<PredRequest>'s 512-byte block,
+  // which holds three requests, so one allocation every third submit (1/3).
+  // Scheduler, device and KVFS allocate nothing else once warm: the batch,
+  // its work items and the pick mask are reused, the device's completion
+  // event captures only the device, and KVFS stages records on the stack.
+  // The bound leaves 1/6 of an allocation per pred for the deque's block map
+  // and the queue-wait series, which grow geometrically.
+  for (size_t clients : {size_t{1}, size_t{8}}) {
+    ClosedLoopRig rig(clients);
+    rig.Complete(2000);
+    const uint64_t before = rig.completed();
+    uint64_t allocations;
+    {
+      AllocationWindow window;
+      rig.Complete(6000);
+      allocations = window.count();
+    }
+    const double per_pred =
+        static_cast<double>(allocations) / static_cast<double>(rig.completed() - before);
+    EXPECT_LE(per_pred, 3.5) << clients << " clients: " << allocations << " allocations";
+    EXPECT_GE(per_pred, 3.0) << clients << " clients: the window counts nothing";
+  }
 }
 
 // ---------------------------------------------------------------------------
