@@ -72,16 +72,16 @@ void BM_AppendUnchained(benchmark::State& state) {
 }
 BENCHMARK(BM_AppendUnchained)->Arg(3000);
 
-// Append by a non-admin owner while a page-quota hook is installed, so every
-// new page is checked against the owner's quota, as a LIP's appends are in
-// the serving stack.
+// Append by a non-admin owner that has a page limit, so every page run
+// counts the owner's pages with one scan of the file table, as a LIP's
+// appends are under a LipQuota with max_kv_pages set.
 void BM_AppendOwned(benchmark::State& state) {
   constexpr LipId kOwner = 10;
   const size_t tokens = static_cast<size_t>(state.range(0));
   std::vector<TokenRecord> recs = MakeRecords(tokens);
   for (auto _ : state) {
     Kvfs fs(BigOptions());
-    fs.set_page_quota_hook([](LipId) -> uint64_t { return 1 << 20; });
+    fs.SetPageQuota(kOwner, 1 << 20);
     KvHandle h = *fs.CreateAnonymous(kOwner);
     benchmark::DoNotOptimize(fs.Append(h, recs));
     (void)fs.Close(h);

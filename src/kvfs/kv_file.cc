@@ -11,8 +11,7 @@ KvFileData::KvFileData(KvFileData&& other) noexcept
       pages_(std::move(other.pages_)),
       length_(other.length_),
       tail_state_(other.tail_state_),
-      resident_epoch_(other.resident_epoch_),
-      page_ref_observer_(std::move(other.page_ref_observer_)) {
+      resident_epoch_(other.resident_epoch_) {
   other.pages_.clear();
   other.length_ = 0;
 }
@@ -25,7 +24,6 @@ KvFileData& KvFileData::operator=(KvFileData&& other) noexcept {
     length_ = other.length_;
     tail_state_ = other.tail_state_;
     resident_epoch_ = other.resident_epoch_;
-    page_ref_observer_ = std::move(other.page_ref_observer_);
     other.pages_.clear();
     other.length_ = 0;
   }
@@ -48,7 +46,6 @@ StatusOr<size_t> KvFileData::AppendRun(std::span<const TokenRecord> records, Tie
   if (offset == 0) {
     SYMPHONY_ASSIGN_OR_RETURN(PageId page, pool_->Allocate(tier));
     pages_.push_back(page);
-    NotifyDelta(1);
   } else {
     SYMPHONY_RETURN_IF_ERROR(MakeExclusive(pages_.size() - 1));
   }
@@ -101,13 +98,10 @@ Status KvFileData::Truncate(uint64_t new_length) {
     return Status::Ok();
   }
   size_t keep_pages = static_cast<size_t>((new_length + kPageTokens - 1) / kPageTokens);
-  int64_t dropped = 0;
   while (pages_.size() > keep_pages) {
     pool_->Unref(pages_.back());
     pages_.pop_back();
-    --dropped;
   }
-  NotifyDelta(dropped);
   length_ = new_length;
   if (new_length > 0) {
     tail_state_ = pool_->ReadRecord(pages_.back(),
@@ -137,12 +131,10 @@ Status KvFileData::CloneFrom(const KvFileData& other) {
   for (PageId page : pages_) {
     pool_->Ref(page);
   }
-  NotifyDelta(static_cast<int64_t>(pages_.size()));
   return Status::Ok();
 }
 
 void KvFileData::ReleaseAll() {
-  NotifyDelta(-static_cast<int64_t>(pages_.size()));
   for (PageId page : pages_) {
     pool_->Unref(page);
   }

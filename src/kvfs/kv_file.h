@@ -14,7 +14,6 @@
 #define SRC_KVFS_KV_FILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -40,6 +39,8 @@ class KvFileData {
 
   uint64_t length() const { return length_; }
   bool empty() const { return length_ == 0; }
+  // The file's page references. A file does not know its owner and reports
+  // no change: Kvfs::OwnerPageRefs sums these sizes over an owner's files.
   const std::vector<PageId>& pages() const { return pages_; }
 
   // Appends the longest prefix of `records` that fits in one page: into the
@@ -91,19 +92,7 @@ class KvFileData {
   uint64_t resident_epoch() const { return resident_epoch_; }
   void set_resident_epoch(uint64_t epoch) { resident_epoch_ = epoch; }
 
-  // Observer of this file's page-reference count (for per-owner resource
-  // accounting): called with +n / -n whenever pages_ grows or shrinks.
-  void set_page_ref_observer(std::function<void(int64_t)> observer) {
-    page_ref_observer_ = std::move(observer);
-  }
-
  private:
-  void NotifyDelta(int64_t delta) {
-    if (page_ref_observer_ && delta != 0) {
-      page_ref_observer_(delta);
-    }
-  }
-
   // Copy-on-write: ensures pages_[page_index] is exclusively owned.
   Status MakeExclusive(size_t page_index);
 
@@ -113,7 +102,6 @@ class KvFileData {
   // State of record length_ - 1; meaningful while length_ > 0.
   HiddenState tail_state_ = 0;
   uint64_t resident_epoch_ = kNoEpoch;
-  std::function<void(int64_t)> page_ref_observer_;
 };
 
 }  // namespace symphony

@@ -33,34 +33,35 @@ FileId Kvfs::AllocateFileSlot() {
   entry.generation = generation;
   entry.live = true;
   entry.data.emplace(&pool_);
-  // Attribute this file's page references to its (future) owner. The owner
-  // field is always assigned before any pages are added. An owner whose
-  // count returns to zero loses its entry, so the map holds current owners,
-  // not every LIP that ever held a page.
-  entry.data->set_page_ref_observer([this, id](int64_t delta) {
-    auto it = owner_page_refs_.try_emplace(files_[id].owner, 0).first;
-    it->second += delta;
-    if (it->second == 0) {
-      owner_page_refs_.erase(it);
-    }
-  });
   return id;
 }
 
-uint64_t Kvfs::OwnerPageRefs(LipId owner) const {
-  auto it = owner_page_refs_.find(owner);
-  if (it == owner_page_refs_.end() || it->second < 0) {
-    return 0;
+void Kvfs::SetPageQuota(LipId owner, uint64_t max_pages) {
+  if (max_pages == UINT64_MAX) {
+    page_quotas_.erase(owner);
+  } else {
+    page_quotas_[owner] = max_pages;
   }
-  return static_cast<uint64_t>(it->second);
+}
+
+uint64_t Kvfs::OwnerPageRefs(LipId owner) const {
+  // A file's owner is set at creation, before its first page, and never
+  // changes; a reclaimed file has no data and a dropped one no pages.
+  uint64_t refs = 0;
+  for (const FileEntry& entry : files_) {
+    if (entry.live && entry.owner == owner) {
+      refs += entry.data->pages().size();
+    }
+  }
+  return refs;
 }
 
 bool Kvfs::OverPageQuota(LipId owner) const {
-  if (!page_quota_ || owner == kAdminLip) {
+  if (owner == kAdminLip) {
     return false;
   }
-  uint64_t quota = page_quota_(owner);
-  return OwnerPageRefs(owner) > quota;
+  auto it = page_quotas_.find(owner);
+  return it != page_quotas_.end() && OwnerPageRefs(owner) > it->second;
 }
 
 void Kvfs::ReclaimIfOrphaned(FileId id) {

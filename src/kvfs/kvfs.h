@@ -76,11 +76,6 @@ struct KvFileInfo {
   SimTime last_access = 0;
 };
 
-// Per-owner page quota hook (paper §6, resource accounting): returns the
-// maximum page references the owner may hold; UINT64_MAX = unlimited. Admin
-// is never limited.
-using PageQuotaHook = std::function<uint64_t(LipId owner)>;
-
 struct KvfsStats {
   uint64_t opens = 0;
   uint64_t forks = 0;
@@ -208,9 +203,6 @@ class Kvfs {
   // must find that page.
   Status RestoreToGpu(KvHandle handle);
 
-  // Ensures at least `pages` free GPU pages, evicting eligible files.
-  Status ReserveGpuPages(uint64_t pages);
-
   // Moves every unpinned file owned by `owner` to the host tier (the §4.3
   // offload-while-blocked-on-I/O optimization). Files are restored lazily by
   // the next pred that uses them. Returns the number of pages moved; stops
@@ -228,9 +220,19 @@ class Kvfs {
   const KvfsStats& stats() const { return stats_; }
   const PagePool& pool() const { return pool_; }
   void set_bytes_per_page(uint64_t bytes) { bytes_per_page_ = bytes; }
-  void set_page_quota_hook(PageQuotaHook hook) { page_quota_ = std::move(hook); }
 
-  // Page references currently attributed to files owned by `owner`.
+  // ---- Page quota (paper §6, resource accounting) ------------------------
+
+  // Caps the page references `owner`'s files may hold: a page run or fork
+  // that takes the owner past `max_pages` fails with kQuotaExceeded and is
+  // rolled back. UINT64_MAX (the default) lifts the cap. Admin is never
+  // limited. A limit stays until changed, also after the owner exits, since
+  // its named files still count.
+  void SetPageQuota(LipId owner, uint64_t max_pages);
+
+  // Page references held by `owner`'s live files, counted on each call: a
+  // scan of the file table, so nothing that changes a file's pages needs to
+  // report it.
   uint64_t OwnerPageRefs(LipId owner) const;
 
   // Direct data access for the serving layer / tests (bypasses ACLs).
@@ -286,9 +288,12 @@ class Kvfs {
   // Appends `records` to `file` one page run at a time; any error rolls the
   // file back to its original length.
   Status AppendRecords(FileEntry& file, std::span<const TokenRecord> records, Tier tier);
+  // Ensures at least `pages` free GPU pages, evicting eligible files.
+  Status ReserveGpuPages(uint64_t pages);
   // Evicts one eligible file; returns false if none eligible.
   bool EvictOne();
-  // True when `owner` is at/over its page quota (admin is exempt).
+  // True when `owner` holds more page references than its quota allows;
+  // scans the file table only for an owner with a limit.
   bool OverPageQuota(LipId owner) const;
   // The least recently accessed file eviction may take (live, holding GPU
   // pages, not pinned, locked or open), or kInvalidFile when none is.
@@ -297,15 +302,13 @@ class Kvfs {
 
   KvfsOptions options_;
   PagePool pool_;
-  // Declared before files_ so it outlives every KvFileData destructor (their
-  // page-ref observers write into this map during teardown).
-  std::unordered_map<LipId, int64_t> owner_page_refs_;
   std::vector<FileEntry> files_;
   std::vector<uint32_t> free_file_slots_;
   std::vector<HandleEntry> handles_;
   std::vector<uint32_t> free_handle_slots_;
   std::unordered_map<std::string, FileId> names_;
-  PageQuotaHook page_quota_;
+  // Finite page limits only (SetPageQuota).
+  std::unordered_map<LipId, uint64_t> page_quotas_;
   // KV bytes per page; the serving layer overwrites this from its model
   // config (default: Llama-13B geometry).
   uint64_t bytes_per_page_ = static_cast<uint64_t>(kPageTokens) * 819200;

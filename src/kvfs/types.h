@@ -15,6 +15,18 @@ using LipId = uint32_t;
 inline constexpr LipId kNoLip = 0;      // Reserved: "nobody".
 inline constexpr LipId kAdminLip = 1;   // Superuser: bypasses ACL checks.
 
+// Per-LIP resource limits (paper §6: "resource accounting" for untrusted
+// programs). Defaults are unlimited; the admin LIP is never limited. Each
+// limit is enforced where it is spent: the runtime checks the first three at
+// the system-call boundary, and KVFS checks the page limit on every page run
+// and fork (Kvfs::SetPageQuota).
+struct LipQuota {
+  uint64_t max_pred_tokens = UINT64_MAX;  // Total tokens across all preds.
+  uint64_t max_tool_calls = UINT64_MAX;
+  uint32_t max_threads = UINT32_MAX;      // Threads spawned over the lifetime.
+  uint64_t max_kv_pages = UINT64_MAX;     // Page references held in KVFS.
+};
+
 using PageId = uint32_t;
 using FileId = uint32_t;
 inline constexpr PageId kInvalidPage = std::numeric_limits<PageId>::max();

@@ -43,7 +43,6 @@ IpcFabric::IpcFabric(Simulator* sim, const CostModel* cost, FaultPlan* faults,
 void IpcFabric::AttachReplica(size_t index, LipRuntime* runtime) {
   if (index >= runtimes_.size()) {
     runtimes_.resize(index + 1, nullptr);
-    dead_.resize(index + 1, false);
     fenced_.resize(index + 1, false);
     fence_epoch_.resize(index + 1, 0);
     replica_stats_.resize(index + 1);
@@ -67,22 +66,20 @@ void IpcFabric::ReviveReplica(size_t index, LipRuntime* runtime) {
     return;
   }
   runtimes_[index] = runtime;
-  dead_[index] = false;
   fenced_[index] = false;
 }
 
 void IpcFabric::MarkReplicaDead(size_t index) {
-  if (index >= dead_.size()) {
+  if (index >= runtimes_.size()) {
     // An unknown replica cannot hold waiters or bytes; marking it dead is a
     // caller bug (wrong index), and ignoring it would quietly leave the REAL
     // victim's waiters parked forever. Fail loudly.
     SYMPHONY_LOG(kError) << "MarkReplicaDead: replica " << index
                          << " was never attached (replica count "
-                         << dead_.size() << ")";
+                         << runtimes_.size() << ")";
     assert(false && "MarkReplicaDead on an unattached replica index");
     return;
   }
-  dead_[index] = true;
   DropReplicaWaiters(index);
 }
 

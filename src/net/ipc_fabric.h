@@ -179,9 +179,9 @@ class IpcFabric : public ChannelFabric {
   // alone.
   void FenceReplica(size_t index, uint64_t epoch);
 
-  // Readmission: swaps in the rebuilt replica's runtime and clears the dead
-  // and fence flags. The fence epoch is retained as the slot's generation
-  // high-water mark (replica_fence_epoch).
+  // Readmission: swaps in the rebuilt replica's runtime and clears the fence
+  // flag. The fence epoch is retained as the slot's generation high-water
+  // mark (replica_fence_epoch).
   void ReviveReplica(size_t index, LipRuntime* runtime);
 
   bool replica_fenced(size_t index) const {
@@ -221,11 +221,9 @@ class IpcFabric : public ChannelFabric {
   // parked senders immediately.
   void SetChannelCredits(const std::string& channel, uint64_t capacity);
 
-  // Senders currently parked for a credit on channels, sending from
-  // `replica`, and the admission-facing penalty derived from them (50 µs
-  // per parked sender) — wired into SymphonyServer::set_backpressure_hook by
-  // the cluster.
-  size_t ParkedSenders(size_t replica) const;
+  // The admission-facing penalty for senders from `replica` parked for a
+  // credit (50 µs per parked sender) — wired into
+  // SymphonyServer::set_backpressure_hook by the cluster.
   SimDuration BackpressureDelay(size_t replica) const;
 
   // ---- Introspection ----------------------------------------------------
@@ -319,6 +317,8 @@ class IpcFabric : public ChannelFabric {
   void DropMessage(const std::string& name, ChannelState& ch, uint64_t msg_id);
   Message* FindMessage(ChannelState& ch, uint64_t msg_id);
   SimDuration RetryDelay(const std::string& name, const Message& msg) const;
+  // Senders from `replica` currently parked for a credit, on any channel.
+  size_t ParkedSenders(size_t replica) const;
 
   Simulator* sim_;
   const CostModel* cost_;
@@ -326,7 +326,6 @@ class IpcFabric : public ChannelFabric {
   TraceRecorder* trace_;  // Optional.
   IpcFabricOptions options_;
   std::vector<LipRuntime*> runtimes_;
-  std::vector<bool> dead_;
   std::vector<bool> fenced_;
   std::vector<uint64_t> fence_epoch_;
   std::vector<IpcReplicaStats> replica_stats_;

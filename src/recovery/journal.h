@@ -139,20 +139,17 @@ struct JournalEntry {
 class SyscallJournal {
  public:
   // ---- Launch metadata (everything needed to re-launch the LIP) ---------
+  // Filled by LipRuntime::EnableJournal and kept current by SetQuota and
+  // SetDeadline; Replayer::Replay hands each back to the new incarnation.
   std::string name;
   uint64_t rng_seed = 0;
-  // Quota captured at SetQuota time so a replayed LIP resumes under the same
-  // limits (usage itself is rebuilt by re-execution — see runtime.cc).
-  bool has_quota = false;
-  uint64_t quota_max_pred_tokens = UINT64_MAX;
-  uint64_t quota_max_tool_calls = UINT64_MAX;
-  uint32_t quota_max_threads = UINT32_MAX;
-  uint64_t quota_max_kv_pages = UINT64_MAX;
-  // Absolute deadline captured at SetDeadline time: recovery re-arms it so a
-  // replayed LIP cannot outlive the budget its original admission granted.
-  // (Replay itself is exempt from rejection while the log serves — see
+  // The LIP's limits (default unlimited), so a replayed LIP resumes under the
+  // same ones; usage itself is rebuilt by re-execution (see runtime.cc).
+  LipQuota quota;
+  // Absolute deadline, 0 = none: recovery re-arms it so a replayed LIP
+  // cannot outlive the budget its original admission granted. (Replay itself
+  // is exempt from rejection while the log serves — see
   // LipRuntime::SetDeadline.)
-  bool has_deadline = false;
   SimTime deadline = 0;
 
   // ---- The log ----------------------------------------------------------

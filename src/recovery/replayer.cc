@@ -50,15 +50,8 @@ ReplayOutcome Replayer::Replay(LipRuntime& runtime, const CostModel& cost,
                      : mode;
   outcome.lip = runtime.LaunchWithSeed(journal->name, journal->rng_seed,
                                        std::move(program), std::move(on_exit));
-  if (journal->has_quota) {
-    LipQuota quota;
-    quota.max_pred_tokens = journal->quota_max_pred_tokens;
-    quota.max_tool_calls = journal->quota_max_tool_calls;
-    quota.max_threads = journal->quota_max_threads;
-    quota.max_kv_pages = journal->quota_max_kv_pages;
-    runtime.SetQuota(outcome.lip, quota);
-  }
-  if (journal->has_deadline) {
+  runtime.SetQuota(outcome.lip, journal->quota);
+  if (journal->deadline != 0) {
     runtime.SetDeadline(outcome.lip, journal->deadline);
   }
   runtime.EnableJournal(outcome.lip, journal);

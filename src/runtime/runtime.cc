@@ -13,10 +13,6 @@ LipRuntime::LipRuntime(Simulator* sim, Kvfs* kvfs, RuntimeOptions options)
     : sim_(sim), kvfs_(kvfs), options_(options) {
   assert(sim != nullptr);
   assert(kvfs != nullptr);
-  kvfs_->set_page_quota_hook([this](LipId lip) {
-    auto it = processes_.find(lip);
-    return it == processes_.end() ? UINT64_MAX : it->second.quota.max_kv_pages;
-  });
 }
 
 LipRuntime::~LipRuntime() {
@@ -224,12 +220,9 @@ bool LipRuntime::LipDone(LipId lip) const { return GetProcess(lip).done; }
 void LipRuntime::SetQuota(LipId lip, LipQuota quota) {
   Process& proc = GetProcess(lip);
   proc.quota = quota;
+  kvfs_->SetPageQuota(lip, quota.max_kv_pages);
   if (proc.journal != nullptr) {
-    proc.journal->has_quota = true;
-    proc.journal->quota_max_pred_tokens = quota.max_pred_tokens;
-    proc.journal->quota_max_tool_calls = quota.max_tool_calls;
-    proc.journal->quota_max_threads = quota.max_threads;
-    proc.journal->quota_max_kv_pages = quota.max_kv_pages;
+    proc.journal->quota = quota;
   }
 }
 
@@ -238,7 +231,6 @@ void LipRuntime::SetDeadline(LipId lip, SimTime deadline) {
   proc.deadline = deadline;
   proc.expired = false;
   if (proc.journal != nullptr) {
-    proc.journal->has_deadline = true;
     proc.journal->deadline = deadline;
   }
   sim_->ScheduleAt(deadline,
@@ -290,21 +282,8 @@ void LipRuntime::EnableJournal(LipId lip,
   Process& proc = GetProcess(lip);
   journal->name = proc.name;
   journal->rng_seed = proc.rng_seed;
-  if (proc.deadline != 0) {
-    journal->has_deadline = true;
-    journal->deadline = proc.deadline;
-  }
-  LipQuota unlimited;
-  if (proc.quota.max_pred_tokens != unlimited.max_pred_tokens ||
-      proc.quota.max_tool_calls != unlimited.max_tool_calls ||
-      proc.quota.max_threads != unlimited.max_threads ||
-      proc.quota.max_kv_pages != unlimited.max_kv_pages) {
-    journal->has_quota = true;
-    journal->quota_max_pred_tokens = proc.quota.max_pred_tokens;
-    journal->quota_max_tool_calls = proc.quota.max_tool_calls;
-    journal->quota_max_threads = proc.quota.max_threads;
-    journal->quota_max_kv_pages = proc.quota.max_kv_pages;
-  }
+  journal->quota = proc.quota;
+  journal->deadline = proc.deadline;
   proc.journal = std::move(journal);
 }
 

@@ -104,15 +104,6 @@ struct RuntimeOptions {
   uint64_t seed = 42;
 };
 
-// Per-LIP resource limits (paper §6: "resource accounting" for untrusted
-// programs). Defaults are unlimited; the admin LIP is never limited.
-struct LipQuota {
-  uint64_t max_pred_tokens = UINT64_MAX;  // Total tokens across all preds.
-  uint64_t max_tool_calls = UINT64_MAX;
-  uint32_t max_threads = UINT32_MAX;      // Threads spawned over the lifetime.
-  uint64_t max_kv_pages = UINT64_MAX;     // Page references held in KVFS.
-};
-
 struct LipUsage {
   uint64_t pred_tokens = 0;
   uint64_t tool_calls = 0;
@@ -194,9 +185,9 @@ class LipRuntime {
 
   // Attaches a journal; every completed syscall is recorded from then on.
   // Must be called before the LIP's first dispatch for a complete record.
-  // Fills the journal's launch metadata (name, rng seed, quota) from the
-  // process. The runtime shares ownership until the LIP exits; a caller
-  // that reads the journal after exit keeps its own reference.
+  // Fills the journal's launch metadata (name, rng seed, quota, deadline)
+  // from the process. The runtime shares ownership until the LIP exits; a
+  // caller that reads the journal after exit keeps its own reference.
   void EnableJournal(LipId lip, std::shared_ptr<SyscallJournal> journal);
 
   // The journal attached to `lip`; nullptr when none is attached or the LIP
@@ -222,7 +213,8 @@ class LipRuntime {
   Status Detach(LipId lip);
 
   // Resource accounting (§6). Quotas may be set any time; enforcement is at
-  // the system-call boundary from then on.
+  // the system-call boundary from then on. The page limit is handed to KVFS
+  // (Kvfs::SetPageQuota), which enforces it and counts the pages.
   void SetQuota(LipId lip, LipQuota quota);
   LipUsage GetUsage(LipId lip) const;
 

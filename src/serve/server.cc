@@ -323,9 +323,6 @@ LipId SymphonyServer::LaunchAdmitted(LaunchSpec spec, SimTime abs_deadline) {
                                    std::move(spec.program), std::move(on_exit))
                         : Launch(std::move(spec.name), std::move(spec.program),
                                  std::move(on_exit));
-  if (spec.has_quota) {
-    runtime_->SetQuota(lip, spec.quota);
-  }
   if (abs_deadline > 0) {
     runtime_->SetDeadline(lip, abs_deadline);
   }

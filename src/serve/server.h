@@ -145,8 +145,6 @@ class SymphonyServer {
     std::string name;
     LipProgram program;
     std::function<void(LipId)> on_exit;
-    bool has_quota = false;
-    LipQuota quota;
     // Completion budget relative to submission; 0 = none. Enforced as a
     // per-LIP deadline (LipRuntime::SetDeadline) once launched, and used for
     // deadline-aware rejection while queued.

@@ -622,13 +622,29 @@ TEST_F(KvfsTest, OwnerPageRefsTrackLifecycle) {
   EXPECT_EQ(fs.OwnerPageRefs(kAlice), 3u);
   EXPECT_EQ(fs.OwnerPageRefs(kBob), 3u);
   (void)bob_fork;
+
+  // A closed named file still counts for its owner.
+  ASSERT_TRUE(fs.Close(hb).ok());
+  ASSERT_TRUE(fs.Close(h).ok());
+  EXPECT_EQ(fs.OwnerPageRefs(kAlice), 3u);
+
+  // Once eviction drops it, it counts nothing.
+  Kvfs small(Options(EvictionMode::kDropLru, /*gpu_pages=*/4, /*host_pages=*/0));
+  KvHandle cold = *small.Open("/kv/cold", create);
+  ASSERT_TRUE(small.Append(cold, MakeRecords(48)).ok());  // 3 of 4 pages.
+  ASSERT_TRUE(small.Close(cold).ok());
+  EXPECT_EQ(small.OwnerPageRefs(kAlice), 3u);
+  KvHandle hot = *small.CreateAnonymous(kBob);
+  ASSERT_TRUE(small.Append(hot, MakeRecords(32)).ok());  // The 2nd page drops /kv/cold.
+  EXPECT_EQ(small.stats().dropped_files, 1u);
+  EXPECT_FALSE(small.Exists("/kv/cold"));
+  EXPECT_EQ(small.OwnerPageRefs(kAlice), 0u);
+  EXPECT_EQ(small.OwnerPageRefs(kBob), 2u);
 }
 
-TEST_F(KvfsTest, PageQuotaHookEnforced) {
+TEST_F(KvfsTest, PageQuotaEnforced) {
   Kvfs fs(Options());
-  fs.set_page_quota_hook([](LipId owner) -> uint64_t {
-    return owner == kAlice ? 2 : UINT64_MAX;
-  });
+  fs.SetPageQuota(kAlice, 2);
   OpenOptions create{.requester = kAlice, .write = true, .create = true};
   KvHandle h = *fs.Open("/kv/capped", create);
   // Two pages fit.
@@ -641,6 +657,11 @@ TEST_F(KvfsTest, PageQuotaHookEnforced) {
   OpenOptions bob_create{.requester = kBob, .write = true, .create = true};
   KvHandle hb = *fs.Open("/kv/bobs", bob_create);
   EXPECT_TRUE(fs.Append(hb, MakeRecords(48)).ok());
+  // UINT64_MAX lifts Alice's limit.
+  fs.SetPageQuota(kAlice, UINT64_MAX);
+  EXPECT_TRUE(fs.Append(h, MakeRecords(1, 500)).ok());
+  EXPECT_EQ(*fs.Length(h), 33u);
+  EXPECT_EQ(fs.OwnerPageRefs(kAlice), 3u);
 }
 
 TEST_F(KvfsTest, AppendIsAtomicOnMidSpanFailure) {
@@ -655,8 +676,8 @@ TEST_F(KvfsTest, AppendIsAtomicOnMidSpanFailure) {
   EXPECT_EQ(fs.pool().stats().gpu_pages_used, 1u);
 }
 
-// Growing the file table moves every file; each file's page-ref observer must
-// move with it, or its owner's count freezes at the value it had before.
+// Growing the file table moves every file; an owner's page count and quota
+// must still see the moved files.
 TEST_F(KvfsTest, OwnerPageRefsSurviveFileTableGrowth) {
   Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/64, /*host_pages=*/0));
   KvHandle h = *fs.CreateAnonymous(kAlice);
@@ -668,9 +689,7 @@ TEST_F(KvfsTest, OwnerPageRefsSurviveFileTableGrowth) {
   EXPECT_EQ(fs.OwnerPageRefs(kAlice), 3u);
   ASSERT_TRUE(fs.Close(h).ok());
   EXPECT_EQ(fs.OwnerPageRefs(kAlice), 0u);
-  fs.set_page_quota_hook([](LipId owner) -> uint64_t {
-    return owner == kAlice ? 2 : UINT64_MAX;
-  });
+  fs.SetPageQuota(kAlice, 2);
   KvHandle next = *fs.CreateAnonymous(kAlice);
   EXPECT_TRUE(fs.Append(next, MakeRecords(32)).ok());
   EXPECT_EQ(fs.OwnerPageRefs(kAlice), 2u);
@@ -678,9 +697,7 @@ TEST_F(KvfsTest, OwnerPageRefsSurviveFileTableGrowth) {
 
 TEST_F(KvfsTest, PageQuotaHoldsAcrossFileTableGrowth) {
   Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/64, /*host_pages=*/0));
-  fs.set_page_quota_hook([](LipId owner) -> uint64_t {
-    return owner == kAlice ? 2 : UINT64_MAX;
-  });
+  fs.SetPageQuota(kAlice, 2);
   KvHandle h = *fs.CreateAnonymous(kAlice);
   ASSERT_TRUE(fs.Append(h, MakeRecords(16)).ok());  // 1 page.
   for (int i = 0; i < 100; ++i) {
@@ -946,9 +963,8 @@ uint64_t KvfsSweepDigest(const SweepWriter& write) {
     options.host_page_budget = 4 + rng.NextBounded(20);
     options.eviction = seed % 2 == 0 ? EvictionMode::kDropLru : EvictionMode::kOffloadLru;
     Kvfs fs(options);
-    fs.set_page_quota_hook([](LipId owner) -> uint64_t {
-      return owner == 12 ? 5 : owner == 13 ? 10 : UINT64_MAX;
-    });
+    fs.SetPageQuota(12, 5);
+    fs.SetPageQuota(13, 10);
     auto owner = [&rng] { return static_cast<LipId>(10 + rng.NextBounded(4)); };
     auto path = [&rng] { return "/f" + std::to_string(rng.NextBounded(12)); };
     std::vector<KvHandle> open;

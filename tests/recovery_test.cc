@@ -7,6 +7,7 @@
 // all recovery modes.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -166,6 +167,108 @@ TEST(RecoveryTest, QuotaUsageCarriesOverAcrossFailover) {
   EXPECT_EQ(killed_used, baseline_used);
   EXPECT_LE(killed_used, 14u);
   EXPECT_EQ(killed_output, baseline_output);
+}
+
+// ---- Limits across replay (the journal's quota and deadline) ------------
+
+// Prefills a prompt, then decodes one token per pred until a pred fails (or
+// 64 have run) and emits the failure's code, the tokens its file holds and
+// its page count. Then it sleeps past its deadline and emits the code of a
+// tool call.
+LipProgram MakePageBoundAgent() {
+  return [](LipContext& ctx) -> Task {
+    KvHandle kv = *ctx.kv_tmp();
+    std::vector<TokenId> prompt = ctx.tokenizer().Encode("w1 w2 w3");
+    uint64_t length = prompt.size();
+    StatusOr<std::vector<Distribution>> d = co_await ctx.pred(kv, prompt);
+    for (int i = 0; i < 64 && d.ok(); ++i) {
+      TokenId next = d->back().Sample(ctx.uniform(), 0.8);
+      ctx.emit(ctx.tokenizer().TokenToString(next) + " ");
+      d = co_await ctx.pred1(kv, next);
+      length += d.ok() ? 1 : 0;
+    }
+    ctx.emit("[code " + std::to_string(static_cast<int>(d.status().code())) + " at " +
+             std::to_string(length) + ", " + std::to_string(ctx.usage().kv_pages) +
+             " pages]");
+    co_await ctx.sleep(Millis(200));
+    StatusOr<std::string> late = co_await ctx.call_tool("calc", "1 + 1");
+    ctx.emit("[late code " + std::to_string(static_cast<int>(late.status().code())) + "]");
+  };
+}
+
+struct BoundRun {
+  std::string output;
+  bool moved = false;  // It ended on another replica than it started on.
+  bool deadline_expired = false;
+  uint64_t failovers = 0;
+};
+
+// Submits MakePageBoundAgent with a 100 ms deadline and gives it a 2-page
+// limit; with `kill`, kills its replica once its first pred is journaled.
+BoundRun RunPageBound(RecoveryMode mode, bool kill) {
+  Simulator sim;
+  SymphonyCluster cluster(&sim, RecoveryCluster(5, mode));
+  RegisterTools(cluster);
+  SymphonyServer::LaunchSpec spec;
+  spec.name = "bound";
+  spec.program = MakePageBoundAgent();
+  spec.deadline = Millis(100);
+  SymphonyCluster::ClusterAdmitResult admit = cluster.Submit(std::move(spec));
+  EXPECT_TRUE(admit.result.status.ok());
+  EXPECT_FALSE(admit.result.queued);
+  SymphonyCluster::ClusterLip id{admit.replica, admit.result.lip, admit.uid};
+  LipRuntime& runtime = cluster.replica(id.replica).runtime();
+  LipQuota quota;
+  quota.max_kv_pages = 2;
+  runtime.SetQuota(id.lip, quota);
+  std::shared_ptr<SyscallJournal> journal = runtime.Journal(id.lip);
+  std::function<void()> kill_after_first_pred = [&] {
+    if (journal->pred_tokens() == 0) {
+      sim.ScheduleAfter(Micros(10), kill_after_first_pred);
+      return;
+    }
+    EXPECT_FALSE(cluster.Done(id));
+    EXPECT_TRUE(cluster.KillReplica(id.replica).ok());
+  };
+  if (kill) {
+    sim.ScheduleAfter(Micros(10), kill_after_first_pred);
+  }
+  sim.Run();
+  EXPECT_TRUE(cluster.Done(id));
+  SymphonyCluster::ClusterSnapshot snap = cluster.Snapshot();
+  EXPECT_EQ(snap.replay_divergences, 0u);
+  SymphonyCluster::ClusterLip where = cluster.Locate(id);
+  BoundRun run;
+  run.output = cluster.Output(id);
+  run.moved = where.replica != id.replica;
+  run.deadline_expired = cluster.replica(where.replica).runtime().DeadlineExpired(where.lip);
+  run.failovers = snap.failovers;
+  return run;
+}
+
+// A replayed LIP resumes under the limits it was admitted with: on the
+// survivor, the pred that needs a third page fails with kQuotaExceeded at the
+// length the unkilled run reached, and the deadline still fires.
+TEST(RecoveryTest, PageLimitAndDeadlineSurviveReplay) {
+  const std::string quota_failure =
+      "[code " + std::to_string(static_cast<int>(StatusCode::kQuotaExceeded)) +
+      " at 32, 2 pages]";
+  const std::string late_failure =
+      "[late code " + std::to_string(static_cast<int>(StatusCode::kDeadlineExceeded)) + "]";
+  for (RecoveryMode mode : {RecoveryMode::kRecompute, RecoveryMode::kImportSnapshot}) {
+    BoundRun baseline = RunPageBound(mode, /*kill=*/false);
+    EXPECT_NE(baseline.output.find(quota_failure + late_failure), std::string::npos)
+        << baseline.output;
+    EXPECT_TRUE(baseline.deadline_expired);
+    EXPECT_EQ(baseline.failovers, 0u);
+
+    BoundRun killed = RunPageBound(mode, /*kill=*/true);
+    std::string where = std::string("mode=") + RecoveryModeName(mode);
+    EXPECT_EQ(killed.failovers, 1u) << where;
+    EXPECT_TRUE(killed.moved) << where;
+    EXPECT_EQ(killed.output, baseline.output) << where;
+    EXPECT_TRUE(killed.deadline_expired) << where;
+  }
 }
 
 // ---- Live migration ----------------------------------------------------
