@@ -48,6 +48,8 @@ void IpcFabric::AttachReplica(size_t index, LipRuntime* runtime) {
     replica_stats_.resize(index + 1);
   }
   runtimes_[index] = runtime;
+  fenced_[index] = false;
+  runtime->set_channel_fabric(this, index);
 }
 
 void IpcFabric::FenceReplica(size_t index, uint64_t epoch) {
@@ -57,30 +59,7 @@ void IpcFabric::FenceReplica(size_t index, uint64_t epoch) {
   }
   fenced_[index] = true;
   fence_epoch_[index] = std::max(fence_epoch_[index], epoch);
-  DropReplicaWaiters(index);
-}
-
-void IpcFabric::ReviveReplica(size_t index, LipRuntime* runtime) {
-  if (index >= runtimes_.size()) {
-    assert(false && "ReviveReplica on an unattached replica index");
-    return;
-  }
-  runtimes_[index] = runtime;
-  fenced_[index] = false;
-}
-
-void IpcFabric::MarkReplicaDead(size_t index) {
-  if (index >= runtimes_.size()) {
-    // An unknown replica cannot hold waiters or bytes; marking it dead is a
-    // caller bug (wrong index), and ignoring it would quietly leave the REAL
-    // victim's waiters parked forever. Fail loudly.
-    SYMPHONY_LOG(kError) << "MarkReplicaDead: replica " << index
-                         << " was never attached (replica count "
-                         << runtimes_.size() << ")";
-    assert(false && "MarkReplicaDead on an unattached replica index");
-    return;
-  }
-  DropReplicaWaiters(index);
+  DropWaiters(index, kNoLip);
 }
 
 IpcFabric::Message* IpcFabric::FindMessage(ChannelState& ch, uint64_t msg_id) {
@@ -154,22 +133,7 @@ void IpcFabric::AddSendWaiter(size_t replica, LipId sender,
     return;
   }
   ChannelState& ch = Chan(channel);
-  // A replayed thread's first re-park carries the grant ordinal after its
-  // last journaled credit wait. Replay fast-forwards threads in dispatch
-  // order, not original park order, so slot it back by grant ordinal among
-  // its own LIP's hinted senders (live senders — grant 0 — are never
-  // overtaken). Mirror of AddWaiter's resume_ordinal insertion.
-  auto pos = ch.send_waiters.end();
-  while (resume_grant > 0 && pos != ch.send_waiters.begin()) {
-    auto prev = std::prev(pos);
-    if (prev->replica != replica || prev->lip != sender ||
-        prev->resume_grant <= resume_grant) {
-      break;
-    }
-    pos = prev;
-  }
-  ch.send_waiters.insert(
-      pos, SendWaiter{replica, sender, waiter, slot, resume_grant});
+  Park(ch.send_waiters, Parked{replica, sender, waiter, slot, resume_grant});
   ++stats_.ipc_credit_waits;
   ++replica_stats_[replica].credit_waits;
   if (trace_ != nullptr) {
@@ -199,7 +163,7 @@ void IpcFabric::DrainSenders(const std::string& name, ChannelState& ch) {
   // capacity 0 here means the channel just became unbounded with senders
   // still parked (SetChannelCredits): release them all.
   while ((ch.capacity == 0 || ch.credits > 0) && !ch.send_waiters.empty()) {
-    SendWaiter waiter = ch.send_waiters.front();
+    Parked waiter = ch.send_waiters.front();
     ch.send_waiters.pop_front();
     LipRuntime* runtime =
         waiter.replica < runtimes_.size() ? runtimes_[waiter.replica] : nullptr;
@@ -235,7 +199,7 @@ void IpcFabric::CheckDeadlock(const std::string& name, ChannelState& origin) {
       continue;
     }
     Node home{ch.home, ch.receiver};
-    for (const SendWaiter& w : ch.send_waiters) {
+    for (const Parked& w : ch.send_waiters) {
       Node from{w.replica, w.lip};
       fwd[from].push_back(home);
       rev[home].push_back(from);
@@ -259,7 +223,7 @@ void IpcFabric::CheckDeadlock(const std::string& name, ChannelState& origin) {
     }
     return seen;
   };
-  for (const SendWaiter& w : origin.send_waiters) {
+  for (const Parked& w : origin.send_waiters) {
     Node start{w.replica, w.lip};
     std::set<Node> forward = reach(fwd, start);
     if (forward.count(start) == 0) {
@@ -281,7 +245,7 @@ void IpcFabric::CheckDeadlock(const std::string& name, ChannelState& origin) {
         continue;
       }
       bool parked_in_cycle = false;
-      for (const SendWaiter& pw : ch.send_waiters) {
+      for (const Parked& pw : ch.send_waiters) {
         if (scc.count(Node{pw.replica, pw.lip}) > 0) {
           parked_in_cycle = true;
           break;
@@ -322,15 +286,9 @@ bool IpcFabric::TryRecv(size_t replica, LipId receiver,
   if (ch.queue.empty() || !Deliverable(ch.queue.front())) {
     return false;
   }
-  Message msg = std::move(ch.queue.front());
-  ch.queue.pop_front();
-  *message = std::move(msg.bytes);
-  *ordinal = ch.next_recv_ordinal++;
-  ++replica_stats_[replica].received;
-  if (msg.origin == replica) {
-    ++stats_.ipc_local_deliveries;
-  }
-  Refund(channel, ch);
+  *message = std::move(ch.queue.front().bytes);
+  *ordinal = ch.next_recv_ordinal;
+  Delivered(channel, ch, replica);
   return true;
 }
 
@@ -345,66 +303,33 @@ void IpcFabric::AddWaiter(size_t replica, LipId receiver,
   }
   ChannelState& ch = Chan(channel);
   Register(channel, ch, replica, receiver);
-  // A replayed thread's first re-park carries the ordinal it was waiting for
-  // when its endpoint died. Replay fast-forwards threads in dispatch order,
-  // not original park order, so slot it back by ordinal among its own LIP's
-  // hinted waiters (live waiters — ordinal 0 — are never overtaken).
-  auto pos = ch.waiters.end();
-  while (resume_ordinal > 0 && pos != ch.waiters.begin()) {
+  Park(ch.waiters, Parked{replica, receiver, waiter, slot, resume_ordinal});
+  Drain(channel, ch);
+}
+
+void IpcFabric::Park(std::deque<Parked>& queue, const Parked& parked) {
+  auto pos = queue.end();
+  while (parked.resume > 0 && pos != queue.begin()) {
     auto prev = std::prev(pos);
-    if (prev->replica != replica || prev->lip != receiver ||
-        prev->resume_ordinal <= resume_ordinal) {
+    if (prev->replica != parked.replica || prev->lip != parked.lip ||
+        prev->resume <= parked.resume) {
       break;
     }
     pos = prev;
   }
-  ch.waiters.insert(pos, Waiter{replica, receiver, waiter, slot,
-                                resume_ordinal});
-  Drain(channel, ch);
+  queue.insert(pos, parked);
 }
 
 void IpcFabric::DropWaiters(size_t replica, LipId lip) {
+  // Parked senders of a dead endpoint never consumed a credit (the message
+  // is still in the killed frame's slot): scrub, nothing to refund. A
+  // replayed incarnation re-runs the send and re-parks.
+  auto dead = [replica, lip](const Parked& p) {
+    return p.replica == replica && (lip == kNoLip || p.lip == lip);
+  };
   for (auto& [name, ch] : channels_) {
-    std::deque<Waiter> kept;
-    for (const Waiter& w : ch.waiters) {
-      if (w.replica == replica && w.lip == lip) {
-        continue;
-      }
-      kept.push_back(w);
-    }
-    ch.waiters = std::move(kept);
-    // Parked senders of the dead endpoint never consumed a credit (the
-    // message is still in the killed frame's slot): scrub, nothing to
-    // refund. A replayed incarnation re-runs the send and re-parks.
-    std::deque<SendWaiter> kept_senders;
-    for (const SendWaiter& w : ch.send_waiters) {
-      if (w.replica == replica && w.lip == lip) {
-        continue;
-      }
-      kept_senders.push_back(w);
-    }
-    ch.send_waiters = std::move(kept_senders);
-  }
-}
-
-void IpcFabric::DropReplicaWaiters(size_t replica) {
-  for (auto& [name, ch] : channels_) {
-    std::deque<Waiter> kept;
-    for (const Waiter& w : ch.waiters) {
-      if (w.replica == replica) {
-        continue;
-      }
-      kept.push_back(w);
-    }
-    ch.waiters = std::move(kept);
-    std::deque<SendWaiter> kept_senders;
-    for (const SendWaiter& w : ch.send_waiters) {
-      if (w.replica == replica) {
-        continue;
-      }
-      kept_senders.push_back(w);
-    }
-    ch.send_waiters = std::move(kept_senders);
+    std::erase_if(ch.waiters, dead);
+    std::erase_if(ch.send_waiters, dead);
   }
 }
 
@@ -423,8 +348,13 @@ void IpcFabric::Register(const std::string& name, ChannelState& ch,
       trace_->Instant("net", "rehome:" + name, sim_->now());
     }
   }
-  // Re-route queued messages toward the (new) home. Ids first: a routed
-  // message can be dropped (partition deadline), which erases from queue.
+  Reroute(name, ch, /*forwarding=*/rehome);
+}
+
+void IpcFabric::Reroute(const std::string& name, ChannelState& ch,
+                        bool forwarding) {
+  // Ids first: a routed message can be dropped (partition deadline), which
+  // erases it from the queue.
   std::vector<uint64_t> ids;
   for (const Message& msg : ch.queue) {
     if (!msg.in_flight) {
@@ -436,12 +366,12 @@ void IpcFabric::Register(const std::string& name, ChannelState& ch,
     if (msg == nullptr) {
       continue;
     }
-    if (msg->at == replica) {
+    if (msg->at == ch.home) {
       MakeAvailable(name, ch, *msg);
       continue;
     }
     msg->available = false;
-    if (rehome) {
+    if (forwarding) {
       ++replica_stats_[msg->at].forwarded;
     }
     BeginTransfer(name, id);
@@ -464,27 +394,7 @@ void IpcFabric::RehomeEndpoint(size_t old_replica, LipId old_lip,
                           std::to_string(new_replica),
                       sim_->now());
     }
-    std::vector<uint64_t> ids;
-    for (const Message& msg : ch.queue) {
-      if (!msg.in_flight) {
-        ids.push_back(msg.id);
-      }
-    }
-    for (uint64_t id : ids) {
-      Message* msg = FindMessage(ch, id);
-      if (msg == nullptr) {
-        continue;
-      }
-      if (msg->at == new_replica) {
-        MakeAvailable(name, ch, *msg);
-        continue;
-      }
-      msg->available = false;
-      ++replica_stats_[msg->at].forwarded;
-      BeginTransfer(name, id);
-    }
-    // In-flight messages arrive at the old home and forward from there
-    // (Arrive sees the home mismatch).
+    Reroute(name, ch, /*forwarding=*/true);
     Drain(name, ch);
   }
 }
@@ -628,26 +538,31 @@ void IpcFabric::Arrive(const std::string& name, uint64_t msg_id, size_t at) {
 void IpcFabric::Drain(const std::string& name, ChannelState& ch) {
   while (!ch.queue.empty() && Deliverable(ch.queue.front()) &&
          !ch.waiters.empty()) {
-    Waiter waiter = ch.waiters.front();
+    Parked waiter = ch.waiters.front();
     ch.waiters.pop_front();
     LipRuntime* runtime =
         waiter.replica < runtimes_.size() ? runtimes_[waiter.replica] : nullptr;
     if (runtime == nullptr) {
       continue;  // Unattached replica: discard the stale waiter.
     }
-    Message& head = ch.queue.front();
     if (!runtime->DeliverToWaiter(waiter.thread, waiter.slot, name,
-                                  ch.next_recv_ordinal, head.bytes)) {
+                                  ch.next_recv_ordinal,
+                                  ch.queue.front().bytes)) {
       continue;  // Dead waiter: keep the message for the next one.
     }
-    ++ch.next_recv_ordinal;
-    ++replica_stats_[waiter.replica].received;
-    if (head.origin == waiter.replica) {
-      ++stats_.ipc_local_deliveries;
-    }
-    ch.queue.pop_front();
-    Refund(name, ch);
+    Delivered(name, ch, waiter.replica);
   }
+}
+
+void IpcFabric::Delivered(const std::string& name, ChannelState& ch,
+                          size_t replica) {
+  ++ch.next_recv_ordinal;
+  ++replica_stats_[replica].received;
+  if (ch.queue.front().origin == replica) {
+    ++stats_.ipc_local_deliveries;
+  }
+  ch.queue.pop_front();
+  Refund(name, ch);
 }
 
 void IpcFabric::DropMessage(const std::string& name, ChannelState& ch,
@@ -712,7 +627,7 @@ void IpcFabric::SetChannelCredits(const std::string& channel,
 size_t IpcFabric::ParkedSenders(size_t replica) const {
   size_t parked = 0;
   for (const auto& [name, ch] : channels_) {
-    for (const SendWaiter& w : ch.send_waiters) {
+    for (const Parked& w : ch.send_waiters) {
       if (w.replica == replica) {
         ++parked;
       }

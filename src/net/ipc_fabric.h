@@ -1,6 +1,7 @@
 // IpcFabric: named channels, the one implementation of the paper's
-// server-side IPC. A SymphonyCluster shares one fabric across its replicas;
-// a standalone SymphonyServer runs its channels on a one-replica fabric.
+// server-side IPC. A SymphonyCluster's replica servers all run on the
+// cluster's one fabric; a standalone SymphonyServer builds a one-replica
+// fabric of its own.
 //
 // The fabric is the channel router and registry. A channel's HOME is the
 // (replica, LIP) endpoint that receives on it, registered on first recv and
@@ -160,29 +161,26 @@ class IpcFabric : public ChannelFabric {
 
   // ---- Cluster wiring ---------------------------------------------------
 
-  // Registers replica `index`'s runtime (the fabric delivers into it and it
-  // must have set_channel_fabric(this, index)). Call once per replica.
+  // Attaches replica `index`'s runtime: the fabric delivers into it, and
+  // the runtime's channel syscalls go through the fabric from now on
+  // (LipRuntime::set_channel_fabric). Readmission attaches the rebuilt
+  // runtime at the old index, which clears the fence flag and keeps the
+  // fence epoch as the slot's generation high-water mark
+  // (replica_fence_epoch). A dead replica's parked threads are scrubbed by
+  // its runtime's Halt; messages located there stay queued and are
+  // forwarded when their endpoint is rehomed.
   void AttachReplica(size_t index, LipRuntime* runtime);
-
-  // Replica failure: its parked waiters are scrubbed. Messages located there
-  // stay queued — they are forwarded when their endpoint is rehomed.
-  void MarkReplicaDead(size_t index);
 
   // ---- Fencing (control plane, src/ctrl) --------------------------------
 
-  // Fences replica `index` at generation `epoch`: until revived, sends from
-  // it are discarded at the fabric boundary and recvs/parks from it are
-  // refused (counted in stats().ipc_fenced_rejections). The runtime is halted
-  // by the cluster before fencing, so these guards are the defense-in-depth
-  // layer that makes a zombie incarnation provably unable to interact —
-  // exactly-once ownership for replayed LIPs does not rest on the halt
-  // alone.
+  // Fences replica `index` at generation `epoch`: until it is attached
+  // again, sends from it are discarded at the fabric boundary and recvs/parks
+  // from it are refused (counted in stats().ipc_fenced_rejections). The
+  // runtime is halted by the cluster before fencing, so these guards are the
+  // defense-in-depth layer that makes a zombie incarnation provably unable
+  // to interact — exactly-once ownership for replayed LIPs does not rest on
+  // the halt alone.
   void FenceReplica(size_t index, uint64_t epoch);
-
-  // Readmission: swaps in the rebuilt replica's runtime and clears the fence
-  // flag. The fence epoch is retained as the slot's generation high-water
-  // mark (replica_fence_epoch).
-  void ReviveReplica(size_t index, LipRuntime* runtime);
 
   bool replica_fenced(size_t index) const {
     return index < fenced_.size() && fenced_[index];
@@ -210,7 +208,6 @@ class IpcFabric : public ChannelFabric {
                  ThreadId waiter, std::string* slot,
                  uint64_t resume_ordinal) override;
   void DropWaiters(size_t replica, LipId lip) override;
-  void DropReplicaWaiters(size_t replica) override;
 
   // ---- Flow control -----------------------------------------------------
 
@@ -222,8 +219,8 @@ class IpcFabric : public ChannelFabric {
   void SetChannelCredits(const std::string& channel, uint64_t capacity);
 
   // The admission-facing penalty for senders from `replica` parked for a
-  // credit (50 µs per parked sender) — wired into
-  // SymphonyServer::set_backpressure_hook by the cluster.
+  // credit (50 µs per parked sender); SymphonyServer::ProjectedQueueDelay
+  // adds it for the server's replica.
   SimDuration BackpressureDelay(size_t replica) const;
 
   // ---- Introspection ----------------------------------------------------
@@ -250,30 +247,26 @@ class IpcFabric : public ChannelFabric {
     uint32_t attempt = 0;        // Blocked-transfer retry count.
     std::string bytes;
   };
-  struct Waiter {
+  // A thread parked on a channel: a receiver waiting for a message or a
+  // sender waiting for a credit.
+  struct Parked {
     size_t replica = 0;
     LipId lip = kNoLip;
     ThreadId thread = 0;
+    // A receiver's message lands here; a sender's message waits here (both
+    // in the awaitable's frame).
     std::string* slot = nullptr;
-    // Nonzero for a replayed thread's first re-park: the delivery ordinal it
-    // is waiting for, used to slot it back into its original queue position.
-    uint64_t resume_ordinal = 0;
-  };
-  struct SendWaiter {
-    size_t replica = 0;
-    LipId lip = kNoLip;
-    ThreadId thread = 0;
-    std::string* slot = nullptr;  // The parked message (awaitable frame).
-    // Nonzero for a replayed thread's first re-park: the grant ordinal after
-    // its last journaled credit wait (sender-FIFO position reconstruction).
-    uint64_t resume_grant = 0;
+    // Nonzero for a replayed thread's first re-park: the delivery ordinal
+    // (receiver) or grant ordinal (sender) it waits for, which slots it back
+    // into its original queue position.
+    uint64_t resume = 0;
   };
   struct ChannelState {
     bool registered = false;
     size_t home = 0;
     LipId receiver = kNoLip;
     std::deque<Message> queue;    // FIFO by send acceptance.
-    std::deque<Waiter> waiters;   // FIFO by arrival.
+    std::deque<Parked> waiters;   // Receivers, FIFO by arrival.
     uint64_t next_send_id = 0;
     uint64_t next_recv_ordinal = 0;
     uint64_t dropped = 0;
@@ -281,7 +274,7 @@ class IpcFabric : public ChannelFabric {
     // Flow control (capacity 0 = unbounded).
     uint64_t capacity = 0;
     int64_t credits = 0;
-    std::deque<SendWaiter> send_waiters;  // FIFO by park.
+    std::deque<Parked> send_waiters;  // Senders, FIFO by park.
     uint64_t next_grant_ordinal = 0;
     size_t queue_peak = 0;
     bool deadlocked = false;
@@ -290,6 +283,15 @@ class IpcFabric : public ChannelFabric {
 
   // Channel accessor that applies options_.channel_credits on creation.
   ChannelState& Chan(const std::string& name);
+  // Queues `parked` at the back, except that a replayed thread's first
+  // re-park (resume > 0) goes back among its own LIP's hinted threads in
+  // resume order: replay fast-forwards threads in dispatch order, not in
+  // their original park order. Live parks (resume 0) are never overtaken.
+  static void Park(std::deque<Parked>& queue, const Parked& parked);
+  // Bookkeeping for delivering the head message to a receiver on `replica`:
+  // takes the delivery ordinal, counts the delivery, pops the head and
+  // refunds its credit.
+  void Delivered(const std::string& name, ChannelState& ch, size_t replica);
   // Consumes a credit, queues the message, and routes it. The single
   // acceptance point for both immediate and granted sends.
   void Accept(size_t replica, const std::string& name, ChannelState& ch,
@@ -307,6 +309,11 @@ class IpcFabric : public ChannelFabric {
   // Registers/re-homes the channel endpoint and re-routes queued messages.
   void Register(const std::string& name, ChannelState& ch, size_t replica,
                 LipId lip);
+  // Routes every queued message that is not in flight toward ch.home,
+  // counting each one that must move as forwarded when `forwarding`.
+  // In-flight messages arrive at the old home and forward from there
+  // (Arrive sees the home mismatch).
+  void Reroute(const std::string& name, ChannelState& ch, bool forwarding);
   // Routes one message toward the current home: marks it available (already
   // there) or starts a link transfer / partition retry.
   void RouteMessage(const std::string& name, ChannelState& ch, Message& msg);

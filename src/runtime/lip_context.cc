@@ -149,7 +149,11 @@ LipContext::PredAwaitable LipContext::pred(KvHandle kv,
                                            std::vector<TokenId> tokens) {
   StatusOr<uint64_t> length = runtime_->kvfs()->Length(kv);
   if (!length.ok()) {
-    return PredAwaitable(runtime_, kv, {}, {}, length.status());
+    // An expired deadline closes the LIP's handles: report the deadline,
+    // not the stale handle.
+    Status expired = runtime_->CheckDeadline(runtime_->current_thread());
+    return PredAwaitable(runtime_, kv, {}, {},
+                         expired.ok() ? length.status() : std::move(expired));
   }
   std::vector<int32_t> positions(tokens.size());
   std::iota(positions.begin(), positions.end(), static_cast<int32_t>(*length));

@@ -8,6 +8,17 @@
 #include "src/runtime/lip_context.h"
 
 namespace symphony {
+namespace {
+
+// A replayed thread's one-shot re-park hint for `channel` (0 = none): its
+// first live park on the channel consumes it.
+uint64_t TakeResumeHint(std::unordered_map<std::string, uint64_t>& hints,
+                        const std::string& channel) {
+  auto node = hints.extract(channel);
+  return node.empty() ? 0 : node.mapped();
+}
+
+}  // namespace
 
 LipRuntime::LipRuntime(Simulator* sim, Kvfs* kvfs, RuntimeOptions options)
     : sim_(sim), kvfs_(kvfs), options_(options) {
@@ -151,6 +162,17 @@ void LipRuntime::Resume(ThreadId thread) {
     // ThreadDone and AddJoiner answer "finished" for an unknown id.
     threads_.erase(thread);
   }
+}
+
+LipRuntime::Tcb* LipRuntime::Waiting(ThreadId thread) {
+  if (halted_) {
+    return nullptr;
+  }
+  auto it = threads_.find(thread);
+  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
 void LipRuntime::OnThreadExit(Tcb& tcb) {
@@ -334,7 +356,7 @@ Status LipRuntime::BeginReplay(LipId lip, RecoveryMode mode,
 void LipRuntime::Halt() {
   halted_ = true;
   if (fabric_ != nullptr) {
-    fabric_->DropReplicaWaiters(replica_index_);
+    fabric_->DropWaiters(replica_index_, kNoLip);
   }
 }
 
@@ -432,14 +454,11 @@ void LipRuntime::JournalRecvDelivery(ThreadId thread,
                                      const std::string& channel,
                                      uint64_t ordinal,
                                      const std::string& message) {
-  if (halted_) {
+  Tcb* waiting = Waiting(thread);
+  if (waiting == nullptr) {
     return;
   }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
-    return;
-  }
-  Tcb& tcb = it->second;
+  Tcb& tcb = *waiting;
   Process& proc = GetProcess(tcb.lip);
   if (proc.journal == nullptr) {
     return;
@@ -467,21 +486,18 @@ void LipRuntime::JournalRecvDelivery(ThreadId thread,
 }
 
 void LipRuntime::JournalSleepDone(ThreadId thread, SimDuration duration) {
-  if (halted_) {
+  Tcb* waiting = Waiting(thread);
+  if (waiting == nullptr) {
     return;
   }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
-    return;
-  }
-  Process& proc = GetProcess(it->second.lip);
+  Process& proc = GetProcess(waiting->lip);
   if (proc.journal == nullptr) {
     return;
   }
   JournalEntry entry;
   entry.kind = JournalEntry::Kind::kSleep;
   entry.duration = duration;
-  proc.journal->Append(it->second.path, std::move(entry));
+  proc.journal->Append(waiting->path, std::move(entry));
 }
 
 LipUsage LipRuntime::GetUsage(LipId lip) const {
@@ -492,6 +508,23 @@ LipUsage LipRuntime::GetUsage(LipId lip) const {
 
 const std::string& LipRuntime::Output(LipId lip) const {
   return GetProcess(lip).output;
+}
+
+Status LipRuntime::CheckDeadline(ThreadId thread) {
+  const Tcb& tcb = GetTcb(thread);
+  return CheckDeadline(GetProcess(tcb.lip), tcb);
+}
+
+Status LipRuntime::CheckDeadline(Process& proc, const Tcb& tcb) {
+  // Suppressed while the journal still serves this thread: the original
+  // run's pre-expiry syscalls must replay even though replay's compressed
+  // timeline is past the deadline.
+  if (!proc.expired || ReplayServes(proc, tcb)) {
+    return Status::Ok();
+  }
+  ++stats_.deadline_rejections;
+  return DeadlineExceededError("deadline expired for lip " +
+                               std::to_string(proc.id));
 }
 
 void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
@@ -507,13 +540,9 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   Tcb& tcb = GetTcb(thread);
   Process& proc = GetProcess(tcb.lip);
   // Expired deadline fails fast — before the quota charge, matching a live
-  // run where the rejection short-circuits. Suppressed while the journal
-  // still serves this thread: the original run's pre-expiry syscalls must
-  // replay even though replay's compressed timeline is past the deadline.
-  if (proc.expired && !ReplayServes(proc, tcb)) {
-    ++stats_.deadline_rejections;
-    result->status = DeadlineExceededError("deadline expired for lip " +
-                                           std::to_string(proc.id));
+  // run where the rejection short-circuits.
+  if (Status expired = CheckDeadline(proc, tcb); !expired.ok()) {
+    result->status = std::move(expired);
     Ready(thread);
     return;
   }
@@ -539,7 +568,6 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
         // Feed the journaled result without touching the device; import the
         // journaled TokenRecords into the KV file on the host tier so the
         // next live pred's restore pays PCIe transfer instead of recompute.
-        ++stats_.preds_replayed;
         stats_.replay_tokens_imported += entry->tokens.size();
         result->status = entry->status;
         if (entry->status.ok()) {
@@ -566,7 +594,6 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
         // kRecompute with a journaled failure (cancelled pred, deadline
         // rejection delivered through the service): resubmitting could
         // succeed live and diverge — serve the recorded status verbatim.
-        ++stats_.preds_replayed;
         result->status = entry->status;
         ConsumeReplayEntry(proc, tcb);
         Ready(thread);
@@ -576,7 +603,6 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
         // the KV cache; completion checks it reproduced the journaled states.
         from_journal = true;
         verify_index = proc.replay->cursor[tcb.path].next;
-        ++stats_.preds_replayed;
         stats_.replay_tokens_recomputed += entry->tokens.size();
         ConsumeReplayEntry(proc, tcb);
       }
@@ -603,14 +629,13 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
                       rec_tokens = std::move(rec_tokens),
                       rec_positions = std::move(rec_positions)](
                          PredResult r) mutable {
-    auto it = threads_.find(thread);
-    bool dead = halted_ || it == threads_.end() ||
-                it->second.state == ThreadState::kKilled;
+    Tcb* waiting = Waiting(thread);
+    bool dead = waiting == nullptr;
     if (!dead) {
       // A pred that was in flight at deadline expiry can fail for a teardown
       // reason (its KV handle was closed); attribute that to the deadline.
       // Normalized before journaling so replay serves the same status.
-      Process& owner = GetProcess(it->second.lip);
+      Process& owner = GetProcess(waiting->lip);
       if (owner.expired && !r.status.ok() &&
           r.status.code() != StatusCode::kDeadlineExceeded) {
         r.status = DeadlineExceededError("deadline expired for lip " +
@@ -664,7 +689,6 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
 void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
                             const std::string& args, ToolResult* result) {
   BlockCurrent();
-  ++stats_.tools_invoked;
   if (tool_service_ == nullptr) {
     result->status = FailedPreconditionError("no tool service attached");
     Ready(thread);
@@ -673,10 +697,8 @@ void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
   Tcb& tcb = GetTcb(thread);
   LipId lip = tcb.lip;
   Process& proc = GetProcess(lip);
-  if (proc.expired && !ReplayServes(proc, tcb)) {
-    ++stats_.deadline_rejections;
-    result->status =
-        DeadlineExceededError("deadline expired for lip " + std::to_string(lip));
+  if (Status expired = CheckDeadline(proc, tcb); !expired.ok()) {
+    result->status = std::move(expired);
     Ready(thread);
     return;
   }
@@ -694,7 +716,6 @@ void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
         ReplayDiverged(proc, "tool where journal has a different syscall");
       } else {
         // Side-effect-free tools re-serve the recorded output instantly.
-        ++stats_.tools_replayed;
         result->status = entry->status;
         result->output = entry->payload;
         ConsumeReplayEntry(proc, tcb);
@@ -707,10 +728,7 @@ void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
   tool_service_->Invoke(
       lip, thread, tool, args,
       [this, thread, result, journal, path = tcb.path](ToolResult r) {
-        auto it = threads_.find(thread);
-        bool dead = halted_ || it == threads_.end() ||
-                    it->second.state == ThreadState::kKilled;
-        if (journal != nullptr && !dead) {
+        if (journal != nullptr && Waiting(thread) != nullptr) {
           JournalEntry entry;
           entry.kind = JournalEntry::Kind::kTool;
           entry.status = r.status;
@@ -733,7 +751,6 @@ void LipRuntime::SubmitSleep(ThreadId thread, SimDuration duration) {
         ReplayDiverged(proc, "sleep where journal has a different syscall");
       } else {
         // The original run already waited this out; skip the wait.
-        ++stats_.sleeps_replayed;
         ConsumeReplayEntry(proc, tcb);
         Ready(thread);
         return;
@@ -774,64 +791,54 @@ void LipRuntime::AddJoinAllWaiter(LipId lip, ThreadId waiter) {
 bool LipRuntime::ChannelTrySend(const std::string& channel,
                                 std::string* message) {
   assert(fabric_ != nullptr && "channel syscall without a ChannelFabric");
-  LipId sender = kNoLip;
-  if (current_ != 0) {
-    Tcb& tcb = GetTcb(current_);
-    sender = tcb.lip;
-    Process& proc = GetProcess(tcb.lip);
-    if (proc.replay != nullptr && !proc.replay->complete) {
-      const JournalEntry* entry = NextReplayEntry(proc, tcb);
-      if (entry != nullptr &&
-          entry->kind == JournalEntry::Kind::kCreditWait &&
-          entry->channel == channel) {
-        // The original send parked for a credit granted at this ordinal.
-        // Remember it so this thread's first LIVE blocked send re-parks at
-        // its original sender-FIFO position, then consume the kSend that
-        // the grant completed (next entry, same syscall).
-        tcb.replay_send_resume[channel] = entry->ordinal + 1;
-        ++stats_.ipc_credit_waits_replayed;
+  assert(current_ != 0 && "channel syscall outside a LIP thread");
+  Tcb& tcb = GetTcb(current_);
+  Process& proc = GetProcess(tcb.lip);
+  if (proc.replay != nullptr && !proc.replay->complete) {
+    const JournalEntry* entry = NextReplayEntry(proc, tcb);
+    if (entry != nullptr && entry->kind == JournalEntry::Kind::kCreditWait &&
+        entry->channel == channel) {
+      // The original send parked for a credit granted at this ordinal.
+      // Remember it so this thread's first LIVE blocked send re-parks at
+      // its original sender-FIFO position, then consume the kSend that
+      // the grant completed (next entry, same syscall).
+      tcb.replay_send_resume[channel] = entry->ordinal + 1;
+      ++stats_.ipc_credit_waits_replayed;
+      ConsumeReplayEntry(proc, tcb);
+      entry = NextReplayEntry(proc, tcb);
+    }
+    if (entry != nullptr) {
+      if (entry->kind == JournalEntry::Kind::kSend &&
+          entry->channel == channel && entry->payload == *message) {
+        // The original send already reached (or is queued for) the peer;
+        // re-sending would duplicate it at a live endpoint. No credit is
+        // consumed: the original message's credit travels with it.
+        ++stats_.ipc_sends_suppressed;
+        ++stats_.ipc_messages;
         ConsumeReplayEntry(proc, tcb);
-        entry = NextReplayEntry(proc, tcb);
+        return true;
       }
-      if (entry != nullptr) {
-        if (entry->kind == JournalEntry::Kind::kSend &&
-            entry->channel == channel && entry->payload == *message) {
-          // The original send already reached (or is queued for) the peer;
-          // re-sending would duplicate it at a live endpoint. No credit is
-          // consumed: the original message's credit travels with it.
-          ++stats_.ipc_sends_suppressed;
-          ++stats_.ipc_messages;
-          ConsumeReplayEntry(proc, tcb);
-          return true;
-        }
-        ReplayDiverged(proc, "send disagrees with journal");
-        // Fall through live: the message is new as far as anyone knows.
-      }
+      ReplayDiverged(proc, "send disagrees with journal");
+      // Fall through live: the message is new as far as anyone knows.
     }
   }
   // TrySend consumes *message on success, so capture the payload for the
-  // journal first (the original code paid the same copy).
+  // journal first.
   std::string payload;
-  bool journal = false;
-  if (current_ != 0 && GetProcess(GetTcb(current_).lip).journal != nullptr) {
-    journal = true;
+  if (proc.journal != nullptr) {
     payload = *message;
   }
-  if (!fabric_->TrySend(replica_index_, sender, channel, message)) {
+  if (!fabric_->TrySend(replica_index_, tcb.lip, channel, message)) {
     return false;  // Out of credits: park; journaling happens at grant.
   }
   ++stats_.ipc_messages;
-  if (current_ != 0) {
-    // Re-fetch: TrySend can drain deliveries that touch thread state.
-    Tcb& tcb = GetTcb(current_);
-    tcb.replay_send_resume.erase(channel);  // Completed live: hint stale.
-    if (journal) {
-      JournalEntry entry;
-      entry.kind = JournalEntry::Kind::kSend;
-      entry.channel = channel;
-      entry.payload = std::move(payload);
-      GetProcess(tcb.lip).journal->Append(tcb.path, std::move(entry));
-    }
+  tcb.replay_send_resume.erase(channel);  // Completed live: hint stale.
+  if (proc.journal != nullptr) {
+    JournalEntry entry;
+    entry.kind = JournalEntry::Kind::kSend;
+    entry.channel = channel;
+    entry.payload = std::move(payload);
+    proc.journal->Append(tcb.path, std::move(entry));
   }
   return true;
 }
@@ -839,34 +846,21 @@ bool LipRuntime::ChannelTrySend(const std::string& channel,
 void LipRuntime::ChannelAddSendWaiter(const std::string& channel,
                                       ThreadId waiter, std::string* slot) {
   assert(fabric_ != nullptr && "channel syscall without a ChannelFabric");
-  LipId sender = kNoLip;
-  uint64_t resume_grant = 0;
-  if (current_ != 0) {
-    Tcb& tcb = GetTcb(waiter);
-    sender = tcb.lip;
-    auto hint = tcb.replay_send_resume.find(channel);
-    if (hint != tcb.replay_send_resume.end()) {
-      resume_grant = hint->second;  // One-shot: first re-park only.
-      tcb.replay_send_resume.erase(hint);
-    }
-  }
-  fabric_->AddSendWaiter(replica_index_, sender, channel, waiter, slot,
-                         resume_grant);
+  assert(current_ != 0 && "channel syscall outside a LIP thread");
+  Tcb& tcb = GetTcb(waiter);
+  fabric_->AddSendWaiter(replica_index_, tcb.lip, channel, waiter, slot,
+                         TakeResumeHint(tcb.replay_send_resume, channel));
 }
 
 bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
                                      const std::string& channel,
                                      uint64_t grant_ordinal,
                                      std::string* bytes) {
-  if (halted_) {
+  Tcb* waiting = Waiting(thread);
+  if (waiting == nullptr) {
     return false;
   }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
-    return false;
-  }
-  Tcb& tcb = it->second;
-  Process& proc = GetProcess(tcb.lip);
+  Process& proc = GetProcess(waiting->lip);
   if (proc.journal != nullptr) {
     // Journal grant + send in consumption order, at the syscall boundary:
     // replay consumes the kCreditWait (re-park hint) then the kSend
@@ -875,12 +869,12 @@ bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
     wait.kind = JournalEntry::Kind::kCreditWait;
     wait.channel = channel;
     wait.ordinal = grant_ordinal;
-    proc.journal->Append(tcb.path, std::move(wait));
+    proc.journal->Append(waiting->path, std::move(wait));
     JournalEntry send;
     send.kind = JournalEntry::Kind::kSend;
     send.channel = channel;
     send.payload = *slot;
-    proc.journal->Append(tcb.path, std::move(send));
+    proc.journal->Append(waiting->path, std::move(send));
   }
   ++stats_.ipc_messages;
   *bytes = std::move(*slot);
@@ -890,72 +884,54 @@ bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
 
 bool LipRuntime::ChannelTryRecv(const std::string& channel, std::string* message) {
   assert(fabric_ != nullptr && "channel syscall without a ChannelFabric");
-  LipId receiver = kNoLip;
-  if (current_ != 0) {
-    Tcb& tcb = GetTcb(current_);
-    receiver = tcb.lip;
-    Process& proc = GetProcess(tcb.lip);
-    if (proc.replay != nullptr && !proc.replay->complete) {
-      const JournalEntry* entry = NextReplayEntry(proc, tcb);
-      if (entry != nullptr) {
-        if (entry->kind == JournalEntry::Kind::kRecv &&
-            entry->channel == channel) {
-          // Serve the delivery verbatim — the fabric's copy was consumed by
-          // the original incarnation (tool-result discipline). Remember the
-          // ordinal: when this thread's journal runs dry mid-wait, the fabric
-          // uses it to re-park the thread in its original queue position
-          // among this LIP's other waiters.
-          *message = entry->payload;
-          tcb.replay_recv_resume[channel] = entry->ordinal + 1;
-          ++stats_.ipc_recvs_replayed;
-          ConsumeReplayEntry(proc, tcb);
-          return true;
-        }
-        // Per-thread logs are ordered, so the original run's next completed
-        // syscall was this recv; anything else is divergence. Fall through
-        // to a live receive afterwards.
-        ReplayDiverged(proc, "recv where journal has a different syscall");
+  assert(current_ != 0 && "channel syscall outside a LIP thread");
+  Tcb& tcb = GetTcb(current_);
+  Process& proc = GetProcess(tcb.lip);
+  if (proc.replay != nullptr && !proc.replay->complete) {
+    const JournalEntry* entry = NextReplayEntry(proc, tcb);
+    if (entry != nullptr) {
+      if (entry->kind == JournalEntry::Kind::kRecv &&
+          entry->channel == channel) {
+        // Serve the delivery verbatim — the fabric's copy was consumed by
+        // the original incarnation (tool-result discipline). Remember the
+        // ordinal: when this thread's journal runs dry mid-wait, the fabric
+        // uses it to re-park the thread in its original queue position
+        // among this LIP's other waiters.
+        *message = entry->payload;
+        tcb.replay_recv_resume[channel] = entry->ordinal + 1;
+        ++stats_.ipc_recvs_replayed;
+        ConsumeReplayEntry(proc, tcb);
+        return true;
       }
+      // Per-thread logs are ordered, so the original run's next completed
+      // syscall was this recv; anything else is divergence. Fall through
+      // to a live receive afterwards.
+      ReplayDiverged(proc, "recv where journal has a different syscall");
     }
   }
   uint64_t ordinal = 0;
-  if (!fabric_->TryRecv(replica_index_, receiver, channel, message, &ordinal)) {
+  if (!fabric_->TryRecv(replica_index_, tcb.lip, channel, message, &ordinal)) {
     return false;
   }
-  if (current_ != 0) {
-    // Live delivery: any replay re-park hint is now stale.
-    GetTcb(current_).replay_recv_resume.erase(channel);
-    JournalRecvDelivery(current_, channel, ordinal, *message);
-  }
+  // Live delivery: any replay re-park hint is now stale.
+  tcb.replay_recv_resume.erase(channel);
+  JournalRecvDelivery(current_, channel, ordinal, *message);
   return true;
 }
 
 void LipRuntime::ChannelAddWaiter(const std::string& channel, ThreadId waiter,
                                   std::string* slot) {
   assert(fabric_ != nullptr && "channel syscall without a ChannelFabric");
-  LipId receiver = kNoLip;
-  uint64_t resume_ordinal = 0;
-  if (current_ != 0) {
-    Tcb& tcb = GetTcb(waiter);
-    receiver = tcb.lip;
-    auto hint = tcb.replay_recv_resume.find(channel);
-    if (hint != tcb.replay_recv_resume.end()) {
-      resume_ordinal = hint->second;  // One-shot: first re-park only.
-      tcb.replay_recv_resume.erase(hint);
-    }
-  }
-  fabric_->AddWaiter(replica_index_, receiver, channel, waiter, slot,
-                     resume_ordinal);
+  assert(current_ != 0 && "channel syscall outside a LIP thread");
+  Tcb& tcb = GetTcb(waiter);
+  fabric_->AddWaiter(replica_index_, tcb.lip, channel, waiter, slot,
+                     TakeResumeHint(tcb.replay_recv_resume, channel));
 }
 
 bool LipRuntime::DeliverToWaiter(ThreadId thread, std::string* slot,
                                  const std::string& channel, uint64_t ordinal,
                                  const std::string& message) {
-  if (halted_) {
-    return false;
-  }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
+  if (Waiting(thread) == nullptr) {
     return false;
   }
   *slot = message;

@@ -80,11 +80,11 @@ class ChannelFabric {
   virtual void AddWaiter(size_t replica, LipId receiver,
                          const std::string& channel, ThreadId waiter,
                          std::string* slot, uint64_t resume_ordinal) = 0;
-  // Scrubs pending waits (receivers AND parked senders) of one detached LIP
-  // / a whole halted replica so a later send is not swallowed by a dead
-  // consumer and a freed credit is not granted to a dead sender.
+  // Scrubs the parked threads (receivers AND senders) of `lip` on `replica`
+  // — of every LIP there when `lip` is kNoLip (a halted replica) — so a
+  // later send is not swallowed by a dead consumer and a freed credit is not
+  // granted to a dead sender.
   virtual void DropWaiters(size_t replica, LipId lip) = 0;
-  virtual void DropReplicaWaiters(size_t replica) = 0;
 };
 
 // A finished thread has no state: its control block is erased at exit.
@@ -117,7 +117,6 @@ struct RuntimeStats {
   uint64_t threads_spawned = 0;
   uint64_t context_switches = 0;
   uint64_t preds_submitted = 0;
-  uint64_t tools_invoked = 0;
   uint64_t ipc_messages = 0;
   // Cluster IPC fabric (src/net): replay served recvs from the journal /
   // suppressed re-sends whose original delivery already happened.
@@ -126,11 +125,8 @@ struct RuntimeStats {
   // Credit flow control: credit waits consumed from the journal during
   // replay (the fabric counts live parks and grants).
   uint64_t ipc_credit_waits_replayed = 0;
-  // Recovery (src/recovery): syscalls answered from a journal during replay.
+  // Recovery (src/recovery): LIPs replayed from a journal.
   uint64_t lips_replayed = 0;
-  uint64_t preds_replayed = 0;
-  uint64_t tools_replayed = 0;
-  uint64_t sleeps_replayed = 0;
   uint64_t replay_tokens_imported = 0;    // KV rebuilt via snapshot import.
   uint64_t replay_tokens_recomputed = 0;  // KV rebuilt by re-running preds.
   uint64_t replay_divergences = 0;  // Live result disagreed with the journal.
@@ -156,12 +152,12 @@ class LipRuntime {
 
   // Attaches the IPC fabric (this runtime is replica `replica_index`); every
   // channel syscall delegates to it, so a runtime whose LIPs use channels
-  // needs one before they run. The fabric must outlive the runtime.
+  // needs one before they run. IpcFabric::AttachReplica calls it. The fabric
+  // must outlive the runtime.
   void set_channel_fabric(ChannelFabric* fabric, size_t replica_index) {
     fabric_ = fabric;
     replica_index_ = replica_index;
   }
-  size_t replica_index() const { return replica_index_; }
 
   // Starts a new LIP. The program begins running in virtual time on the next
   // simulator dispatch. on_exit fires when the LIP's last thread finishes.
@@ -202,8 +198,10 @@ class LipRuntime {
   Status BeginReplay(LipId lip, RecoveryMode mode, const ModelConfig* config);
 
   // Kills the whole runtime (replica failure): no thread ever resumes and
-  // pending completions become no-ops. Coroutine frames stay allocated until
-  // destruction so in-flight completions writing result slots stay safe.
+  // pending completions become no-ops, and the fabric scrubs every thread
+  // this replica has parked on a channel (the one scrub of a dead replica).
+  // Coroutine frames stay allocated until destruction so in-flight
+  // completions writing result slots stay safe.
   void Halt();
   bool halted() const { return halted_; }
 
@@ -241,6 +239,13 @@ class LipRuntime {
 
   ThreadId current_thread() const { return current_; }
 
+  // kDeadlineExceeded, counted in deadline_rejections, when `thread`'s LIP is
+  // past its deadline and the journal does not serve the thread's next
+  // syscall; OK otherwise. pred and tool syscalls check it before anything
+  // else is charged, and LipContext::pred when its length lookup fails (the
+  // expiry closed the LIP's handles).
+  Status CheckDeadline(ThreadId thread);
+
   // Spawns a thread in `lip` running `program`; returns its id, or 0 when
   // the LIP's thread quota is exhausted (joining id 0 is a no-op).
   ThreadId SpawnThread(LipId lip, LipProgram program);
@@ -276,7 +281,9 @@ class LipRuntime {
   void AddJoinAllWaiter(LipId lip, ThreadId waiter);
 
   // IPC channels (named, FIFO; bounded by credits when the fabric is
-  // configured). Each delegates to the attached ChannelFabric (see above).
+  // configured). Each delegates to the attached ChannelFabric (see above)
+  // and runs on the current thread: LIP code runs only inside Resume, since
+  // a Task starts suspended.
   //
   // ChannelTrySend returns true when the send completed (accepted by the
   // fabric or suppressed by replay) and false when the channel is out of
@@ -387,6 +394,13 @@ class LipRuntime {
   };
 
   void Resume(ThreadId thread);
+  // CheckDeadline for a thread whose control block and process the caller
+  // already holds.
+  Status CheckDeadline(Process& proc, const Tcb& tcb);
+  // `thread`'s control block while a completion or delivery may still wake
+  // it: the runtime is not halted and the thread is neither finished
+  // (erased) nor killed. nullptr otherwise.
+  Tcb* Waiting(ThreadId thread);
   void OnThreadExit(Tcb& tcb);
   // Process exit: closes the LIP's open handles, frees everything but its
   // exit record and schedules on_exit.

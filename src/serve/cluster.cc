@@ -79,8 +79,7 @@ void SymphonyCluster::BuildReplica(size_t index) {
   ReplicaSlot& slot = slots_[index];
   // Readmission replaces the old incarnation. It is parked, not destroyed:
   // pending simulator events may still name its (halted) runtime.
-  bool readmitted = slot.server != nullptr;
-  if (readmitted) {
+  if (slot.server != nullptr) {
     retired_servers_.push_back(std::move(slot.server));
   }
   ServerOptions server_options = options_.server;
@@ -89,7 +88,8 @@ void SymphonyCluster::BuildReplica(size_t index) {
   // replayed LIPs draw from their own uid-derived streams anyway.
   server_options.runtime.seed = options_.server.runtime.seed + index * 7919;
   server_options.tool_seed = options_.server.tool_seed + index * 104729;
-  slot.server = std::make_unique<SymphonyServer>(sim_, server_options);
+  slot.server = std::make_unique<SymphonyServer>(sim_, server_options,
+                                                 fabric_.get(), index);
   SymphonyServer& server = *slot.server;
   server.scheduler().set_queue_wait_hook(
       [this](double wait_ms) { queue_waits_ms_.Add(wait_ms); });
@@ -99,19 +99,6 @@ void SymphonyCluster::BuildReplica(size_t index) {
   if (options_.configure_replica) {
     options_.configure_replica(server, index);
   }
-  if (readmitted) {
-    fabric_->ReviveReplica(index, &server.runtime());
-  } else {
-    fabric_->AttachReplica(index, &server.runtime());
-  }
-  server.runtime().set_channel_fabric(fabric_.get(), index);
-  // Credit backpressure feeds admission: parked senders on a replica
-  // inflate its projected queue delay, steering Submit's reroute tier
-  // toward less-congested replicas.
-  server.set_backpressure_hook(
-      [fabric = fabric_.get(), index] {
-        return fabric->BackpressureDelay(index);
-      });
   server.set_launcher([this, index](std::string name, LipProgram program,
                                     std::function<void(LipId)> on_exit) {
     return Place(index, std::move(name), std::move(program),
@@ -720,7 +707,6 @@ Status SymphonyCluster::ControlFailover(size_t index) {
   // elsewhere (StartReplay re-targets if needed), so they are not victims.
   std::vector<uint64_t> victims = HostedLips(index);
   runtime.Halt();
-  fabric_->MarkReplicaDead(index);
   if (!victims.empty() && !AnyPlaceable()) {
     ResubmitQueued(index);  // Sheds them: nothing is placeable either.
     return FailedPreconditionError("no surviving replica to fail over to");
@@ -983,7 +969,6 @@ bool SymphonyCluster::ControlDrainComplete(size_t replica) {
   slot.state = ReplicaHealth::kDetached;
   slot.heal_at = -1;  // A detached slot is never readmitted.
   slot.server->runtime().Halt();
-  fabric_->MarkReplicaDead(replica);
   Instant("recovery", "scale-in:replica" + std::to_string(replica));
   return true;
 }

@@ -426,12 +426,12 @@ class SymphonyCluster : private ClusterControl {
   bool ControlDrainComplete(size_t replica) override;
   LoadSignal ControlLoadSignal() const override;
 
-  // Builds and wires the server of slot `index`: the cluster's per-replica
-  // seed decorrelation, its scheduler feeding queue_waits_ms_,
-  // configure_replica, the fabric (attached, or revived after the old
-  // incarnation is parked on readmission), backpressure, the launcher that
-  // routes its admissions through Place, and the disagg hook. The
-  // constructor, readmission and scale-out all build through it.
+  // Builds and wires the server of slot `index` on the cluster's fabric (the
+  // server attaches its runtime at `index`, which on readmission replaces
+  // the parked old incarnation's): the cluster's per-replica seed
+  // decorrelation, its scheduler feeding queue_waits_ms_, configure_replica,
+  // the launcher that routes its admissions through Place, and the disagg
+  // hook. The constructor, readmission and scale-out all build through it.
   void BuildReplica(size_t index);
   // Starts a LIP on `replica`: the only code that does. Counts the launch
   // and, with recovery on, creates its record, journal, uid-derived seed

@@ -186,8 +186,10 @@ class SymphonyServer::ServerToolService : public ToolService {
   ToolServiceStats stats_;
 };
 
-SymphonyServer::SymphonyServer(Simulator* sim, ServerOptions options)
-    : sim_(sim), options_(std::move(options)) {
+SymphonyServer::SymphonyServer(Simulator* sim, ServerOptions options,
+                               IpcFabric* fabric, size_t replica)
+    : sim_(sim), options_(std::move(options)), fabric_(fabric),
+      replica_(replica) {
   CostModel cost(options_.model, options_.hardware);
   model_ = std::make_unique<Model>(options_.model);
   tokenizer_ = std::make_unique<Tokenizer>(options_.model.vocab_size);
@@ -211,14 +213,15 @@ SymphonyServer::SymphonyServer(Simulator* sim, ServerOptions options)
   if (options_.fault_plan != nullptr) {
     options_.fault_plan->ArmKvPressure(sim_, kvfs_.get());
   }
-  // Channels run on a one-replica fabric with its own single-switch
-  // topology; nothing ever crosses it. No fault plan or trace: slow-consumer
-  // windows and "net" instants belong to a cluster's shared fabric. A
-  // cluster re-points the runtime at that fabric.
-  fabric_ = std::make_unique<IpcFabric>(sim_, &device_->cost_model(), nullptr,
-                                        nullptr);
-  fabric_->AttachReplica(0, runtime_.get());
-  runtime_->set_channel_fabric(fabric_.get(), 0);
+  if (fabric_ == nullptr) {
+    // A standalone server's one-replica fabric, with its own single-switch
+    // topology that nothing ever crosses. No fault plan or trace:
+    // slow-consumer windows and "net" instants belong to a cluster's fabric.
+    owned_fabric_ = std::make_unique<IpcFabric>(
+        sim_, &device_->cost_model(), nullptr, nullptr);
+    fabric_ = owned_fabric_.get();
+  }
+  fabric_->AttachReplica(replica_, runtime_.get());
 }
 
 SymphonyServer::~SymphonyServer() = default;
@@ -374,13 +377,9 @@ SimDuration SymphonyServer::ProjectedQueueDelay(size_t depth) const {
           ? service_ewma_s_
           : ToSeconds(options_.admission.initial_service_estimate);
   uint32_t slots = std::max<uint32_t>(options_.admission.max_live_lips, 1);
-  SimDuration projected =
-      DurationFromSeconds(service_s * static_cast<double>(depth + 1) /
-                          static_cast<double>(slots));
-  if (backpressure_hook_) {
-    projected += backpressure_hook_();
-  }
-  return projected;
+  return DurationFromSeconds(service_s * static_cast<double>(depth + 1) /
+                             static_cast<double>(slots)) +
+         fabric_->BackpressureDelay(replica_);
 }
 
 size_t SymphonyServer::admission_queue_depth() const {

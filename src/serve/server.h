@@ -122,7 +122,11 @@ struct ServerOptions {
 
 class SymphonyServer {
  public:
-  SymphonyServer(Simulator* sim, ServerOptions options = {});
+  // The server's channels run on `fabric` as replica `replica`: a cluster
+  // passes its shared fabric and the slot index. With no fabric the server
+  // builds a one-replica fabric of its own.
+  SymphonyServer(Simulator* sim, ServerOptions options = {},
+                 IpcFabric* fabric = nullptr, size_t replica = 0);
   ~SymphonyServer();
 
   SymphonyServer(const SymphonyServer&) = delete;
@@ -183,15 +187,6 @@ class SymphonyServer {
   // left; entries already past it are shed (shed_expired).
   std::vector<LaunchSpec> TakeQueued();
 
-  // Extra delay folded into ProjectedQueueDelay (deadline-aware rejection
-  // and retry_after hints). The cluster wires this to the IPC fabric's
-  // credit backpressure (IpcFabric::BackpressureDelay): a replica whose
-  // senders are parked for credits advertises longer projected waits, so
-  // Submit's reroute tier steers new work to less-congested replicas.
-  void set_backpressure_hook(std::function<SimDuration()> hook) {
-    backpressure_hook_ = std::move(hook);
-  }
-
   // Materializes a cluster-shared KV snapshot as a named file on this
   // replica (cross-replica prefix warming, src/store). Pages land on the
   // host tier; the first pred that reads the file pays PCIe, not prefill.
@@ -236,7 +231,11 @@ class SymphonyServer {
   std::optional<QueuedLaunch> PopQueued();
   // Fills free run slots from the wait queues.
   void AdmitFromQueue();
-  // Projected wait for a request joining behind `depth` queued entries.
+  // Projected wait for a request joining behind `depth` queued entries,
+  // plus the fabric's credit backpressure for this replica
+  // (IpcFabric::BackpressureDelay): a replica whose senders are parked for
+  // credits advertises longer waits, so a cluster's Submit reroute tier
+  // steers new work to less-congested replicas.
   SimDuration ProjectedQueueDelay(size_t depth) const;
 
   Simulator* sim_;
@@ -248,9 +247,12 @@ class SymphonyServer {
   std::unique_ptr<InferenceScheduler> scheduler_;
   std::unique_ptr<ToolRegistry> tools_;
   std::unique_ptr<ServerToolService> tool_service_;
-  // Declared before runtime_ so it outlives it: the runtime's channel
-  // syscalls go through it.
-  std::unique_ptr<IpcFabric> fabric_;
+  // Declared before runtime_ so they outlive it: the runtime's channel
+  // syscalls go through the fabric. owned_fabric_ is set only when the
+  // constructor was given no fabric.
+  std::unique_ptr<IpcFabric> owned_fabric_;
+  IpcFabric* fabric_;
+  size_t replica_;
   std::unique_ptr<LipRuntime> runtime_;
 
   // Admission control state.
@@ -258,7 +260,6 @@ class SymphonyServer {
   uint32_t live_admitted_ = 0;
   double service_ewma_s_ = 0.0;  // 0 = no completions yet; use the prior.
   AdmissionStats admission_stats_;
-  std::function<SimDuration()> backpressure_hook_;
   Launcher launcher_;
 };
 

@@ -220,6 +220,19 @@ TEST(CtrlTest, HealedCrashIsReadmittedAtBumpedEpoch) {
   EXPECT_TRUE(cluster.Done(next));
   EXPECT_FALSE(cluster.Output(next).empty());
   EXPECT_EQ(cluster.Snapshot().replay_divergences, 0u);
+  // The cluster's fabric delivers into the rebuilt runtime: a LIP on slot 0
+  // receives what slot 1 sends.
+  LipId receiver =
+      cluster.replica(0).Launch("receiver", [](LipContext& ctx) -> Task {
+        std::string msg = co_await ctx.recv("readmitted");
+        ctx.emit(msg);
+      });
+  cluster.replica(1).Launch("sender", [](LipContext& ctx) -> Task {
+    co_await ctx.send("readmitted", "hello");
+  });
+  sim.Run();
+  EXPECT_EQ(cluster.replica(0).runtime().Output(receiver), "hello");
+  EXPECT_EQ(cluster.fabric().View("readmitted").home, 0u);
 }
 
 // Cluster aggregates span every incarnation of a slot. Slot 0 finishes a
@@ -623,7 +636,7 @@ TEST(CtrlTest, FabricAndStoreRefuseFencedReplicas) {
   cluster.fabric().FenceReplica(1, 7);
   EXPECT_TRUE(cluster.fabric().replica_fenced(1));
   EXPECT_EQ(cluster.fabric().replica_fence_epoch(1), 7u);
-  cluster.fabric().ReviveReplica(1, &cluster.replica(1).runtime());
+  cluster.fabric().AttachReplica(1, &cluster.replica(1).runtime());
   EXPECT_FALSE(cluster.fabric().replica_fenced(1));
   // The fence epoch survives revival as the slot's generation high-water
   // mark (stale sends from epoch < 7 stay refused).

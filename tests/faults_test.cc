@@ -538,6 +538,32 @@ TEST(DeadlineTest, QueuedPredsAreCancelledAtExpiry) {
             1u);
 }
 
+// Expiry closes the LIP's handles; a pred on its own file afterwards is
+// still rejected for the deadline (and counted), not for the closed handle.
+TEST(DeadlineTest, PredAfterExpiryReportsDeadlineExceeded) {
+  Simulator sim;
+  ServerOptions options;
+  options.model = ModelConfig::Tiny();
+  SymphonyServer server(&sim, options);
+
+  SymphonyServer::LaunchSpec spec;
+  spec.name = "late";
+  spec.program = [](LipContext& ctx) -> Task {
+    KvHandle kv = *ctx.kv_tmp();
+    co_await ctx.sleep(Millis(20));
+    StatusOr<std::vector<Distribution>> d = co_await ctx.pred1(kv, 1);
+    ctx.emit(StatusCodeName(d.status().code()));
+  };
+  spec.deadline = Millis(10);
+  SymphonyServer::AdmitResult admitted = server.Submit(std::move(spec));
+  ASSERT_TRUE(admitted.status.ok());
+  sim.Run();
+
+  EXPECT_TRUE(server.runtime().DeadlineExpired(admitted.lip));
+  EXPECT_EQ(server.runtime().Output(admitted.lip), "DEADLINE_EXCEEDED");
+  EXPECT_EQ(server.runtime().stats().deadline_rejections, 1u);
+}
+
 // ---- Admission control --------------------------------------------------
 
 LipProgram Sleeper(SimDuration how_long) {

@@ -801,6 +801,84 @@ TEST(NetTest, PerChannelCreditOverrideBoundsOnlyThatChannel) {
   EXPECT_EQ(cluster.fabric().View("credit").capacity, 0u);
 }
 
+// ---- Dead and fenced replicas ------------------------------------------
+
+LipProgram RecvOnce(std::string channel) {
+  return [channel](LipContext& ctx) -> Task {
+    std::string msg = co_await ctx.recv(channel);
+    ctx.emit(msg);
+  };
+}
+
+LipProgram SendAll(std::string channel, std::vector<std::string> msgs) {
+  return [channel, msgs](LipContext& ctx) -> Task {
+    for (const std::string& msg : msgs) {
+      co_await ctx.send(channel, msg);
+    }
+  };
+}
+
+// Without a control plane nothing but the crashed runtime's halt scrubs the
+// threads its replica parked: a receiver on an empty channel and a sender
+// on a full one. A later send to the dead receiver's channel stays queued
+// for a future endpoint instead of being swallowed.
+TEST(NetTest, HaltAloneScrubsACrashedReplicasParkedThreads) {
+  Simulator sim;
+  ClusterOptions options = SplitPairOptions(61);
+  options.replicas = 2;
+  SymphonyCluster cluster(&sim, options);
+  cluster.fabric().SetChannelCredits("full", 1);
+  LipId receiver = cluster.replica(0).Launch("receiver", RecvOnce("empty"));
+  cluster.replica(0).Launch("sender", SendAll("full", {"first", "second"}));
+  sim.RunUntil(Millis(1));
+  ASSERT_EQ(cluster.fabric().View("empty").waiters, 1u);
+  ASSERT_EQ(cluster.fabric().View("full").send_waiters, 1u);
+
+  ASSERT_TRUE(cluster.CrashReplica(0).ok());
+  EXPECT_EQ(cluster.fabric().View("empty").waiters, 0u);
+  EXPECT_EQ(cluster.fabric().View("full").send_waiters, 0u);
+
+  cluster.replica(1).Launch("late-sender", SendAll("empty", {"late"}));
+  sim.Run();
+  EXPECT_EQ(cluster.fabric().View("empty").queued, 1u);
+  EXPECT_TRUE(cluster.replica(0).runtime().Output(receiver).empty());
+}
+
+// The fence guards hold on their own, on a fenced replica whose runtime
+// still runs: its send is discarded and its recv refused, and both are
+// counted in ipc_fenced_rejections.
+TEST(NetTest, FencedReplicaDiscardsSendsAndRefusesRecvs) {
+  Simulator sim;
+  ClusterOptions options = SplitPairOptions(67);
+  options.replicas = 2;
+  SymphonyCluster cluster(&sim, options);
+  LipId receiver = cluster.replica(0).Launch("receiver", RecvOnce("to-zero"));
+  sim.RunUntil(Millis(1));
+  cluster.fabric().FenceReplica(1, 1);
+  ASSERT_FALSE(cluster.replica(1).runtime().halted());
+
+  cluster.replica(1).Launch("zombie-sender", SendAll("to-zero", {"zombie"}));
+  sim.RunUntil(Millis(2));
+  EXPECT_EQ(cluster.fabric().stats().ipc_fenced_rejections, 1u);
+  EXPECT_EQ(cluster.fabric().View("to-zero").queued, 0u);
+  EXPECT_EQ(cluster.fabric().View("to-zero").waiters, 1u);
+
+  // Refused twice: the non-blocking attempt, then the park.
+  LipId zombie =
+      cluster.replica(1).Launch("zombie-receiver", RecvOnce("to-one"));
+  sim.RunUntil(Millis(3));
+  EXPECT_EQ(cluster.fabric().stats().ipc_fenced_rejections, 3u);
+  EXPECT_FALSE(cluster.fabric().View("to-one").registered);
+  EXPECT_EQ(cluster.fabric().View("to-one").waiters, 0u);
+
+  // A message for the refused receiver stays queued: it took nothing.
+  cluster.replica(0).Launch("sender", SendAll("to-one", {"kept"}));
+  sim.Run();
+  EXPECT_EQ(cluster.fabric().View("to-one").queued, 1u);
+  EXPECT_TRUE(cluster.replica(1).runtime().Output(zombie).empty());
+  EXPECT_TRUE(cluster.replica(0).runtime().Output(receiver).empty());
+}
+
 // ---- Network topology (ISSUE 8) ----------------------------------------
 
 // Zero bytes is still a packet: the propagation latency applies, end to end

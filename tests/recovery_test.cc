@@ -141,7 +141,14 @@ TEST(RecoveryTest, KilledLipReplaysBitIdenticalAcrossSeeds) {
 // ---- Quota carry-over (a migration must not reset LipUsage) ------------
 
 TEST(RecoveryTest, QuotaUsageCarriesOverAcrossFailover) {
-  auto run = [](bool kill) {
+  struct QuotaRun {
+    std::string output;
+    uint64_t used = 0;  // Pred tokens charged where the LIP finished.
+    SimTime finish = 0;
+    SymphonyCluster::ClusterSnapshot snap;
+  };
+  // kill_at 0: no kill.
+  auto run = [](SimTime kill_at) {
     Simulator sim;
     SymphonyCluster cluster(&sim, RecoveryCluster(7, RecoveryMode::kAuto));
     RegisterTools(cluster);
@@ -149,24 +156,34 @@ TEST(RecoveryTest, QuotaUsageCarriesOverAcrossFailover) {
     LipQuota quota;
     quota.max_pred_tokens = 14;  // Cuts generation short mid-turn.
     cluster.replica(id.replica).runtime().SetQuota(id.lip, quota);
-    if (kill) {
-      sim.ScheduleAt(Millis(40),
+    if (kill_at > 0) {
+      sim.ScheduleAt(kill_at,
                      [&cluster, id] { (void)cluster.KillReplica(id.replica); });
     }
     sim.Run();
     EXPECT_TRUE(cluster.Done(id));
+    QuotaRun r;
+    r.output = cluster.Output(id);
     SymphonyCluster::ClusterLip where = cluster.Locate(id);
-    LipUsage usage =
-        cluster.replica(where.replica).runtime().GetUsage(where.lip);
-    return std::make_pair(cluster.Output(id), usage.pred_tokens);
+    r.used =
+        cluster.replica(where.replica).runtime().GetUsage(where.lip).pred_tokens;
+    r.finish = sim.now();
+    r.snap = cluster.Snapshot();
+    return r;
   };
-  auto [baseline_output, baseline_used] = run(false);
-  auto [killed_output, killed_used] = run(true);
-  // The quota bit: replay re-runs the accounting, so usage on the new
-  // replica equals the uninterrupted run's — the kill resets nothing.
-  EXPECT_EQ(killed_used, baseline_used);
-  EXPECT_LE(killed_used, 14u);
-  EXPECT_EQ(killed_output, baseline_output);
+  QuotaRun baseline = run(0);
+  ASSERT_GT(baseline.finish, 0);
+  // Killed halfway through the unkilled run, the LIP is still running (it
+  // stops at its token limit), so it fails over and replays.
+  QuotaRun killed = run(baseline.finish / 2);
+  EXPECT_EQ(killed.snap.failovers, 1u);
+  EXPECT_EQ(killed.snap.lips_replayed, 1u);
+  // The quota bit: replay re-runs the accounting under the journaled limit,
+  // so usage on the new replica equals the uninterrupted run's — the kill
+  // resets nothing.
+  EXPECT_EQ(killed.used, baseline.used);
+  EXPECT_LE(killed.used, 14u);
+  EXPECT_EQ(killed.output, baseline.output);
 }
 
 // ---- Limits across replay (the journal's quota and deadline) ------------

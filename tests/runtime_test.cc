@@ -23,7 +23,6 @@ class RuntimeTest : public ::testing::Test {
         fabric_(&sim_, &cost_, nullptr, nullptr),
         runtime_(&sim_, &kvfs_) {
     fabric_.AttachReplica(0, &runtime_);
-    runtime_.set_channel_fabric(&fabric_, 0);
   }
 
   static KvfsOptions MakeKvfsOptions() {
