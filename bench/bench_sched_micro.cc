@@ -22,7 +22,6 @@
 
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "src/gpu/device.h"
@@ -104,8 +103,6 @@ class Rig {
     request.lip = lip;
     request.kv = kv;
     request.tokens.assign(tokens, 260);
-    request.positions.resize(tokens);
-    std::iota(request.positions.begin(), request.positions.end(), 0);
     request.submit_time = sim_.now();
     request.complete = [this, lip, kv, tokens](PredResult) {
       (void)kvfs_.Truncate(kv, 0);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -212,16 +211,8 @@ void PromptServer::CompleteStepForSeqs(const std::vector<Sequence*>& step_seqs,
 
     // Append the fed tokens at the file's next positions; KVFS advances each
     // token once from the file's tail state and appends its distribution.
-    StatusOr<uint64_t> length = kvfs_->Length(seq->kv);
-    if (!length.ok()) {
-      FinishSequence(*seq, length.status());
-      finished.push_back(seq);
-      continue;
-    }
-    std::vector<int32_t> positions(fed.size());
-    std::iota(positions.begin(), positions.end(), static_cast<int32_t>(*length));
     dists.clear();
-    Status append = kvfs_->AppendTokens(seq->kv, fed, positions, model_, dists);
+    Status append = kvfs_->AppendTokens(seq->kv, fed, model_, dists);
     if (!append.ok()) {
       FinishSequence(*seq, append);
       finished.push_back(seq);

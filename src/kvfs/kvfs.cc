@@ -457,24 +457,24 @@ Status Kvfs::Append(KvHandle handle, std::span<const TokenRecord> records) {
 }
 
 Status Kvfs::AppendTokens(KvHandle handle, std::span<const TokenId> tokens,
-                          std::span<const int32_t> positions, const Model& model,
-                          std::vector<Distribution>& dists) {
-  assert(positions.size() == tokens.size());
+                          const Model& model, std::vector<Distribution>& dists) {
   SYMPHONY_ASSIGN_OR_RETURN(FileEntry * file, WritableFile(handle, "append on read-only handle"));
   KvFileData& data = *file->data;
   const uint64_t original_length = data.length();
   const size_t original_dists = dists.size();
   if (dists.empty()) {
-    dists.reserve(tokens.size());  // A result: one allocation. A bank grows.
+    dists.reserve(tokens.size());  // A whole pred: one allocation. Chunks grow it.
   }
   HiddenState state = data.empty() ? model.InitialState() : *data.TailState();
   std::array<TokenRecord, kPageTokens> run;
   while (!tokens.empty()) {
     // Stage the records that fill the file's tail page.
+    const auto first = static_cast<int32_t>(data.length());
     size_t n = std::min<size_t>(tokens.size(), kPageTokens - data.length() % kPageTokens);
     for (size_t i = 0; i < n; ++i) {
-      state = Model::Advance(state, tokens[i], positions[i]);
-      run[i] = TokenRecord{tokens[i], positions[i], state};
+      const int32_t at = first + static_cast<int32_t>(i);
+      state = Model::Advance(state, tokens[i], at);
+      run[i] = TokenRecord{tokens[i], at, state};
       dists.push_back(model.Predict(state));
     }
     StatusOr<size_t> written = AppendRun(*file, std::span(run).first(n), Tier::kGpu,
@@ -486,7 +486,6 @@ Status Kvfs::AppendTokens(KvHandle handle, std::span<const TokenId> tokens,
     }
     assert(*written == n);
     tokens = tokens.subspan(n);
-    positions = positions.subspan(n);
   }
   file->last_access = Now();
   return Status::Ok();

@@ -144,17 +144,16 @@ class Kvfs {
 
   Status Append(KvHandle handle, std::span<const TokenRecord> records);
 
-  // pred's append: one record per token, whose state is Model::Advance of
-  // the state before, starting from the file's tail state (the model's
-  // initial state when the file is empty). Appends each token's
-  // distribution, `model.Predict` of its state, to `dists`. Records are
-  // staged one page run at a time on the stack. Atomic like Append: any
-  // error truncates both the file and `dists` back to their lengths on
-  // entry. Each token is advanced once, here, so the chain check of its
-  // page has no state to verify.
+  // pred's append: token i goes at position length + i, in a record whose
+  // state is Model::Advance of the state before, starting from the file's
+  // tail state (the model's initial state when the file is empty). Appends
+  // each token's distribution, `model.Predict` of its state, to `dists`.
+  // Records are staged one page run at a time on the stack. Atomic like
+  // Append: any error truncates both the file and `dists` back to their
+  // lengths on entry. Each token is advanced once, here, so the chain check
+  // of its page has no state to verify.
   Status AppendTokens(KvHandle handle, std::span<const TokenId> tokens,
-                      std::span<const int32_t> positions, const Model& model,
-                      std::vector<Distribution>& dists);
+                      const Model& model, std::vector<Distribution>& dists);
 
   // ---- Snapshot export/import (checkpoint/restore, src/recovery) -------
 

@@ -129,8 +129,7 @@ void IpcFabric::AddSendWaiter(size_t replica, LipId sender,
                               const std::string& channel, ThreadId waiter,
                               std::string* slot, uint64_t resume_grant) {
   if (replica_fenced(replica)) {
-    ++stats_.ipc_fenced_rejections;  // See AddWaiter: never park a zombie.
-    return;
+    return;  // See AddWaiter: never park a zombie.
   }
   ChannelState& ch = Chan(channel);
   Park(ch.send_waiters, Parked{replica, sender, waiter, slot, resume_grant});
@@ -297,8 +296,8 @@ void IpcFabric::AddWaiter(size_t replica, LipId receiver,
                           std::string* slot, uint64_t resume_ordinal) {
   if (replica_fenced(replica)) {
     // Never park a zombie: its thread will not be resumed (the replica is
-    // halted) and a parked fenced waiter would absorb a delivery.
-    ++stats_.ipc_fenced_rejections;
+    // halted) and a parked fenced waiter would absorb a delivery. TryRecv
+    // already refused and counted this call.
     return;
   }
   ChannelState& ch = Chan(channel);

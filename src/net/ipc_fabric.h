@@ -175,11 +175,11 @@ class IpcFabric : public ChannelFabric {
 
   // Fences replica `index` at generation `epoch`: until it is attached
   // again, sends from it are discarded at the fabric boundary and recvs/parks
-  // from it are refused (counted in stats().ipc_fenced_rejections). The
-  // runtime is halted by the cluster before fencing, so these guards are the
-  // defense-in-depth layer that makes a zombie incarnation provably unable
-  // to interact — exactly-once ownership for replayed LIPs does not rest on
-  // the halt alone.
+  // from it are refused (one count in stats().ipc_fenced_rejections per send
+  // or recv). The runtime is halted by the cluster before fencing, so these
+  // guards are the defense-in-depth layer that makes a zombie incarnation
+  // provably unable to interact — exactly-once ownership for replayed LIPs
+  // does not rest on the halt alone.
   void FenceReplica(size_t index, uint64_t epoch);
 
   bool replica_fenced(size_t index) const {

@@ -11,11 +11,12 @@
 // simulation applied to serving.
 //
 // What is recorded, and how each class of nondeterminism is replayed:
-//   * pred     — entry per completed call: tokens, positions, and the hidden
-//                state after each token (the Distribution is reconstructible
-//                from state + model config, and the states ARE the KV-file
-//                records, i.e. the journal doubles as an incremental
-//                KvFileSnapshot of every file the LIP wrote).
+//   * pred     — entry per completed call: tokens, the start position (the
+//                file length the pred continued), and the hidden state after
+//                each token (the Distribution is reconstructible from state +
+//                model config, and the states ARE the KV-file records, i.e.
+//                the journal doubles as an incremental KvFileSnapshot of
+//                every file the LIP wrote).
 //   * tools    — entry per completed call: status + output payload.
 //   * sleep    — entry per completed sleep; replay skips the wait.
 //   * IPC recv — entry per delivered message (channel + per-channel receive
@@ -111,10 +112,10 @@ struct JournalEntry {
   Status status;  // Completion status (pred and tool entries).
 
   // kPred: the request and the resulting per-token hidden states. states[i]
-  // is the state after consuming tokens[i]; together with tokens/positions
+  // is the state after consuming tokens[i] at position start + i; together
   // these are exactly the TokenRecords the executor appended.
   std::vector<TokenId> tokens;
-  std::vector<int32_t> positions;
+  int32_t start = 0;
   std::vector<uint64_t> states;
 
   // kTool: output payload. kRecv/kSend: the message.

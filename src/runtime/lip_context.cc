@@ -1,7 +1,5 @@
 #include "src/runtime/lip_context.h"
 
-#include <numeric>
-
 namespace symphony {
 
 StatusOr<KvHandle> LipContext::kv_open(std::string_view path, bool write) {
@@ -132,32 +130,22 @@ std::vector<std::string> LipContext::kv_list(std::string_view prefix) const {
   return readable;
 }
 
-LipContext::PredAwaitable LipContext::pred_at(KvHandle kv,
-                                              std::vector<TokenId> tokens,
-                                              std::vector<int32_t> positions) {
-  Status early = Status::Ok();
-  if (tokens.empty()) {
-    early = InvalidArgumentError("pred requires at least one token");
-  } else if (tokens.size() != positions.size()) {
-    early = InvalidArgumentError("tokens/positions size mismatch");
-  }
-  return PredAwaitable(runtime_, kv, std::move(tokens), std::move(positions),
-                       std::move(early));
-}
-
 LipContext::PredAwaitable LipContext::pred(KvHandle kv,
                                            std::vector<TokenId> tokens) {
   StatusOr<uint64_t> length = runtime_->kvfs()->Length(kv);
   if (!length.ok()) {
     // An expired deadline closes the LIP's handles: report the deadline,
     // not the stale handle.
-    Status expired = runtime_->CheckDeadline(runtime_->current_thread());
-    return PredAwaitable(runtime_, kv, {}, {},
+    Status expired = runtime_->CheckDeadline(runtime_->current_thread(),
+                                             JournalEntry::Kind::kPred);
+    return PredAwaitable(runtime_, kv, {}, 0,
                          expired.ok() ? length.status() : std::move(expired));
   }
-  std::vector<int32_t> positions(tokens.size());
-  std::iota(positions.begin(), positions.end(), static_cast<int32_t>(*length));
-  return pred_at(kv, std::move(tokens), std::move(positions));
+  Status early = tokens.empty()
+                     ? InvalidArgumentError("pred requires at least one token")
+                     : Status::Ok();
+  return PredAwaitable(runtime_, kv, std::move(tokens),
+                       static_cast<int32_t>(*length), std::move(early));
 }
 
 LipContext::PredAwaitable LipContext::pred1(KvHandle kv, TokenId token) {

@@ -89,11 +89,8 @@ class LipContext {
   class PredAwaitable {
    public:
     PredAwaitable(LipRuntime* runtime, KvHandle kv, std::vector<TokenId> tokens,
-                  std::vector<int32_t> positions, Status early_error)
-        : runtime_(runtime),
-          kv_(kv),
-          tokens_(std::move(tokens)),
-          positions_(std::move(positions)) {
+                  int32_t start, Status early_error)
+        : runtime_(runtime), kv_(kv), tokens_(std::move(tokens)), start_(start) {
       if (!early_error.ok()) {
         result_.status = std::move(early_error);
         ready_ = true;
@@ -103,7 +100,7 @@ class LipContext {
     void await_suspend(std::coroutine_handle<> frame) {
       runtime_->SetResumePoint(frame);
       runtime_->SubmitPred(runtime_->current_thread(), kv_, std::move(tokens_),
-                           std::move(positions_), &result_);
+                           start_, &result_);
     }
     StatusOr<std::vector<Distribution>> await_resume() {
       if (!result_.status.ok()) {
@@ -116,16 +113,13 @@ class LipContext {
     LipRuntime* runtime_;
     KvHandle kv_;
     std::vector<TokenId> tokens_;
-    std::vector<int32_t> positions_;
+    int32_t start_;
     PredResult result_;
     bool ready_ = false;
   };
 
-  // pred with explicit absolute positions (the paper's full signature).
-  PredAwaitable pred_at(KvHandle kv, std::vector<TokenId> tokens,
-                        std::vector<int32_t> positions);
-
-  // pred continuing at the file's current length (the common case).
+  // Appends `tokens` at the end of `kv`: token i goes at position
+  // length + i, the only placement the scheduler accepts.
   PredAwaitable pred(KvHandle kv, std::vector<TokenId> tokens);
 
   // Single-token decode step.

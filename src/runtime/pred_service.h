@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
@@ -35,10 +34,10 @@ struct PredRequest {
   LipId lip = kNoLip;
   ThreadId thread = 0;
   KvHandle kv;
-  // Token i is placed at absolute position positions[i]. The executor
-  // enforces strict continuation: positions[i] == kv file length + i.
+  // Token i goes at position start + i. The scheduler accepts the request
+  // only while start equals the kv file's length.
   std::vector<TokenId> tokens;
-  std::vector<int32_t> positions;
+  int32_t start = 0;
   SimTime submit_time = 0;
   // Times this request was bounced for lack of device memory (scheduler
   // bookkeeping for preemption-style retry).
@@ -47,10 +46,10 @@ struct PredRequest {
   // a large prefill into position-contiguous chunks, the re-queued
   // continuation keeps the original submit_time/lip/kv context, counts the
   // tokens already executed in chunk_done, and accumulates the per-token
-  // distributions of earlier chunks in chunk_dists so the final chunk can
-  // deliver one result bit-identical to unchunked execution.
+  // distributions of earlier chunks in dists, which the final chunk hands
+  // over as one result bit-identical to unchunked execution. Empty at submit.
   uint64_t chunk_done = 0;
-  std::shared_ptr<std::vector<Distribution>> chunk_dists;
+  std::vector<Distribution> dists;
   std::function<void(PredResult)> complete;
 };
 

@@ -404,9 +404,13 @@ const JournalEntry* LipRuntime::NextReplayEntry(Process& proc,
   return proc.journal->At(tcb.path, it->second.next);
 }
 
-bool LipRuntime::ReplayServes(Process& proc, const Tcb& tcb) {
-  return proc.replay != nullptr && !proc.replay->complete &&
-         NextReplayEntry(proc, tcb) != nullptr;
+bool LipRuntime::ReplayServes(Process& proc, const Tcb& tcb,
+                              JournalEntry::Kind kind) {
+  if (proc.replay == nullptr || proc.replay->complete) {
+    return false;
+  }
+  const JournalEntry* entry = NextReplayEntry(proc, tcb);
+  return entry != nullptr && entry->kind == kind;
 }
 
 void LipRuntime::ConsumeReplayEntry(Process& proc, const Tcb& tcb) {
@@ -510,16 +514,17 @@ const std::string& LipRuntime::Output(LipId lip) const {
   return GetProcess(lip).output;
 }
 
-Status LipRuntime::CheckDeadline(ThreadId thread) {
+Status LipRuntime::CheckDeadline(ThreadId thread, JournalEntry::Kind kind) {
   const Tcb& tcb = GetTcb(thread);
-  return CheckDeadline(GetProcess(tcb.lip), tcb);
+  return CheckDeadline(GetProcess(tcb.lip), tcb, kind);
 }
 
-Status LipRuntime::CheckDeadline(Process& proc, const Tcb& tcb) {
-  // Suppressed while the journal still serves this thread: the original
+Status LipRuntime::CheckDeadline(Process& proc, const Tcb& tcb,
+                                 JournalEntry::Kind kind) {
+  // Suppressed while the journal still serves this syscall: the original
   // run's pre-expiry syscalls must replay even though replay's compressed
   // timeline is past the deadline.
-  if (!proc.expired || ReplayServes(proc, tcb)) {
+  if (!proc.expired || ReplayServes(proc, tcb, kind)) {
     return Status::Ok();
   }
   ++stats_.deadline_rejections;
@@ -528,8 +533,8 @@ Status LipRuntime::CheckDeadline(Process& proc, const Tcb& tcb) {
 }
 
 void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
-                            std::vector<TokenId> tokens,
-                            std::vector<int32_t> positions, PredResult* result) {
+                            std::vector<TokenId> tokens, int32_t start,
+                            PredResult* result) {
   BlockCurrent();
   ++stats_.preds_submitted;
   if (pred_service_ == nullptr) {
@@ -541,7 +546,8 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   Process& proc = GetProcess(tcb.lip);
   // Expired deadline fails fast — before the quota charge, matching a live
   // run where the rejection short-circuits.
-  if (Status expired = CheckDeadline(proc, tcb); !expired.ok()) {
+  if (Status expired = CheckDeadline(proc, tcb, JournalEntry::Kind::kPred);
+      !expired.ok()) {
     result->status = std::move(expired);
     Ready(thread);
     return;
@@ -574,8 +580,9 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
           std::vector<TokenRecord> records;
           records.reserve(entry->tokens.size());
           for (size_t i = 0; i < entry->tokens.size(); ++i) {
-            records.push_back(
-                {entry->tokens[i], entry->positions[i], entry->states[i]});
+            records.push_back({entry->tokens[i],
+                               entry->start + static_cast<int32_t>(i),
+                               entry->states[i]});
           }
           Status imported = kvfs_->ImportRecords(kv, records, Tier::kHost);
           if (!imported.ok()) {
@@ -614,21 +621,19 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   request.thread = thread;
   request.kv = kv;
   request.tokens = std::move(tokens);
-  request.positions = std::move(positions);
+  request.start = start;
   request.submit_time = sim_->now();
   std::shared_ptr<SyscallJournal> journal = proc.journal;
   bool record = journal != nullptr && !from_journal;
   std::vector<TokenId> rec_tokens;
-  std::vector<int32_t> rec_positions;
   if (record) {
     rec_tokens = request.tokens;
-    rec_positions = request.positions;
   }
+  // The journal records the start submitted here: the scheduler moves
+  // request.start past each chunk of a split prefill.
   request.complete = [this, thread, result, journal, record, from_journal,
-                      verify_index, path = tcb.path,
-                      rec_tokens = std::move(rec_tokens),
-                      rec_positions = std::move(rec_positions)](
-                         PredResult r) mutable {
+                      verify_index, start, path = tcb.path,
+                      rec_tokens = std::move(rec_tokens)](PredResult r) mutable {
     Tcb* waiting = Waiting(thread);
     bool dead = waiting == nullptr;
     if (!dead) {
@@ -647,7 +652,7 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
       entry.kind = JournalEntry::Kind::kPred;
       entry.status = r.status;
       entry.tokens = std::move(rec_tokens);
-      entry.positions = std::move(rec_positions);
+      entry.start = start;
       entry.states.reserve(r.dists.size());
       for (const Distribution& d : r.dists) {
         entry.states.push_back(d.state());
@@ -697,7 +702,8 @@ void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
   Tcb& tcb = GetTcb(thread);
   LipId lip = tcb.lip;
   Process& proc = GetProcess(lip);
-  if (Status expired = CheckDeadline(proc, tcb); !expired.ok()) {
+  if (Status expired = CheckDeadline(proc, tcb, JournalEntry::Kind::kTool);
+      !expired.ok()) {
     result->status = std::move(expired);
     Ready(thread);
     return;

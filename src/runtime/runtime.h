@@ -240,11 +240,11 @@ class LipRuntime {
   ThreadId current_thread() const { return current_; }
 
   // kDeadlineExceeded, counted in deadline_rejections, when `thread`'s LIP is
-  // past its deadline and the journal does not serve the thread's next
-  // syscall; OK otherwise. pred and tool syscalls check it before anything
-  // else is charged, and LipContext::pred when its length lookup fails (the
-  // expiry closed the LIP's handles).
-  Status CheckDeadline(ThreadId thread);
+  // past its deadline and the journal does not serve this `kind` syscall
+  // (see ReplayServes); OK otherwise. pred and tool syscalls check it
+  // before anything else is charged, and LipContext::pred when its length
+  // lookup fails (the expiry closed the LIP's handles).
+  Status CheckDeadline(ThreadId thread, JournalEntry::Kind kind);
 
   // Spawns a thread in `lip` running `program`; returns its id, or 0 when
   // the LIP's thread quota is exhausted (joining id 0 is a no-op).
@@ -264,8 +264,9 @@ class LipRuntime {
 
   // pred syscall plumbing. The completion callback writes into `result`
   // (which lives in the suspended coroutine frame) and wakes the thread.
+  // `start` is the file length the pred continues.
   void SubmitPred(ThreadId thread, KvHandle kv, std::vector<TokenId> tokens,
-                  std::vector<int32_t> positions, PredResult* result);
+                  int32_t start, PredResult* result);
 
   // Tool-call plumbing.
   void SubmitTool(ThreadId thread, const std::string& tool, const std::string& args,
@@ -396,7 +397,7 @@ class LipRuntime {
   void Resume(ThreadId thread);
   // CheckDeadline for a thread whose control block and process the caller
   // already holds.
-  Status CheckDeadline(Process& proc, const Tcb& tcb);
+  Status CheckDeadline(Process& proc, const Tcb& tcb, JournalEntry::Kind kind);
   // `thread`'s control block while a completion or delivery may still wake
   // it: the runtime is not halted and the thread is neither finished
   // (erased) nor killed. nullptr otherwise.
@@ -416,9 +417,11 @@ class LipRuntime {
   // whole journal has been consumed.
   const JournalEntry* NextReplayEntry(Process& proc, const Tcb& tcb);
   void ConsumeReplayEntry(Process& proc, const Tcb& tcb);
-  // True while `tcb`'s next syscall will be answered from the journal —
-  // deadline rejections are suppressed for such calls (see SetDeadline).
-  bool ReplayServes(Process& proc, const Tcb& tcb);
+  // True while the journal's next entry for `tcb` is a `kind` entry, so a
+  // `kind` syscall will be answered from it — deadline rejections are
+  // suppressed for such calls (see SetDeadline). A rejected call was never
+  // journaled, so the entry after it belongs to a later syscall.
+  bool ReplayServes(Process& proc, const Tcb& tcb, JournalEntry::Kind kind);
   void ExpireDeadline(LipId lip, SimTime deadline);
   void FinishReplay(Process& proc, bool diverged);
   void ReplayDiverged(Process& proc, const char* what);

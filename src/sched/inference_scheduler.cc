@@ -40,14 +40,10 @@ InferenceScheduler::InferenceScheduler(Simulator* sim, Kvfs* kvfs,
 
 StatusOr<uint64_t> InferenceScheduler::Validate(const PredRequest& request) {
   SYMPHONY_ASSIGN_OR_RETURN(uint64_t length, kvfs_->Length(request.kv));
-  for (size_t i = 0; i < request.positions.size(); ++i) {
-    int64_t expected = static_cast<int64_t>(length) + static_cast<int64_t>(i);
-    if (request.positions[i] != expected) {
-      return InvalidArgumentError(
-          "pred positions must continue the kv file (expected " +
-          std::to_string(expected) + ", got " +
-          std::to_string(request.positions[i]) + ")");
-    }
+  if (static_cast<int64_t>(request.start) != static_cast<int64_t>(length)) {
+    return InvalidArgumentError("pred positions must continue the kv file (expected " +
+                                std::to_string(length) + ", got " +
+                                std::to_string(request.start) + ")");
   }
   return length;
 }
@@ -423,8 +419,8 @@ void InferenceScheduler::CompleteRequest(BatchEntry& entry) {
   PredRequest& request = entry.request;
   // Re-validate: another LIP may have appended to a shared file (or the file
   // may have been closed) while this batch was executing. The launch checked
-  // the positions against entry.length, so an unchanged length passes;
-  // Validate runs only to report a mismatch.
+  // the start against entry.length, so an unchanged length passes; Validate
+  // runs only to report a mismatch.
   uint64_t length = entry.length;
   StatusOr<uint64_t> now_length = kvfs_->Length(request.kv);
   if (!now_length.ok() || *now_length != length) {
@@ -438,16 +434,12 @@ void InferenceScheduler::CompleteRequest(BatchEntry& entry) {
   }
 
   // KVFS advances each token from the file's tail state (the model's initial
-  // state for an empty file) as it stores it, and appends the token's
-  // distribution: onto the chunk bank of a split prefill, otherwise onto the
-  // result. On error it leaves both as they were.
+  // state for an empty file) as it stores it at the file's end, and appends
+  // the token's distribution onto the request's, after any earlier chunks'.
+  // On error it leaves both as they were.
   uint64_t take = std::min<uint64_t>(entry.take, request.tokens.size());
-  PredResult result;
-  std::vector<Distribution>& dists =
-      request.chunk_dists != nullptr ? *request.chunk_dists : result.dists;
   Status append = kvfs_->AppendTokens(request.kv, std::span(request.tokens).first(take),
-                                      std::span(request.positions).first(take), *model_,
-                                      dists);
+                                      *model_, request.dists);
   if (!append.ok()) {
     if (append.code() == StatusCode::kResourceExhausted) {
       // The whole remaining request (this chunk included) bounces; the next
@@ -461,23 +453,19 @@ void InferenceScheduler::CompleteRequest(BatchEntry& entry) {
   }
 
   if (take < request.tokens.size()) {
-    // A prefill chunk: bank its distributions and re-queue the remainder as
+    // A prefill chunk: keep its distributions and re-queue the remainder as
     // a position-contiguous continuation. The continuation keeps the
     // original submit time, LIP identity, and completion callback, so
     // fair-share, deadlines, and memory-requeue treat it as the one request
     // it is. Front of the queue: under FIFO the prefill finishes as early as
     // unchunked would; decode-priority packing reorders around it anyway.
-    if (request.chunk_dists == nullptr) {
+    if (request.chunk_done == 0) {
       ++stats_.prefills_chunked;
-      request.chunk_dists =
-          std::make_shared<std::vector<Distribution>>(std::move(result.dists));
     }
     request.chunk_done += take;
+    request.start += static_cast<int32_t>(take);
     request.tokens.erase(request.tokens.begin(),
                          request.tokens.begin() + static_cast<ptrdiff_t>(take));
-    request.positions.erase(
-        request.positions.begin(),
-        request.positions.begin() + static_cast<ptrdiff_t>(take));
     if (cancelled_lips_.count(request.lip) != 0) {
       // The LIP's deadline expired while this chunk was executing; the
       // continuation dies the way a queued request would have.
@@ -491,17 +479,12 @@ void InferenceScheduler::CompleteRequest(BatchEntry& entry) {
   }
 
   ++stats_.completed;
-  result.status = Status::Ok();
-  if (request.chunk_dists != nullptr) {
-    // Final chunk: the bank holds every chunk's distributions in order, this
-    // one's last — one result, bit-identical to unchunked.
-    result.dists = std::move(*request.chunk_dists);
-    request.chunk_dists.reset();
-  }
   uint64_t pred_tokens = request.chunk_done + take;
   uint64_t context_after = length + take;
   LipId lip = request.lip;
-  request.complete(std::move(result));
+  // Every chunk's distributions in order, this one's last: one result,
+  // bit-identical to unchunked.
+  request.complete(PredResult{Status::Ok(), std::move(request.dists)});
   if (prefill_complete_hook_ != nullptr &&
       pred_tokens > kDecodeClassifyTokens) {
     prefill_complete_hook_(lip, context_after);

@@ -39,10 +39,9 @@ char* PutString(char* p, const std::string& s) {
 
 // Bytes AppendJournalEntry writes for `entry`, field by field: kind and
 // status code, then each string and vector behind its 4-byte length, with
-// the 8-byte duration and ordinal in between.
+// the 4-byte start, the 8-byte duration and the 8-byte ordinal in between.
 size_t EncodedSize(const JournalEntry& entry) {
-  return 2 + (4 + entry.status.message().size()) +
-         (4 + 4 * entry.tokens.size()) + (4 + 4 * entry.positions.size()) +
+  return 2 + (4 + entry.status.message().size()) + (4 + 4 * entry.tokens.size()) + 4 +
          (4 + 8 * entry.states.size()) + (4 + entry.payload.size()) + 8 +
          (4 + entry.channel.size()) + 8;
 }
@@ -114,10 +113,7 @@ void AppendJournalEntry(std::string* out, const JournalEntry& entry) {
   for (TokenId token : entry.tokens) {
     p = PutU32(p, static_cast<uint32_t>(token));
   }
-  p = PutU32(p, static_cast<uint32_t>(entry.positions.size()));
-  for (int32_t position : entry.positions) {
-    p = PutU32(p, static_cast<uint32_t>(position));
-  }
+  p = PutU32(p, static_cast<uint32_t>(entry.start));
   p = PutU32(p, static_cast<uint32_t>(entry.states.size()));
   for (uint64_t state : entry.states) {
     p = PutU64(p, state);
@@ -154,12 +150,8 @@ StatusOr<std::vector<JournalEntry>> ParseJournalEntries(
       SYMPHONY_ASSIGN_OR_RETURN(uint32_t token, cursor.U32());
       entry.tokens.push_back(static_cast<TokenId>(token));
     }
-    SYMPHONY_ASSIGN_OR_RETURN(uint32_t npositions, cursor.U32());
-    entry.positions.reserve(npositions);
-    for (uint32_t i = 0; i < npositions; ++i) {
-      SYMPHONY_ASSIGN_OR_RETURN(uint32_t position, cursor.U32());
-      entry.positions.push_back(static_cast<int32_t>(position));
-    }
+    SYMPHONY_ASSIGN_OR_RETURN(uint32_t start, cursor.U32());
+    entry.start = static_cast<int32_t>(start);
     SYMPHONY_ASSIGN_OR_RETURN(uint32_t nstates, cursor.U32());
     entry.states.reserve(nstates);
     for (uint32_t i = 0; i < nstates; ++i) {

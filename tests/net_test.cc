@@ -863,11 +863,12 @@ TEST(NetTest, FencedReplicaDiscardsSendsAndRefusesRecvs) {
   EXPECT_EQ(cluster.fabric().View("to-zero").queued, 0u);
   EXPECT_EQ(cluster.fabric().View("to-zero").waiters, 1u);
 
-  // Refused twice: the non-blocking attempt, then the park.
+  // Counted once per refused syscall: the park after the refused
+  // non-blocking attempt is not a second rejection.
   LipId zombie =
       cluster.replica(1).Launch("zombie-receiver", RecvOnce("to-one"));
   sim.RunUntil(Millis(3));
-  EXPECT_EQ(cluster.fabric().stats().ipc_fenced_rejections, 3u);
+  EXPECT_EQ(cluster.fabric().stats().ipc_fenced_rejections, 2u);
   EXPECT_FALSE(cluster.fabric().View("to-one").registered);
   EXPECT_EQ(cluster.fabric().View("to-one").waiters, 0u);
 

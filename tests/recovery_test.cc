@@ -529,6 +529,70 @@ TEST(RecoveryTest, KvfsSnapshotRoundTrip) {
   EXPECT_EQ(target.stats().imported_tokens, records.size());
 }
 
+// Import replay rebuilds a file from the journal's records, whose positions
+// come from each pred's journaled start; outputs cannot show a wrong start,
+// because the journal carries the states as well. The LIP writes a named
+// file with a 5-token pred, a 70-token pred split into 8-token chunks and
+// 10 decode steps; its replica is killed once 78 tokens are journaled.
+TEST(RecoveryTest, ImportedRecordsKeepTheirPositions) {
+  constexpr int kDecodes = 10;
+  ClusterOptions options = RecoveryCluster(13, RecoveryMode::kImportSnapshot);
+  options.server.scheduler.prefill_chunk_tokens = 8;
+  Simulator sim;
+  SymphonyCluster cluster(&sim, options);
+  SymphonyCluster::ClusterLip id =
+      cluster.Launch("writer", "", [](LipContext& ctx) -> Task {
+        KvHandle kv = *ctx.kv_create("/positions");
+        std::vector<TokenId> head(5, 260);
+        StatusOr<std::vector<Distribution>> d = co_await ctx.pred(kv, head);
+        std::vector<TokenId> body(70);
+        for (size_t i = 0; i < body.size(); ++i) {
+          body[i] = static_cast<TokenId>(261 + i);
+        }
+        d = co_await ctx.pred(kv, body);
+        for (int i = 0; i < kDecodes && d.ok(); ++i) {
+          d = co_await ctx.pred1(kv, d->back().Argmax());
+        }
+        ctx.emit(d.ok() ? "ok" : d.status().ToString());
+      });
+  const size_t first = id.replica;
+  std::shared_ptr<SyscallJournal> journal =
+      cluster.replica(first).runtime().Journal(id.lip);
+  ASSERT_NE(journal, nullptr);
+  std::function<void()> kill_at_78 = [&] {
+    if (journal->pred_tokens() < 78) {
+      sim.ScheduleAfter(Micros(10), kill_at_78);
+      return;
+    }
+    EXPECT_EQ(journal->pred_tokens(), 78u);
+    EXPECT_EQ(cluster.replica(first).scheduler().stats().prefills_chunked, 1u);
+    EXPECT_TRUE(cluster.KillReplica(first).ok());
+  };
+  sim.ScheduleAfter(Micros(10), kill_at_78);
+  sim.Run();
+  ASSERT_TRUE(cluster.Done(id));
+  EXPECT_EQ(cluster.Output(id), "ok");
+  SymphonyCluster::ClusterSnapshot snap = cluster.Snapshot();
+  EXPECT_EQ(snap.failovers, 1u);
+  EXPECT_EQ(snap.replay_divergences, 0u);
+
+  SymphonyCluster::ClusterLip where = cluster.Locate(id);
+  ASSERT_NE(where.replica, first);
+  Kvfs& kvfs = cluster.replica(where.replica).kvfs();
+  KvHandle file =
+      *kvfs.Open("/positions", OpenOptions{.requester = kAdminLip, .read = true});
+  const uint64_t length = *kvfs.Length(file);
+  EXPECT_EQ(length, 75u + kDecodes);
+  uint64_t misplaced = 0;
+  for (uint64_t i = 0; i < length; ++i) {
+    StatusOr<TokenRecord> record = kvfs.Read(file, i);
+    ASSERT_TRUE(record.ok()) << record.status();
+    misplaced += record->position != static_cast<int32_t>(i) ? 1 : 0;
+  }
+  EXPECT_EQ(misplaced, 0u);
+  EXPECT_EQ(kvfs.pool().stats().explicit_pages, 0u);
+}
+
 // ---- Cost-model choice -------------------------------------------------
 
 TEST(RecoveryTest, ImportBeatsRecomputeForLargeContexts) {
@@ -1143,6 +1207,96 @@ TEST_P(SubmitRecoveryTest, SubmittedLipsSurviveKillDrainAndCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubmitRecoveryTest,
                          ::testing::ValuesIn(StressSeeds({1, 2, 3}, 0x5B17)));
+
+// ---- A call the deadline rejected stays rejected on replay ---------------
+
+// Prefills, sleeps past its 10 ms deadline and makes the calls the deadline
+// rejects (with `pred_first`, a one-token pred before the tool call),
+// emitting each one's code, then sleeps 1 ms and 50 ms. A rejected call is
+// never journaled, so the journal's entry after it is the 1 ms sleep.
+LipProgram MakeLateCaller(bool pred_first) {
+  return [pred_first](LipContext& ctx) -> Task {
+    KvHandle kv = *ctx.kv_tmp();
+    std::vector<TokenId> prompt = ctx.tokenizer().Encode("w1 w2 w3");
+    (void)co_await ctx.pred(kv, prompt);
+    co_await ctx.sleep(Millis(20));
+    if (pred_first) {
+      StatusOr<std::vector<Distribution>> late = co_await ctx.pred1(kv, 5);
+      ctx.emit("[pred " + std::string(StatusCodeName(late.status().code())) + "]");
+    }
+    StatusOr<std::string> out = co_await ctx.call_tool("count", "late");
+    ctx.emit("[tool " + std::string(StatusCodeName(out.status().code())) + "]");
+    co_await ctx.sleep(Millis(1));
+    co_await ctx.sleep(Millis(50));
+    ctx.emit("[done]");
+  };
+}
+
+struct LateRun {
+  std::string output;
+  int handler_runs = 0;
+  uint64_t failovers = 0;
+  uint64_t divergences = 0;
+};
+
+// Submits MakeLateCaller with a 10 ms deadline; with `kill`, kills its
+// replica at 40 ms, during the 50 ms sleep.
+LateRun RunLateCaller(RecoveryMode mode, bool pred_first, bool kill) {
+  ClusterOptions options = RecoveryCluster(9, mode);
+  std::map<std::string, int> runs;
+  options.configure_replica = [&runs](SymphonyServer& server, size_t) {
+    ASSERT_TRUE(server.tools().Register(CountingEcho(&runs)).ok());
+  };
+  Simulator sim;
+  SymphonyCluster cluster(&sim, options);
+  SymphonyServer::LaunchSpec spec;
+  spec.name = "late";
+  spec.program = MakeLateCaller(pred_first);
+  spec.deadline = Millis(10);
+  SymphonyCluster::ClusterAdmitResult admit = cluster.Submit(std::move(spec));
+  EXPECT_TRUE(admit.result.status.ok());
+  SymphonyCluster::ClusterLip id{admit.replica, admit.result.lip, admit.uid};
+  if (kill) {
+    sim.ScheduleAt(Millis(40), [&cluster, id] {
+      EXPECT_FALSE(cluster.Done(id));
+      EXPECT_TRUE(cluster.KillReplica(id.replica).ok());
+    });
+  }
+  sim.Run();
+  EXPECT_TRUE(cluster.Done(id));
+  SymphonyCluster::ClusterSnapshot snap = cluster.Snapshot();
+  LateRun run;
+  run.output = cluster.Output(id);
+  run.handler_runs = runs["late"];
+  run.failovers = snap.failovers;
+  run.divergences = snap.replay_divergences;
+  return run;
+}
+
+// The replay exempts a syscall from the expired deadline only when the
+// journal's next entry is of its kind: the calls the original run rejected
+// are rejected again, and the tool's handler never runs.
+TEST(RecoveryTest, DeadlineRejectionsStayRejectedOnReplay) {
+  for (bool pred_first : {false, true}) {
+    const std::string expected =
+        std::string(pred_first ? "[pred DEADLINE_EXCEEDED]" : "") +
+        "[tool DEADLINE_EXCEEDED][done]";
+    for (RecoveryMode mode : {RecoveryMode::kRecompute, RecoveryMode::kImportSnapshot}) {
+      std::string where = std::string("mode=") + RecoveryModeName(mode) +
+                          " pred_first=" + (pred_first ? "1" : "0");
+      LateRun baseline = RunLateCaller(mode, pred_first, /*kill=*/false);
+      EXPECT_EQ(baseline.output, expected) << where;
+      EXPECT_EQ(baseline.handler_runs, 0) << where;
+      EXPECT_EQ(baseline.failovers, 0u) << where;
+
+      LateRun killed = RunLateCaller(mode, pred_first, /*kill=*/true);
+      EXPECT_EQ(killed.output, expected) << where;
+      EXPECT_EQ(killed.handler_runs, 0) << where;
+      EXPECT_EQ(killed.failovers, 1u) << where;
+      EXPECT_EQ(killed.divergences, 0u) << where;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace symphony

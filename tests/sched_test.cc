@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -157,23 +156,18 @@ TEST_F(SchedTest, PredAppendsRecordsToFile) {
   EXPECT_EQ(tail, states.back());
 }
 
-TEST_F(SchedTest, NonContinuationPositionsRejected) {
+TEST_F(SchedTest, PredWithNoTokensFailsBeforeTheScheduler) {
   Status status;
-  runtime_.Launch("badpos", [&](LipContext& ctx) -> Task {
+  runtime_.Launch("empty", [&](LipContext& ctx) -> Task {
     KvHandle kv = *ctx.kv_tmp();
-    // File is empty, so position must be 0; 5 must be rejected.
-    std::vector<TokenId> toks = {260};
-    std::vector<int32_t> bad_positions = {5};
-    StatusOr<std::vector<Distribution>> dists =
-        co_await ctx.pred_at(kv, std::move(toks), std::move(bad_positions));
+    StatusOr<std::vector<Distribution>> dists = co_await ctx.pred(kv, {});
     status = dists.status();
     co_return;
   });
   sim_.Run();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  // A rejected request still waited in the queue; the sample must not be
-  // silently dropped from the latency series.
-  EXPECT_EQ(scheduler_.queue_waits_ms().count(), 1u);
+  EXPECT_EQ(runtime_.stats().preds_submitted, 0u);
+  EXPECT_EQ(scheduler_.stats().submitted, 0u);
 }
 
 TEST_F(SchedTest, SpeculativeRollbackViaTruncate) {
@@ -802,18 +796,32 @@ TEST(ChunkLatencyTest, DecodeTailLatencyNonIncreasingAsChunkShrinks) {
 // ---------------------------------------------------------------------------
 
 PredRequest MakePred(uint64_t id, LipId lip, KvHandle kv,
-                     std::vector<TokenId> tokens, int32_t first_position,
+                     std::vector<TokenId> tokens, int32_t start,
                      SimTime now, std::function<void(PredResult)> complete) {
   PredRequest request;
   request.lip = lip;
   request.thread = id;
   request.kv = kv;
-  request.positions.resize(tokens.size());
-  std::iota(request.positions.begin(), request.positions.end(), first_position);
+  request.start = start;
   request.tokens = std::move(tokens);
   request.submit_time = now;
   request.complete = std::move(complete);
   return request;
+}
+
+TEST_F(SchedTest, NonContinuationPositionsRejected) {
+  // The file is empty, so a pred must start at 0; 5 must be rejected.
+  KvHandle kv = *kvfs_.CreateAnonymous(2);
+  PredResult result;
+  scheduler_.Submit(MakePred(1, 2, kv, {260}, /*start=*/5, sim_.now(),
+                             [&](PredResult r) { result = std::move(r); }));
+  sim_.Run();
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status.message(),
+            "pred positions must continue the kv file (expected 0, got 5)");
+  // A rejected request still waited in the queue; the sample must not be
+  // silently dropped from the latency series.
+  EXPECT_EQ(scheduler_.queue_waits_ms().count(), 1u);
 }
 
 TEST(RecheckTest, SubmitDuringSizeTimeoutWaitSupersedesPendingRecheck) {
@@ -890,10 +898,8 @@ TEST(BatchCompletionTest, SecondPredOnASharedFileFailsItsCompletionCheck) {
                                                      .create_mode = kModePublic});
   KvHandle other = *kvfs.Open("/shared", OpenOptions{.requester = 3, .write = true});
   const std::vector<TokenId> prefix = {260, 261, 262, 263, 264};
-  std::vector<int32_t> prefix_positions(prefix.size());
-  std::iota(prefix_positions.begin(), prefix_positions.end(), 0);
   std::vector<Distribution> prefix_dists;
-  ASSERT_TRUE(kvfs.AppendTokens(owner, prefix, prefix_positions, model, prefix_dists).ok());
+  ASSERT_TRUE(kvfs.AppendTokens(owner, prefix, model, prefix_dists).ok());
   const int32_t length = static_cast<int32_t>(prefix.size());
 
   const std::vector<TokenId> first = {270, 271, 272};
@@ -1001,7 +1007,7 @@ TEST(BatchCompletionTest, PredFailedAtLaunchMaySubmitBeforeItReturns) {
       statuses[id] = r.status;
     };
   };
-  scheduler.Submit(MakePred(0, 2, files[0], {260}, /*first_position=*/5, 0,
+  scheduler.Submit(MakePred(0, 2, files[0], {260}, /*start=*/5, 0,
                             [&](PredResult r) {
                               record(0)(std::move(r));
                               scheduler.Submit(
@@ -1070,10 +1076,8 @@ TEST(BatchCompletionTest, BouncedChunkLeavesItsBankAsItWas) {
       // while the first chunk executes and joins the second chunk's batch.
       KvHandle decode_kv = *kvfs.CreateAnonymous(3);
       std::vector<TokenId> page(kPageTokens, 290);
-      std::vector<int32_t> positions(kPageTokens);
-      std::iota(positions.begin(), positions.end(), 0);
       std::vector<Distribution> unused;
-      EXPECT_TRUE(kvfs.AppendTokens(decode_kv, page, positions, model, unused).ok());
+      EXPECT_TRUE(kvfs.AppendTokens(decode_kv, page, model, unused).ok());
       sim.ScheduleAt(1, [&, decode_kv] {
         scheduler.Submit(MakePred(2, 3, decode_kv, {291}, kPageTokens, sim.now(),
                                   [&, decode_kv](PredResult r) {
@@ -1149,8 +1153,8 @@ class ClosedLoopRig {
     PredRequest request;
     request.lip = static_cast<LipId>(2 + c);
     request.kv = kv;
-    request.tokens = {260};                                 // Allocation 1.
-    request.positions = {static_cast<int32_t>(length)};     // Allocation 2.
+    request.tokens = {260};  // Allocation 1.
+    request.start = static_cast<int32_t>(length);
     request.submit_time = sim_.now();
     // Small enough for std::function's inline buffer.
     request.complete = [this, c](PredResult result) {
@@ -1170,9 +1174,9 @@ class ClosedLoopRig {
 };
 
 TEST(PredAllocationTest, APredAllocatesItsRequestAndItsResult) {
-  // Per pred: the rig's tokens and positions vectors (2), the result's
-  // distribution vector (1), and std::deque<PredRequest>'s 512-byte block,
-  // which holds three requests, so one allocation every third submit (1/3).
+  // Per pred: the rig's tokens vector (1), the result's distribution vector
+  // (1), and std::deque<PredRequest>'s 512-byte block, which holds three
+  // requests, so one allocation every third submit (1/3).
   // Scheduler, device and KVFS allocate nothing else once warm: the batch,
   // its work items and the pick mask are reused, the device's completion
   // event captures only the device, and KVFS stages records on the stack.
@@ -1190,8 +1194,8 @@ TEST(PredAllocationTest, APredAllocatesItsRequestAndItsResult) {
     }
     const double per_pred =
         static_cast<double>(allocations) / static_cast<double>(rig.completed() - before);
-    EXPECT_LE(per_pred, 3.5) << clients << " clients: " << allocations << " allocations";
-    EXPECT_GE(per_pred, 3.0) << clients << " clients: the window counts nothing";
+    EXPECT_LE(per_pred, 2.5) << clients << " clients: " << allocations << " allocations";
+    EXPECT_GE(per_pred, 2.0) << clients << " clients: the window counts nothing";
   }
 }
 

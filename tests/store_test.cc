@@ -234,7 +234,7 @@ std::vector<JournalEntry> SampleEntries() {
   JournalEntry pred;
   pred.kind = JournalEntry::Kind::kPred;
   pred.tokens = {3, 7, 11};
-  pred.positions = {0, 1, 2};
+  pred.start = 4;
   pred.states = {0xAAULL, 0xBBULL, 0xCCULL};
   entries.push_back(pred);
   JournalEntry tool;
@@ -261,7 +261,7 @@ void ExpectEntriesEqual(const std::vector<JournalEntry>& got,
     EXPECT_EQ(got[i].status.code(), want[i].status.code()) << i;
     EXPECT_EQ(got[i].status.message(), want[i].status.message()) << i;
     EXPECT_EQ(got[i].tokens, want[i].tokens) << i;
-    EXPECT_EQ(got[i].positions, want[i].positions) << i;
+    EXPECT_EQ(got[i].start, want[i].start) << i;
     EXPECT_EQ(got[i].states, want[i].states) << i;
     EXPECT_EQ(got[i].payload, want[i].payload) << i;
     EXPECT_EQ(got[i].duration, want[i].duration) << i;
@@ -341,11 +341,11 @@ JournalEntry RandomEntry(Rng& rng) {
   size_t n = RandomLength(rng);
   for (size_t i = 0; i < n; ++i) {
     entry.tokens.push_back(static_cast<TokenId>(rng.NextU64()));
-    entry.positions.push_back(static_cast<int32_t>(rng.NextU64()));
     entry.states.push_back(rng.NextU64());
   }
   // Unequal lengths too: the codec writes each vector with its own count.
-  entry.positions.resize(RandomLength(rng) % (n + 2));
+  entry.states.resize(RandomLength(rng) % (n + 2));
+  entry.start = static_cast<int32_t>(rng.NextU64());
   entry.payload = RandomBytes(rng, RandomLength(rng));
   entry.duration = static_cast<SimDuration>(rng.NextU64());
   entry.channel = RandomBytes(rng, rng.NextBounded(12));
@@ -355,7 +355,9 @@ JournalEntry RandomEntry(Rng& rng) {
 
 // Pins the journal byte format, JournalLiveBytes and the store's chunk
 // keying. The expected value was recorded before the codec learned to
-// presize its writes and Publish stopped hashing each chunk twice.
+// presize its writes and Publish stopped hashing each chunk twice, and
+// re-recorded once since: RandomEntry now draws a pred's start, which the
+// format stores in one field in place of a per-token positions vector.
 TEST(JournalCodecTest, EncodingMatchesParent) {
   uint64_t digest = 0;
   auto fold = [&digest](uint64_t value) {
@@ -423,7 +425,7 @@ TEST(JournalCodecTest, EncodingMatchesParent) {
     fold(dedup.deduped_bytes);
     fold(store.stored_bytes());
   }
-  EXPECT_EQ(digest, 0xd203f188d7bfdeaaULL);
+  EXPECT_EQ(digest, 0xc7ae07174e911f1bULL);
 }
 
 // ---- Checkpoint fold / rehydrate ----------------------------------------
@@ -432,7 +434,7 @@ JournalEntry PredEntry(uint32_t n) {
   JournalEntry entry;
   entry.kind = JournalEntry::Kind::kPred;
   entry.tokens = {static_cast<TokenId>(n)};
-  entry.positions = {static_cast<int32_t>(n)};
+  entry.start = static_cast<int32_t>(n);
   entry.states = {0x5000ULL + n};
   return entry;
 }
