@@ -31,7 +31,6 @@ FileId Kvfs::AllocateFileSlot() {
   uint32_t generation = entry.generation + 1;
   entry = FileEntry{};
   entry.generation = generation;
-  entry.live = true;
   entry.data.emplace(&pool_);
   return id;
 }
@@ -49,7 +48,7 @@ uint64_t Kvfs::OwnerPageRefs(LipId owner) const {
   // changes; a reclaimed file has no data and a dropped one no pages.
   uint64_t refs = 0;
   for (const FileEntry& entry : files_) {
-    if (entry.live && entry.owner == owner) {
+    if (entry.data && entry.owner == owner) {
       refs += entry.data->pages().size();
     }
   }
@@ -66,11 +65,10 @@ bool Kvfs::OverPageQuota(LipId owner) const {
 
 void Kvfs::ReclaimIfOrphaned(FileId id) {
   FileEntry& entry = files_[id];
-  if (!entry.live || !entry.unlinked || entry.open_count > 0) {
+  if (!entry.data || !entry.unlinked || entry.open_count > 0) {
     return;
   }
   entry.data.reset();  // Releases all page references.
-  entry.live = false;
   free_file_slots_.push_back(id);
 }
 
@@ -271,10 +269,10 @@ bool Kvfs::Exists(std::string_view path) const {
   return names_.count(std::string(path)) > 0;
 }
 
-std::vector<std::string> Kvfs::List(std::string_view prefix) const {
+std::vector<std::string> Kvfs::List(std::string_view prefix, LipId requester) const {
   std::vector<std::string> out;
   for (const auto& [name, id] : names_) {
-    if (name.size() >= prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
+    if (name.starts_with(prefix) && MayRead(files_[id], requester)) {
       out.push_back(name);
     }
   }
@@ -598,10 +596,8 @@ Status Kvfs::SetMode(KvHandle handle, uint8_t mode) {
   return Status::Ok();
 }
 
-Status Kvfs::OffloadToHost(KvHandle handle) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileEntry& file = files_[entry->file];
-  for (PageId page : file.data->pages()) {
+Status Kvfs::OffloadPages(const KvFileData& data) {
+  for (PageId page : data.pages()) {
     if (pool_.tier(page) != Tier::kGpu) {
       continue;
     }
@@ -610,6 +606,11 @@ Status Kvfs::OffloadToHost(KvHandle handle) {
     ++stats_.offloaded_pages;
   }
   return Status::Ok();
+}
+
+Status Kvfs::OffloadToHost(KvHandle handle) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
+  return OffloadPages(*files_[entry->file].data);
 }
 
 Status Kvfs::RestoreToGpu(KvHandle handle) {
@@ -646,25 +647,14 @@ Status Kvfs::ReserveGpuPages(uint64_t pages) {
 }
 
 uint64_t Kvfs::OffloadOwnedBy(LipId owner) {
-  uint64_t moved = 0;
-  for (FileId id = 0; id < files_.size(); ++id) {
-    FileEntry& entry = files_[id];
-    if (!entry.live || !entry.data || entry.owner != owner || entry.pinned) {
-      continue;
-    }
-    for (PageId page : entry.data->pages()) {
-      if (pool_.tier(page) != Tier::kGpu) {
-        continue;
-      }
-      if (!pool_.MoveToTier(page, Tier::kHost).ok()) {
-        return moved;  // Host tier full; keep the rest on-device.
-      }
-      pending_transfer_bytes_ += bytes_per_page_;
-      ++stats_.offloaded_pages;
-      ++moved;
+  const uint64_t offloaded = stats_.offloaded_pages;
+  for (const FileEntry& entry : files_) {
+    if (entry.data && entry.owner == owner && !entry.pinned &&
+        !OffloadPages(*entry.data).ok()) {
+      break;  // Host tier full; keep the rest on-device.
     }
   }
-  return moved;
+  return stats_.offloaded_pages - offloaded;
 }
 
 uint64_t Kvfs::TakePendingTransferBytes() {
@@ -695,7 +685,7 @@ FileId Kvfs::LruVictim() const {
   FileId victim = kInvalidFile;
   for (FileId id = 0; id < files_.size(); ++id) {
     const FileEntry& entry = files_[id];
-    if (!entry.live || !entry.data || entry.pinned || entry.open_count > 0 ||
+    if (!entry.data || entry.pinned || entry.open_count > 0 ||
         entry.lock_holder != kNoLip ||
         entry.data->PagesInTier(Tier::kGpu) == 0) {
       continue;
@@ -715,26 +705,11 @@ bool Kvfs::EvictOne() {
   }
   FileEntry& entry = files_[victim];
   ++stats_.evicted_files;
-  if (options_.eviction == EvictionMode::kOffloadLru) {
-    bool offloaded_all = true;
-    for (PageId page : entry.data->pages()) {
-      if (pool_.tier(page) != Tier::kGpu) {
-        continue;
-      }
-      Status st = pool_.MoveToTier(page, Tier::kHost);
-      if (!st.ok()) {
-        offloaded_all = false;
-        break;
-      }
-      pending_transfer_bytes_ += bytes_per_page_;
-      ++stats_.offloaded_pages;
-    }
-    if (offloaded_all) {
-      return true;
-    }
-    // Host tier full: fall through to dropping the file.
+  if (options_.eviction == EvictionMode::kOffloadLru && OffloadPages(*entry.data).ok()) {
+    return true;
   }
-  // Drop: release pages and unlink so lookups miss from now on.
+  // Drop (also when the host tier is full): release pages and unlink so
+  // lookups miss from now on.
   entry.data->ReleaseAll();
   if (!entry.path.empty()) {
     names_.erase(entry.path);
@@ -762,7 +737,7 @@ StatusOr<KvFileInfo> Kvfs::StatPath(std::string_view path) const {
 std::vector<KvFileInfo> Kvfs::ListAll() const {
   std::vector<KvFileInfo> out;
   for (FileId id = 0; id < files_.size(); ++id) {
-    if (files_[id].live) {
+    if (files_[id].data) {
       out.push_back(InfoFor(id));
     }
   }

@@ -127,7 +127,10 @@ class Kvfs {
   Status Link(KvHandle handle, std::string_view path);
 
   bool Exists(std::string_view path) const;
-  std::vector<std::string> List(std::string_view prefix) const;
+  // Sorted names under `prefix` that `requester` may read (every one for
+  // admin, the default).
+  std::vector<std::string> List(std::string_view prefix,
+                                LipId requester = kAdminLip) const;
 
   // ---- Data-plane operations ------------------------------------------
 
@@ -238,6 +241,7 @@ class Kvfs {
   StatusOr<const KvFileData*> FileData(KvHandle handle) const;
 
  private:
+  // A file slot is live while it holds `data`.
   struct FileEntry {
     std::optional<KvFileData> data;
     std::string path;
@@ -250,7 +254,6 @@ class Kvfs {
     uint64_t opens_total = 0;  // Cumulative named opens (hotness signal).
     SimTime last_access = 0;
     uint32_t generation = 0;
-    bool live = false;
   };
   struct HandleEntry {
     FileId file = kInvalidFile;
@@ -291,6 +294,9 @@ class Kvfs {
   Status ReserveGpuPages(uint64_t pages);
   // Evicts one eligible file; returns false if none eligible.
   bool EvictOne();
+  // Moves the file's GPU pages to the host tier, counting each, and returns
+  // the first refusal (host tier full); the pages after it stay on-device.
+  Status OffloadPages(const KvFileData& data);
   // True when `owner` holds more page references than its quota allows;
   // scans the file table only for an owner with a limit.
   bool OverPageQuota(LipId owner) const;

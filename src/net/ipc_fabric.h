@@ -48,14 +48,16 @@
 // partition deadline. With no credits left, TrySend refuses and the sender
 // parks in a per-channel FIFO (the sender-side mirror of recv waiters); a
 // freed credit grants the head parked sender via
-// LipRuntime::CompleteBlockedSend, which journals a kCreditWait entry
-// carrying the channel's grant ordinal immediately before the send's kSend
-// entry — so replay consumes the pair without touching the fabric, and a
-// sender killed while parked re-parks at its original FIFO position among
-// its LIP's senders (resume_grant, same discipline as recv resume
-// ordinals). Fabric queue depth therefore never exceeds k, and blocked-
-// sender wakeup order is bit-identical under kill/migrate/replay of either
-// endpoint. capacity 0 (the default) keeps the channel unbounded and send
+// LipRuntime::CompleteBlockedSend, which journals the send as one kSend
+// entry carrying the channel's grant ordinal + 1. Replay serves that entry
+// without touching the fabric and hands the ordinal to the thread's next
+// live blocked send on the channel, which re-parks among its LIP's parked
+// senders in grant order (resume_grant, same discipline as recv resume
+// ordinals). Fabric queue depth therefore never exceeds k. Blocked-sender
+// wakeup order is not guaranteed under replay: a send parked but never
+// granted when its replica died left no journal entry, so a credit freed
+// before the replayed thread parks again goes to whichever thread sends
+// first. capacity 0 (the default) keeps the channel unbounded and send
 // non-blocking, exactly as before.
 //
 // Deadlock detection: senders parked for credits can cycle (A full-sends to

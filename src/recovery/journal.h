@@ -25,18 +25,17 @@
 //                journal (same discipline as tool results), so ONE endpoint
 //                of a communicating pair can be killed and replayed while
 //                the other keeps running live.
-//   * IPC send — entry per send (channel + payload). Replay consumes and
-//                SUPPRESSES the send — the original message already reached
-//                (or is queued for) the peer, and re-sending would
-//                duplicate it.
-//   * IPC credit wait — when a send blocked on channel credits, an entry
-//                (channel + grant ordinal) is appended at the moment the
-//                fabric granted the credit, immediately before the kSend
-//                entry. Replay consumes the pair without re-parking; the
-//                grant ordinal re-parks any FOLLOWING live blocked send at
-//                its original position in the channel's sender FIFO, so
-//                blocked-sender wakeup order is bit-identical (the same
-//                discipline as kRecv resume ordinals).
+//   * IPC send — entry per completed send (channel + payload). Replay
+//                consumes and SUPPRESSES the send — the original message
+//                already reached (or is queued for) the peer, and re-sending
+//                would duplicate it. A send that parked for a channel credit
+//                completes, and is journaled, when the fabric grants it one;
+//                its entry carries the grant ordinal + 1 (0 for a send that
+//                never parked). Replay hands that ordinal to the thread's
+//                next live blocked send on the channel, which re-parks behind
+//                its LIP's senders with earlier grants. A send still parked
+//                when its replica died left no entry, so a replay does not
+//                restore its place among the senders.
 //   * RNG      — replayed by reseeding: the journal stores the LIP's rng
 //                seed and the program re-draws the identical stream, so
 //                individual draws need no log entries.
@@ -48,6 +47,10 @@
 // so logs are keyed by the thread's *spawn path* — "0" for the root thread,
 // parent.path + "." + k for the k-th thread the parent spawned. The path is
 // invariant under replay regardless of interleaving.
+//
+// One entry answers one syscall: a replayed syscall is served by its
+// thread's next entry when that entry has the syscall's kind, and an entry
+// of another kind ends the replay as diverged (LipRuntime::Replayed).
 //
 // Determinism contract: replay guarantees bit-identical output for programs
 // that are data-race-free under the LIP memory model — cross-thread effects
@@ -106,31 +109,31 @@ inline const char* RecoveryModeName(RecoveryMode mode) {
   return "?";
 }
 
+// The codec writes `kind` as its byte value; the values 0-4 are fixed.
 struct JournalEntry {
-  enum class Kind : uint8_t { kPred, kTool, kSleep, kRecv, kSend, kCreditWait };
+  enum class Kind : uint8_t { kPred, kTool, kSleep, kRecv, kSend };
   Kind kind = Kind::kPred;
-  Status status;  // Completion status (pred and tool entries).
+  Status status{};  // Completion status (pred and tool entries).
 
   // kPred: the request and the resulting per-token hidden states. states[i]
   // is the state after consuming tokens[i] at position start + i; together
   // these are exactly the TokenRecords the executor appended.
-  std::vector<TokenId> tokens;
+  std::vector<TokenId> tokens{};
   int32_t start = 0;
-  std::vector<uint64_t> states;
+  std::vector<uint64_t> states{};
 
   // kTool: output payload. kRecv/kSend: the message.
-  std::string payload;
+  std::string payload{};
 
-  // kSleep: requested duration (alignment check only; replay skips it).
+  // kSleep: requested duration (replay skips the wait).
   SimDuration duration = 0;
 
-  // kRecv/kSend/kCreditWait: the channel name. kRecv records the channel's
-  // delivery ordinal at the time (observability — the fabric's counters are
-  // not rewound by replay, so the ordinal is never divergence-checked);
-  // kCreditWait records the channel's credit GRANT ordinal, which replay
-  // uses to re-park subsequent live blocked sends at their original FIFO
-  // position.
-  std::string channel;
+  // kRecv/kSend: the channel name. kRecv records the channel's delivery
+  // ordinal, which replay uses to re-park the thread's next live recv on the
+  // channel (the fabric's counters are not rewound by replay, so it is never
+  // divergence-checked). kSend records the channel's credit grant ordinal + 1
+  // for a send that parked for a credit, and 0 for one that did not.
+  std::string channel{};
   uint64_t ordinal = 0;
 };
 

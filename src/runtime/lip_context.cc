@@ -2,16 +2,19 @@
 
 namespace symphony {
 
+StatusOr<KvHandle> LipContext::Tracked(StatusOr<KvHandle> handle) {
+  if (handle.ok()) {
+    runtime_->TrackHandle(lip_, *handle);
+  }
+  return handle;
+}
+
 StatusOr<KvHandle> LipContext::kv_open(std::string_view path, bool write) {
   OpenOptions options;
   options.requester = lip_;
   options.read = true;
   options.write = write;
-  StatusOr<KvHandle> handle = runtime_->kvfs()->Open(path, options);
-  if (handle.ok()) {
-    runtime_->TrackHandle(lip_, *handle);
-  }
-  return handle;
+  return Tracked(runtime_->kvfs()->Open(path, options));
 }
 
 StatusOr<KvHandle> LipContext::kv_create(std::string_view path, uint8_t mode) {
@@ -21,19 +24,11 @@ StatusOr<KvHandle> LipContext::kv_create(std::string_view path, uint8_t mode) {
   options.write = true;
   options.create = true;
   options.create_mode = mode;
-  StatusOr<KvHandle> handle = runtime_->kvfs()->Open(path, options);
-  if (handle.ok()) {
-    runtime_->TrackHandle(lip_, *handle);
-  }
-  return handle;
+  return Tracked(runtime_->kvfs()->Open(path, options));
 }
 
 StatusOr<KvHandle> LipContext::kv_tmp() {
-  StatusOr<KvHandle> handle = runtime_->kvfs()->CreateAnonymous(lip_);
-  if (handle.ok()) {
-    runtime_->TrackHandle(lip_, *handle);
-  }
-  return handle;
+  return Tracked(runtime_->kvfs()->CreateAnonymous(lip_));
 }
 
 Status LipContext::kv_close(KvHandle handle) {
@@ -53,28 +48,16 @@ bool LipContext::kv_exists(std::string_view path) const {
 }
 
 StatusOr<KvHandle> LipContext::kv_fork(KvHandle handle) {
-  StatusOr<KvHandle> fork = runtime_->kvfs()->Fork(handle, lip_);
-  if (fork.ok()) {
-    runtime_->TrackHandle(lip_, *fork);
-  }
-  return fork;
+  return Tracked(runtime_->kvfs()->Fork(handle, lip_));
 }
 
 StatusOr<KvHandle> LipContext::kv_extract(KvHandle handle,
                                           std::span<const uint64_t> indices) {
-  StatusOr<KvHandle> extracted = runtime_->kvfs()->Extract(handle, indices, lip_);
-  if (extracted.ok()) {
-    runtime_->TrackHandle(lip_, *extracted);
-  }
-  return extracted;
+  return Tracked(runtime_->kvfs()->Extract(handle, indices, lip_));
 }
 
 StatusOr<KvHandle> LipContext::kv_merge(std::span<const KvHandle> handles) {
-  StatusOr<KvHandle> merged = runtime_->kvfs()->Merge(handles, lip_);
-  if (merged.ok()) {
-    runtime_->TrackHandle(lip_, *merged);
-  }
-  return merged;
+  return Tracked(runtime_->kvfs()->Merge(handles, lip_));
 }
 
 StatusOr<uint64_t> LipContext::kv_len(KvHandle handle) const {
@@ -113,21 +96,7 @@ StatusOr<KvFileInfo> LipContext::kv_stat(KvHandle handle) const {
 }
 
 std::vector<std::string> LipContext::kv_list(std::string_view prefix) const {
-  std::vector<std::string> all = runtime_->kvfs()->List(prefix);
-  std::vector<std::string> readable;
-  for (std::string& name : all) {
-    StatusOr<KvFileInfo> info = runtime_->kvfs()->StatPath(name);
-    if (!info.ok()) {
-      continue;
-    }
-    bool mine = info->owner == lip_;
-    uint8_t mode = info->mode;
-    if (lip_ == kAdminLip || (mine && (mode & kOwnerRead) != 0) ||
-        (!mine && (mode & kOtherRead) != 0)) {
-      readable.push_back(std::move(name));
-    }
-  }
-  return readable;
+  return runtime_->kvfs()->List(prefix, lip_);
 }
 
 LipContext::PredAwaitable LipContext::pred(KvHandle kv,

@@ -329,6 +329,9 @@ class LipContext {
   LipRuntime* runtime_for_testing() { return runtime_; }
 
  private:
+  // `handle`, tracked for closing at exit when the call returned one.
+  StatusOr<KvHandle> Tracked(StatusOr<KvHandle> handle);
+
   LipRuntime* runtime_;
   LipId lip_;
 };

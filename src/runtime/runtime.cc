@@ -1,6 +1,8 @@
 #include "src/runtime/runtime.h"
 
+#include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "src/common/hash.h"
@@ -16,6 +18,22 @@ uint64_t TakeResumeHint(std::unordered_map<std::string, uint64_t>& hints,
                         const std::string& channel) {
   auto node = hints.extract(channel);
   return node.empty() ? 0 : node.mapped();
+}
+
+const char* KindName(JournalEntry::Kind kind) {
+  switch (kind) {
+    case JournalEntry::Kind::kPred:
+      return "pred";
+    case JournalEntry::Kind::kTool:
+      return "tool";
+    case JournalEntry::Kind::kSleep:
+      return "sleep";
+    case JournalEntry::Kind::kRecv:
+      return "recv";
+    case JournalEntry::Kind::kSend:
+      return "send";
+  }
+  return "?";
 }
 
 }  // namespace
@@ -205,14 +223,7 @@ void LipRuntime::OnThreadExit(Tcb& tcb) {
 }
 
 void LipRuntime::Reap(Process& proc) {
-  // Release kernel resources the LIP left open.
-  for (KvHandle handle : proc.open_handles) {
-    Status st = kvfs_->Close(handle);
-    if (!st.ok()) {
-      SYMPHONY_LOG(kDebug) << "lip " << proc.id
-                           << " exit close failed: " << st.ToString();
-    }
-  }
+  CloseHandles(proc);  // Release kernel resources the LIP left open.
   proc.done = true;
   --live_lips_;
   ++stats_.lips_completed;
@@ -222,7 +233,6 @@ void LipRuntime::Reap(Process& proc) {
   }
   // Nothing reads these after exit. The journal lives on only where the
   // serving layer holds its own reference.
-  proc.open_handles = std::vector<KvHandle>();
   proc.join_all_waiters = std::vector<ThreadId>();
   proc.journal.reset();
   proc.replay.reset();
@@ -235,6 +245,27 @@ void LipRuntime::Reap(Process& proc) {
                      [callback = std::exchange(proc.on_exit, nullptr),
                       lip = proc.id] { callback(lip); });
   }
+}
+
+void LipRuntime::CloseHandles(Process& proc) {
+  for (KvHandle handle : std::exchange(proc.open_handles, {})) {
+    Status st = kvfs_->Close(handle);
+    if (!st.ok()) {
+      SYMPHONY_LOG(kDebug) << "lip " << proc.id
+                           << " close failed: " << st.ToString();
+    }
+  }
+}
+
+void LipRuntime::TearDownExpired(Process& proc) {
+  // Cancel queued/retry-pending preds so the LIP stops consuming decode
+  // capacity; requests already inside a running batch drain normally.
+  if (pred_service_ != nullptr) {
+    pred_service_->CancelLip(proc.id);
+  }
+  // Release the LIP's KV page quota now rather than at exit — an expired
+  // LIP must not hold device pages against live work.
+  CloseHandles(proc);
 }
 
 bool LipRuntime::LipDone(LipId lip) const { return GetProcess(lip).done; }
@@ -280,21 +311,11 @@ void LipRuntime::ExpireDeadline(LipId lip, SimTime deadline) {
   proc.expired = true;
   ++stats_.deadlines_expired;
   SYMPHONY_LOG(kDebug) << "lip " << lip << " deadline expired";
-  // Cancellation and KV teardown are deferred while replay is consuming the
-  // journal: re-executed preds and KV operations must complete so the LIP
-  // reaches its pre-failure point (FinishReplay runs the teardown then).
-  if (proc.replay == nullptr || proc.replay->complete) {
-    // Cancel queued/retry-pending preds so the LIP stops consuming decode
-    // capacity; requests already inside a running batch drain normally.
-    if (pred_service_ != nullptr) {
-      pred_service_->CancelLip(lip);
-    }
-    // Release the LIP's KV page quota now rather than at exit — an expired
-    // LIP must not hold device pages against live work.
-    for (KvHandle handle : proc.open_handles) {
-      (void)kvfs_->Close(handle);
-    }
-    proc.open_handles.clear();
+  // The teardown is deferred while replay is consuming the journal:
+  // re-executed preds and KV operations must complete so the LIP reaches its
+  // pre-failure point (FinishReplay runs the teardown then).
+  if (proc.replay == nullptr) {
+    TearDownExpired(proc);
   }
 }
 
@@ -334,22 +355,21 @@ Status LipRuntime::BeginReplay(LipId lip, RecoveryMode mode,
         "journal has a checkpoint-truncated prefix; rehydrate it from the "
         "snapshot store (RehydrateJournal) before replay");
   }
+  ++stats_.lips_replayed;
   auto replay = std::make_unique<Process::ReplayState>();
   replay->mode = mode;
   replay->config = config;
   for (const auto& entry : proc.journal->threads()) {
     size_t end = proc.journal->EntryCount(entry.first);
     replay->cursor[entry.first].end = end;
-    replay->total += end;
+    replay->remaining += end;
+  }
+  if (replay->remaining == 0) {
+    return Status::Ok();  // Empty journal: live immediately.
   }
   replay->start = sim_->now();
   proc.replay = std::move(replay);
-  ++stats_.lips_replayed;
-  if (proc.replay->total == 0) {
-    proc.replay->complete = true;  // Empty journal: live immediately.
-  } else {
-    proc.journal->set_replay_hold(true);  // FinishReplay releases it.
-  }
+  proc.journal->set_replay_hold(true);  // FinishReplay releases it.
   return Status::Ok();
 }
 
@@ -384,10 +404,7 @@ Status LipRuntime::Detach(LipId lip) {
   if (fabric_ != nullptr) {
     fabric_->DropWaiters(replica_index_, lip);
   }
-  for (KvHandle handle : proc.open_handles) {
-    (void)kvfs_->Close(handle);
-  }
-  proc.open_handles.clear();
+  CloseHandles(proc);
   proc.live_threads = 0;
   proc.join_all_waiters.clear();
   proc.done = true;
@@ -395,8 +412,11 @@ Status LipRuntime::Detach(LipId lip) {
   return Status::Ok();
 }
 
-const JournalEntry* LipRuntime::NextReplayEntry(Process& proc,
-                                                const Tcb& tcb) {
+const JournalEntry* LipRuntime::NextReplayEntry(const Process& proc,
+                                                const Tcb& tcb) const {
+  if (proc.replay == nullptr) {
+    return nullptr;
+  }
   auto it = proc.replay->cursor.find(tcb.path);
   if (it == proc.replay->cursor.end() || it->second.next >= it->second.end) {
     return nullptr;  // Past what was journaled: this thread runs live.
@@ -404,49 +424,48 @@ const JournalEntry* LipRuntime::NextReplayEntry(Process& proc,
   return proc.journal->At(tcb.path, it->second.next);
 }
 
-bool LipRuntime::ReplayServes(Process& proc, const Tcb& tcb,
-                              JournalEntry::Kind kind) {
-  if (proc.replay == nullptr || proc.replay->complete) {
-    return false;
+const JournalEntry* LipRuntime::Replayed(Process& proc, const Tcb& tcb,
+                                         JournalEntry::Kind kind) {
+  const JournalEntry* entry = NextReplayEntry(proc, tcb);
+  if (entry == nullptr || entry->kind == kind) {
+    return entry;
   }
+  // Per-thread logs are ordered, so the original run's next completed
+  // syscall on this thread was of another kind.
+  ReplayDiverged(proc, std::string(KindName(kind)) + " where journal has " +
+                           KindName(entry->kind));
+  return nullptr;
+}
+
+bool LipRuntime::ReplayServes(const Process& proc, const Tcb& tcb,
+                              JournalEntry::Kind kind) const {
   const JournalEntry* entry = NextReplayEntry(proc, tcb);
   return entry != nullptr && entry->kind == kind;
 }
 
 void LipRuntime::ConsumeReplayEntry(Process& proc, const Tcb& tcb) {
   ++proc.replay->cursor[tcb.path].next;
-  ++proc.replay->consumed;
-  if (proc.replay->consumed >= proc.replay->total) {
+  if (--proc.replay->remaining == 0) {
     FinishReplay(proc, /*diverged=*/false);
   }
 }
 
 void LipRuntime::FinishReplay(Process& proc, bool diverged) {
-  if (proc.replay == nullptr || proc.replay->complete) {
-    return;
-  }
-  proc.replay->complete = true;
+  std::unique_ptr<Process::ReplayState> replay = std::move(proc.replay);
   proc.journal->set_replay_hold(false);
   if (proc.expired && !proc.done) {
-    // The deadline fired mid-replay; run the teardown ExpireDeadline deferred.
-    if (pred_service_ != nullptr) {
-      pred_service_->CancelLip(proc.id);
-    }
-    for (KvHandle handle : proc.open_handles) {
-      (void)kvfs_->Close(handle);
-    }
-    proc.open_handles.clear();
+    TearDownExpired(proc);  // The deadline fired mid-replay.
   }
-  if (trace_ != nullptr && proc.replay->total > 0) {
+  if (trace_ != nullptr) {
     trace_->Span("recovery",
                  (diverged ? std::string("replay-diverged:")
                            : std::string("replay:")) +
                      proc.name,
-                 proc.replay->start, sim_->now() - proc.replay->start);
+                 replay->start, sim_->now() - replay->start);
   }
 }
 
-void LipRuntime::ReplayDiverged(Process& proc, const char* what) {
+void LipRuntime::ReplayDiverged(Process& proc, std::string_view what) {
   ++stats_.replay_divergences;
   SYMPHONY_LOG(kWarning) << "lip " << proc.id << " replay diverged: " << what;
   // Fall out of replay: the remaining log cannot be trusted, so the LIP
@@ -454,54 +473,11 @@ void LipRuntime::ReplayDiverged(Process& proc, const char* what) {
   FinishReplay(proc, /*diverged=*/true);
 }
 
-void LipRuntime::JournalRecvDelivery(ThreadId thread,
-                                     const std::string& channel,
-                                     uint64_t ordinal,
-                                     const std::string& message) {
-  Tcb* waiting = Waiting(thread);
-  if (waiting == nullptr) {
-    return;
-  }
-  Tcb& tcb = *waiting;
+void LipRuntime::Record(const Tcb& tcb, JournalEntry entry) {
   Process& proc = GetProcess(tcb.lip);
-  if (proc.journal == nullptr) {
-    return;
+  if (proc.journal != nullptr) {
+    proc.journal->Append(tcb.path, std::move(entry));
   }
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      // The ordinal is deliberately not checked: replay does not rewind the
-      // fabric's delivery counters (see JournalEntry::ordinal).
-      if (entry->kind != JournalEntry::Kind::kRecv ||
-          entry->payload != message || entry->channel != channel) {
-        ReplayDiverged(proc, "recv delivery disagrees with journal");
-      } else {
-        ConsumeReplayEntry(proc, tcb);
-      }
-      return;
-    }
-  }
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kRecv;
-  entry.payload = message;
-  entry.channel = channel;
-  entry.ordinal = ordinal;
-  proc.journal->Append(tcb.path, std::move(entry));
-}
-
-void LipRuntime::JournalSleepDone(ThreadId thread, SimDuration duration) {
-  Tcb* waiting = Waiting(thread);
-  if (waiting == nullptr) {
-    return;
-  }
-  Process& proc = GetProcess(waiting->lip);
-  if (proc.journal == nullptr) {
-    return;
-  }
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kSleep;
-  entry.duration = duration;
-  proc.journal->Append(waiting->path, std::move(entry));
 }
 
 LipUsage LipRuntime::GetUsage(LipId lip) const {
@@ -563,57 +539,51 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   }
   proc.usage.pred_tokens += tokens.size();
 
-  bool from_journal = false;   // Recompute replay: resubmit, verify, no record.
-  size_t verify_index = 0;
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      if (entry->kind != JournalEntry::Kind::kPred) {
-        ReplayDiverged(proc, "pred where journal has a different syscall");
-      } else if (proc.replay->mode == RecoveryMode::kImportSnapshot) {
-        // Feed the journaled result without touching the device; import the
-        // journaled TokenRecords into the KV file on the host tier so the
-        // next live pred's restore pays PCIe transfer instead of recompute.
-        stats_.replay_tokens_imported += entry->tokens.size();
-        result->status = entry->status;
-        if (entry->status.ok()) {
-          std::vector<TokenRecord> records;
-          records.reserve(entry->tokens.size());
-          for (size_t i = 0; i < entry->tokens.size(); ++i) {
-            records.push_back({entry->tokens[i],
-                               entry->start + static_cast<int32_t>(i),
-                               entry->states[i]});
-          }
-          Status imported = kvfs_->ImportRecords(kv, records, Tier::kHost);
-          if (!imported.ok()) {
-            result->status = imported;
-          } else {
-            result->dists.reserve(entry->states.size());
-            for (uint64_t state : entry->states) {
-              result->dists.emplace_back(state, proc.replay->config);
-            }
+  // A recompute replay resubmits a journaled pred and, instead of recording
+  // it, checks its states against the journal entry at this index.
+  std::optional<size_t> verify_index;
+  if (const JournalEntry* entry = Replayed(proc, tcb, JournalEntry::Kind::kPred)) {
+    if (proc.replay->mode == RecoveryMode::kImportSnapshot) {
+      // Feed the journaled result without touching the device; import the
+      // journaled TokenRecords into the KV file on the host tier so the
+      // next live pred's restore pays PCIe transfer instead of recompute.
+      stats_.replay_tokens_imported += entry->tokens.size();
+      result->status = entry->status;
+      if (entry->status.ok()) {
+        std::vector<TokenRecord> records;
+        records.reserve(entry->tokens.size());
+        for (size_t i = 0; i < entry->tokens.size(); ++i) {
+          records.push_back({entry->tokens[i],
+                             entry->start + static_cast<int32_t>(i),
+                             entry->states[i]});
+        }
+        Status imported = kvfs_->ImportRecords(kv, records, Tier::kHost);
+        if (!imported.ok()) {
+          result->status = imported;
+        } else {
+          result->dists.reserve(entry->states.size());
+          for (uint64_t state : entry->states) {
+            result->dists.emplace_back(state, proc.replay->config);
           }
         }
-        ConsumeReplayEntry(proc, tcb);
-        Ready(thread);
-        return;
-      } else if (!entry->status.ok()) {
-        // kRecompute with a journaled failure (cancelled pred, deadline
-        // rejection delivered through the service): resubmitting could
-        // succeed live and diverge — serve the recorded status verbatim.
-        result->status = entry->status;
-        ConsumeReplayEntry(proc, tcb);
-        Ready(thread);
-        return;
-      } else {
-        // kRecompute: fall through to a live submit so the device rebuilds
-        // the KV cache; completion checks it reproduced the journaled states.
-        from_journal = true;
-        verify_index = proc.replay->cursor[tcb.path].next;
-        stats_.replay_tokens_recomputed += entry->tokens.size();
-        ConsumeReplayEntry(proc, tcb);
       }
+      ConsumeReplayEntry(proc, tcb);
+      Ready(thread);
+      return;
     }
+    if (!entry->status.ok()) {
+      // kRecompute with a journaled failure (cancelled pred, deadline
+      // rejection delivered through the service): resubmitting could
+      // succeed live and diverge — serve the recorded status verbatim.
+      result->status = entry->status;
+      ConsumeReplayEntry(proc, tcb);
+      Ready(thread);
+      return;
+    }
+    // kRecompute: submit live so the device rebuilds the KV cache.
+    verify_index = proc.replay->cursor[tcb.path].next;
+    stats_.replay_tokens_recomputed += entry->tokens.size();
+    ConsumeReplayEntry(proc, tcb);
   }
 
   PredRequest request;
@@ -623,66 +593,46 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   request.tokens = std::move(tokens);
   request.start = start;
   request.submit_time = sim_->now();
-  std::shared_ptr<SyscallJournal> journal = proc.journal;
-  bool record = journal != nullptr && !from_journal;
   std::vector<TokenId> rec_tokens;
-  if (record) {
+  if (proc.journal != nullptr && !verify_index) {
     rec_tokens = request.tokens;
   }
   // The journal records the start submitted here: the scheduler moves
   // request.start past each chunk of a split prefill.
-  request.complete = [this, thread, result, journal, record, from_journal,
-                      verify_index, start, path = tcb.path,
+  request.complete = [this, thread, result, verify_index, start,
                       rec_tokens = std::move(rec_tokens)](PredResult r) mutable {
-    Tcb* waiting = Waiting(thread);
-    bool dead = waiting == nullptr;
-    if (!dead) {
+    if (Tcb* waiting = Waiting(thread)) {
+      Process& owner = GetProcess(waiting->lip);
       // A pred that was in flight at deadline expiry can fail for a teardown
       // reason (its KV handle was closed); attribute that to the deadline.
       // Normalized before journaling so replay serves the same status.
-      Process& owner = GetProcess(waiting->lip);
       if (owner.expired && !r.status.ok() &&
           r.status.code() != StatusCode::kDeadlineExceeded) {
         r.status = DeadlineExceededError("deadline expired for lip " +
                                          std::to_string(owner.id));
       }
-    }
-    if (!dead && record) {
-      JournalEntry entry;
-      entry.kind = JournalEntry::Kind::kPred;
-      entry.status = r.status;
-      entry.tokens = std::move(rec_tokens);
-      entry.start = start;
-      entry.states.reserve(r.dists.size());
-      for (const Distribution& d : r.dists) {
-        entry.states.push_back(d.state());
-      }
-      journal->Append(path, std::move(entry));
-    } else if (!dead && from_journal) {
-      const JournalEntry* expect = journal->At(path, verify_index);
-      if (expect == nullptr && journal->FoldedAt(path, verify_index)) {
-        // The entry was folded into a store checkpoint while this recompute
-        // was in flight; its states are durable there, nothing to verify.
-        *result = std::move(r);
-        Ready(thread);
-        return;
-      }
-      bool match = expect != nullptr &&
-                   r.status.code() == expect->status.code() &&
-                   r.dists.size() == expect->states.size();
-      if (match) {
-        for (size_t i = 0; i < r.dists.size(); ++i) {
-          if (r.dists[i].state() != expect->states[i]) {
-            match = false;
-            break;
-          }
+      if (verify_index) {
+        // An entry folded into a store checkpoint while this recompute was
+        // in flight is durable there: nothing to verify.
+        const JournalEntry* expect = owner.journal->At(waiting->path, *verify_index);
+        if (!owner.journal->FoldedAt(waiting->path, *verify_index) &&
+            (expect == nullptr || r.status.code() != expect->status.code() ||
+             !std::ranges::equal(r.dists, expect->states, {}, &Distribution::state))) {
+          ++stats_.replay_divergences;
+          SYMPHONY_LOG(kWarning)
+              << "recomputed pred diverged from journal (thread path "
+              << waiting->path << ", entry " << *verify_index << ")";
         }
-      }
-      if (!match) {
-        ++stats_.replay_divergences;
-        SYMPHONY_LOG(kWarning)
-            << "recomputed pred diverged from journal (thread path " << path
-            << ", entry " << verify_index << ")";
+      } else if (owner.journal != nullptr) {
+        JournalEntry entry{.kind = JournalEntry::Kind::kPred,
+                           .status = r.status,
+                           .tokens = std::move(rec_tokens),
+                           .start = start};
+        entry.states.reserve(r.dists.size());
+        for (const Distribution& d : r.dists) {
+          entry.states.push_back(d.state());
+        }
+        Record(*waiting, std::move(entry));
       }
     }
     *result = std::move(r);
@@ -715,56 +665,40 @@ void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
     return;
   }
   ++proc.usage.tool_calls;
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      if (entry->kind != JournalEntry::Kind::kTool) {
-        ReplayDiverged(proc, "tool where journal has a different syscall");
-      } else {
-        // Side-effect-free tools re-serve the recorded output instantly.
-        result->status = entry->status;
-        result->output = entry->payload;
-        ConsumeReplayEntry(proc, tcb);
-        Ready(thread);
-        return;
-      }
-    }
+  if (const JournalEntry* entry = Replayed(proc, tcb, JournalEntry::Kind::kTool)) {
+    // Side-effect-free tools re-serve the recorded output instantly.
+    result->status = entry->status;
+    result->output = entry->payload;
+    ConsumeReplayEntry(proc, tcb);
+    Ready(thread);
+    return;
   }
-  std::shared_ptr<SyscallJournal> journal = proc.journal;
-  tool_service_->Invoke(
-      lip, thread, tool, args,
-      [this, thread, result, journal, path = tcb.path](ToolResult r) {
-        if (journal != nullptr && Waiting(thread) != nullptr) {
-          JournalEntry entry;
-          entry.kind = JournalEntry::Kind::kTool;
-          entry.status = r.status;
-          entry.payload = r.output;
-          journal->Append(path, std::move(entry));
-        }
-        *result = std::move(r);
-        Ready(thread);
-      });
+  tool_service_->Invoke(lip, thread, tool, args,
+                        [this, thread, result](ToolResult r) {
+                          if (Tcb* waiting = Waiting(thread)) {
+                            Record(*waiting, {.kind = JournalEntry::Kind::kTool,
+                                              .status = r.status,
+                                              .payload = r.output});
+                          }
+                          *result = std::move(r);
+                          Ready(thread);
+                        });
 }
 
 void LipRuntime::SubmitSleep(ThreadId thread, SimDuration duration) {
   BlockCurrent();
   Tcb& tcb = GetTcb(thread);
   Process& proc = GetProcess(tcb.lip);
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      if (entry->kind != JournalEntry::Kind::kSleep) {
-        ReplayDiverged(proc, "sleep where journal has a different syscall");
-      } else {
-        // The original run already waited this out; skip the wait.
-        ConsumeReplayEntry(proc, tcb);
-        Ready(thread);
-        return;
-      }
-    }
+  if (Replayed(proc, tcb, JournalEntry::Kind::kSleep) != nullptr) {
+    // The original run already waited this out; skip the wait.
+    ConsumeReplayEntry(proc, tcb);
+    Ready(thread);
+    return;
   }
   sim_->ScheduleAfter(duration, [this, thread, duration] {
-    JournalSleepDone(thread, duration);
+    if (Tcb* waiting = Waiting(thread)) {
+      Record(*waiting, {.kind = JournalEntry::Kind::kSleep, .duration = duration});
+    }
     Ready(thread);
   });
 }
@@ -800,33 +734,25 @@ bool LipRuntime::ChannelTrySend(const std::string& channel,
   assert(current_ != 0 && "channel syscall outside a LIP thread");
   Tcb& tcb = GetTcb(current_);
   Process& proc = GetProcess(tcb.lip);
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr && entry->kind == JournalEntry::Kind::kCreditWait &&
-        entry->channel == channel) {
-      // The original send parked for a credit granted at this ordinal.
-      // Remember it so this thread's first LIVE blocked send re-parks at
-      // its original sender-FIFO position, then consume the kSend that
-      // the grant completed (next entry, same syscall).
-      tcb.replay_send_resume[channel] = entry->ordinal + 1;
-      ++stats_.ipc_credit_waits_replayed;
-      ConsumeReplayEntry(proc, tcb);
-      entry = NextReplayEntry(proc, tcb);
-    }
-    if (entry != nullptr) {
-      if (entry->kind == JournalEntry::Kind::kSend &&
-          entry->channel == channel && entry->payload == *message) {
-        // The original send already reached (or is queued for) the peer;
-        // re-sending would duplicate it at a live endpoint. No credit is
-        // consumed: the original message's credit travels with it.
-        ++stats_.ipc_sends_suppressed;
-        ++stats_.ipc_messages;
-        ConsumeReplayEntry(proc, tcb);
-        return true;
+  if (const JournalEntry* entry = Replayed(proc, tcb, JournalEntry::Kind::kSend)) {
+    if (entry->channel == channel && entry->payload == *message) {
+      // The original send already reached (or is queued for) the peer;
+      // re-sending would duplicate it at a live endpoint. No credit is
+      // consumed: the original message's credit travels with it. A send that
+      // had parked hands its grant to this thread's next live blocked send
+      // on the channel, which re-parks behind its LIP's senders with earlier
+      // grants. It cannot restore a send that was parked but never granted.
+      if (entry->ordinal > 0) {
+        tcb.replay_send_resume[channel] = entry->ordinal;
+        ++stats_.ipc_credit_waits_replayed;
       }
-      ReplayDiverged(proc, "send disagrees with journal");
-      // Fall through live: the message is new as far as anyone knows.
+      ++stats_.ipc_sends_suppressed;
+      ++stats_.ipc_messages;
+      ConsumeReplayEntry(proc, tcb);
+      return true;
     }
+    ReplayDiverged(proc, "send disagrees with journal");
+    // Fall through live: the message is new as far as anyone knows.
   }
   // TrySend consumes *message on success, so capture the payload for the
   // journal first.
@@ -839,13 +765,9 @@ bool LipRuntime::ChannelTrySend(const std::string& channel,
   }
   ++stats_.ipc_messages;
   tcb.replay_send_resume.erase(channel);  // Completed live: hint stale.
-  if (proc.journal != nullptr) {
-    JournalEntry entry;
-    entry.kind = JournalEntry::Kind::kSend;
-    entry.channel = channel;
-    entry.payload = std::move(payload);
-    proc.journal->Append(tcb.path, std::move(entry));
-  }
+  Record(tcb, {.kind = JournalEntry::Kind::kSend,
+               .payload = std::move(payload),
+               .channel = channel});
   return true;
 }
 
@@ -866,22 +788,12 @@ bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
   if (waiting == nullptr) {
     return false;
   }
-  Process& proc = GetProcess(waiting->lip);
-  if (proc.journal != nullptr) {
-    // Journal grant + send in consumption order, at the syscall boundary:
-    // replay consumes the kCreditWait (re-park hint) then the kSend
-    // (suppressed) without ever touching the live fabric.
-    JournalEntry wait;
-    wait.kind = JournalEntry::Kind::kCreditWait;
-    wait.channel = channel;
-    wait.ordinal = grant_ordinal;
-    proc.journal->Append(waiting->path, std::move(wait));
-    JournalEntry send;
-    send.kind = JournalEntry::Kind::kSend;
-    send.channel = channel;
-    send.payload = *slot;
-    proc.journal->Append(waiting->path, std::move(send));
-  }
+  // One entry at the syscall boundary: replay serves it without touching
+  // the fabric, and its ordinal is the re-park hint.
+  Record(*waiting, {.kind = JournalEntry::Kind::kSend,
+                    .payload = *slot,
+                    .channel = channel,
+                    .ordinal = grant_ordinal + 1});
   ++stats_.ipc_messages;
   *bytes = std::move(*slot);
   Ready(thread);
@@ -893,27 +805,21 @@ bool LipRuntime::ChannelTryRecv(const std::string& channel, std::string* message
   assert(current_ != 0 && "channel syscall outside a LIP thread");
   Tcb& tcb = GetTcb(current_);
   Process& proc = GetProcess(tcb.lip);
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      if (entry->kind == JournalEntry::Kind::kRecv &&
-          entry->channel == channel) {
-        // Serve the delivery verbatim — the fabric's copy was consumed by
-        // the original incarnation (tool-result discipline). Remember the
-        // ordinal: when this thread's journal runs dry mid-wait, the fabric
-        // uses it to re-park the thread in its original queue position
-        // among this LIP's other waiters.
-        *message = entry->payload;
-        tcb.replay_recv_resume[channel] = entry->ordinal + 1;
-        ++stats_.ipc_recvs_replayed;
-        ConsumeReplayEntry(proc, tcb);
-        return true;
-      }
-      // Per-thread logs are ordered, so the original run's next completed
-      // syscall was this recv; anything else is divergence. Fall through
-      // to a live receive afterwards.
-      ReplayDiverged(proc, "recv where journal has a different syscall");
+  if (const JournalEntry* entry = Replayed(proc, tcb, JournalEntry::Kind::kRecv)) {
+    if (entry->channel == channel) {
+      // Serve the delivery verbatim — the fabric's copy was consumed by
+      // the original incarnation (tool-result discipline). Remember the
+      // ordinal: when this thread's journal runs dry mid-wait, the fabric
+      // uses it to re-park the thread in its original queue position
+      // among this LIP's other waiters.
+      *message = entry->payload;
+      tcb.replay_recv_resume[channel] = entry->ordinal + 1;
+      ++stats_.ipc_recvs_replayed;
+      ConsumeReplayEntry(proc, tcb);
+      return true;
     }
+    ReplayDiverged(proc, "recv channel disagrees with journal");
+    // Fall through to a live receive.
   }
   uint64_t ordinal = 0;
   if (!fabric_->TryRecv(replica_index_, tcb.lip, channel, message, &ordinal)) {
@@ -921,7 +827,10 @@ bool LipRuntime::ChannelTryRecv(const std::string& channel, std::string* message
   }
   // Live delivery: any replay re-park hint is now stale.
   tcb.replay_recv_resume.erase(channel);
-  JournalRecvDelivery(current_, channel, ordinal, *message);
+  Record(tcb, {.kind = JournalEntry::Kind::kRecv,
+               .payload = *message,
+               .channel = channel,
+               .ordinal = ordinal});
   return true;
 }
 
@@ -937,11 +846,15 @@ void LipRuntime::ChannelAddWaiter(const std::string& channel, ThreadId waiter,
 bool LipRuntime::DeliverToWaiter(ThreadId thread, std::string* slot,
                                  const std::string& channel, uint64_t ordinal,
                                  const std::string& message) {
-  if (Waiting(thread) == nullptr) {
+  Tcb* waiting = Waiting(thread);
+  if (waiting == nullptr) {
     return false;
   }
   *slot = message;
-  JournalRecvDelivery(thread, channel, ordinal, *slot);
+  Record(*waiting, {.kind = JournalEntry::Kind::kRecv,
+                    .payload = message,
+                    .channel = channel,
+                    .ordinal = ordinal});
   Ready(thread);
   return true;
 }

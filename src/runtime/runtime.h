@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -56,11 +57,11 @@ class ChannelFabric {
   // Parks `waiter` (FIFO among blocked senders) until a credit frees, at
   // which point the fabric calls LipRuntime::CompleteBlockedSend to take the
   // message out of `slot`. `resume_grant` is 0 for a live park; a replayed
-  // thread whose last journal-served credit wait on this channel had grant
-  // ordinal g passes g+1 and the fabric slots it among its LIP's parked
-  // senders in grant order — the sender-side mirror of AddWaiter's
-  // resume_ordinal, reconstructing the original run's sender FIFO so
-  // blocked-sender wakeup order stays bit-identical.
+  // thread whose last journal-served send on this channel had parked for
+  // grant ordinal g passes g+1, and the fabric slots it among its LIP's
+  // parked senders in hint order — the sender-side mirror of AddWaiter's
+  // resume_ordinal. A send that was parked but not granted when
+  // its replica died left no journal entry, so its place is not restored.
   virtual void AddSendWaiter(size_t replica, LipId sender,
                              const std::string& channel, ThreadId waiter,
                              std::string* slot, uint64_t resume_grant) = 0;
@@ -122,8 +123,8 @@ struct RuntimeStats {
   // suppressed re-sends whose original delivery already happened.
   uint64_t ipc_recvs_replayed = 0;
   uint64_t ipc_sends_suppressed = 0;
-  // Credit flow control: credit waits consumed from the journal during
-  // replay (the fabric counts live parks and grants).
+  // Credit flow control: journal-served sends that had parked for a credit
+  // (the fabric counts live parks and grants).
   uint64_t ipc_credit_waits_replayed = 0;
   // Recovery (src/recovery): LIPs replayed from a journal.
   uint64_t lips_replayed = 0;
@@ -289,11 +290,13 @@ class LipRuntime {
   // ChannelTrySend returns true when the send completed (accepted by the
   // fabric or suppressed by replay) and false when the channel is out of
   // credits: *message is left intact and the caller must park via
-  // ChannelAddSendWaiter (the send awaitable's await_suspend). Journaling of
-  // a blocked send happens at grant time (CompleteBlockedSend), not at park
-  // time, so the journal records only COMPLETED syscalls — a sender killed
-  // while parked re-runs the send live on replay, re-parking at its original
-  // sender-FIFO position.
+  // ChannelAddSendWaiter (the send awaitable's await_suspend). A blocked
+  // send is journaled at grant time (CompleteBlockedSend), not at park time,
+  // so the journal records only COMPLETED syscalls. A sender killed while
+  // parked re-runs the send live on replay and parks again, behind its LIP's
+  // senders with earlier journaled grants; a credit freed before it parks
+  // goes to whichever thread sends first, so the original sender order is
+  // not guaranteed.
   bool ChannelTrySend(const std::string& channel, std::string* message);
   void ChannelAddSendWaiter(const std::string& channel, ThreadId waiter,
                             std::string* slot);
@@ -309,12 +312,11 @@ class LipRuntime {
                        const std::string& channel, uint64_t ordinal,
                        const std::string& message);
 
-  // Fabric grant of a credit to a blocked send: journals the credit wait
-  // (JournalEntry::kCreditWait with the channel's grant ordinal) followed by
-  // the send itself, moves the parked message out of `slot` into *bytes, and
-  // wakes the thread. Returns false — leaving the credit and the grant
-  // ordinal unconsumed — when the runtime is halted or the thread is
-  // killed/done, so the fabric skips to the next parked sender.
+  // Fabric grant of a credit to a blocked send: journals the send (one
+  // kSend whose ordinal is `grant_ordinal` + 1), moves the parked message out
+  // of `slot` into *bytes, and wakes the thread. Returns false — leaving the
+  // credit and the grant ordinal unconsumed — when the runtime is halted or
+  // the thread is killed/done, so the fabric skips to the next parked sender.
   bool CompleteBlockedSend(ThreadId thread, std::string* slot,
                            const std::string& channel, uint64_t grant_ordinal,
                            std::string* bytes);
@@ -345,9 +347,10 @@ class LipRuntime {
     // Consumed by this thread's first live recv on the channel (see
     // ChannelFabric::AddWaiter's resume_ordinal).
     std::unordered_map<std::string, uint64_t> replay_recv_resume;
-    // Sender-side mirror: grant ordinal after the last journal-served credit
-    // wait, consumed by this thread's first live blocked send on the channel
-    // (see ChannelFabric::AddSendWaiter's resume_grant).
+    // Sender-side mirror: the kSend ordinal (grant + 1) of the last
+    // journal-served send that had parked, consumed by this thread's first
+    // live blocked send on the channel (see ChannelFabric::AddSendWaiter's
+    // resume_grant).
     std::unordered_map<std::string, uint64_t> replay_send_resume;
   };
 
@@ -375,6 +378,8 @@ class LipRuntime {
     uint64_t rng_seed = 0;
     // Checkpoint/restore state (nullptr when recovery is not in use).
     std::shared_ptr<SyscallJournal> journal;
+    // Set while the LIP replays its journal, from BeginReplay of a non-empty
+    // journal until FinishReplay.
     struct ReplayState {
       RecoveryMode mode = RecoveryMode::kRecompute;
       const ModelConfig* config = nullptr;  // For kImportSnapshot.
@@ -386,9 +391,7 @@ class LipRuntime {
         size_t end = 0;
       };
       std::unordered_map<std::string, Cursor> cursor;
-      uint64_t total = 0;  // Sum of every cursor's end.
-      uint64_t consumed = 0;
-      bool complete = false;
+      uint64_t remaining = 0;  // Entries not yet consumed; 0 ends the replay.
       SimTime start = 0;
     };
     std::unique_ptr<ReplayState> replay;
@@ -406,31 +409,43 @@ class LipRuntime {
   // Process exit: closes the LIP's open handles, frees everything but its
   // exit record and schedules on_exit.
   void Reap(Process& proc);
+  // Closes and forgets every KV handle the LIP holds.
+  void CloseHandles(Process& proc);
+  // An expired LIP's teardown: cancels its queued preds and closes its
+  // handles, releasing its KV pages.
+  void TearDownExpired(Process& proc);
   Tcb& GetTcb(ThreadId thread);
   Process& GetProcess(LipId lip);
   const Process& GetProcess(LipId lip) const;
 
   // Replay plumbing. NextReplayEntry returns the next journaled entry for
-  // `tcb`'s thread (nullptr once the entries its path had when replay began
-  // are consumed — live from then on);
-  // ConsumeReplayEntry advances the cursor and finishes the replay when the
-  // whole journal has been consumed.
-  const JournalEntry* NextReplayEntry(Process& proc, const Tcb& tcb);
+  // `tcb`'s thread, or nullptr when the LIP is not replaying or the entries
+  // the path had when replay began are consumed (live from then on).
+  const JournalEntry* NextReplayEntry(const Process& proc, const Tcb& tcb) const;
+  // The one replay rule: the journal entry that answers `tcb`'s `kind`
+  // syscall, or nullptr when the call runs live. A next entry of another
+  // kind ends the replay as diverged. The caller serves the entry and then
+  // consumes it.
+  const JournalEntry* Replayed(Process& proc, const Tcb& tcb,
+                               JournalEntry::Kind kind);
+  // Advances `tcb`'s cursor past the entry Replayed returned; consuming the
+  // last entry finishes the replay, so nothing may read proc.replay after.
   void ConsumeReplayEntry(Process& proc, const Tcb& tcb);
   // True while the journal's next entry for `tcb` is a `kind` entry, so a
   // `kind` syscall will be answered from it — deadline rejections are
   // suppressed for such calls (see SetDeadline). A rejected call was never
-  // journaled, so the entry after it belongs to a later syscall.
-  bool ReplayServes(Process& proc, const Tcb& tcb, JournalEntry::Kind kind);
+  // journaled, so the entry after it belongs to a later syscall. Unlike
+  // Replayed it never ends the replay: a rejected call is no divergence.
+  bool ReplayServes(const Process& proc, const Tcb& tcb,
+                    JournalEntry::Kind kind) const;
   void ExpireDeadline(LipId lip, SimTime deadline);
+  // Ends the replay: releases the journal's fold hold, runs a deferred
+  // deadline teardown and drops the replay state.
   void FinishReplay(Process& proc, bool diverged);
-  void ReplayDiverged(Process& proc, const char* what);
-  // Records a delivered IPC message (or checks it against the journal
-  // during replay). Called at both delivery points: a successful
-  // ChannelTryRecv and DeliverToWaiter.
-  void JournalRecvDelivery(ThreadId thread, const std::string& channel,
-                           uint64_t ordinal, const std::string& message);
-  void JournalSleepDone(ThreadId thread, SimDuration duration);
+  void ReplayDiverged(Process& proc, std::string_view what);
+  // Appends a completed syscall to `tcb`'s journal path, when its LIP has a
+  // journal.
+  void Record(const Tcb& tcb, JournalEntry entry);
 
   Simulator* sim_;
   Kvfs* kvfs_;

@@ -9,17 +9,20 @@
 // local-vs-cross delivery counters.
 //
 // Credit-based flow control (ISSUE 7): queue depth never exceeds the credit
-// limit under random kill/migrate of either endpoint; blocked-sender wakeup
-// order is bit-identical under replay (journaled kCreditWait grants); 2- and
+// limit under random kill/migrate of either endpoint; a blocked send is one
+// journal entry carrying its grant ordinal, and blocked-sender wakeup order
+// under a producer kill is pinned by a kill-sweep digest; 2- and
 // 3-cycle credit-wait deadlocks are flagged with kDeadlock instead of
 // hanging; FaultPlan slow-consumer windows stall deliveries and propagate
 // backpressure to producers.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/faults/fault_plan.h"
 #include "src/net/ipc_fabric.h"
@@ -581,62 +584,146 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CreditBoundPropertyTest,
                              {401, 402, 403, 404, 405, 406}, 0xC4E)));
 
 // One producer LIP with three sender threads contending for a 1-credit
-// channel: grants wake parked senders strictly FIFO, and a journaled grant
-// ordinal (kCreditWait) re-parks each replayed blocked send at the exact
-// position it held — so the consumer's received sequence is bit-identical
-// when the producer's replica is killed mid-contention.
-TEST(NetTest, BlockedSenderWakeupOrderBitIdenticalUnderReplay) {
-  constexpr int kSenders = 3;
-  constexpr int kPerSender = 3;
-  constexpr int kTotal = kSenders * kPerSender;
-  auto producer = []() -> LipProgram {
-    return [](LipContext& ctx) -> Task {
-      std::vector<ThreadId> spawned;
-      for (int w = 0; w < kSenders; ++w) {
-        spawned.push_back(ctx.spawn([w](LipContext& tctx) -> Task {
-          for (int i = 0; i < kPerSender; ++i) {
-            co_await tctx.send(
-                "credit", "t" + std::to_string(w) + "." + std::to_string(i));
+// channel. Thread w makes `stagger` * (2 - w) 1 us sleeps before each send.
+constexpr int kContendingSenders = 3;
+constexpr int kSendsPerSender = 3;
+
+LipProgram ContendingSenders(int stagger) {
+  return [stagger](LipContext& ctx) -> Task {
+    std::vector<ThreadId> spawned;
+    for (int w = 0; w < kContendingSenders; ++w) {
+      spawned.push_back(ctx.spawn([w, stagger](LipContext& tctx) -> Task {
+        for (int i = 0; i < kSendsPerSender; ++i) {
+          for (int s = 0; s < stagger * (kContendingSenders - 1 - w); ++s) {
+            co_await tctx.sleep(Micros(1));
           }
-          co_return;
-        }));
-      }
-      for (ThreadId t : spawned) {
-        co_await ctx.join(t);
-      }
-      co_return;
-    };
-  };
-  auto run = [&](std::optional<SimTime> kill_producer_at) {
-    Simulator sim;
-    ClusterOptions options = SplitPairOptions(37);
-    options.ipc.channel_credits = 1;
-    SymphonyCluster cluster(&sim, options);
-    SymphonyCluster::ClusterLip cons =
-        cluster.Launch("consumer", "", CreditConsumer(kTotal));
-    SymphonyCluster::ClusterLip prod =
-        cluster.Launch("producer", "", producer());
-    if (kill_producer_at.has_value()) {
-      sim.ScheduleAt(*kill_producer_at, [&cluster, prod] {
-        (void)cluster.KillReplica(cluster.Locate(prod).replica);
-      });
+          co_await tctx.send(
+              "credit", "t" + std::to_string(w) + "." + std::to_string(i));
+        }
+        co_return;
+      }));
     }
-    sim.Run();
-    EXPECT_TRUE(cluster.Done(cons));
-    EXPECT_TRUE(cluster.Done(prod));
-    SymphonyCluster::ClusterSnapshot snap = cluster.Snapshot();
-    EXPECT_EQ(snap.replay_divergences, 0u);
-    return std::make_pair(cluster.Output(cons), snap);
+    for (ThreadId t : spawned) {
+      co_await ctx.join(t);
+    }
+    co_return;
   };
-  auto [baseline_out, baseline_snap] = run(std::nullopt);
-  ASSERT_FALSE(baseline_out.empty());
-  EXPECT_GT(baseline_snap.ipc_credit_waits, 0u);
-  EXPECT_GT(baseline_snap.ipc_credit_grants, 0u);
-  // Kill mid-contention: some grants are already journaled (replayed as
-  // kCreditWait entries), the rest of the flood re-parks live in order.
-  auto [killed_out, killed_snap] = run(Millis(1));
-  EXPECT_EQ(killed_out, baseline_out);
-  EXPECT_GT(killed_snap.ipc_credit_waits_replayed, 0u);
+}
+
+struct ContendedRun {
+  std::string consumer_out;
+  bool done = false;
+  SymphonyCluster::ClusterSnapshot snap;
+};
+
+// ContendingSenders against CreditConsumer on seed 37, with the producer's
+// replica killed at `kill_producer_at` when given.
+ContendedRun RunContendedSenders(int stagger,
+                                 std::optional<SimTime> kill_producer_at) {
+  Simulator sim;
+  ClusterOptions options = SplitPairOptions(37);
+  options.ipc.channel_credits = 1;
+  SymphonyCluster cluster(&sim, options);
+  SymphonyCluster::ClusterLip cons = cluster.Launch(
+      "consumer", "", CreditConsumer(kContendingSenders * kSendsPerSender));
+  SymphonyCluster::ClusterLip prod =
+      cluster.Launch("producer", "", ContendingSenders(stagger));
+  if (kill_producer_at.has_value()) {
+    sim.ScheduleAt(*kill_producer_at, [&cluster, prod] {
+      (void)cluster.KillReplica(cluster.Locate(prod).replica);
+    });
+  }
+  sim.Run();
+  ContendedRun run;
+  run.consumer_out = cluster.Output(cons);
+  run.done = cluster.Done(cons) && cluster.Done(prod);
+  run.snap = cluster.Snapshot();
+  return run;
+}
+
+// Grants wake parked senders strictly FIFO, and a replayed send that had
+// parked carries its grant ordinal (the kSend entry's `ordinal`), which
+// re-parks the same thread's next live blocked send behind its LIP's senders
+// with earlier grants. Killed at 1 ms, the consumer's received sequence
+// equals the unkilled run's. Not every kill instant gives that:
+// BlockedSenderReplayDigestMatchesParent pins a sweep of them.
+TEST(NetTest, BlockedSenderWakeupOrderBitIdenticalUnderReplay) {
+  ContendedRun baseline = RunContendedSenders(0, std::nullopt);
+  ASSERT_FALSE(baseline.consumer_out.empty());
+  EXPECT_TRUE(baseline.done);
+  EXPECT_EQ(baseline.snap.replay_divergences, 0u);
+  EXPECT_GT(baseline.snap.ipc_credit_waits, 0u);
+  EXPECT_GT(baseline.snap.ipc_credit_grants, 0u);
+  // Kill mid-contention: some grants are already journaled (replayed from
+  // their kSend entries), the rest of the flood re-parks live.
+  ContendedRun killed = RunContendedSenders(0, Millis(1));
+  EXPECT_TRUE(killed.done);
+  EXPECT_EQ(killed.snap.replay_divergences, 0u);
+  EXPECT_EQ(killed.consumer_out, baseline.consumer_out);
+  EXPECT_GT(killed.snap.ipc_credit_waits_replayed, 0u);
+}
+
+// Folds the consumer's sequence, the replayed credit waits and the
+// divergences of the contention above, and of a variant whose senders
+// stagger with 1 us sleeps, over producer kills every 10 us from 10 us to
+// 3 ms (and no kill). The value was recorded while a parked send journaled a
+// credit-wait entry of its own before its send entry; it changes when the
+// re-park hint does. Some of these runs deliver another sequence than the
+// unkilled run: a send parked but never granted at the kill leaves no
+// journal entry, so a credit freed before the replay re-parks it goes to
+// whichever replayed thread sends first. The digest pins that too.
+TEST(NetTest, BlockedSenderReplayDigestMatchesParent) {
+  uint64_t digest = 0;
+  auto fold = [&digest](uint64_t value) {
+    digest = HashCombine(digest, value);
+  };
+  for (int stagger : {0, 2}) {
+    for (SimTime kill_at = 0; kill_at <= Millis(3); kill_at += Micros(10)) {
+      ContendedRun run = RunContendedSenders(
+          stagger, kill_at == 0 ? std::nullopt : std::optional(kill_at));
+      EXPECT_TRUE(run.done) << "stagger=" << stagger << " kill_at=" << kill_at;
+      fold(Fnv1a(run.consumer_out));
+      fold(run.snap.ipc_credit_waits_replayed);
+      fold(run.snap.replay_divergences);
+    }
+  }
+  EXPECT_EQ(digest, 0x457e419faaee0581ULL);
+}
+
+// A send that parked for a credit is one journal entry: a kSend whose
+// ordinal is the channel's grant ordinal + 1 (0 for a send that never
+// parked).
+TEST(NetTest, BlockedSendIsOneJournalEntry) {
+  constexpr int kMsgs = 12;
+  Simulator sim;
+  ClusterOptions options = SplitPairOptions(31);
+  options.ipc.channel_credits = 1;
+  SymphonyCluster cluster(&sim, options);
+  SymphonyCluster::ClusterLip cons =
+      cluster.Launch("consumer", "", CreditConsumer(kMsgs));
+  SymphonyCluster::ClusterLip prod =
+      cluster.Launch("producer", "", CreditProducer(kMsgs));
+  std::shared_ptr<SyscallJournal> journal =
+      cluster.replica(prod.replica).runtime().Journal(prod.lip);
+  ASSERT_NE(journal, nullptr);
+  sim.Run();
+  ASSERT_TRUE(cluster.Done(prod));
+  ASSERT_TRUE(cluster.Done(cons));
+  EXPECT_EQ(journal->total_entries(), static_cast<uint64_t>(kMsgs));
+  ASSERT_EQ(journal->EntryCount("0"), static_cast<size_t>(kMsgs));
+  uint64_t parked = 0;
+  for (int i = 0; i < kMsgs; ++i) {
+    const JournalEntry* entry = journal->At("0", i);
+    ASSERT_NE(entry, nullptr) << i;
+    EXPECT_EQ(entry->kind, JournalEntry::Kind::kSend) << i;
+    EXPECT_EQ(entry->channel, "credit") << i;
+    EXPECT_EQ(entry->payload, "m" + std::to_string(i)) << i;
+    if (entry->ordinal > 0) {
+      EXPECT_EQ(entry->ordinal, ++parked) << i;
+    }
+  }
+  EXPECT_GT(parked, 0u);
+  EXPECT_EQ(parked, cluster.Snapshot().ipc_credit_grants);
 }
 
 // ---- Deadlock detection ------------------------------------------------

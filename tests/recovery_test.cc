@@ -1298,5 +1298,96 @@ TEST(RecoveryTest, DeadlineRejectionsStayRejectedOnReplay) {
   }
 }
 
+// ---- A syscall of another kind ends the replay ----------------------------
+
+using Call = JournalEntry::Kind;
+
+const char* CallName(Call call) {
+  switch (call) {
+    case Call::kPred:
+      return "pred";
+    case Call::kTool:
+      return "tool";
+    case Call::kSleep:
+      return "sleep";
+    case Call::kRecv:
+      return "recv";
+    case Call::kSend:
+      return "send";
+  }
+  return "?";
+}
+
+// Preds, sends itself "x", makes `first` before 10 ms and `second` after,
+// emits the call's name and sleeps 50 ms. Branching on ctx.now() is outside
+// journal.h's contract on purpose: a replay that reaches the branch after
+// 10 ms makes a call of another kind than the one its journal holds.
+LipProgram MakeCallSwitcher(Call first, Call second) {
+  return [first, second](LipContext& ctx) -> Task {
+    KvHandle kv = *ctx.kv_tmp();
+    (void)co_await ctx.pred(kv, ctx.tokenizer().Encode("w1 w2"));
+    co_await ctx.send("self", "x");
+    Call call = ctx.now() < Millis(10) ? first : second;
+    switch (call) {
+      case Call::kPred:
+        (void)co_await ctx.pred(kv, ctx.tokenizer().Encode("w3"));
+        break;
+      case Call::kTool:
+        (void)co_await ctx.call_tool("calc", "1 + 1");
+        break;
+      case Call::kSleep:
+        co_await ctx.sleep(Millis(1));
+        break;
+      case Call::kRecv:
+        (void)co_await ctx.recv("self");
+        break;
+      case Call::kSend:
+        co_await ctx.send("self", "y");
+        break;
+    }
+    ctx.emit(std::string(CallName(call)) + ";");
+    co_await ctx.sleep(Millis(50));
+    ctx.emit("done");
+    co_return;
+  };
+}
+
+// Killed at 20 ms, the replayed LIP makes `second` where its journal holds
+// `first`: the replay ends as diverged, once, and the LIP runs on live.
+TEST(RecoveryTest, SyscallOfAnotherKindEndsTheReplay) {
+  const std::pair<Call, Call> kCases[] = {{Call::kTool, Call::kPred},
+                                          {Call::kPred, Call::kTool},
+                                          {Call::kTool, Call::kSleep},
+                                          {Call::kRecv, Call::kSend},
+                                          {Call::kSleep, Call::kRecv}};
+  for (RecoveryMode mode : {RecoveryMode::kRecompute, RecoveryMode::kImportSnapshot}) {
+    for (auto [first, second] : kCases) {
+      for (bool kill : {false, true}) {
+        std::string where = std::string("mode=") + RecoveryModeName(mode) + " " +
+                            CallName(first) + "->" + CallName(second) +
+                            " kill=" + (kill ? "1" : "0");
+        Simulator sim;
+        SymphonyCluster cluster(&sim, RecoveryCluster(19, mode));
+        RegisterTools(cluster);
+        SymphonyCluster::ClusterLip id =
+            cluster.Launch("switcher", "", MakeCallSwitcher(first, second));
+        if (kill) {
+          sim.ScheduleAt(Millis(20), [&cluster, id] {
+            EXPECT_TRUE(cluster.KillReplica(id.replica).ok());
+          });
+        }
+        sim.Run();
+        ASSERT_TRUE(cluster.Done(id)) << where;
+        EXPECT_EQ(cluster.Output(id),
+                  std::string(CallName(kill ? second : first)) + ";done")
+            << where;
+        SymphonyCluster::ClusterSnapshot snap = cluster.Snapshot();
+        EXPECT_EQ(snap.lips_replayed, kill ? 1u : 0u) << where;
+        EXPECT_EQ(snap.replay_divergences, kill ? 1u : 0u) << where;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace symphony
