@@ -27,10 +27,13 @@
 // send-acceptance order (head-blocking — a queued later message never
 // overtakes a head still in flight or retrying through a partition), and
 // blocked receivers are served strictly first-come-first-served; a TryRecv
-// never overtakes parked waiters. The contract survives replay: a replayed
-// thread re-parks with its journal-recorded resume ordinal, which slots it
-// back into the exact queue position it held among its LIP's waiters when
-// the endpoint died — so multi-waiter fan-in stays bit-identical too.
+// never overtakes parked waiters. Under replay the contract holds for a
+// receiver that had been delivered to before the endpoint died: it re-parks
+// with its journal-recorded resume ordinal, which slots it back into its
+// place among its LIP's waiters. A receiver parked but never delivered to
+// left no journal entry, so a message queued during the failover goes to
+// whichever replayed thread receives first: multi-waiter fan-in is not
+// bit-identical across every kill instant.
 //
 // Partitions (src/faults): a transfer attempt blocked by a FaultPlan
 // partition window — or left with no live route by link-down windows

@@ -20,6 +20,20 @@ uint64_t TakeResumeHint(std::unordered_map<std::string, uint64_t>& hints,
   return node.empty() ? 0 : node.mapped();
 }
 
+// A free slot of `slots`, taken off `free`; when none is free, a new slot.
+// A slot is allocated once and then reused, so its address never changes.
+template <typename T>
+uint32_t TakeSlot(std::vector<std::unique_ptr<T>>& slots,
+                  std::vector<uint32_t>& free) {
+  if (free.empty()) {
+    slots.push_back(std::make_unique<T>());
+    return static_cast<uint32_t>(slots.size() - 1);
+  }
+  uint32_t slot = free.back();
+  free.pop_back();
+  return slot;
+}
+
 const char* KindName(JournalEntry::Kind kind) {
   switch (kind) {
     case JournalEntry::Kind::kPred:
@@ -46,37 +60,64 @@ LipRuntime::LipRuntime(Simulator* sim, Kvfs* kvfs, RuntimeOptions options)
 
 LipRuntime::~LipRuntime() {
   // Destroy any still-suspended coroutine frames (e.g. a simulation stopped
-  // at a deadline with LIPs mid-flight).
-  for (auto& [id, tcb] : threads_) {
-    if (tcb.handle) {
-      tcb.handle.destroy();
-      tcb.handle = nullptr;
+  // at a deadline with LIPs mid-flight). A free slot has none.
+  for (const std::unique_ptr<Tcb>& tcb : threads_) {
+    if (tcb->handle) {
+      tcb->handle.destroy();
+      tcb->handle = nullptr;
     }
   }
 }
 
+LipRuntime::Tcb* LipRuntime::FindTcb(ThreadId thread) const {
+  // Id 0 wraps to a slot past the end.
+  uint32_t slot = static_cast<uint32_t>(thread) - 1;
+  if (slot >= threads_.size()) {
+    return nullptr;
+  }
+  Tcb& tcb = *threads_[slot];
+  return tcb.id == thread ? &tcb : nullptr;  // Else the slot moved on.
+}
+
 LipRuntime::Tcb& LipRuntime::GetTcb(ThreadId thread) {
-  auto it = threads_.find(thread);
-  assert(it != threads_.end());
-  return it->second;
+  Tcb* tcb = FindTcb(thread);
+  assert(tcb != nullptr);
+  return *tcb;
+}
+
+LipRuntime::Process* LipRuntime::FindProcess(LipId lip) const {
+  // Ids below the first LIP's wrap to an index past the end.
+  size_t index = lip - size_t{kAdminLip + 1};
+  if (index >= lips_.size() || (lips_[index] & kReaped) != 0) {
+    return nullptr;
+  }
+  return processes_[lips_[index]].get();
 }
 
 LipRuntime::Process& LipRuntime::GetProcess(LipId lip) {
-  auto it = processes_.find(lip);
-  assert(it != processes_.end());
-  return it->second;
+  Process* proc = FindProcess(lip);
+  assert(proc != nullptr);
+  return *proc;
 }
 
 const LipRuntime::Process& LipRuntime::GetProcess(LipId lip) const {
-  auto it = processes_.find(lip);
-  assert(it != processes_.end());
-  return it->second;
+  const Process* proc = FindProcess(lip);
+  assert(proc != nullptr);
+  return *proc;
+}
+
+const LipRuntime::ExitRecord* LipRuntime::FindExit(LipId lip) const {
+  size_t index = lip - size_t{kAdminLip + 1};
+  if (index >= lips_.size() || (lips_[index] & kReaped) == 0) {
+    return nullptr;
+  }
+  return &exits_[lips_[index] & ~kReaped];
 }
 
 LipId LipRuntime::Launch(std::string name, LipProgram program,
                          std::function<void(LipId)> on_exit) {
   return LaunchWithSeed(std::move(name),
-                        Mix64(options_.seed ^ (0x11b0000ULL + next_lip_)),
+                        Mix64(options_.seed ^ (0x11b0000ULL + next_lip())),
                         std::move(program), std::move(on_exit));
 }
 
@@ -84,8 +125,9 @@ LipId LipRuntime::LaunchWithSeed(std::string name, uint64_t rng_seed,
                                  LipProgram program,
                                  std::function<void(LipId)> on_exit) {
   assert(!halted_ && "launch on a halted runtime");
-  LipId lip = next_lip_++;
-  Process& proc = processes_[lip];
+  LipId lip = next_lip();
+  lips_.push_back(TakeSlot(processes_, free_processes_));
+  Process& proc = *processes_[lips_.back()];
   proc.id = lip;
   proc.name = std::move(name);
   proc.context = std::make_unique<LipContext>(this, lip);
@@ -110,17 +152,14 @@ ThreadId LipRuntime::SpawnThread(LipId lip, LipProgram program) {
   // Spawn path: replica-invariant thread identity for the syscall journal.
   // The root thread is "0"; a child gets parent.path + "." + spawn ordinal.
   std::string path = "0";
-  if (current_ != 0) {
-    auto parent = threads_.find(current_);
-    if (parent != threads_.end() && parent->second.lip == lip) {
-      path = parent->second.path + "." +
-             std::to_string(parent->second.spawn_seq++);
-    }
+  if (Tcb* parent = FindTcb(current_); parent != nullptr && parent->lip == lip) {
+    path = parent->path + "." + std::to_string(parent->spawn_seq++);
   }
-  ThreadId tid = next_thread_++;
-  Tcb& tcb = threads_[tid];
+  uint32_t slot = TakeSlot(threads_, free_threads_);
+  Tcb& tcb = *threads_[slot];
+  tcb.id |= slot + 1;  // The free slot held its generation.
+  ThreadId tid = tcb.id;
   tcb.path = std::move(path);
-  tcb.id = tid;
   tcb.lip = lip;
   tcb.state = ThreadState::kBlocked;  // Ready() flips it below.
   tcb.program = std::move(program);
@@ -147,7 +186,7 @@ void LipRuntime::Ready(ThreadId thread) {
   if (halted_) {
     return;  // Replica failure: nothing resumes ever again.
   }
-  // Asserts on a finished thread, whose block is erased: waking it is a bug.
+  // Asserts on a finished thread, whose slot is freed: waking it is a bug.
   Tcb& tcb = GetTcb(thread);
   if (tcb.state == ThreadState::kKilled) {
     return;  // Detached LIP: a late completion wrote its slot; drop the wake.
@@ -164,21 +203,20 @@ void LipRuntime::Resume(ThreadId thread) {
   if (halted_) {
     return;
   }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state != ThreadState::kReady) {
-    return;  // Stale event (an exited thread's block is already erased).
+  Tcb* tcb = FindTcb(thread);
+  if (tcb == nullptr || tcb->state != ThreadState::kReady) {
+    return;  // Stale event (an exited thread's slot is already freed).
   }
-  Tcb& tcb = it->second;
-  tcb.state = ThreadState::kRunning;
+  tcb->state = ThreadState::kRunning;
   ThreadId prev = current_;
   current_ = thread;
   ++stats_.context_switches;
-  tcb.resume_point.resume();
+  tcb->resume_point.resume();  // May spawn: slots never move.
   current_ = prev;
-  if (tcb.handle.done()) {
-    OnThreadExit(tcb);
-    // ThreadDone and AddJoiner answer "finished" for an unknown id.
-    threads_.erase(thread);
+  if (tcb->handle.done()) {
+    OnThreadExit(*tcb);
+    // ThreadDone and AddJoiner answer "finished" for the old id.
+    FreeThread(*tcb);
   }
 }
 
@@ -186,11 +224,8 @@ LipRuntime::Tcb* LipRuntime::Waiting(ThreadId thread) {
   if (halted_) {
     return nullptr;
   }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
-    return nullptr;
-  }
-  return &it->second;
+  Tcb* tcb = FindTcb(thread);
+  return tcb != nullptr && tcb->state != ThreadState::kKilled ? tcb : nullptr;
 }
 
 void LipRuntime::OnThreadExit(Tcb& tcb) {
@@ -222,22 +257,22 @@ void LipRuntime::OnThreadExit(Tcb& tcb) {
   }
 }
 
+void LipRuntime::FreeThread(Tcb& tcb) {
+  uint32_t slot = static_cast<uint32_t>(tcb.id) - 1;
+  ThreadId next_generation = ((tcb.id >> 32) + 1) << 32;
+  tcb = Tcb();
+  tcb.id = next_generation;
+  free_threads_.push_back(slot);
+}
+
 void LipRuntime::Reap(Process& proc) {
   CloseHandles(proc);  // Release kernel resources the LIP left open.
-  proc.done = true;
   --live_lips_;
   ++stats_.lips_completed;
   if (trace_ != nullptr) {
     trace_->Span("lips", proc.name, proc.launch_time,
                  sim_->now() - proc.launch_time);
   }
-  // Nothing reads these after exit. The journal lives on only where the
-  // serving layer holds its own reference.
-  proc.join_all_waiters = std::vector<ThreadId>();
-  proc.journal.reset();
-  proc.replay.reset();
-  proc.context.reset();
-  proc.rng.reset();
   if (proc.on_exit) {
     // Run after the current dispatch completes so the callback sees a
     // settled runtime state.
@@ -245,6 +280,13 @@ void LipRuntime::Reap(Process& proc) {
                      [callback = std::exchange(proc.on_exit, nullptr),
                       lip = proc.id] { callback(lip); });
   }
+  // Nothing else is read after exit. The journal lives on only where the
+  // serving layer holds its own reference.
+  uint32_t& entry = lips_[proc.id - (kAdminLip + 1)];
+  free_processes_.push_back(entry);
+  entry = kReaped | static_cast<uint32_t>(exits_.size());
+  exits_.push_back({std::move(proc.output), proc.usage, proc.expired});
+  proc = Process();
 }
 
 void LipRuntime::CloseHandles(Process& proc) {
@@ -268,7 +310,9 @@ void LipRuntime::TearDownExpired(Process& proc) {
   CloseHandles(proc);
 }
 
-bool LipRuntime::LipDone(LipId lip) const { return GetProcess(lip).done; }
+bool LipRuntime::LipDone(LipId lip) const {
+  return FindExit(lip) != nullptr || GetProcess(lip).done;
+}
 
 void LipRuntime::SetQuota(LipId lip, LipQuota quota) {
   Process& proc = GetProcess(lip);
@@ -291,19 +335,22 @@ void LipRuntime::SetDeadline(LipId lip, SimTime deadline) {
 }
 
 bool LipRuntime::DeadlineExpired(LipId lip) const {
-  auto it = processes_.find(lip);
-  return it != processes_.end() && it->second.expired;
+  if (const ExitRecord* exit = FindExit(lip)) {
+    return exit->expired;
+  }
+  const Process* proc = FindProcess(lip);
+  return proc != nullptr && proc->expired;
 }
 
 void LipRuntime::ExpireDeadline(LipId lip, SimTime deadline) {
   if (halted_) {
     return;
   }
-  auto it = processes_.find(lip);
-  if (it == processes_.end()) {
+  Process* found = FindProcess(lip);
+  if (found == nullptr) {
     return;
   }
-  Process& proc = it->second;
+  Process& proc = *found;
   // Stale event: the LIP exited, was detached, or the deadline was re-armed.
   if (proc.done || proc.expired || proc.deadline != deadline) {
     return;
@@ -331,8 +378,8 @@ void LipRuntime::EnableJournal(LipId lip,
 }
 
 std::shared_ptr<SyscallJournal> LipRuntime::Journal(LipId lip) const {
-  auto it = processes_.find(lip);
-  return it == processes_.end() ? nullptr : it->second.journal;
+  const Process* proc = FindProcess(lip);
+  return proc == nullptr ? nullptr : proc->journal;
 }
 
 Status LipRuntime::BeginReplay(LipId lip, RecoveryMode mode,
@@ -381,22 +428,21 @@ void LipRuntime::Halt() {
 }
 
 Status LipRuntime::Detach(LipId lip) {
-  auto pit = processes_.find(lip);
-  if (pit == processes_.end()) {
+  Process* found = FindProcess(lip);
+  if (found == nullptr && FindExit(lip) == nullptr) {
     return NotFoundError("no such lip " + std::to_string(lip));
   }
-  Process& proc = pit->second;
-  if (proc.done) {
+  if (found == nullptr || found->done) {
     return FailedPreconditionError("lip " + std::to_string(lip) +
                                    " already exited");
   }
-  for (auto& entry : threads_) {
-    Tcb& tcb = entry.second;
-    if (tcb.lip == lip) {
+  Process& proc = *found;
+  for (const std::unique_ptr<Tcb>& tcb : threads_) {
+    if (tcb->lip == lip) {
       // Keep the frame allocated: an in-flight pred/tool completion may
       // still write its result slot. ~LipRuntime reclaims it.
-      tcb.state = ThreadState::kKilled;
-      tcb.joiners.clear();
+      tcb->state = ThreadState::kKilled;
+      tcb->joiners.clear();
     }
   }
   // Drop the LIP's pending channel waits so a later send is not swallowed
@@ -481,13 +527,15 @@ void LipRuntime::Record(const Tcb& tcb, JournalEntry entry) {
 }
 
 LipUsage LipRuntime::GetUsage(LipId lip) const {
-  LipUsage usage = GetProcess(lip).usage;
+  const ExitRecord* exit = FindExit(lip);
+  LipUsage usage = exit != nullptr ? exit->usage : GetProcess(lip).usage;
   usage.kv_pages = kvfs_->OwnerPageRefs(lip);
   return usage;
 }
 
 const std::string& LipRuntime::Output(LipId lip) const {
-  return GetProcess(lip).output;
+  const ExitRecord* exit = FindExit(lip);
+  return exit != nullptr ? exit->output : GetProcess(lip).output;
 }
 
 Status LipRuntime::CheckDeadline(ThreadId thread, JournalEntry::Kind kind) {
@@ -593,52 +641,58 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   request.tokens = std::move(tokens);
   request.start = start;
   request.submit_time = sim_->now();
-  std::vector<TokenId> rec_tokens;
-  if (proc.journal != nullptr && !verify_index) {
-    rec_tokens = request.tokens;
-  }
   // The journal records the start submitted here: the scheduler moves
   // request.start past each chunk of a split prefill.
-  request.complete = [this, thread, result, verify_index, start,
-                      rec_tokens = std::move(rec_tokens)](PredResult r) mutable {
-    if (Tcb* waiting = Waiting(thread)) {
-      Process& owner = GetProcess(waiting->lip);
-      // A pred that was in flight at deadline expiry can fail for a teardown
-      // reason (its KV handle was closed); attribute that to the deadline.
-      // Normalized before journaling so replay serves the same status.
-      if (owner.expired && !r.status.ok() &&
-          r.status.code() != StatusCode::kDeadlineExceeded) {
-        r.status = DeadlineExceededError("deadline expired for lip " +
-                                         std::to_string(owner.id));
-      }
-      if (verify_index) {
-        // An entry folded into a store checkpoint while this recompute was
-        // in flight is durable there: nothing to verify.
-        const JournalEntry* expect = owner.journal->At(waiting->path, *verify_index);
-        if (!owner.journal->FoldedAt(waiting->path, *verify_index) &&
-            (expect == nullptr || r.status.code() != expect->status.code() ||
-             !std::ranges::equal(r.dists, expect->states, {}, &Distribution::state))) {
-          ++stats_.replay_divergences;
-          SYMPHONY_LOG(kWarning)
-              << "recomputed pred diverged from journal (thread path "
-              << waiting->path << ", entry " << *verify_index << ")";
-        }
-      } else if (owner.journal != nullptr) {
-        JournalEntry entry{.kind = JournalEntry::Kind::kPred,
-                           .status = r.status,
-                           .tokens = std::move(rec_tokens),
-                           .start = start};
-        entry.states.reserve(r.dists.size());
-        for (const Distribution& d : r.dists) {
-          entry.states.push_back(d.state());
-        }
-        Record(*waiting, std::move(entry));
-      }
-    }
-    *result = std::move(r);
-    Ready(thread);
+  tcb.call.pred = result;
+  tcb.call.start = start;
+  tcb.call.verify_index = verify_index;
+  if (proc.journal != nullptr && !verify_index) {
+    tcb.call.tokens = request.tokens;
+  }
+  request.complete = [this, thread](PredResult r) {
+    CompletePred(thread, std::move(r));
   };
   pred_service_->Submit(std::move(request));
+}
+
+void LipRuntime::CompletePred(ThreadId thread, PredResult r) {
+  Tcb& tcb = GetTcb(thread);  // Blocked in this pred until Ready below.
+  if (Tcb* waiting = Waiting(thread)) {
+    Process& owner = GetProcess(waiting->lip);
+    // A pred that was in flight at deadline expiry can fail for a teardown
+    // reason (its KV handle was closed); attribute that to the deadline.
+    // Normalized before journaling so replay serves the same status.
+    if (owner.expired && !r.status.ok() &&
+        r.status.code() != StatusCode::kDeadlineExceeded) {
+      r.status = DeadlineExceededError("deadline expired for lip " +
+                                       std::to_string(owner.id));
+    }
+    if (std::optional<size_t> verify_index = waiting->call.verify_index) {
+      // An entry folded into a store checkpoint while this recompute was
+      // in flight is durable there: nothing to verify.
+      const JournalEntry* expect = owner.journal->At(waiting->path, *verify_index);
+      if (!owner.journal->FoldedAt(waiting->path, *verify_index) &&
+          (expect == nullptr || r.status.code() != expect->status.code() ||
+           !std::ranges::equal(r.dists, expect->states, {}, &Distribution::state))) {
+        ++stats_.replay_divergences;
+        SYMPHONY_LOG(kWarning)
+            << "recomputed pred diverged from journal (thread path "
+            << waiting->path << ", entry " << *verify_index << ")";
+      }
+    } else if (owner.journal != nullptr) {
+      JournalEntry entry{.kind = JournalEntry::Kind::kPred,
+                         .status = r.status,
+                         .tokens = std::move(waiting->call.tokens),
+                         .start = waiting->call.start};
+      entry.states.reserve(r.dists.size());
+      for (const Distribution& d : r.dists) {
+        entry.states.push_back(d.state());
+      }
+      Record(*waiting, std::move(entry));
+    }
+  }
+  *tcb.call.pred = std::move(r);
+  Ready(thread);
 }
 
 void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
@@ -673,16 +727,21 @@ void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
     Ready(thread);
     return;
   }
-  tool_service_->Invoke(lip, thread, tool, args,
-                        [this, thread, result](ToolResult r) {
-                          if (Tcb* waiting = Waiting(thread)) {
-                            Record(*waiting, {.kind = JournalEntry::Kind::kTool,
-                                              .status = r.status,
-                                              .payload = r.output});
-                          }
-                          *result = std::move(r);
-                          Ready(thread);
-                        });
+  tcb.call.tool = result;
+  tool_service_->Invoke(lip, thread, tool, args, [this, thread](ToolResult r) {
+    CompleteTool(thread, std::move(r));
+  });
+}
+
+void LipRuntime::CompleteTool(ThreadId thread, ToolResult r) {
+  Tcb& tcb = GetTcb(thread);  // Blocked in this call until Ready below.
+  if (Tcb* waiting = Waiting(thread)) {
+    Record(*waiting, {.kind = JournalEntry::Kind::kTool,
+                      .status = r.status,
+                      .payload = r.output});
+  }
+  *tcb.call.tool = std::move(r);
+  Ready(thread);
 }
 
 void LipRuntime::SubmitSleep(ThreadId thread, SimDuration duration) {
@@ -695,25 +754,29 @@ void LipRuntime::SubmitSleep(ThreadId thread, SimDuration duration) {
     Ready(thread);
     return;
   }
-  sim_->ScheduleAfter(duration, [this, thread, duration] {
-    if (Tcb* waiting = Waiting(thread)) {
-      Record(*waiting, {.kind = JournalEntry::Kind::kSleep, .duration = duration});
-    }
-    Ready(thread);
-  });
+  tcb.call.duration = duration;
+  sim_->ScheduleAfter(duration, [this, thread] { CompleteSleep(thread); });
+}
+
+void LipRuntime::CompleteSleep(ThreadId thread) {
+  if (Tcb* waiting = Waiting(thread)) {
+    Record(*waiting, {.kind = JournalEntry::Kind::kSleep,
+                      .duration = waiting->call.duration});
+  }
+  Ready(thread);
 }
 
 bool LipRuntime::ThreadDone(ThreadId thread) const {
-  return !threads_.contains(thread);
+  return FindTcb(thread) == nullptr;
 }
 
 void LipRuntime::AddJoiner(ThreadId target, ThreadId waiter) {
-  auto it = threads_.find(target);
-  if (it == threads_.end()) {
+  Tcb* tcb = FindTcb(target);
+  if (tcb == nullptr) {
     Ready(waiter);
     return;
   }
-  it->second.joiners.push_back(waiter);
+  tcb->joiners.push_back(waiter);
 }
 
 void LipRuntime::AddJoinAllWaiter(LipId lip, ThreadId waiter) {

@@ -11,8 +11,10 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -76,8 +78,10 @@ class ChannelFabric {
   // `resume_ordinal` is 0 for a live wait; a replayed thread whose last
   // journal-served recv on this channel had delivery ordinal k passes k+1,
   // and the fabric slots it among its LIP's waiters in ordinal order — that
-  // reconstructs the original run's waiter queue, which is runtime state the
-  // journal does not otherwise capture (multi-waiter FIFO bit-identity).
+  // restores the place of each waiter that had been delivered to, which is
+  // runtime state the journal does not otherwise capture. A recv that was
+  // parked but never delivered to when its replica died left no journal
+  // entry, so its place is not restored.
   virtual void AddWaiter(size_t replica, LipId receiver,
                          const std::string& channel, ThreadId waiter,
                          std::string* slot, uint64_t resume_ordinal) = 0;
@@ -88,7 +92,8 @@ class ChannelFabric {
   virtual void DropWaiters(size_t replica, LipId lip) = 0;
 };
 
-// A finished thread has no state: its control block is erased at exit.
+// A finished thread has no state: its slot is freed at exit, and its id
+// reads as finished from then on.
 enum class ThreadState : uint8_t {
   kReady,
   kRunning,
@@ -248,7 +253,9 @@ class LipRuntime {
   Status CheckDeadline(ThreadId thread, JournalEntry::Kind kind);
 
   // Spawns a thread in `lip` running `program`; returns its id, or 0 when
-  // the LIP's thread quota is exhausted (joining id 0 is a no-op).
+  // the LIP's thread quota is exhausted (joining id 0 is a no-op). Ids are
+  // opaque and not monotonic: a finished thread's slot is reused, and its
+  // old id keeps reading as finished.
   ThreadId SpawnThread(LipId lip, LipProgram program);
 
   // Marks the current thread blocked (called from await_suspend).
@@ -327,13 +334,33 @@ class LipRuntime {
   void UntrackHandle(LipId lip, KvHandle handle);
 
  private:
+  // A thread's control block. It lives in a slot of threads_ that is
+  // allocated once and reused, so its address stays valid across spawns. Its
+  // id is the 1-based slot index (low 32 bits) and the slot's generation
+  // (high 32 bits); freeing the slot bumps the generation, so a finished
+  // thread's id never names the slot's next thread.
   struct Tcb {
+    // In a free slot: the next generation, with 0 in the low bits, which no
+    // issued id has.
     ThreadId id = 0;
     LipId lip = kNoLip;
     ThreadState state = ThreadState::kReady;
     std::coroutine_handle<Task::promise_type> handle;
     // The frame to resume at the next wake-up (innermost suspended frame).
     std::coroutine_handle<> resume_point;
+    // The pred, tool call or sleep the thread is blocked in (a thread blocks
+    // on one syscall at a time), so its completion captures only
+    // [this, thread]: the result slot in the suspended frame, a pred's start,
+    // recompute-verify index and tokens to journal, and a sleep's duration.
+    struct Syscall {
+      PredResult* pred = nullptr;
+      ToolResult* tool = nullptr;
+      int32_t start = 0;
+      std::optional<size_t> verify_index;
+      std::vector<TokenId> tokens;
+      SimDuration duration = 0;
+    };
+    Syscall call;
     std::vector<ThreadId> joiners;
     // Keeps the program callable alive for the coroutine's lifetime: a
     // lambda coroutine's captures live in the lambda object, not the frame.
@@ -354,9 +381,10 @@ class LipRuntime {
     std::unordered_map<std::string, uint64_t> replay_send_resume;
   };
 
-  // A LIP's kernel state. Reap() frees everything except the exit record
-  // that post-exit queries read: done, output, expired and usage (plus the
-  // scalars beside them).
+  // A live LIP's kernel state, in a slot of processes_ that is allocated once
+  // and reused, so its address stays valid across launches. A detached LIP
+  // keeps its slot. Reap() moves what post-exit queries read into an
+  // ExitRecord and frees the slot for the next launch.
   struct Process {
     LipId id = kNoLip;
     std::string name;
@@ -367,6 +395,7 @@ class LipRuntime {
     std::vector<KvHandle> open_handles;
     std::string output;
     std::function<void(LipId)> on_exit;
+    // Set by Detach; a reaped LIP has no Process.
     bool done = false;
     LipQuota quota;
     LipUsage usage;
@@ -397,26 +426,52 @@ class LipRuntime {
     std::unique_ptr<ReplayState> replay;
   };
 
+  // What is left of a reaped LIP: what LipDone, Output, DeadlineExpired and
+  // GetUsage read after exit.
+  struct ExitRecord {
+    std::string output;
+    LipUsage usage;
+    bool expired = false;
+  };
+
   void Resume(ThreadId thread);
   // CheckDeadline for a thread whose control block and process the caller
   // already holds.
   Status CheckDeadline(Process& proc, const Tcb& tcb, JournalEntry::Kind kind);
   // `thread`'s control block while a completion or delivery may still wake
   // it: the runtime is not halted and the thread is neither finished
-  // (erased) nor killed. nullptr otherwise.
+  // (its slot freed) nor killed. nullptr otherwise.
   Tcb* Waiting(ThreadId thread);
   void OnThreadExit(Tcb& tcb);
-  // Process exit: closes the LIP's open handles, frees everything but its
-  // exit record and schedules on_exit.
+  // Frees a finished thread's slot for the next spawn.
+  void FreeThread(Tcb& tcb);
+  // Process exit: closes the LIP's open handles, keeps its exit record,
+  // frees its slot and schedules on_exit.
   void Reap(Process& proc);
   // Closes and forgets every KV handle the LIP holds.
   void CloseHandles(Process& proc);
   // An expired LIP's teardown: cancels its queued preds and closes its
   // handles, releasing its KV pages.
   void TearDownExpired(Process& proc);
+  // The control block `thread` names; nullptr once the thread has finished.
+  Tcb* FindTcb(ThreadId thread) const;
   Tcb& GetTcb(ThreadId thread);
+  // A live or detached LIP's state; nullptr once it is reaped, or for an id
+  // this runtime never issued.
+  Process* FindProcess(LipId lip) const;
   Process& GetProcess(LipId lip);
   const Process& GetProcess(LipId lip) const;
+  // A reaped LIP's exit record; nullptr otherwise.
+  const ExitRecord* FindExit(LipId lip) const;
+  LipId next_lip() const {
+    return static_cast<LipId>(kAdminLip + 1 + lips_.size());
+  }
+  // Syscall completions: each finishes the call `thread` is blocked in from
+  // its Tcb's `call`, journals it unless the thread is killed or the runtime
+  // halted, and wakes the thread.
+  void CompletePred(ThreadId thread, PredResult r);
+  void CompleteTool(ThreadId thread, ToolResult r);
+  void CompleteSleep(ThreadId thread);
 
   // Replay plumbing. NextReplayEntry returns the next journaled entry for
   // `tcb`'s thread, or nullptr when the LIP is not replaying or the entries
@@ -457,10 +512,19 @@ class LipRuntime {
   ChannelFabric* fabric_ = nullptr;
   size_t replica_index_ = 0;
 
-  std::unordered_map<ThreadId, Tcb> threads_;
-  std::unordered_map<LipId, Process> processes_;
-  ThreadId next_thread_ = 1;
-  LipId next_lip_ = kAdminLip + 1;
+  // Thread slots, one allocation each, and the free ones (the last freed is
+  // reused first).
+  std::vector<std::unique_ptr<Tcb>> threads_;
+  std::vector<uint32_t> free_threads_;
+  // Process slots, likewise.
+  std::vector<std::unique_ptr<Process>> processes_;
+  std::vector<uint32_t> free_processes_;
+  // One entry per LIP launched, at lip - (kAdminLip + 1): its slot in
+  // processes_, or kReaped | its record's index in exits_. LipIds stay
+  // sequential: KVFS ownership, journals and cluster records key on them.
+  static constexpr uint32_t kReaped = 1u << 31;
+  std::vector<uint32_t> lips_;
+  std::deque<ExitRecord> exits_;
   ThreadId current_ = 0;
   size_t live_lips_ = 0;
   bool halted_ = false;

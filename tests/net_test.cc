@@ -5,8 +5,8 @@
 // emitted text and the surviving endpoint's received message sequence are
 // bit-identical to the fault-free run. Plus: partition windows retry through
 // without loss, partition deadlines drop with kUnavailable surfaced, FIFO
-// fairness for multi-waiter recv (including under replay), and the
-// local-vs-cross delivery counters.
+// fairness for multi-waiter recv (with a kill-sweep digest of what replay
+// restores of it), and the local-vs-cross delivery counters.
 //
 // Credit-based flow control (ISSUE 7): queue depth never exceeds the credit
 // limit under random kill/migrate of either endpoint; a blocked send is one
@@ -350,63 +350,98 @@ std::vector<std::string> WorkerSubsequence(const std::string& out, int w) {
   return seq;
 }
 
+constexpr int kFanWorkers = 3;
+constexpr int kFanPerWorker = 4;
+constexpr int kFanTotal = kFanWorkers * kFanPerWorker;
+
+struct FanRun {
+  std::string consumer_out;
+  std::string collector_out;
+  bool done = false;
+  SymphonyCluster::ClusterSnapshot snap;
+};
+
+// FanInConsumer, FanOutProducer and Collector on seed 23, with the
+// consumer's replica killed at `kill_consumer_at` when given.
+FanRun RunFanIn(std::optional<SimTime> kill_consumer_at) {
+  Simulator sim;
+  SymphonyCluster cluster(&sim, SplitPairOptions(23));
+  SymphonyCluster::ClusterLip cons =
+      cluster.Launch("fan-consumer", "", FanInConsumer(kFanWorkers, kFanPerWorker));
+  SymphonyCluster::ClusterLip prod =
+      cluster.Launch("fan-producer", "", FanOutProducer(kFanTotal));
+  SymphonyCluster::ClusterLip coll =
+      cluster.Launch("collector", "", Collector(kFanTotal));
+  if (kill_consumer_at.has_value()) {
+    sim.ScheduleAt(*kill_consumer_at, [&cluster, cons] {
+      (void)cluster.KillReplica(cluster.Locate(cons).replica);
+    });
+  }
+  sim.Run();
+  FanRun run;
+  run.consumer_out = cluster.Output(cons);
+  run.collector_out = cluster.Output(coll);
+  run.done = cluster.Done(cons) && cluster.Done(prod) && cluster.Done(coll);
+  run.snap = cluster.Snapshot();
+  return run;
+}
+
 TEST(NetTest, MultiWaiterRecvIsFifoFairIncludingUnderReplay) {
-  constexpr int kWorkers = 3;
-  constexpr int kPerWorker = 4;
-  constexpr int kTotal = kWorkers * kPerWorker;
-  struct FanRun {
-    std::string consumer_out;
-    std::string collector_out;
-  };
-  auto run = [&](std::optional<SimTime> kill_consumer_at) {
-    Simulator sim;
-    SymphonyCluster cluster(&sim, SplitPairOptions(23));
-    SymphonyCluster::ClusterLip cons =
-        cluster.Launch("fan-consumer", "", FanInConsumer(kWorkers, kPerWorker));
-    SymphonyCluster::ClusterLip prod =
-        cluster.Launch("fan-producer", "", FanOutProducer(kTotal));
-    SymphonyCluster::ClusterLip coll =
-        cluster.Launch("collector", "", Collector(kTotal));
-    if (kill_consumer_at.has_value()) {
-      sim.ScheduleAt(*kill_consumer_at, [&cluster, cons] {
-        (void)cluster.KillReplica(cluster.Locate(cons).replica);
-      });
-    }
-    sim.Run();
-    EXPECT_TRUE(cluster.Done(cons));
-    EXPECT_TRUE(cluster.Done(prod));
-    EXPECT_TRUE(cluster.Done(coll));
-    EXPECT_EQ(cluster.Snapshot().replay_divergences, 0u);
-    return FanRun{cluster.Output(cons), cluster.Output(coll)};
-  };
-  FanRun baseline = run(std::nullopt);
+  FanRun baseline = RunFanIn(std::nullopt);
+  EXPECT_TRUE(baseline.done);
+  EXPECT_EQ(baseline.snap.replay_divergences, 0u);
   // Messages were consumed in exact send order despite three competing
   // waiters — the collector (a third LIP) saw the tags in send order — and
   // each worker got its fair round-robin share.
   std::vector<std::string> order = MessageOrder(baseline.collector_out);
-  ASSERT_EQ(order.size(), static_cast<size_t>(kTotal));
-  for (int i = 0; i < kTotal; ++i) {
+  ASSERT_EQ(order.size(), static_cast<size_t>(kFanTotal));
+  for (int i = 0; i < kFanTotal; ++i) {
     EXPECT_EQ(order[i], "m" + std::to_string(i));
   }
-  for (int w = 0; w < kWorkers; ++w) {
+  for (int w = 0; w < kFanWorkers; ++w) {
     EXPECT_EQ(WorkerSubsequence(baseline.consumer_out, w).size(),
-              static_cast<size_t>(kPerWorker))
+              static_cast<size_t>(kFanPerWorker))
         << "worker " << w;
   }
-  // The same fairness holds when the consumer is killed mid-fan-in and
-  // replayed on another replica: the surviving collector's received sequence
-  // is bit-identical (replay re-parks each waiter at its journal-recorded
-  // queue position), and so is each worker's own stream. Only the
-  // cross-thread interleaving of the replayed LIP's local emissions within
-  // the fast-forwarded window may differ — per-thread journals record no
-  // global emission order (see journal.h).
-  FanRun killed = run(Millis(2));
+  // Killed at 2 ms and replayed on another replica, the consumer keeps that
+  // fairness: the surviving collector's received sequence is bit-identical
+  // and so is each worker's own stream, because every worker had been
+  // delivered to before the kill and the re-park hint restores its place.
+  // Only the cross-thread interleaving of the replayed LIP's local emissions
+  // within the fast-forwarded window may differ — per-thread journals record
+  // no global emission order (see journal.h). Not every kill instant gives
+  // that: MultiWaiterReplayDigestMatchesParent pins a sweep of them.
+  FanRun killed = RunFanIn(Millis(2));
+  EXPECT_TRUE(killed.done);
+  EXPECT_EQ(killed.snap.replay_divergences, 0u);
   EXPECT_EQ(killed.collector_out, baseline.collector_out);
-  for (int w = 0; w < kWorkers; ++w) {
+  for (int w = 0; w < kFanWorkers; ++w) {
     EXPECT_EQ(WorkerSubsequence(killed.consumer_out, w),
               WorkerSubsequence(baseline.consumer_out, w))
         << "worker " << w;
   }
+}
+
+// Folds the collector's sequence, the replayed recvs and the divergences of
+// the fan-in above over consumer kills every 10 us from 10 us to 3.42 ms (and
+// no kill). Some of these runs hand messages to other workers than the
+// unkilled run: a receiver parked but never delivered to at the kill leaves
+// no journal entry, so a message queued during the failover goes to
+// whichever replayed thread receives first. The digest pins that too; the
+// receiver-side twin of BlockedSenderReplayDigestMatchesParent.
+TEST(NetTest, MultiWaiterReplayDigestMatchesParent) {
+  uint64_t digest = 0;
+  auto fold = [&digest](uint64_t value) {
+    digest = HashCombine(digest, value);
+  };
+  for (SimTime kill_at = 0; kill_at <= Micros(3420); kill_at += Micros(10)) {
+    FanRun run = RunFanIn(kill_at == 0 ? std::nullopt : std::optional(kill_at));
+    EXPECT_TRUE(run.done) << "kill_at=" << kill_at;
+    fold(Fnv1a(run.collector_out));
+    fold(run.snap.ipc_recvs_replayed);
+    fold(run.snap.replay_divergences);
+  }
+  EXPECT_EQ(digest, 0x04eeaf5281171c0dULL);
 }
 
 // ---- Counters ----------------------------------------------------------

@@ -103,6 +103,19 @@ TEST_F(RuntimeTest, JoinFinishedThreadIsImmediate) {
     ThreadId child = ctx.spawn([](LipContext&) -> Task { co_return; });
     co_await ctx.sleep(Millis(5));  // Child finishes long before.
     co_await ctx.join(child);
+    // A second child takes the first one's freed slot, and the first id
+    // still reads as finished while the second is alive.
+    ThreadId second = ctx.spawn([](LipContext& inner) -> Task {
+      co_await inner.sleep(Millis(5));
+    });
+    EXPECT_NE(second, child);
+    EXPECT_TRUE(runtime_.ThreadDone(child));
+    EXPECT_FALSE(runtime_.ThreadDone(second));
+    const SimTime before = ctx.now();
+    co_await ctx.join(child);
+    EXPECT_EQ(ctx.now(), before);
+    co_await ctx.join(second);
+    EXPECT_GE(ctx.now(), before + Millis(5));
     done = true;
     co_return;
   });

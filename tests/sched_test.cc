@@ -1199,6 +1199,64 @@ TEST(PredAllocationTest, APredAllocatesItsRequestAndItsResult) {
   }
 }
 
+// SchedTest's stack (KVFS, device, scheduler and LIP runtime) outside a
+// TEST_F, so PredAllocationTest keeps one fixture class.
+class SchedRig : public SchedTest {
+ public:
+  using SchedTest::runtime_;
+  using SchedTest::scheduler_;
+  using SchedTest::sim_;
+
+ private:
+  void TestBody() override {}
+};
+
+TEST(PredAllocationTest, ALipPredAllocatesItsTokensAndItsResult) {
+  // The same closed loop as above, driven by LIPs through the runtime: each
+  // LIP decodes with pred1 on its own kv_tmp file, cut back to one token
+  // every four pages. Per pred: pred1's tokens vector (1), the result's
+  // distribution vector (1) and the scheduler's deque block (1/3). The
+  // runtime adds none: the completion captures only [this, thread], which
+  // fits std::function's inline buffer, the pred's in-flight state lives in
+  // the thread's control block, and the resume event is inline too.
+  for (size_t lips : {size_t{1}, size_t{8}}) {
+    SchedRig rig;
+    bool stop = false;
+    for (size_t i = 0; i < lips; ++i) {
+      rig.runtime_.Launch("decode", [&stop](LipContext& ctx) -> Task {
+        KvHandle kv = *ctx.kv_tmp();
+        while (!stop) {
+          if (*ctx.kv_len(kv) == 4 * kPageTokens) {
+            (void)ctx.kv_truncate(kv, 1);
+          }
+          StatusOr<std::vector<Distribution>> d = co_await ctx.pred1(kv, 260);
+          EXPECT_TRUE(d.ok()) << d.status();
+        }
+      });
+    }
+    auto complete = [&rig](uint64_t preds) {
+      const uint64_t target = rig.scheduler_.stats().completed + preds;
+      while (rig.scheduler_.stats().completed < target && rig.sim_.Step()) {
+      }
+    };
+    complete(2000);
+    const uint64_t before = rig.scheduler_.stats().completed;
+    uint64_t allocations;
+    {
+      AllocationWindow window;
+      complete(6000);
+      allocations = window.count();
+    }
+    const double per_pred = static_cast<double>(allocations) /
+                            static_cast<double>(rig.scheduler_.stats().completed - before);
+    EXPECT_LE(per_pred, 2.5) << lips << " LIPs: " << allocations << " allocations";
+    EXPECT_GE(per_pred, 2.0) << lips << " LIPs: the window counts nothing";
+    stop = true;
+    rig.sim_.Run();
+    EXPECT_EQ(rig.runtime_.live_lips(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pick order: which requests form each batch. ChunkInvariance checks what
 // batches compute and FairSharePicksAcrossLips a latency bound; this sweep
